@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import archive, gpr, joints, mechanics
+from . import archive, joints, mechanics
 from .data import FamilyKind, average_runs, parse_measurements
 from .errors import ComputationError, DesignSpecError, InputError, UgcError
+from .units import finite_float
 
 CONFIG_ENV_VAR = "UGC_CONFIG"
 
@@ -26,10 +27,10 @@ _CONFIG_KEYS = {
     "quiet": bool,
     "json": bool,
     "allow_extrapolation": bool,
-    "angle_bin": float,
-    "safety_factor": float,
+    "angle_bin": finite_float,
+    "safety_factor": finite_float,
     "degree": int,
-    "noise_variance": float,
+    "noise_variance": finite_float,
 }
 
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -60,7 +61,8 @@ def _load_config(path: str) -> dict:
             try:
                 values[key] = kind(val)
             except ValueError:
-                raise InputError(f"{path}:{lineno}: {key} must be a {kind.__name__}") from None
+                noun = "finite number" if kind is finite_float else kind.__name__
+                raise InputError(f"{path}:{lineno}: {key} must be a {noun}") from None
     return values
 
 
@@ -119,33 +121,22 @@ def _emit(settings, text):
 # -- subcommands -----------------------------------------------------------------
 
 
-def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
-    v = max(float(np.var(y)), 1e-8)
-    angle_grid = (5.0, 10.0, 20.0, 40.0)
-    grids = (angle_grid,) if dim == 1 else (angle_grid, (0.2, 0.4, 0.8))
-    return gpr.GridSpec(
-        signal_variances=(0.5 * v, v, 2.0 * v),
-        length_scale_grids=grids,
-        noise_variances=(1e-3, 3e-3, 1e-2, 3e-2, 1e-1),
-    )
-
-
 def cmd_fit(args, settings) -> int:
     kind = _family_kind(args.family)
     ds = parse_measurements(_read_text(args.data), source=str(args.data))
     if not args.no_average:
         ds = average_runs(ds, settings.get("angle_bin", 5.0))
 
-    config = joints.GprFitConfig(noise_variance=settings.get("noise_variance", None))
-    if args.tune:
-        X, force, _ = joints.family_training_arrays(ds, kind)
-        config = joints.GprFitConfig(grid=_default_tuning_grid(force, X.shape[1]))
+    config = joints.GprFitConfig(
+        noise_variance=settings.get("noise_variance", None), tune=args.tune
+    )
     model = joints.fit_family_model(ds, kind, config)
 
     degree = int(settings.get("degree", 7))
-    fam_samples = ds.samples_for(kind)
-    angles = np.array([s.deformation_angle for s in fam_samples])
-    forces = np.array([s.force for s in fam_samples])
+    if degree < 1:
+        raise InputError(f"--degree must be >= 1, got {degree}")
+    angles = model.force_model.train_x[:, 0]
+    forces = model.force_model.train_y
     try:
         poly_rmse = joints.loo_rmse_poly(angles, forces, degree)
     except (UgcError, np.linalg.LinAlgError):
@@ -163,7 +154,7 @@ def cmd_fit(args, settings) -> int:
         written.append(str(args.return_out))
 
     poly_txt = f"{poly_rmse:.6g}" if poly_rmse is not None else "n/a"
-    _emit(settings, f"fitted {kind.value} on {len(fam_samples)} samples")
+    _emit(settings, f"fitted {kind.value} on {len(forces)} samples")
     _emit(settings, "model        loo rmse (force, N)")
     _emit(settings, f"gpr          {model.force_loo_rmse:.6g}")
     _emit(settings, f"poly{degree}        {poly_txt}")
@@ -173,12 +164,13 @@ def cmd_fit(args, settings) -> int:
             json.dumps(
                 {
                     "family": kind.value,
-                    "samples": len(fam_samples),
+                    "samples": len(forces),
                     "gpr_loo_rmse_n": model.force_loo_rmse,
                     f"poly{degree}_loo_rmse_n": poly_rmse,
                     "outputs": written,
                 },
                 sort_keys=True,
+                allow_nan=False,
             )
         )
     return 0
@@ -189,9 +181,9 @@ def _parse_sweep(spec_text: str):
     if len(parts) != 3:
         raise InputError(f"--sweep expects start:stop:step, got {spec_text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (finite_float(p) for p in parts)
     except ValueError:
-        raise InputError(f"--sweep values must be numbers, got {spec_text!r}") from None
+        raise InputError(f"--sweep values must be finite numbers, got {spec_text!r}") from None
     if step <= 0 or stop < start:
         raise InputError("--sweep needs step > 0 and stop >= start")
     values = []
@@ -240,6 +232,7 @@ def cmd_predict(args, settings) -> int:
                     "warnings": list(pred.warnings),
                 },
                 sort_keys=True,
+                allow_nan=False,
             )
         )
         return 0
@@ -250,19 +243,23 @@ def cmd_predict(args, settings) -> int:
     return 0
 
 
-def cmd_design(args, settings) -> int:
+def _read_spec(path) -> mechanics.RingDesignSpec:
     try:
-        doc = json.loads(_read_text(args.spec))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DesignSpecError([f"not valid JSON: {exc}"]) from exc
-    spec = mechanics.spec_from_json_dict(doc)
+    return mechanics.spec_from_json_dict(doc)
+
+
+def cmd_design(args, settings) -> int:
+    spec = _read_spec(args.spec)
     model = _family_model_from_archives(args.model, args.return_model)
     report = mechanics.design_module(
         spec, model, safety_factor=float(settings.get("safety_factor", 1.5))
     )
 
     out_doc = {"design_spec": mechanics.spec_to_json_dict(spec), **report.to_json_dict()}
-    text = json.dumps(out_doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(out_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     try:
         Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -293,11 +290,7 @@ def cmd_validate(args, settings) -> int:
         ds = parse_measurements(_read_text(args.data), source=str(args.data))
         _emit(settings, f"{args.data}: ok ({len(ds)} samples)")
     if args.spec:
-        try:
-            doc = json.loads(_read_text(args.spec))
-        except json.JSONDecodeError as exc:
-            raise DesignSpecError([f"not valid JSON: {exc}"]) from exc
-        mechanics.spec_from_json_dict(doc)
+        _read_spec(args.spec)
         _emit(settings, f"{args.spec}: ok")
     return 0
 
@@ -326,9 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="joint family token")
     p.add_argument("--out", required=True, help="force-model archive to write")
     p.add_argument("--return-out", help="also write the return-angle archive here")
-    p.add_argument("--angle-bin", type=float, default=None, help="run-averaging bin (deg)")
+    p.add_argument("--angle-bin", type=finite_float, default=None, help="run-averaging bin (deg)")
     p.add_argument("--no-average", action="store_true", help="fit raw runs without averaging")
-    p.add_argument("--noise-variance", type=float, default=None, help="fixed noise variance")
+    p.add_argument("--noise-variance", type=finite_float, default=None, help="fixed noise variance")
     p.add_argument("--tune", action="store_true", help="grid-search hyperparameters")
     p.add_argument("--degree", type=int, default=None, help="baseline polynomial degree")
     p.set_defaults(handler=cmd_fit)
@@ -336,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common], help="query a fitted model archive")
     p.add_argument("--model", required=True, help="force-model archive")
     p.add_argument("--return-model", help="return-angle archive")
-    p.add_argument("--theta", type=float, help="deformation angle (deg)")
-    p.add_argument("--thickness", type=float, help="curve wall thickness (mm)")
+    p.add_argument("--theta", type=finite_float, help="deformation angle (deg)")
+    p.add_argument("--thickness", type=finite_float, help="curve wall thickness (mm)")
     p.add_argument("--sweep", help="emit CSV predictions over start:stop:step (deg)")
     p.add_argument(
         "--allow-extrapolation", action="store_true", default=None,
@@ -350,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="force-model archive")
     p.add_argument("--return-model", help="return-angle archive")
     p.add_argument("--out", required=True, help="design-report JSON to write")
-    p.add_argument("--safety-factor", type=float, default=None, help="spindle safety factor")
+    p.add_argument("--safety-factor", type=finite_float, default=None, help="spindle safety factor")
     p.set_defaults(handler=cmd_design)
 
     p = sub.add_parser("builtin", parents=[common], help="write a built-in model archive")

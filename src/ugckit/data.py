@@ -26,6 +26,7 @@ from .errors import (
     MissingThicknessError,
     OutOfRangeError,
 )
+from .units import finite_float
 
 CSV_COLUMNS = (
     "family",
@@ -129,7 +130,7 @@ class JointDataset:
 
 def _parse_float(raw, row, fieldname):
     try:
-        return float(raw)
+        return finite_float(raw)
     except (TypeError, ValueError):
         raise BadNumberError(row, fieldname, raw) from None
 

@@ -257,11 +257,7 @@ def builtin_model(kind: FamilyKind) -> JointFamilyModel:
     beta = np.array(BUILTIN_FORCE_BETA[kind])
     X = _builtin_anchor_grid(kind)
     y = gpr.basis_matrix(X) @ beta
-    if kind is FamilyKind.CURVE:
-        scales = (DEFAULT_ANGLE_LENGTH_SCALE, DEFAULT_THICKNESS_LENGTH_SCALE)
-    else:
-        scales = (DEFAULT_ANGLE_LENGTH_SCALE,)
-    hyper = gpr.KernelHyperParams(signal_variance=float(np.var(y)), length_scales=scales)
+    hyper = _default_hyper(kind, y)
     force = gpr.fit(X, y, hyper, noise_variance=BUILTIN_NOISE_STD[kind] ** 2, beta=beta)
     return JointFamilyModel(kind=kind, force_model=force)
 
@@ -270,15 +266,16 @@ def builtin_model(kind: FamilyKind) -> JointFamilyModel:
 class GprFitConfig:
     """Fitting configuration; every field optional.
 
-    grid triggers a hyperparameter search per target; otherwise hyper/noise
-    are taken as given, falling back to the documented defaults (length
-    scales 20 deg and 0.4 mm, signal variance = var(y), noise = 1% of
-    var(y)).
+    tune=True grid-searches each target's hyperparameters and noise by
+    marginal likelihood, on a grid scaled to that target's sample variance
+    (see _default_tuning_grid); noise_variance is then ignored. Otherwise
+    the documented defaults apply: length scales 20 deg and 0.4 mm, signal
+    variance = var(y), and noise = noise_variance if given, else 1% of
+    var(y).
     """
 
-    hyper: gpr.KernelHyperParams | None = None
     noise_variance: float | None = None
-    grid: gpr.GridSpec | None = None
+    tune: bool = False
 
 
 def _default_hyper(kind: FamilyKind, y: np.ndarray) -> gpr.KernelHyperParams:
@@ -287,6 +284,19 @@ def _default_hyper(kind: FamilyKind, y: np.ndarray) -> gpr.KernelHyperParams:
     else:
         scales = (DEFAULT_ANGLE_LENGTH_SCALE,)
     return gpr.KernelHyperParams(signal_variance=float(np.var(y)), length_scales=scales)
+
+
+def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
+    """Search grid for one target. Signal and noise variances are multiples
+    of var(y), so rescaling y (a change of units) selects the same candidate."""
+    v = max(float(np.var(y)), 1e-8)
+    angle_grid = (5.0, 10.0, 20.0, 40.0)
+    grids = (angle_grid,) if dim == 1 else (angle_grid, (0.2, 0.4, 0.8))
+    return gpr.GridSpec(
+        signal_variances=(0.5 * v, v, 2.0 * v),
+        length_scale_grids=grids,
+        noise_variances=tuple(f * v for f in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)),
+    )
 
 
 def loo_rmse_gp(X, y, hyper, noise_variance, beta="gls") -> float:
@@ -321,10 +331,10 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
 
 
 def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
-    if config.grid is not None:
-        hyper, noise = gpr.tune_hyperparams(X, y, config.grid)
+    if config.tune:
+        hyper, noise = gpr.tune_hyperparams(X, y, _default_tuning_grid(y, X.shape[1]))
     else:
-        hyper = config.hyper or _default_hyper(kind, y)
+        hyper = _default_hyper(kind, y)
         noise = config.noise_variance
         if noise is None:
             noise = max(1e-8, DEFAULT_NOISE_FRACTION * float(np.var(y)))
@@ -355,6 +365,12 @@ def fit_family_model(
     )
 
 
+def _to_domain(x, domain: tuple[float, float]):
+    """Map angles affinely so that domain becomes [-1, 1]."""
+    lo, hi = domain
+    return (2.0 * x - (lo + hi)) / (hi - lo)
+
+
 @dataclass(frozen=True)
 class PolyModel:
     """Plain least-squares polynomial in the deformation angle.
@@ -377,13 +393,12 @@ class PolyModel:
             )
 
     def predict(self, theta: float) -> float:
-        lo, hi = self.domain
-        t = (2.0 * theta - (lo + hi)) / (hi - lo)
+        t = _to_domain(theta, self.domain)
         return float(np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients)))
 
 
-def _poly_coeffs(x: np.ndarray, y: np.ndarray, degree: int):
-    """Solve the scaled-domain Vandermonde system.
+def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
+    """Least-squares polynomial through the scaled-domain Vandermonde system.
 
     Normal equations are used while their condition estimate stays below
     1e12; beyond that the orthogonal (lstsq) path takes over, and only a
@@ -392,7 +407,7 @@ def _poly_coeffs(x: np.ndarray, y: np.ndarray, degree: int):
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:
         raise IllConditionedError("all samples share one angle; polynomial is undetermined")
-    t = (2.0 * x - (lo + hi)) / (hi - lo)
+    t = _to_domain(x, (lo, hi))
     V = np.vander(t, degree + 1, increasing=True)
     M = V.T @ V
     if np.linalg.cond(M) <= 1e12:
@@ -403,7 +418,7 @@ def _poly_coeffs(x: np.ndarray, y: np.ndarray, degree: int):
             raise IllConditionedError(
                 f"rank {rank} < {degree + 1} even with the orthogonal solver"
             )
-    return coeffs, (lo, hi)
+    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in coeffs), domain=(lo, hi))
 
 
 def fit_poly_baseline(
@@ -432,8 +447,7 @@ def fit_poly_baseline(
         y = np.array([s.return_angle for s in samples])
     else:
         raise ValueError(f"target must be 'force' or 'return', got {target!r}")
-    coeffs, domain = _poly_coeffs(x, y, degree)
-    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in coeffs), domain=domain)
+    return _fit_poly(x, y, degree)
 
 
 def loo_rmse_poly(x, y, degree: int) -> float:
@@ -444,7 +458,5 @@ def loo_rmse_poly(x, y, degree: int) -> float:
     for i in range(len(y)):
         mask = np.ones(len(y), dtype=bool)
         mask[i] = False
-        coeffs, (lo, hi) = _poly_coeffs(x[mask], y[mask], degree)
-        t = (2.0 * x[i] - (lo + hi)) / (hi - lo)
-        errs.append(float(np.polynomial.polynomial.polyval(t, coeffs)) - y[i])
+        errs.append(_fit_poly(x[mask], y[mask], degree).predict(x[i]) - y[i])
     return float(np.sqrt(np.mean(np.square(errs))))

@@ -476,6 +476,16 @@ def design_module(
 _FAMILY_TOKENS = {k.value for k in FamilyKind}
 
 
+def _json_number(val) -> float | None:
+    """val as a float if it is a finite JSON number (not a bool), else None."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return units.finite_float(val)
+    except ValueError:
+        return None
+
+
 def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     """Build a RingDesignSpec from its JSON document, collecting every schema
     problem before failing."""
@@ -486,8 +496,11 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
             problems.append(f"missing field: {key}")
             return None
         val = obj[key]
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
+        if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+            val = _json_number(val)
+            if val is None:
+                problems.append(f"field {key}: must be a finite number")
+                return None
         if not isinstance(val, kind) or isinstance(val, bool):
             problems.append(f"field {key}: expected {kind.__name__}")
             return None
@@ -512,9 +525,9 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     else:
         torque = req(act, "rated_torque_nm", float, lambda v: v > 0, "must be > 0")
         spindle = req(act, "spindle_radius_mm", float, lambda v: v > 0, "must be > 0")
-        over = act.get("overdrive_factor", 1.0)
-        if not isinstance(over, (int, float)) or isinstance(over, bool) or over < 1:
-            problems.append("field overdrive_factor: must be a number >= 1")
+        over = _json_number(act.get("overdrive_factor", 1.0))
+        if over is None or over < 1:
+            problems.append("field overdrive_factor: must be a finite number >= 1")
 
     joint_doc = doc.get("joint")
     family = None
@@ -528,25 +541,26 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
             kind = FamilyKind(tok)
             thick = joint_doc.get("thickness_mm")
             if kind is FamilyKind.CURVE:
-                if not isinstance(thick, (int, float)) or isinstance(thick, bool) or thick <= 0:
-                    problems.append("field joint.thickness_mm: curve joints need a value > 0")
+                thick = _json_number(thick)
+                if thick is None or thick <= 0:
+                    problems.append(
+                        "field joint.thickness_mm: curve joints need a finite value > 0"
+                    )
                 else:
-                    family = JointFamily(kind, float(thick))
+                    family = JointFamily(kind, thick)
             else:
                 if thick is not None:
                     problems.append("field joint.thickness_mm: must be null for this family")
                 else:
                     family = JointFamily(kind)
 
-    override = doc.get("per_joint_force_n")
-    if override is not None and (
-        not isinstance(override, (int, float)) or isinstance(override, bool) or override < 0
-    ):
-        problems.append("field per_joint_force_n: must be a number >= 0")
+    override = _json_number(doc.get("per_joint_force_n"))
+    if doc.get("per_joint_force_n") is not None and (override is None or override < 0):
+        problems.append("field per_joint_force_n: must be a finite number >= 0")
 
-    friction = doc.get("friction_loss_factor", 1.0)
-    if not isinstance(friction, (int, float)) or isinstance(friction, bool) or friction <= 0:
-        problems.append("field friction_loss_factor: must be a number > 0")
+    friction = _json_number(doc.get("friction_loss_factor", 1.0))
+    if friction is None or friction <= 0:
+        problems.append("field friction_loss_factor: must be a finite number > 0")
 
     if jpr is not None and nsec is not None and jpr % nsec != 0:
         problems.append("field joints_per_ring: must be divisible by n_sections")
@@ -564,11 +578,11 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
         n_sections=nsec,
         joints_per_ring=jpr,
         target_ratio=ratio,
-        actuator=ActuatorSpec(torque, spindle, float(over)),
+        actuator=ActuatorSpec(torque, spindle, over),
         joint=family,
         ring_layers=layers,
-        per_joint_force_override=float(override) if override is not None else None,
-        friction_loss_factor=float(friction),
+        per_joint_force_override=override,
+        friction_loss_factor=friction,
     )
 
 

@@ -3,6 +3,9 @@
 Angles travel through the toolkit in degrees and lengths in millimeters;
 torque math switches to SI (N, m) only inside the ring-mechanics module.
 Keeping the conversions in one place makes that boundary testable.
+
+finite_float is the one check every input boundary (CSV cells, design-spec
+numbers, CLI flags and config values) uses to turn a value into a number.
 """
 
 import math
@@ -24,3 +27,18 @@ def mm_to_m(length_mm: float) -> float:
 
 def m_to_mm(length_m: float) -> float:
     return length_m * 1000.0
+
+
+def finite_float(value) -> float:
+    """value as a float; ValueError unless it is a finite number.
+
+    Rejects inf and nan, and integers too large for a float. Its name shows
+    in argparse's message for a flag of this type.
+    """
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ugckit import joints
 from ugckit.cli import main
 from ugckit.data import CSV_COLUMNS
 
@@ -120,6 +121,27 @@ class TestFit:
         ])
         assert code == 1
 
+    def test_tune_scales_each_grid_to_its_target(self, tmp_path, bench_csv):
+        out, ret_out = tmp_path / "m.json", tmp_path / "m.return.json"
+        assert main([
+            "fit", "--tune", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(out), "--return-out", str(ret_out), "--quiet",
+        ]) == 0
+        for path in (out, ret_out):
+            doc = json.loads(path.read_text())
+            v = float(np.var(doc["train_y"]))
+            assert 0.5 * v <= doc["kernel"]["signal_variance"] <= 2.0 * v
+            assert 1e-3 * v <= doc["noise_variance"] <= 1e-1 * v
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_exits_2(self, tmp_path, bench_csv, capsys, degree):
+        code = main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"), "--degree", degree,
+        ])
+        assert code == 2
+        assert "--degree" in capsys.readouterr().err
+
     def test_deterministic_archive(self, tmp_path, bench_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -171,6 +193,11 @@ class TestPredict:
         assert angles == sorted(angles)
         assert len(set(angles)) == 25
 
+    @pytest.mark.parametrize("sweep", ["30:inf:5", "30:nan:5", "nan:150:5", "30:150:inf"])
+    def test_non_finite_sweep_exit_2(self, square_archive, sweep):
+        # a non-finite stop would never end the sweep loop
+        assert main(["predict", "--model", str(square_archive), "--sweep", sweep]) == 2
+
     def test_missing_theta_and_sweep_exit_2(self, square_archive):
         assert main(["predict", "--model", str(square_archive)]) == 2
 
@@ -178,6 +205,13 @@ class TestPredict:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         assert main(["predict", "--model", str(bad), "--theta", "90"]) == 2
+
+    def test_non_finite_output_is_refused(self, square_archive, capsys, monkeypatch):
+        nan_force = joints.ForcePrediction(mean=float("nan"), variance=0.0)
+        monkeypatch.setattr(joints, "predict_force", lambda *a, **k: nan_force)
+        code = main(["predict", "--model", str(square_archive), "--theta", "90", "--json"])
+        assert code == 2
+        assert "NaN" not in capsys.readouterr().out
 
     def test_version_mismatch_exit_2(self, tmp_path, square_archive):
         doc = json.loads(square_archive.read_text())
@@ -258,6 +292,21 @@ class TestValidate:
         path.write_text(HEADER + "\nsquare_sym,,200,forward,1.0,170,r1\n")
         assert main(["validate", "--data", str(path)]) == 2
 
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_csv_number_exit_2(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + f"\nsquare_sym,,90,forward,{token},170,r1\n")
+        assert main(["validate", "--data", str(path)]) == 2
+        assert "force_n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+    def test_non_finite_spec_number_exit_2(self, tmp_path, capsys, literal):
+        text = json.dumps(GOOD_SPEC).replace("100.0", literal)
+        path = tmp_path / "ring.json"
+        path.write_text(text)
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert "outer_radius_mm" in capsys.readouterr().err
+
     def test_requires_an_input(self):
         assert main(["validate"]) == 2
 
@@ -307,6 +356,34 @@ class TestGlobalFlags:
             "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
             "--config", str(cfg),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,command",
+        [
+            ("--theta", "predict --model m.json"),
+            ("--thickness", "predict --model m.json --theta 90"),
+            ("--angle-bin", "fit --data d.csv --family curve --out m.json"),
+            ("--noise-variance", "fit --data d.csv --family curve --out m.json"),
+            ("--safety-factor", "design --spec s.json --model m.json --out r.json"),
+        ],
+    )
+    @pytest.mark.parametrize("token", ["inf", "nan", "-inf"])
+    def test_non_finite_flag_exit_2(self, flag, command, token, capsys):
+        # argparse rejects the value before any file is opened
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), f"{flag}={token}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["angle_bin", "safety_factor", "noise_variance"])
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "ugc.cfg"
+        cfg.write_text(f"{key} = inf\n")
+        assert main([
+            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+            "--config", str(cfg),
+        ]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "predict", "design", "builtin", "validate"])
     def test_help_lists_global_flags(self, command, capsys):

@@ -76,6 +76,18 @@ def test_parse_rejects_bad_rows(row, errtype, fieldname):
     assert err.value.field == fieldname
 
 
+@pytest.mark.parametrize("token", ["inf", "nan", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "fieldname", ["thickness_mm", "deformation_angle_deg", "force_n", "return_angle_deg"]
+)
+def test_parse_rejects_non_finite_numbers(fieldname, token):
+    cells = dict(zip(CSV_COLUMNS, ["curve", "0.4", "90", "forward", "2.1", "165", "r1"]))
+    cells[fieldname] = token
+    with pytest.raises(BadNumberError) as err:
+        parse_measurements(HEADER + "\n" + ",".join(cells.values()) + "\n")
+    assert err.value.field == fieldname
+
+
 def test_parse_curve_without_thickness_is_missing_thickness():
     with pytest.raises(MissingThicknessError):
         parse_measurements(HEADER + "\ncurve,,90,forward,1.0,170,r1\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,27 @@ class TestFitFamilyModel:
         for theta in np.linspace(0.0, 180.0, 37):
             val = joints.predict_return_angle(model, float(theta), allow_extrapolation=True)
             assert 0.0 <= val <= 180.0
+
+
+class TestTuning:
+    def test_grid_follows_each_target(self, square_dataset):
+        model = joints.fit_family_model(square_dataset, SQ, joints.GprFitConfig(tune=True))
+        for gp in (model.force_model, model.return_model):
+            v = float(np.var(gp.train_y))
+            assert 0.5 * v <= gp.hyper.signal_variance <= 2.0 * v
+            assert 1e-3 * v <= gp.noise_variance <= 1e-1 * v
+
+    def test_change_of_units_picks_same_candidate(self, square_dataset):
+        scaled = replace(
+            square_dataset,
+            samples=tuple(replace(s, force=1000.0 * s.force) for s in square_dataset.samples),
+        )
+        config = joints.GprFitConfig(tune=True)
+        base = joints.fit_family_model(square_dataset, SQ, config).force_model
+        big = joints.fit_family_model(scaled, SQ, config).force_model
+        assert big.hyper.length_scales == base.hyper.length_scales
+        assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
+        assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
 
 
 class TestPolyBaseline:

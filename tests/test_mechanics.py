@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -320,6 +321,35 @@ class TestSpecJson:
         doc["joints_per_ring"] = 41
         with pytest.raises(DesignSpecError):
             mechanics.spec_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("outer_radius_mm",),
+            ("target_ratio",),
+            ("actuator", "rated_torque_nm"),
+            ("actuator", "spindle_radius_mm"),
+            ("actuator", "overdrive_factor"),
+            ("per_joint_force_n",),
+            ("friction_loss_factor",),
+            ("joint", "thickness_mm"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "literal", ["Infinity", "NaN", "1e400", pytest.param("1" + "0" * 400, id="int1e400")]
+    )
+    def test_non_finite_numbers_rejected(self, path, literal):
+        doc = self.good_doc()
+        doc["joint"] = {"family": "curve", "thickness_mm": 0.8}
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "PLACEHOLDER"
+        doc = json.loads(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert len(err.value.problems) == 1
+        assert path[-1] in err.value.problems[0]
 
     def test_curve_joint_needs_thickness(self):
         doc = self.good_doc()
