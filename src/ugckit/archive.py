@@ -22,8 +22,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import gpr
-from .errors import CorruptArchiveError, IoFailureError, VersionMismatchError
+from .errors import (
+    CorruptArchiveError,
+    IoFailureError,
+    NotPositiveDefiniteError,
+    VersionMismatchError,
+)
 
 FORMAT_VERSION = "1"
 
@@ -71,18 +78,32 @@ def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if str(doc["version"]) != FORMAT_VERSION:
         raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
     try:
+        kernel = doc["kernel"]
+        numeric = {
+            "beta": np.asarray(doc["beta"], dtype=float),
+            "noise_variance": float(doc["noise_variance"]),
+            "kernel.signal_variance": float(kernel["signal_variance"]),
+            "kernel.length_scales": tuple(float(l) for l in kernel["length_scales"]),
+            "train_x": np.asarray(doc["train_x"], dtype=float),
+            "train_y": np.asarray(doc["train_y"], dtype=float),
+        }
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
+    for name, value in numeric.items():
+        if not np.all(np.isfinite(value)):
+            raise CorruptArchiveError(f"archive field {name} must hold finite numbers")
+    try:
         hyper = gpr.KernelHyperParams(
-            signal_variance=float(doc["kernel"]["signal_variance"]),
-            length_scales=tuple(float(l) for l in doc["kernel"]["length_scales"]),
+            numeric["kernel.signal_variance"], numeric["kernel.length_scales"]
         )
         model = gpr.fit(
-            doc["train_x"],
-            doc["train_y"],
+            numeric["train_x"],
+            numeric["train_y"],
             hyper,
-            noise_variance=float(doc["noise_variance"]),
-            beta=doc["beta"],
+            noise_variance=numeric["noise_variance"],
+            beta=numeric["beta"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NotPositiveDefiniteError) as exc:
         raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
     return model, ArchiveInfo(family=doc.get("family"), model_id=doc.get("model_id"))
 

@@ -17,11 +17,13 @@ or reverse.
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
     BadNumberError,
     EmptyFileError,
+    InputError,
     MissingColumnError,
     MissingThicknessError,
     OutOfRangeError,
@@ -69,8 +71,8 @@ class JointFamily:
         if self.kind is FamilyKind.CURVE:
             if self.thickness is None:
                 raise MissingThicknessError("curve family requires a thickness in mm")
-            if self.thickness <= 0:
-                raise ValueError(f"thickness must be positive, got {self.thickness}")
+            if not 0 < self.thickness < math.inf:
+                raise ValueError(f"thickness must be a finite number > 0, got {self.thickness}")
         elif self.thickness is not None:
             raise ValueError(f"{self.kind.value} family takes no thickness")
 
@@ -141,7 +143,14 @@ def parse_measurements(csv_text: str, source: str = "<memory>") -> JointDataset:
     Rows are validated strictly: the first invalid row aborts the parse with
     an error carrying the physical line number (header is line 1).
     """
-    reader = csv.DictReader(io.StringIO(csv_text))
+    reader = csv.DictReader(io.StringIO(csv_text, newline=""))
+    try:
+        return _parse_records(reader, source)
+    except csv.Error as exc:  # a line the csv module cannot split
+        raise InputError(f"after line {reader.line_num}: {exc}") from None
+
+
+def _parse_records(reader: csv.DictReader, source: str) -> JointDataset:
     if reader.fieldnames is None:
         raise EmptyFileError("no CSV content")
     for col in CSV_COLUMNS:
@@ -150,9 +159,12 @@ def parse_measurements(csv_text: str, source: str = "<memory>") -> JointDataset:
 
     samples = []
     for rec in reader:
+        row = reader.line_num
+        if None in rec:  # DictReader files the cells past the header under None
+            width = len(reader.fieldnames)
+            raise InputError(f"row {row}: {width + len(rec[None])} cells, header has {width}")
         if all(v is None or v.strip() == "" for v in rec.values()):
             continue  # blank line
-        row = reader.line_num
 
         famtok = (rec.get("family") or "").strip()
         try:

@@ -42,8 +42,8 @@ VARIANCE_CLAMP = 1e-10
 class KernelHyperParams:
     """Squared-exponential kernel hyperparameters.
 
-    signal_variance is the prior variance of the residual process; one
-    positive length scale per input dimension.
+    signal_variance is the finite prior variance of the residual process;
+    one finite positive length scale per input dimension.
     """
 
     signal_variance: float
@@ -51,10 +51,12 @@ class KernelHyperParams:
 
     def __post_init__(self):
         object.__setattr__(self, "length_scales", tuple(float(l) for l in self.length_scales))
-        if self.signal_variance < 0:
-            raise ValueError(f"signal_variance must be >= 0, got {self.signal_variance}")
-        if not self.length_scales or any(l <= 0 for l in self.length_scales):
-            raise ValueError(f"length scales must all be > 0, got {self.length_scales}")
+        if not 0 <= self.signal_variance < math.inf:
+            raise ValueError(
+                f"signal_variance must be finite and >= 0, got {self.signal_variance}"
+            )
+        if not self.length_scales or not all(0 < l < math.inf for l in self.length_scales):
+            raise ValueError(f"length scales must all be finite and > 0, got {self.length_scales}")
 
     @property
     def dim(self) -> int:

@@ -24,12 +24,14 @@ from . import gpr
 from .data import FamilyKind, JointDataset, JointFamily
 from .errors import (
     IllConditionedError,
+    InputError,
     InsufficientDataError,
     MissingThicknessError,
     NoBuiltinModelError,
     NoReturnModelError,
     OutOfValidatedRangeError,
 )
+from .units import finite_float
 
 VALIDATED_ANGLE_RANGE = (30.0, 150.0)  # deg
 TESTED_THICKNESS_RANGE = (0.4, 1.6)  # mm
@@ -175,13 +177,22 @@ class ForcePrediction:
         return math.sqrt(self.variance)
 
 
+def _finite_query(value, name: str) -> float:
+    try:
+        return finite_float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a finite number, got {value!r}") from None
+
+
 def _query_point(model: JointFamilyModel, theta, thickness, allow_extrapolation):
     """Validate a query and build the model input, collecting warnings."""
+    theta = _finite_query(theta, "theta")
     warnings = []
     low, high = VALIDATED_ANGLE_RANGE
     if model.kind is FamilyKind.CURVE:
         if thickness is None:
             raise MissingThicknessError("curve-family query requires a thickness in mm")
+        thickness = _finite_query(thickness, "thickness")
         if not low <= theta <= high:
             if not allow_extrapolation:
                 raise OutOfValidatedRangeError(theta, low, high)

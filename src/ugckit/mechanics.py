@@ -23,7 +23,9 @@ else: tau = F * r with r in meters.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from . import joints, units
 from .data import FamilyKind, JointFamily
@@ -42,6 +44,70 @@ FLAG_SELF_CONTACT = "self_contact"
 FLAG_OVERDRIVE = "overdrive"
 
 
+# -- design-spec fields ----------------------------------------------------------
+# Each field of a design spec is one row of the tables below; the constructors
+# and the JSON reader and writer all read the rows. presence says what a JSON
+# document may do with the key: "required" (carry it), "optional" (leave it out
+# for the constructor default) or "nullable" (leave it out or null it: None).
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+_POSITIVE = (lambda v: v > 0), "must be > 0"
+_RATIO = (lambda v: 0 < v <= 1), "must be in (0, 1]"
+
+
+def _enforce(label: str, value, rule) -> None:
+    if not rule[0](value):
+        raise ValueError(f"{label}: {rule[1]}")
+
+
+def _coerce(kind, value, label: str):
+    """value as kind, int or float (bools are neither); ValueError otherwise."""
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ValueError(f"{label}: expected {kind.__name__}")
+    try:
+        return int(value) if kind is int else units.finite_float(value)
+    except ValueError:
+        raise ValueError(f"{label}: must be a finite number") from None
+
+
+class _Field(NamedTuple):
+    key: str  # JSON key
+    kind: type  # int, float, or the class of a nested document
+    rule: tuple = ((lambda v: True), "")  # (test, message text)
+    attr: str | None = None  # attribute name, when it differs from key
+    presence: str = "required"
+
+    @property
+    def name(self) -> str:
+        return self.attr or self.key
+
+    def check(self, value, label: str):
+        """value as this field's type; ValueError starting with label if it breaks the row."""
+        value = _coerce(self.kind, value, label)
+        _enforce(label, value, self.rule)
+        return value
+
+
+def _check_attributes(obj, table) -> None:
+    """Store obj's numbers as their rows' types; ValueError naming the first bad one."""
+    for f in table:
+        value = getattr(obj, f.name)
+        if f.kind in (int, float) and not (value is None and f.presence == "nullable"):
+            object.__setattr__(obj, f.name, f.check(value, f"{f.name}={value!r}"))
+
+
+_ACTUATOR_FIELDS = (
+    _Field("rated_torque_nm", float, _POSITIVE, "rated_torque"),
+    _Field("spindle_radius_mm", float, _POSITIVE, "spindle_radius"),
+    _Field("overdrive_factor", float, _at_least(1), presence="optional"),
+)
+
+
 @dataclass(frozen=True)
 class ActuatorSpec:
     """Central motor: rated torque (N*m), spindle radius (mm), and how much
@@ -52,8 +118,27 @@ class ActuatorSpec:
     overdrive_factor: float = 1.0
 
     def __post_init__(self):
-        if self.rated_torque <= 0 or self.spindle_radius <= 0 or self.overdrive_factor < 1:
-            raise ValueError("actuator values must be positive (overdrive_factor >= 1)")
+        _check_attributes(self, _ACTUATOR_FIELDS)
+
+
+_SPEC_FIELDS = (
+    _Field("outer_radius_mm", float, _POSITIVE, "outer_radius"),
+    _Field("n_sections", int, _at_least(2)),
+    _Field("joints_per_ring", int, _POSITIVE),
+    _Field("ring_layers", int, _at_least(1)),
+    _Field("target_ratio", float, _RATIO),
+    _Field("actuator", ActuatorSpec),
+    _Field("joint", JointFamily),
+    _Field("per_joint_force_n", float, _at_least(0), "per_joint_force_override", "nullable"),
+    _Field("friction_loss_factor", float, _POSITIVE, presence="optional"),
+)
+
+
+def _spread_problem(joints_per_ring=None, n_sections=None, **_) -> str | None:
+    """The one cross-field rule; attribute values by name, a missing one passes."""
+    if joints_per_ring is None or n_sections is None or joints_per_ring % n_sections == 0:
+        return None
+    return "joints_per_ring: must be divisible by n_sections"
 
 
 @dataclass(frozen=True)
@@ -75,23 +160,10 @@ class RingDesignSpec:
     friction_loss_factor: float = 1.0
 
     def __post_init__(self):
-        if self.outer_radius <= 0:
-            raise ValueError(f"outer_radius must be positive, got {self.outer_radius}")
-        if self.n_sections < 2:
-            raise ValueError(f"n_sections must be >= 2, got {self.n_sections}")
-        if self.joints_per_ring <= 0 or self.joints_per_ring % self.n_sections != 0:
-            raise ValueError(
-                f"joints_per_ring ({self.joints_per_ring}) must be a positive "
-                f"multiple of n_sections ({self.n_sections})"
-            )
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ValueError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
-        if self.ring_layers < 1:
-            raise ValueError(f"ring_layers must be >= 1, got {self.ring_layers}")
-        if self.per_joint_force_override is not None and self.per_joint_force_override < 0:
-            raise ValueError("per_joint_force_override must be >= 0")
-        if self.friction_loss_factor <= 0:
-            raise ValueError("friction_loss_factor must be positive")
+        _check_attributes(self, _SPEC_FIELDS)
+        problem = _spread_problem(**vars(self))
+        if problem:
+            raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -130,18 +202,15 @@ def ring_geometry(outer_radius: float, n_sections: int) -> tuple[float, float]:
     Mirror symmetry splits every section into two identical halves, so the
     half-section arc is the unit all bend analysis runs on.
     """
-    if outer_radius <= 0:
-        raise ValueError(f"outer_radius must be positive, got {outer_radius}")
-    if n_sections < 1:
-        raise ValueError(f"n_sections must be >= 1, got {n_sections}")
+    _enforce(f"outer_radius={outer_radius!r}", outer_radius, _POSITIVE)
+    _enforce(f"n_sections={n_sections!r}", n_sections, _at_least(1))
     section_arc = 2.0 * math.pi * outer_radius / n_sections
     return section_arc, section_arc / 2.0
 
 
 def target_arc(half_section_arc: float, target_ratio: float) -> tuple[float, float]:
     """Shortened half-section arc and the reduction delta, in mm."""
-    if not 0.0 < target_ratio <= 1.0:
-        raise ValueError(f"target_ratio must be in (0, 1], got {target_ratio}")
+    _enforce(f"target_ratio={target_ratio!r}", target_ratio, _RATIO)
     new_arc = half_section_arc * target_ratio
     return new_arc, half_section_arc - new_arc
 
@@ -255,73 +324,48 @@ def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> fl
 class DesignReport:
     """Every intermediate of one design run; numbers are mm, deg, N, N*m."""
 
-    outer_radius: float
-    n_sections: int
-    total_joints: int
-    target_ratio: float
-    section_arc: float
-    half_section_arc: float
-    target_half_arc: float
-    arc_delta: float
-    bend_angle: float
-    fold_depth: float
-    contracted_radius: float
-    per_joint_force: float
+    outer_radius: float = field(metadata={"unit": "mm"})
+    n_sections: int = field(metadata={"unit": "1"})
+    total_joints: int = field(metadata={"unit": "1"})
+    target_ratio: float = field(metadata={"unit": "1"})
+    section_arc: float = field(metadata={"unit": "mm"})
+    half_section_arc: float = field(metadata={"unit": "mm"})
+    target_half_arc: float = field(metadata={"unit": "mm"})
+    arc_delta: float = field(metadata={"unit": "mm"})
+    bend_angle: float = field(metadata={"unit": "deg"})
+    fold_depth: float = field(metadata={"unit": "mm"})
+    contracted_radius: float = field(metadata={"unit": "mm"})
+    per_joint_force: float = field(metadata={"unit": "N"})
     per_joint_force_source: str  # "model" | "override" | "identity"
-    model_force: float | None
-    model_force_std: float | None
-    friction_loss_factor: float
-    total_force: float
-    rated_torque: float
-    spindle_radius: float
-    torque_at_spindle: float
-    min_spindle_radius: float
-    safety_factor: float
-    recommended_spindle_radius: float
-    predicted_return_angle: float | None
-    yield_angle: float
-    self_contact_angle: float | None
+    model_force: float | None = field(metadata={"unit": "N"})
+    model_force_std: float | None = field(metadata={"unit": "N"})
+    friction_loss_factor: float = field(metadata={"unit": "1"})
+    total_force: float = field(metadata={"unit": "N"})
+    rated_torque: float = field(metadata={"unit": "N*m"})
+    spindle_radius: float = field(metadata={"unit": "mm"})
+    torque_at_spindle: float = field(metadata={"unit": "N*m"})
+    min_spindle_radius: float = field(metadata={"unit": "mm"})
+    safety_factor: float = field(metadata={"unit": "1"})
+    recommended_spindle_radius: float = field(metadata={"unit": "mm"})
+    predicted_return_angle: float | None = field(metadata={"unit": "deg"})
+    yield_angle: float = field(metadata={"unit": "deg"})
+    self_contact_angle: float | None = field(metadata={"unit": "deg"})
     flags: tuple[str, ...] = ()
     diagnostics: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        def q(value, unit):
-            if value is None or (isinstance(value, float) and not math.isfinite(value)):
-                return {"value": None, "unit": unit}
-            return {"value": value, "unit": unit}
-
-        return {
-            "quantities": {
-                "outer_radius": q(self.outer_radius, "mm"),
-                "n_sections": q(self.n_sections, "1"),
-                "total_joints": q(self.total_joints, "1"),
-                "target_ratio": q(self.target_ratio, "1"),
-                "section_arc": q(self.section_arc, "mm"),
-                "half_section_arc": q(self.half_section_arc, "mm"),
-                "target_half_arc": q(self.target_half_arc, "mm"),
-                "arc_delta": q(self.arc_delta, "mm"),
-                "bend_angle": q(self.bend_angle, "deg"),
-                "fold_depth": q(self.fold_depth, "mm"),
-                "contracted_radius": q(self.contracted_radius, "mm"),
-                "per_joint_force": q(self.per_joint_force, "N"),
-                "model_force": q(self.model_force, "N"),
-                "model_force_std": q(self.model_force_std, "N"),
-                "friction_loss_factor": q(self.friction_loss_factor, "1"),
-                "total_force": q(self.total_force, "N"),
-                "rated_torque": q(self.rated_torque, "N*m"),
-                "spindle_radius": q(self.spindle_radius, "mm"),
-                "torque_at_spindle": q(self.torque_at_spindle, "N*m"),
-                "min_spindle_radius": q(self.min_spindle_radius, "mm"),
-                "safety_factor": q(self.safety_factor, "1"),
-                "recommended_spindle_radius": q(self.recommended_spindle_radius, "mm"),
-                "predicted_return_angle": q(self.predicted_return_angle, "deg"),
-                "yield_angle": q(self.yield_angle, "deg"),
-                "self_contact_angle": q(self.self_contact_angle, "deg"),
-            },
-            "per_joint_force_source": self.per_joint_force_source,
-            "flags": list(self.flags),
-            "diagnostics": list(self.diagnostics),
-        }
+        """Each quantity as {"value", "unit"}, with null for a missing or
+        non-finite value; the other fields as they are."""
+        doc = {"quantities": {}}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "unit" not in f.metadata:
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
+                continue
+            if isinstance(value, float) and not math.isfinite(value):
+                value = None
+            doc["quantities"][f.name] = {"value": value, "unit": f.metadata["unit"]}
+        return doc
 
     def format_summary(self) -> str:
         def fmt(v, unit=""):
@@ -473,137 +517,81 @@ def design_module(
 
 # -- design-spec JSON wire format ------------------------------------------------
 
-_FAMILY_TOKENS = {k.value for k in FamilyKind}
 
-
-def _json_number(val) -> float | None:
-    """val as a float if it is a finite JSON number (not a bool), else None."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return None
+def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
     try:
-        return units.finite_float(val)
+        kind = FamilyKind(doc.get("family"))
     except ValueError:
+        problems.append(f"field joint.family: unknown family {doc.get('family')!r}")
         return None
+    thick = doc.get("thickness_mm")
+    try:
+        if kind is FamilyKind.CURVE:
+            return JointFamily(kind, _coerce(float, thick, ""))
+        if thick is None:
+            return JointFamily(kind)
+        problems.append("field joint.thickness_mm: must be null for this family")
+    except ValueError:
+        problems.append("field joint.thickness_mm: curve joints need a finite value > 0")
+    return None
+
+
+def _read_fields(doc: dict, table, problems: list[str]) -> dict:
+    """Attribute values of the table's fields in doc; appends a problem for
+    each field that is missing or breaks its row."""
+    values = {}
+    for f in table:
+        raw = doc.get(f.key)
+        if f.kind not in (int, float):
+            if not isinstance(raw, dict):
+                problems.append(f"missing field: {f.key}")
+            elif f.kind is JointFamily:
+                values[f.name] = _joint_from_json(raw, problems)
+            else:
+                count = len(problems)
+                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems)
+                if len(problems) == count:
+                    values[f.name] = ActuatorSpec(**actuator)
+        elif f.key not in doc:
+            if f.presence == "required":
+                problems.append(f"missing field: {f.key}")
+        elif raw is not None or f.presence != "nullable":
+            try:
+                values[f.name] = f.check(raw, f"field {f.key}")
+            except ValueError as exc:
+                problems.append(str(exc))
+    return values
 
 
 def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     """Build a RingDesignSpec from its JSON document, collecting every schema
     problem before failing."""
-    problems: list[str] = []
-
-    def req(obj, key, kind, pred=None, why=""):
-        if not isinstance(obj, dict) or key not in obj:
-            problems.append(f"missing field: {key}")
-            return None
-        val = obj[key]
-        if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-            val = _json_number(val)
-            if val is None:
-                problems.append(f"field {key}: must be a finite number")
-                return None
-        if not isinstance(val, kind) or isinstance(val, bool):
-            problems.append(f"field {key}: expected {kind.__name__}")
-            return None
-        if pred is not None and not pred(val):
-            problems.append(f"field {key}: {why}")
-            return None
-        return val
-
     if not isinstance(doc, dict):
         raise DesignSpecError(["design spec root is not a JSON object"])
-
-    outer = req(doc, "outer_radius_mm", float, lambda v: v > 0, "must be > 0")
-    nsec = req(doc, "n_sections", int, lambda v: v >= 2, "must be >= 2")
-    jpr = req(doc, "joints_per_ring", int, lambda v: v > 0, "must be > 0")
-    layers = req(doc, "ring_layers", int, lambda v: v >= 1, "must be >= 1")
-    ratio = req(doc, "target_ratio", float, lambda v: 0 < v <= 1, "must be in (0, 1]")
-
-    act = doc.get("actuator")
-    if not isinstance(act, dict):
-        problems.append("missing field: actuator")
-        torque = spindle = over = None
-    else:
-        torque = req(act, "rated_torque_nm", float, lambda v: v > 0, "must be > 0")
-        spindle = req(act, "spindle_radius_mm", float, lambda v: v > 0, "must be > 0")
-        over = _json_number(act.get("overdrive_factor", 1.0))
-        if over is None or over < 1:
-            problems.append("field overdrive_factor: must be a finite number >= 1")
-
-    joint_doc = doc.get("joint")
-    family = None
-    if not isinstance(joint_doc, dict):
-        problems.append("missing field: joint")
-    else:
-        tok = joint_doc.get("family")
-        if tok not in _FAMILY_TOKENS:
-            problems.append(f"field joint.family: unknown family {tok!r}")
-        else:
-            kind = FamilyKind(tok)
-            thick = joint_doc.get("thickness_mm")
-            if kind is FamilyKind.CURVE:
-                thick = _json_number(thick)
-                if thick is None or thick <= 0:
-                    problems.append(
-                        "field joint.thickness_mm: curve joints need a finite value > 0"
-                    )
-                else:
-                    family = JointFamily(kind, thick)
-            else:
-                if thick is not None:
-                    problems.append("field joint.thickness_mm: must be null for this family")
-                else:
-                    family = JointFamily(kind)
-
-    override = _json_number(doc.get("per_joint_force_n"))
-    if doc.get("per_joint_force_n") is not None and (override is None or override < 0):
-        problems.append("field per_joint_force_n: must be a finite number >= 0")
-
-    friction = _json_number(doc.get("friction_loss_factor", 1.0))
-    if friction is None or friction <= 0:
-        problems.append("field friction_loss_factor: must be a finite number > 0")
-
-    if jpr is not None and nsec is not None and jpr % nsec != 0:
-        problems.append("field joints_per_ring: must be divisible by n_sections")
-
-    known = {
-        "outer_radius_mm", "n_sections", "joints_per_ring", "ring_layers",
-        "target_ratio", "actuator", "joint", "per_joint_force_n", "friction_loss_factor",
-    }
-    problems += [f"unknown field: {k}" for k in doc if k not in known]
-
+    problems: list[str] = []
+    values = _read_fields(doc, _SPEC_FIELDS, problems)
+    spread = _spread_problem(**values)
+    if spread:
+        problems.append(f"field {spread}")
+    problems += [f"unknown field: {k}" for k in doc if k not in {f.key for f in _SPEC_FIELDS}]
     if problems:
         raise DesignSpecError(problems)
-    return RingDesignSpec(
-        outer_radius=outer,
-        n_sections=nsec,
-        joints_per_ring=jpr,
-        target_ratio=ratio,
-        actuator=ActuatorSpec(torque, spindle, over),
-        joint=family,
-        ring_layers=layers,
-        per_joint_force_override=override,
-        friction_loss_factor=friction,
-    )
+    return RingDesignSpec(**values)
+
+
+def _write_fields(obj, table) -> dict:
+    doc = {}
+    for f in table:
+        value = getattr(obj, f.name)
+        if f.kind is ActuatorSpec:
+            value = _write_fields(value, _ACTUATOR_FIELDS)
+        elif f.kind is JointFamily:
+            value = {"family": value.kind.value, "thickness_mm": value.thickness}
+        elif value is None:
+            continue  # a nullable field left unset
+        doc[f.key] = value
+    return doc
 
 
 def spec_to_json_dict(spec: RingDesignSpec) -> dict:
-    doc = {
-        "outer_radius_mm": spec.outer_radius,
-        "n_sections": spec.n_sections,
-        "joints_per_ring": spec.joints_per_ring,
-        "ring_layers": spec.ring_layers,
-        "target_ratio": spec.target_ratio,
-        "actuator": {
-            "rated_torque_nm": spec.actuator.rated_torque,
-            "spindle_radius_mm": spec.actuator.spindle_radius,
-            "overdrive_factor": spec.actuator.overdrive_factor,
-        },
-        "joint": {
-            "family": spec.joint.kind.value,
-            "thickness_mm": spec.joint.thickness,
-        },
-        "friction_loss_factor": spec.friction_loss_factor,
-    }
-    if spec.per_joint_force_override is not None:
-        doc["per_joint_force_n"] = spec.per_joint_force_override
-    return doc
+    return _write_fields(spec, _SPEC_FIELDS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ugckit import archive, gpr
+from ugckit.cli import main
 from ugckit.errors import CorruptArchiveError, IoFailureError, VersionMismatchError
 
 
@@ -80,3 +81,34 @@ def test_missing_field_is_corrupt(tmp_path, fitted_model):
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailureError):
         archive.load_model(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("beta",),
+        ("noise_variance",),
+        ("kernel", "signal_variance"),
+        ("kernel", "length_scales"),
+        ("train_x",),
+        ("train_y",),
+    ],
+    ids=".".join,
+)
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path, literal):
+    doc = archive.archive_document(fitted_model, family="square_sym")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if not isinstance(value, list):
+        parent[path[-1]] = "PLACEHOLDER"
+    elif isinstance(value[0], list):
+        value[0][0] = "PLACEHOLDER"
+    else:
+        value[0] = "PLACEHOLDER"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
+    assert f"archive field {'.'.join(path)} must hold finite numbers" in capsys.readouterr().err

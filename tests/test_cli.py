@@ -307,6 +307,19 @@ class TestValidate:
         assert main(["validate", "--spec", str(path)]) == 2
         assert "outer_radius_mm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [",,,,,,,X", "square_sym,,90,forward,2.0,172,r1,extra"])
+    def test_row_wider_than_header_exit_2(self, tmp_path, capsys, row):
+        path = tmp_path / "wide.csv"
+        path.write_text(HEADER + "\n" + row + "\n")
+        assert main(["validate", "--data", str(path)]) == 2
+        assert "row 2: 8 cells, header has 7" in capsys.readouterr().err
+
+    def test_family_list_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({**GOOD_SPEC, "joint": {"family": ["square_sym"]}}))
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert "field joint.family: unknown family ['square_sym']" in capsys.readouterr().err
+
     def test_requires_an_input(self):
         assert main(["validate"]) == 2
 

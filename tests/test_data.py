@@ -12,6 +12,7 @@ from ugckit.data import (
 from ugckit.errors import (
     BadNumberError,
     EmptyFileError,
+    InputError,
     MissingColumnError,
     MissingThicknessError,
     OutOfRangeError,
@@ -88,6 +89,18 @@ def test_parse_rejects_non_finite_numbers(fieldname, token):
     assert err.value.field == fieldname
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(",,,,,,,X", id="blank-cells-plus-one"),
+        pytest.param("square_sym,,90,forward,2.0,172,r1,extra", id="good-row-plus-one"),
+    ],
+)
+def test_parse_rejects_rows_wider_than_header(row):
+    with pytest.raises(InputError, match="row 3: 8 cells, header has 7"):
+        parse_measurements(HEADER + "\nsquare_sym,,90,forward,2.0,172,r1\n" + row + "\n")
+
+
 def test_parse_curve_without_thickness_is_missing_thickness():
     with pytest.raises(MissingThicknessError):
         parse_measurements(HEADER + "\ncurve,,90,forward,1.0,170,r1\n")
@@ -159,5 +172,8 @@ def test_joint_family_thickness_rules():
         JointFamily(FamilyKind.STRAIGHT, thickness=0.4)
     with pytest.raises(ValueError):
         JointFamily(FamilyKind.CURVE, thickness=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="thickness must be a finite number"):
+            JointFamily(FamilyKind.CURVE, thickness=bad)
     assert JointFamily(FamilyKind.CURVE, 0.8).input_dim == 2
     assert JointFamily(FamilyKind.SQUARE_SYM).input_dim == 1

@@ -249,3 +249,10 @@ class TestHyperParamValidation:
             gpr.KernelHyperParams(1.0, (0.0,))
         with pytest.raises(ValueError):
             gpr.KernelHyperParams(1.0, ())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="signal_variance"):
+            gpr.KernelHyperParams(bad, (1.0,))
+        with pytest.raises(ValueError, match="length scales"):
+            gpr.KernelHyperParams(1.0, (20.0, bad))

@@ -6,6 +6,7 @@ import pytest
 from ugckit import gpr, joints
 from ugckit.data import FamilyKind, JointFamily, parse_measurements
 from ugckit.errors import (
+    InputError,
     InsufficientDataError,
     MissingThicknessError,
     NoBuiltinModelError,
@@ -13,7 +14,7 @@ from ugckit.errors import (
     OutOfValidatedRangeError,
 )
 
-from conftest import square_return_true
+from conftest import curve_bench_csv, square_bench_csv, square_return_true
 
 SQ = FamilyKind.SQUARE_SYM
 CURVE = FamilyKind.CURVE
@@ -271,3 +272,23 @@ class TestPolyBaseline:
         gp_rmse = joints.loo_rmse_gp(theta[:, None], y, hyper, noise)
         poly_rmse = joints.loo_rmse_poly(theta, y, 7)
         assert gp_rmse < poly_rmse
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    square = parse_measurements(square_bench_csv(np.random.default_rng(7)))
+    curve = parse_measurements(curve_bench_csv(np.random.default_rng(11)))
+    return {SQ: joints.fit_family_model(square, SQ), CURVE: joints.fit_family_model(curve, CURVE)}
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("predict", [joints.predict_force, joints.predict_return_angle])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "kind, name", [(SQ, "theta"), (CURVE, "theta"), (CURVE, "thickness")]
+    )
+    def test_rejected_naming_the_argument(self, fitted_models, predict, bad, kind, name):
+        query = {"theta": 90.0, "thickness": 0.8 if kind is CURVE else None}
+        query[name] = float(bad)
+        with pytest.raises(InputError, match=f"{name} must be a finite number"):
+            predict(fitted_models[kind], **query, allow_extrapolation=True)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -268,6 +269,18 @@ class TestDesignModule:
                 joints.builtin_model(FamilyKind.SQUARE_SYM),
             )
 
+    def test_every_unit_field_is_a_quantity(self):
+        from dataclasses import fields
+
+        report = mechanics.design_module(
+            reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM)
+        )
+        doc = report.to_json_dict()
+        with_unit = [f.name for f in fields(report) if "unit" in f.metadata]
+        assert list(doc["quantities"]) == with_unit
+        assert len(with_unit) == 25
+        assert set(doc) == {"quantities", "per_joint_force_source", "flags", "diagnostics"}
+
     def test_json_units_attached(self):
         report = mechanics.design_module(
             reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM)
@@ -356,3 +369,122 @@ class TestSpecJson:
         doc["joint"] = {"family": "curve", "thickness_mm": None}
         with pytest.raises(DesignSpecError):
             mechanics.spec_from_json_dict(doc)
+
+
+# Every numeric field of a design spec: the attribute path the constructors
+# take, the JSON path, and one value outside the field's range.
+NUMERIC_FIELDS = [
+    (("outer_radius",), ("outer_radius_mm",), 0.0),
+    (("n_sections",), ("n_sections",), 1),
+    (("joints_per_ring",), ("joints_per_ring",), 0),
+    (("ring_layers",), ("ring_layers",), 0),
+    (("target_ratio",), ("target_ratio",), 1.5),
+    (("per_joint_force_override",), ("per_joint_force_n",), -1.0),
+    (("friction_loss_factor",), ("friction_loss_factor",), 0.0),
+    (("actuator", "rated_torque"), ("actuator", "rated_torque_nm"), 0.0),
+    (("actuator", "spindle_radius"), ("actuator", "spindle_radius_mm"), -3.0),
+    (("actuator", "overdrive_factor"), ("actuator", "overdrive_factor"), 0.5),
+    (("joint", "thickness"), ("joint", "thickness_mm"), 0.0),
+]
+
+
+def curve_spec_doc():
+    doc = TestSpecJson().good_doc()
+    doc["joint"] = {"family": "curve", "thickness_mm": 0.8}
+    doc["friction_loss_factor"] = 1.2
+    return doc
+
+
+class TestLibraryAndJsonAgree:
+    @pytest.mark.parametrize(
+        "attr, key, out_of_range", NUMERIC_FIELDS, ids=[".".join(k) for _, k, _ in NUMERIC_FIELDS]
+    )
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "out_of_range"])
+    def test_constructor_and_reader_reject_the_same_values(self, attr, key, out_of_range, bad):
+        value = out_of_range if bad == "out_of_range" else float(bad)
+        if attr[0] == "actuator":
+            kwargs = {"rated_torque": 0.08, "spindle_radius": 3.0, attr[1]: value}
+            build = lambda: mechanics.ActuatorSpec(**kwargs)  # noqa: E731
+        elif attr[0] == "joint":
+            build = lambda: JointFamily(FamilyKind.CURVE, value)  # noqa: E731
+        else:
+            build = lambda: reference_ring_spec(**{attr[0]: value})  # noqa: E731
+        with pytest.raises(ValueError, match=attr[-1]):
+            build()
+
+        doc = curve_spec_doc()
+        parent = doc
+        for k in key[:-1]:
+            parent = parent[k]
+        parent[key[-1]] = value
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert len(err.value.problems) == 1
+        assert key[-1] in err.value.problems[0]
+
+    def test_divisibility_rule_shared(self):
+        with pytest.raises(ValueError, match="joints_per_ring: must be divisible by n_sections"):
+            reference_ring_spec(joints_per_ring=41)
+        doc = curve_spec_doc()
+        doc["joints_per_ring"] = 41
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert err.value.problems == ["field joints_per_ring: must be divisible by n_sections"]
+
+    def test_integer_fields_take_integrals_only(self):
+        spec = reference_ring_spec(n_sections=np.int64(5), ring_layers=np.int32(2))
+        assert type(spec.n_sections) is int and type(spec.ring_layers) is int
+        for bad in (5.0, True):
+            with pytest.raises(ValueError, match=f"n_sections={bad!r}: expected int"):
+                reference_ring_spec(n_sections=bad)
+
+    def test_float_fields_store_floats(self):
+        spec = reference_ring_spec(outer_radius=100, target_ratio=np.float32(0.5))
+        assert type(spec.outer_radius) is float and type(spec.target_ratio) is float
+        with pytest.raises(ValueError, match="friction_loss_factor=True: expected float"):
+            reference_ring_spec(friction_loss_factor=True)
+        doc = curve_spec_doc()
+        doc["outer_radius_mm"] = 100
+        echo = mechanics.spec_to_json_dict(mechanics.spec_from_json_dict(doc))
+        assert json.dumps(echo["outer_radius_mm"]) == "100.0"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (("per_joint_force_n",), -1, "field per_joint_force_n: must be >= 0"),
+            (("per_joint_force_n",), "1", "field per_joint_force_n: expected float"),
+            (("friction_loss_factor",), None, "field friction_loss_factor: expected float"),
+            (("friction_loss_factor",), math.inf,
+             "field friction_loss_factor: must be a finite number"),
+            (("actuator", "overdrive_factor"), 0.5, "field overdrive_factor: must be >= 1"),
+            (("actuator", "overdrive_factor"), math.nan,
+             "field overdrive_factor: must be a finite number"),
+        ],
+        ids=["override-range", "override-type", "friction-null", "friction-inf",
+             "overdrive-range", "overdrive-nan"],
+    )
+    def test_optional_fields_worded_like_required_ones(self, key, value, message):
+        doc = curve_spec_doc()
+        parent = doc
+        for k in key[:-1]:
+            parent = parent[k]
+        parent[key[-1]] = value
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert err.value.problems == [message]
+
+    def test_null_override_reads_as_absent(self):
+        doc = curve_spec_doc()
+        doc["per_joint_force_n"] = None
+        assert mechanics.spec_from_json_dict(doc).per_joint_force_override is None
+        assert "per_joint_force_n" not in mechanics.spec_to_json_dict(
+            mechanics.spec_from_json_dict(doc)
+        )
+
+    @pytest.mark.parametrize("family", [["square_sym"], {"curve": 1}, 3])
+    def test_family_token_must_be_a_string(self, family):
+        doc = curve_spec_doc()
+        doc["joint"]["family"] = family
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert err.value.problems == [f"field joint.family: unknown family {family!r}"]
