@@ -69,6 +69,19 @@ def save_model(model: gpr.FittedGP, path, family=None, model_id=None) -> None:
         raise IoFailureError(f"cannot write archive {path}: {exc}") from exc
 
 
+def _holds_only_numbers(value) -> bool:
+    """Whether value is a JSON number or nested lists of them; a bool or a
+    numeric string is not a number, though float() would take it."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+    return True
+
+
 def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if not isinstance(doc, dict):
         raise CorruptArchiveError("archive root is not a JSON object")
@@ -79,15 +92,29 @@ def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
         raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
     try:
         kernel = doc["kernel"]
-        numeric = {
-            "beta": np.asarray(doc["beta"], dtype=float),
-            "noise_variance": float(doc["noise_variance"]),
-            "kernel.signal_variance": float(kernel["signal_variance"]),
-            "kernel.length_scales": tuple(float(l) for l in kernel["length_scales"]),
-            "train_x": np.asarray(doc["train_x"], dtype=float),
-            "train_y": np.asarray(doc["train_y"], dtype=float),
+        raw = {
+            "beta": doc["beta"],
+            "noise_variance": doc["noise_variance"],
+            "kernel.signal_variance": kernel["signal_variance"],
+            "kernel.length_scales": kernel["length_scales"],
+            "train_x": doc["train_x"],
+            "train_y": doc["train_y"],
         }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
+        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
+    for name, value in raw.items():
+        if not _holds_only_numbers(value):
+            raise CorruptArchiveError(f"archive field {name} must hold JSON numbers")
+    try:
+        numeric = {
+            "beta": np.asarray(raw["beta"], dtype=float),
+            "noise_variance": float(raw["noise_variance"]),
+            "kernel.signal_variance": float(raw["kernel.signal_variance"]),
+            "kernel.length_scales": tuple(float(l) for l in raw["kernel.length_scales"]),
+            "train_x": np.asarray(raw["train_x"], dtype=float),
+            "train_y": np.asarray(raw["train_y"], dtype=float),
+        }
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
     for name, value in numeric.items():
         if not np.all(np.isfinite(value)):

@@ -66,23 +66,6 @@ def _load_config(path: str) -> dict:
     return values
 
 
-class _Settings:
-    """Resolved option lookup: flag > config file > default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        if path:
-            self.config = _load_config(path)
-
-    def get(self, key, default):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        return self.config.get(key, default)
-
-
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -113,32 +96,34 @@ def _family_model_from_archives(model_path, return_path=None) -> joints.JointFam
     return joints.JointFamilyModel(kind=kind, force_model=force, return_model=return_model)
 
 
-def _emit(settings, text):
-    if not settings.get("quiet", False):
+def _emit(args, text):
+    if not args.quiet:
         print(text)
+
+
+def _json(doc, indent=None) -> str:
+    """Every CLI JSON document: sorted keys and RFC-valid numbers (no NaN or Infinity)."""
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_fit(args, settings) -> int:
+def cmd_fit(args) -> int:
     kind = _family_kind(args.family)
     ds = parse_measurements(_read_text(args.data), source=str(args.data))
     if not args.no_average:
-        ds = average_runs(ds, settings.get("angle_bin", 5.0))
+        ds = average_runs(ds, args.angle_bin)
 
-    config = joints.GprFitConfig(
-        noise_variance=settings.get("noise_variance", None), tune=args.tune
-    )
+    config = joints.GprFitConfig(noise_variance=args.noise_variance, tune=args.tune)
     model = joints.fit_family_model(ds, kind, config)
 
-    degree = int(settings.get("degree", 7))
-    if degree < 1:
-        raise InputError(f"--degree must be >= 1, got {degree}")
+    if args.degree < 1:
+        raise InputError(f"--degree must be >= 1, got {args.degree}")
     angles = model.force_model.train_x[:, 0]
     forces = model.force_model.train_y
     try:
-        poly_rmse = joints.loo_rmse_poly(angles, forces, degree)
+        poly_rmse = joints.loo_rmse_poly(angles, forces, args.degree)
     except (UgcError, np.linalg.LinAlgError):
         poly_rmse = None
 
@@ -154,23 +139,21 @@ def cmd_fit(args, settings) -> int:
         written.append(str(args.return_out))
 
     poly_txt = f"{poly_rmse:.6g}" if poly_rmse is not None else "n/a"
-    _emit(settings, f"fitted {kind.value} on {len(forces)} samples")
-    _emit(settings, "model        loo rmse (force, N)")
-    _emit(settings, f"gpr          {model.force_loo_rmse:.6g}")
-    _emit(settings, f"poly{degree}        {poly_txt}")
-    _emit(settings, "wrote " + ", ".join(written))
-    if settings.get("json", False):
+    _emit(args, f"fitted {kind.value} on {len(forces)} samples")
+    _emit(args, "model        loo rmse (force, N)")
+    _emit(args, f"gpr          {model.force_loo_rmse:.6g}")
+    _emit(args, f"poly{args.degree}        {poly_txt}")
+    _emit(args, "wrote " + ", ".join(written))
+    if args.json:
         print(
-            json.dumps(
+            _json(
                 {
                     "family": kind.value,
                     "samples": len(forces),
                     "gpr_loo_rmse_n": model.force_loo_rmse,
-                    f"poly{degree}_loo_rmse_n": poly_rmse,
+                    f"poly{args.degree}_loo_rmse_n": poly_rmse,
                     "outputs": written,
-                },
-                sort_keys=True,
-                allow_nan=False,
+                }
             )
         )
     return 0
@@ -197,9 +180,9 @@ def _parse_sweep(spec_text: str):
     return values
 
 
-def cmd_predict(args, settings) -> int:
+def cmd_predict(args) -> int:
     model = _family_model_from_archives(args.model, args.return_model)
-    allow = bool(settings.get("allow_extrapolation", False))
+    allow = args.allow_extrapolation
     thickness = args.thickness
 
     def one(theta):
@@ -220,9 +203,9 @@ def cmd_predict(args, settings) -> int:
     if args.theta is None:
         raise InputError("predict needs --theta or --sweep")
     pred, ret = one(args.theta)
-    if settings.get("json", False):
+    if args.json:
         print(
-            json.dumps(
+            _json(
                 {
                     "theta_deg": args.theta,
                     "thickness_mm": thickness,
@@ -230,14 +213,12 @@ def cmd_predict(args, settings) -> int:
                     "force_std_n": pred.std,
                     "return_angle_deg": ret,
                     "warnings": list(pred.warnings),
-                },
-                sort_keys=True,
-                allow_nan=False,
+                }
             )
         )
         return 0
-    _emit(settings, f"force: {pred.mean:.6g} +/- {pred.std:.6g} N")
-    _emit(settings, f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a")
+    _emit(args, f"force: {pred.mean:.6g} +/- {pred.std:.6g} N")
+    _emit(args, f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a")
     for w in pred.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -251,62 +232,58 @@ def _read_spec(path) -> mechanics.RingDesignSpec:
     return mechanics.spec_from_json_dict(doc)
 
 
-def cmd_design(args, settings) -> int:
+def cmd_design(args) -> int:
     spec = _read_spec(args.spec)
     model = _family_model_from_archives(args.model, args.return_model)
-    report = mechanics.design_module(
-        spec, model, safety_factor=float(settings.get("safety_factor", 1.5))
-    )
+    report = mechanics.design_module(spec, model, safety_factor=args.safety_factor)
 
     out_doc = {"design_spec": mechanics.spec_to_json_dict(spec), **report.to_json_dict()}
-    text = json.dumps(out_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json(out_doc, indent=2) + "\n"
     try:
         Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write report {args.out}: {exc}") from exc
 
-    if settings.get("json", False):
+    if args.json:
         print(text, end="")
     else:
-        _emit(settings, report.format_summary())
-        _emit(settings, f"wrote {args.out}")
+        _emit(args, report.format_summary())
+        _emit(args, f"wrote {args.out}")
     return 0
 
 
-def cmd_builtin(args, settings) -> int:
+def cmd_builtin(args) -> int:
     kind = _family_kind(args.family)
     model = joints.builtin_model(kind)
     archive.save_model(
         model.force_model, args.out, family=kind.value, model_id=f"{kind.value}:force"
     )
-    _emit(settings, f"wrote built-in {kind.value} force model to {args.out}")
+    _emit(args, f"wrote built-in {kind.value} force model to {args.out}")
     return 0
 
 
-def cmd_validate(args, settings) -> int:
+def cmd_validate(args) -> int:
     if not args.data and not args.spec:
         raise InputError("validate needs --data and/or --spec")
     if args.data:
         ds = parse_measurements(_read_text(args.data), source=str(args.data))
-        _emit(settings, f"{args.data}: ok ({len(ds)} samples)")
+        _emit(args, f"{args.data}: ok ({len(ds)} samples)")
     if args.spec:
         _read_spec(args.spec)
-        _emit(settings, f"{args.spec}: ok")
+        _emit(args, f"{args.spec}: ok")
     return 0
 
 
 # -- argument parsing --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config=None) -> argparse.ArgumentParser:
+    """The ugc parser; config values (from _load_config) become every
+    subcommand's defaults, so a flag still beats its file value."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file (fallback: $UGC_CONFIG)")
-    common.add_argument(
-        "--quiet", action="store_true", default=None, help="suppress informational output"
-    )
-    common.add_argument(
-        "--json", action="store_true", default=None, help="machine-readable output"
-    )
+    common.add_argument("--quiet", action="store_true", help="suppress informational output")
+    common.add_argument("--json", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(
         prog="ugc",
@@ -319,11 +296,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="joint family token")
     p.add_argument("--out", required=True, help="force-model archive to write")
     p.add_argument("--return-out", help="also write the return-angle archive here")
-    p.add_argument("--angle-bin", type=finite_float, default=None, help="run-averaging bin (deg)")
+    p.add_argument("--angle-bin", type=finite_float, default=5.0, help="run-averaging bin (deg)")
     p.add_argument("--no-average", action="store_true", help="fit raw runs without averaging")
-    p.add_argument("--noise-variance", type=finite_float, default=None, help="fixed noise variance")
+    p.add_argument("--noise-variance", type=finite_float, help="fixed noise variance")
     p.add_argument("--tune", action="store_true", help="grid-search hyperparameters")
-    p.add_argument("--degree", type=int, default=None, help="baseline polynomial degree")
+    p.add_argument("--degree", type=int, default=7, help="baseline polynomial degree")
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("predict", parents=[common], help="query a fitted model archive")
@@ -333,8 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thickness", type=finite_float, help="curve wall thickness (mm)")
     p.add_argument("--sweep", help="emit CSV predictions over start:stop:step (deg)")
     p.add_argument(
-        "--allow-extrapolation", action="store_true", default=None,
-        help="downgrade range errors to warnings",
+        "--allow-extrapolation", action="store_true", help="downgrade range errors to warnings"
     )
     p.set_defaults(handler=cmd_predict)
 
@@ -343,7 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="force-model archive")
     p.add_argument("--return-model", help="return-angle archive")
     p.add_argument("--out", required=True, help="design-report JSON to write")
-    p.add_argument("--safety-factor", type=finite_float, default=None, help="spindle safety factor")
+    p.add_argument(
+        "--safety-factor", type=finite_float, default=mechanics.DEFAULT_SAFETY_FACTOR,
+        help="spindle safety factor",
+    )
     p.set_defaults(handler=cmd_design)
 
     p = sub.add_parser("builtin", parents=[common], help="write a built-in model archive")
@@ -356,15 +335,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="design-spec JSON to check")
     p.set_defaults(handler=cmd_validate)
 
+    for command in sub.choices.values():
+        command.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        settings = _Settings(args)
-        return args.handler(args, settings)
+        path = args.config or os.environ.get(CONFIG_ENV_VAR)
+        if path:
+            # Parsers are built per call: set_defaults changes action objects the
+            # subcommands share, so a shared parser would carry a file's values
+            # into later calls.
+            args = _build_parser(_load_config(path)).parse_args(argv)
+        return args.handler(args)
     except DesignSpecError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -415,6 +415,8 @@ def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
     1e12; beyond that the orthogonal (lstsq) path takes over, and only a
     rank-deficient orthogonal solve is an error.
     """
+    if len(y) < degree + 1:
+        raise InsufficientDataError(f"{len(y)} samples cannot support degree {degree}")
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:
         raise IllConditionedError("all samples share one angle; polynomial is undetermined")
@@ -447,10 +449,6 @@ def fit_poly_baseline(
             raise ValueError(
                 f"polynomial baseline needs a single thickness, got {sorted(thicknesses)}"
             )
-    if len(samples) < degree + 1:
-        raise InsufficientDataError(
-            f"{kind.value}: {len(samples)} samples cannot support degree {degree}"
-        )
     x = np.array([s.deformation_angle for s in samples])
     if target == "force":
         y = np.array([s.force for s in samples])

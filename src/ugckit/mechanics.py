@@ -94,10 +94,14 @@ class _Field(NamedTuple):
 
 
 def _check_attributes(obj, table) -> None:
-    """Store obj's numbers as their rows' types; ValueError naming the first bad one."""
+    """Store obj's numbers as their rows' types and require its nested fields to
+    be instances of theirs; ValueError naming the first bad one."""
     for f in table:
         value = getattr(obj, f.name)
-        if f.kind in (int, float) and not (value is None and f.presence == "nullable"):
+        if f.kind not in (int, float):
+            if not isinstance(value, f.kind):
+                raise ValueError(f"{f.name}={value!r}: expected {f.kind.__name__}")
+        elif not (value is None and f.presence == "nullable"):
             object.__setattr__(obj, f.name, f.check(value, f"{f.name}={value!r}"))
 
 
@@ -132,6 +136,9 @@ _SPEC_FIELDS = (
     _Field("per_joint_force_n", float, _at_least(0), "per_joint_force_override", "nullable"),
     _Field("friction_loss_factor", float, _POSITIVE, presence="optional"),
 )
+
+
+_SAFETY_FACTOR = _Field("safety_factor", float, _POSITIVE)
 
 
 def _spread_problem(joints_per_ring=None, n_sections=None, **_) -> str | None:
@@ -412,6 +419,7 @@ def design_module(
     infeasibility (the fold not fitting inside the contracted ring) and
     out-of-range curve queries do abort.
     """
+    safety_factor = _SAFETY_FACTOR.check(safety_factor, f"safety_factor={safety_factor!r}")
     if joint_model.kind is not spec.joint.kind:
         raise ValueError(
             f"model covers {joint_model.kind.value}, design uses {spec.joint.kind.value}"
@@ -518,7 +526,12 @@ def design_module(
 # -- design-spec JSON wire format ------------------------------------------------
 
 
+def _unknown_keys(doc: dict, known, prefix: str, problems: list[str]) -> None:
+    problems += [f"unknown field: {prefix}{k}" for k in doc if k not in known]
+
+
 def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
+    _unknown_keys(doc, ("family", "thickness_mm"), "joint.", problems)
     try:
         kind = FamilyKind(doc.get("family"))
     except ValueError:
@@ -536,9 +549,10 @@ def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
     return None
 
 
-def _read_fields(doc: dict, table, problems: list[str]) -> dict:
+def _read_fields(doc: dict, table, problems: list[str], prefix: str = "") -> dict:
     """Attribute values of the table's fields in doc; appends a problem for
-    each field that is missing or breaks its row."""
+    each field that is missing or breaks its row and for each key that no row
+    names (prefix is the key path of a nested document)."""
     values = {}
     for f in table:
         raw = doc.get(f.key)
@@ -549,7 +563,7 @@ def _read_fields(doc: dict, table, problems: list[str]) -> dict:
                 values[f.name] = _joint_from_json(raw, problems)
             else:
                 count = len(problems)
-                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems)
+                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems, f"{f.key}.")
                 if len(problems) == count:
                     values[f.name] = ActuatorSpec(**actuator)
         elif f.key not in doc:
@@ -560,6 +574,7 @@ def _read_fields(doc: dict, table, problems: list[str]) -> dict:
                 values[f.name] = f.check(raw, f"field {f.key}")
             except ValueError as exc:
                 problems.append(str(exc))
+    _unknown_keys(doc, {f.key for f in table}, prefix, problems)
     return values
 
 
@@ -573,7 +588,6 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     spread = _spread_problem(**values)
     if spread:
         problems.append(f"field {spread}")
-    problems += [f"unknown field: {k}" for k in doc if k not in {f.key for f in _SPEC_FIELDS}]
     if problems:
         raise DesignSpecError(problems)
     return RingDesignSpec(**values)

@@ -83,7 +83,7 @@ def test_missing_file_is_io_failure(tmp_path):
         archive.load_model(tmp_path / "nope.json")
 
 
-@pytest.mark.parametrize(
+NUMERIC_FIELDS = pytest.mark.parametrize(
     "path",
     [
         ("beta",),
@@ -95,9 +95,12 @@ def test_missing_file_is_io_failure(tmp_path):
     ],
     ids=".".join,
 )
-@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
-def test_non_finite_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path, literal):
-    doc = archive.archive_document(fitted_model, family="square_sym")
+
+
+def _write_with_literal(model, path, literal, model_path):
+    """Write model's archive with the first number of the field at path
+    replaced by a raw JSON literal."""
+    doc = archive.archive_document(model, family="square_sym")
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -108,7 +111,23 @@ def test_non_finite_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path
         value[0][0] = "PLACEHOLDER"
     else:
         value[0] = "PLACEHOLDER"
-    model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+
+
+@NUMERIC_FIELDS
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path, literal):
+    model_path = tmp_path / "model.json"
+    _write_with_literal(fitted_model, path, literal, model_path)
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
     assert f"archive field {'.'.join(path)} must hold finite numbers" in capsys.readouterr().err
+
+
+@NUMERIC_FIELDS
+@pytest.mark.parametrize("literal", ['"0.5"', "true"], ids=["string", "true"])
+def test_non_number_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path, literal):
+    # float() and numpy would turn either literal into a number
+    model_path = tmp_path / "model.json"
+    _write_with_literal(fitted_model, path, literal, model_path)
+    assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
+    assert f"archive field {'.'.join(path)} must hold JSON numbers" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -273,6 +274,26 @@ class TestDesign:
         err = capsys.readouterr().err
         assert "n_sections" in err and "target_ratio" in err
 
+    @pytest.mark.parametrize(
+        "flag, config", [("0", None), ("-1", None), (None, "safety_factor = -2\n")],
+        ids=["flag-0", "flag-neg", "config-neg"],
+    )
+    def test_non_positive_safety_factor_exit_2(
+        self, tmp_path, square_archive, spec_file, capsys, flag, config
+    ):
+        out = tmp_path / "r.json"
+        argv = ["design", "--spec", str(spec_file), "--model", str(square_archive),
+                "--out", str(out)]
+        if flag is not None:
+            argv += ["--safety-factor", flag]
+        else:
+            cfg = tmp_path / "ugc.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "safety_factor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reports(self, tmp_path, square_archive, spec_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -320,8 +341,105 @@ class TestValidate:
         assert main(["validate", "--spec", str(path)]) == 2
         assert "field joint.family: unknown family ['square_sym']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, name, value", [("actuator", "overdrive", 2.0),
+                                                  ("joint", "thickness", 3)])
+    def test_unknown_nested_key_exit_2(self, tmp_path, capsys, key, name, value):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({**GOOD_SPEC, key: {**GOOD_SPEC[key], name: value}}))
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown field: {key}.{name}\n"
+
     def test_requires_an_input(self):
         assert main(["validate"]) == 2
+
+
+class Run(NamedTuple):
+    code: int
+    out: str
+    written: str | None  # the text of the file the command writes, if any
+
+
+def _fit_json(run):
+    return json.loads(run.out.splitlines()[-1])  # after the text table
+
+
+# Each config key: the command ({d} is the directory that bench_csv and
+# _precedence_inputs fill), two file values (None for a boolean, whose file value is "true"),
+# the flag, and the visible effect of the key on a Run.
+FIT = "fit --data {d}/square.csv --family square_sym --out {d}/m.json"
+PRECEDENCE = {
+    "quiet": ("builtin --family square_sym --out {d}/m.json", None, "--quiet", lambda r: r.out),
+    "json": ("predict --model {d}/sq.json --theta 90", None, "--json", lambda r: r.out[:1]),
+    "allow_extrapolation": (
+        "predict --model {d}/curve.json --theta 20 --thickness 0.8", None,
+        "--allow-extrapolation", lambda r: r.code,
+    ),
+    "angle_bin": (
+        FIT + " --json", ("20", "40"), "--angle-bin", lambda r: _fit_json(r)["samples"],
+    ),
+    "degree": (
+        FIT + " --json", ("3", "4"), "--degree",
+        lambda r: [k for k in _fit_json(r) if k.startswith("poly")],
+    ),
+    "noise_variance": (
+        FIT + " --quiet", ("0.02", "0.03"), "--noise-variance",
+        lambda r: json.loads(r.written)["noise_variance"],
+    ),
+    "safety_factor": (
+        "design --spec {d}/ring.json --model {d}/sq.json --out {d}/m.json --quiet",
+        ("2.5", "3"), "--safety-factor",
+        lambda r: json.loads(r.written)["quantities"]["safety_factor"]["value"],
+    ),
+}
+
+
+def _precedence_inputs(tmp_path):
+    (tmp_path / "ring.json").write_text(json.dumps(GOOD_SPEC))
+    for family, name in (("square_sym", "sq.json"), ("curve", "curve.json")):
+        assert main(["builtin", "--family", family, "--out", str(tmp_path / name)]) == 0
+
+
+def _run(tmp_path, capsys, command, *extra):
+    written = tmp_path / "m.json"
+    written.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main([*command.format(d=tmp_path).split(), *extra])
+    text = written.read_text() if written.exists() else None
+    return Run(code, capsys.readouterr().out, text)
+
+
+class TestConfigPrecedence:
+    @pytest.mark.parametrize("key", PRECEDENCE)
+    def test_file_value_acts_as_flag_default(self, tmp_path, bench_csv, capsys, key):
+        command, values, flag, effect = PRECEDENCE[key]
+        _precedence_inputs(tmp_path)
+        file_value, flag_value = values or ("true", None)
+        cfg = tmp_path / "ugc.cfg"
+        cfg.write_text(f"{key} = {file_value}\n")
+
+        def flagged(value):
+            return [flag] if value == "true" else [flag, value]
+
+        from_file = effect(_run(tmp_path, capsys, command, "--config", str(cfg)))
+        assert from_file == effect(_run(tmp_path, capsys, command, *flagged(file_value)))
+        # a second call in the same process sees the parser's own default again
+        assert effect(_run(tmp_path, capsys, command)) != from_file
+        if flag_value is not None:
+            over = _run(tmp_path, capsys, command, "--config", str(cfg), *flagged(flag_value))
+            assert effect(over) == effect(_run(tmp_path, capsys, command, *flagged(flag_value)))
+            assert effect(over) != from_file
+
+    def test_keys_a_command_does_not_use_are_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "ugc.cfg"
+        cfg.write_text(
+            "json = true\nallow_extrapolation = true\nangle_bin = 20\ndegree = 3\n"
+            "noise_variance = 0.02\nsafety_factor = 2.5\n"
+        )
+        out = tmp_path / "m.json"
+        assert main([
+            "builtin", "--family", "square_sym", "--out", str(out), "--config", str(cfg),
+        ]) == 0
+        assert capsys.readouterr().out == f"wrote built-in square_sym force model to {out}\n"
 
 
 class TestGlobalFlags:

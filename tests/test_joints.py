@@ -255,6 +255,13 @@ class TestPolyBaseline:
         with pytest.raises(InsufficientDataError):
             joints.fit_poly_baseline(ds, SQ, degree=3)
 
+    def test_loo_checks_sample_count_before_fitting(self):
+        # a fold holds 19 points; degree 300 used to build and factor a
+        # 301 x 301 normal matrix in each fold before failing
+        x = np.linspace(10.0, 170.0, 20)
+        with pytest.raises(InsufficientDataError, match="19 samples cannot support degree 300"):
+            joints.loo_rmse_poly(x, 0.01 * x, 300)
+
     def test_coefficient_count_invariant(self, square_dataset):
         poly = joints.fit_poly_baseline(square_dataset, SQ, degree=5)
         assert len(poly.coefficients) == 6

@@ -269,6 +269,14 @@ class TestDesignModule:
                 joints.builtin_model(FamilyKind.SQUARE_SYM),
             )
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf])
+    def test_safety_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(ValueError, match="safety_factor"):
+            mechanics.design_module(
+                reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM),
+                safety_factor=factor,
+            )
+
     def test_every_unit_field_is_a_quantity(self):
         from dataclasses import fields
 
@@ -364,6 +372,15 @@ class TestSpecJson:
         assert len(err.value.problems) == 1
         assert path[-1] in err.value.problems[0]
 
+    @pytest.mark.parametrize("key, name, value", [("actuator", "overdrive", 2.0),
+                                                  ("joint", "thickness", 3)])
+    def test_unknown_nested_keys_rejected(self, key, name, value):
+        doc = self.good_doc()
+        doc[key][name] = value
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert err.value.problems == [f"unknown field: {key}.{name}"]
+
     def test_curve_joint_needs_thickness(self):
         doc = self.good_doc()
         doc["joint"] = {"family": "curve", "thickness_mm": None}
@@ -421,6 +438,16 @@ class TestLibraryAndJsonAgree:
             mechanics.spec_from_json_dict(doc)
         assert len(err.value.problems) == 1
         assert key[-1] in err.value.problems[0]
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [("actuator", None), ("joint", None), ("actuator", JointFamily(FamilyKind.SQUARE_SYM)),
+         ("joint", ACTUATOR)],
+        ids=["actuator-none", "joint-none", "actuator-joint", "joint-actuator"],
+    )
+    def test_nested_fields_need_their_types(self, attr, value):
+        with pytest.raises(ValueError, match=f"^{attr}="):
+            reference_ring_spec(**{attr: value})
 
     def test_divisibility_rule_shared(self):
         with pytest.raises(ValueError, match="joints_per_ring: must be divisible by n_sections"):
