@@ -1,17 +1,15 @@
 """Versioned JSON persistence for fitted models.
 
-One archive holds exactly one fitted model:
+One archive holds exactly one fitted model, as one JSON object:
 
-    {
-      "version": "1",
-      "model_id": "square_sym:force",        # optional label
-      "family": "square_sym",                # family token or null
-      "beta": [...],
-      "noise_variance": ...,
-      "kernel": {"signal_variance": ..., "length_scales": [...]},
-      "train_x": [[...], ...],
-      "train_y": [...]
-    }
+    version         "1"
+    model_id        optional label, such as "square_sym:force"
+    family          family token or null
+    beta            [...]
+    noise_variance  number
+    kernel          {signal_variance: number, length_scales: [...]}
+    train_x         [[...], ...]
+    train_y         [...]
 
 Numbers are written with full repr precision, so loading re-fits the model
 from bit-identical inputs with the stored beta held fixed and reproduces
@@ -34,7 +32,21 @@ from .errors import (
 
 FORMAT_VERSION = "1"
 
-_REQUIRED_KEYS = ("version", "family", "beta", "noise_variance", "kernel", "train_x", "train_y")
+# Each numeric field of an archive, declared once: its key path, how deeply it
+# nests JSON lists (0 for a number), and the model value it holds. The writer
+# and the loader both walk this table.
+_NUMERIC_FIELDS = (
+    (("beta",), 1, lambda m: m.beta),
+    (("noise_variance",), 0, lambda m: m.noise_variance),
+    (("kernel", "signal_variance"), 0, lambda m: m.hyper.signal_variance),
+    (("kernel", "length_scales"), 1, lambda m: m.hyper.length_scales),
+    (("train_x",), 2, lambda m: m.train_x),
+    (("train_y",), 1, lambda m: m.train_y),
+)
+
+_REQUIRED_KEYS = ("version", "family", *dict.fromkeys(path[0] for path, _, _ in _NUMERIC_FIELDS))
+
+_SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 
 
 @dataclass(frozen=True)
@@ -45,19 +57,13 @@ class ArchiveInfo:
 
 def archive_document(model: gpr.FittedGP, family=None, model_id=None) -> dict:
     """The JSON-ready document for a fitted model."""
-    return {
-        "version": FORMAT_VERSION,
-        "model_id": model_id,
-        "family": family,
-        "beta": [float(b) for b in model.beta],
-        "noise_variance": float(model.noise_variance),
-        "kernel": {
-            "signal_variance": float(model.hyper.signal_variance),
-            "length_scales": [float(l) for l in model.hyper.length_scales],
-        },
-        "train_x": [[float(v) for v in row] for row in model.train_x],
-        "train_y": [float(v) for v in model.train_y],
-    }
+    doc = {"version": FORMAT_VERSION, "model_id": model_id, "family": family}
+    for path, _, value_of in _NUMERIC_FIELDS:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = np.asarray(value_of(model), dtype=float).tolist()
+    return doc
 
 
 def save_model(model: gpr.FittedGP, path, family=None, model_id=None) -> None:
@@ -82,6 +88,26 @@ def _holds_only_numbers(value) -> bool:
     return True
 
 
+def _read_number_field(doc: dict, path, ndim: int):
+    """The field at path as a float (ndim 0) or a float array; CorruptArchiveError
+    naming the field unless it holds finite JSON numbers nested ndim lists deep."""
+    name = ".".join(path)
+    try:
+        value = doc
+        for key in path:
+            value = value[key]
+        if not _holds_only_numbers(value):
+            raise CorruptArchiveError(f"archive field {name} must hold JSON numbers")
+        array = np.asarray(value, dtype=float)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
+    if array.ndim != ndim:
+        raise CorruptArchiveError(f"archive field {name} must be {_SHAPES[ndim]}")
+    if not np.all(np.isfinite(array)):
+        raise CorruptArchiveError(f"archive field {name} must hold finite numbers")
+    return array if ndim else float(array)
+
+
 def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if not isinstance(doc, dict):
         raise CorruptArchiveError("archive root is not a JSON object")
@@ -90,47 +116,13 @@ def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
         raise CorruptArchiveError(f"archive missing fields: {missing}")
     if str(doc["version"]) != FORMAT_VERSION:
         raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
+    beta, noise, signal_variance, length_scales, train_x, train_y = (
+        _read_number_field(doc, path, ndim) for path, ndim, _ in _NUMERIC_FIELDS
+    )
     try:
-        kernel = doc["kernel"]
-        raw = {
-            "beta": doc["beta"],
-            "noise_variance": doc["noise_variance"],
-            "kernel.signal_variance": kernel["signal_variance"],
-            "kernel.length_scales": kernel["length_scales"],
-            "train_x": doc["train_x"],
-            "train_y": doc["train_y"],
-        }
-    except (KeyError, TypeError) as exc:
-        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
-    for name, value in raw.items():
-        if not _holds_only_numbers(value):
-            raise CorruptArchiveError(f"archive field {name} must hold JSON numbers")
-    try:
-        numeric = {
-            "beta": np.asarray(raw["beta"], dtype=float),
-            "noise_variance": float(raw["noise_variance"]),
-            "kernel.signal_variance": float(raw["kernel.signal_variance"]),
-            "kernel.length_scales": tuple(float(l) for l in raw["kernel.length_scales"]),
-            "train_x": np.asarray(raw["train_x"], dtype=float),
-            "train_y": np.asarray(raw["train_y"], dtype=float),
-        }
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
-    for name, value in numeric.items():
-        if not np.all(np.isfinite(value)):
-            raise CorruptArchiveError(f"archive field {name} must hold finite numbers")
-    try:
-        hyper = gpr.KernelHyperParams(
-            numeric["kernel.signal_variance"], numeric["kernel.length_scales"]
-        )
-        model = gpr.fit(
-            numeric["train_x"],
-            numeric["train_y"],
-            hyper,
-            noise_variance=numeric["noise_variance"],
-            beta=numeric["beta"],
-        )
-    except (TypeError, ValueError, NotPositiveDefiniteError) as exc:
+        hyper = gpr.KernelHyperParams(signal_variance, length_scales)
+        model = gpr.fit(train_x, train_y, hyper, noise_variance=noise, beta=beta)
+    except (ValueError, NotPositiveDefiniteError) as exc:
         raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
     return model, ArchiveInfo(family=doc.get("family"), model_id=doc.get("model_id"))
 

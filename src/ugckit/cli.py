@@ -61,8 +61,8 @@ def _load_config(path: str) -> dict:
             try:
                 values[key] = kind(val)
             except ValueError:
-                noun = "finite number" if kind is finite_float else kind.__name__
-                raise InputError(f"{path}:{lineno}: {key} must be a {noun}") from None
+                noun = "an integer" if kind is int else "a finite number"
+                raise InputError(f"{path}:{lineno}: {key} must be {noun}") from None
     return values
 
 
@@ -354,15 +354,12 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import csv
 import enum
 import io
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -81,10 +82,23 @@ class JointFamily:
         """Model input dimension: [angle, thickness] for curve, [angle] otherwise."""
         return 2 if self.kind is FamilyKind.CURVE else 1
 
-    def label(self) -> str:
-        if self.kind is FamilyKind.CURVE:
-            return f"curve(T={self.thickness:g}mm)"
-        return self.kind.value
+
+# A sample's range rules, stated once for MeasurementSample and the CSV reader:
+# attribute, CSV column, bounds, and what a value outside them is.
+_SAMPLE_RANGES = (
+    ("deformation_angle", "deformation_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+    ("force", "force_n", 0.0, math.inf, "is negative"),
+    ("return_angle", "return_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+)
+
+
+def _range_problem(**values) -> tuple[str, str, str] | None:
+    """(attribute, CSV column, detail) of the first value, by attribute, out of range."""
+    for attr, column, low, high, text in _SAMPLE_RANGES:
+        value = values[attr]
+        if not low <= value <= high:
+            return attr, column, f"{value:g} {text}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -99,12 +113,10 @@ class MeasurementSample:
     run_id: str
 
     def __post_init__(self):
-        if not 0.0 <= self.deformation_angle <= 180.0:
-            raise ValueError(f"deformation_angle {self.deformation_angle} outside [0, 180]")
-        if not 0.0 <= self.return_angle <= 180.0:
-            raise ValueError(f"return_angle {self.return_angle} outside [0, 180]")
-        if self.force < 0.0:
-            raise ValueError(f"force {self.force} must be non-negative")
+        problem = _range_problem(**vars(self))
+        if problem:
+            attr, _, detail = problem
+            raise ValueError(f"{attr} {detail}")
 
 
 @dataclass(frozen=True)
@@ -137,84 +149,75 @@ def _parse_float(raw, row, fieldname):
         raise BadNumberError(row, fieldname, raw) from None
 
 
+def _parse_token(kind: type[enum.Enum], raw, row, fieldname):
+    token = (raw or "").strip()
+    try:
+        return kind(token)
+    except ValueError:
+        raise BadNumberError(row, fieldname, token) from None
+
+
 def parse_measurements(csv_text: str, source: str = "<memory>") -> JointDataset:
     """Parse bench CSV text into a JointDataset.
 
     Rows are validated strictly: the first invalid row aborts the parse with
     an error carrying the physical line number (header is line 1).
     """
-    reader = csv.DictReader(io.StringIO(csv_text, newline=""))
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
         return _parse_records(reader, source)
     except csv.Error as exc:  # a line the csv module cannot split
         raise InputError(f"after line {reader.line_num}: {exc}") from None
 
 
-def _parse_records(reader: csv.DictReader, source: str) -> JointDataset:
-    if reader.fieldnames is None:
+def _parse_records(reader, source: str) -> JointDataset:
+    header = next(reader, None)
+    if header is None:
         raise EmptyFileError("no CSV content")
+    position = {name: i for i, name in enumerate(header)}
     for col in CSV_COLUMNS:
-        if col not in reader.fieldnames:
+        if col not in position:
             raise MissingColumnError(col)
+    cells_of = operator.itemgetter(*(position[col] for col in CSV_COLUMNS))
+    width = len(header)
 
     samples = []
-    for rec in reader:
+    for cells in reader:
         row = reader.line_num
-        if None in rec:  # DictReader files the cells past the header under None
-            width = len(reader.fieldnames)
-            raise InputError(f"row {row}: {width + len(rec[None])} cells, header has {width}")
-        if all(v is None or v.strip() == "" for v in rec.values()):
+        if len(cells) > width:
+            raise InputError(f"row {row}: {len(cells)} cells, header has {width}")
+        if not any(cell.strip() for cell in cells):
             continue  # blank line
-
-        famtok = (rec.get("family") or "").strip()
-        try:
-            kind = FamilyKind(famtok)
-        except ValueError:
-            raise BadNumberError(row, "family", famtok) from None
-
-        thick_raw = (rec.get("thickness_mm") or "").strip()
-        if kind is FamilyKind.CURVE:
-            if thick_raw == "":
-                raise MissingThicknessError(f"row {row}: curve row without thickness_mm")
-            thickness = _parse_float(thick_raw, row, "thickness_mm")
-            if thickness <= 0:
-                raise OutOfRangeError(row, "thickness_mm", "must be > 0")
-        else:
-            if thick_raw != "":
-                raise OutOfRangeError(row, "thickness_mm", "must be empty for non-curve rows")
-            thickness = None
-
-        dirtok = (rec.get("direction") or "").strip()
-        try:
-            direction = Direction(dirtok)
-        except ValueError:
-            raise BadNumberError(row, "direction", dirtok) from None
-
-        angle = _parse_float(rec.get("deformation_angle_deg"), row, "deformation_angle_deg")
-        force = _parse_float(rec.get("force_n"), row, "force_n")
-        ret = _parse_float(rec.get("return_angle_deg"), row, "return_angle_deg")
-        if not 0.0 <= angle <= 180.0:
-            raise OutOfRangeError(row, "deformation_angle_deg", f"{angle:g} not in [0, 180]")
-        if force < 0.0:
-            raise OutOfRangeError(row, "force_n", f"{force:g} is negative")
-        if not 0.0 <= ret <= 180.0:
-            raise OutOfRangeError(row, "return_angle_deg", f"{ret:g} not in [0, 180]")
-
-        run_id = (rec.get("run_id") or "").strip()
-        samples.append(
-            MeasurementSample(
-                family=JointFamily(kind, thickness),
-                deformation_angle=angle,
-                direction=direction,
-                force=force,
-                return_angle=ret,
-                run_id=run_id,
-            )
-        )
+        if len(cells) < width:
+            cells += [None] * (width - len(cells))  # cells missing from a short row
+        samples.append(_parse_sample(row, *cells_of(cells)))
 
     if not samples:
         raise EmptyFileError("CSV has a header but no data rows")
     return JointDataset(tuple(samples), Provenance(source=source))
+
+
+def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
+    """The sample of one CSV row, its cells in CSV_COLUMNS order. The
+    constructors apply the rules; errors gain the row and the column."""
+    kind = _parse_token(FamilyKind, family, row, "family")
+    thickness = (thickness or "").strip()
+    thickness = _parse_float(thickness, row, "thickness_mm") if thickness else None
+    try:
+        family = JointFamily(kind, thickness)
+    except MissingThicknessError as exc:
+        raise MissingThicknessError(f"row {row}: field 'thickness_mm' empty ({exc})") from None
+    except ValueError as exc:
+        raise OutOfRangeError(row, "thickness_mm", str(exc)) from None
+    direction = _parse_token(Direction, direction, row, "direction")
+    angle = _parse_float(angle, row, "deformation_angle_deg")
+    force = _parse_float(force, row, "force_n")
+    ret = _parse_float(ret, row, "return_angle_deg")
+    try:
+        return MeasurementSample(family, angle, direction, force, ret, (run_id or "").strip())
+    except ValueError:
+        _, column, detail = _range_problem(deformation_angle=angle, force=force, return_angle=ret)
+        raise OutOfRangeError(row, column, detail) from None
 
 
 def serialize_measurements(ds: JointDataset) -> str:

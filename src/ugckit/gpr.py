@@ -35,7 +35,6 @@ from .errors import (
 )
 
 CHOLESKY_JITTER = 1e-8
-VARIANCE_CLAMP = 1e-10
 
 
 @dataclass(frozen=True)

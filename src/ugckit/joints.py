@@ -160,11 +160,6 @@ class JointFamilyModel:
         if self.return_model is not None and self.return_model.input_dim != want:
             raise ValueError(f"{self.kind.value} return model must have {want}-D inputs")
 
-    def envelope(self, thickness: float | None = None) -> JointEnvelope:
-        if self.kind is FamilyKind.CURVE:
-            return envelope_for(JointFamily(self.kind, thickness))
-        return envelope_for(JointFamily(self.kind))
-
 
 @dataclass(frozen=True)
 class ForcePrediction:
@@ -310,7 +305,7 @@ def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
     )
 
 
-def loo_rmse_gp(X, y, hyper, noise_variance, beta="gls") -> float:
+def loo_rmse_gp(X, y, hyper, noise_variance) -> float:
     """Leave-one-out RMSE of the GP, refitting for every held-out point."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -318,7 +313,7 @@ def loo_rmse_gp(X, y, hyper, noise_variance, beta="gls") -> float:
     for i in range(len(y)):
         mask = np.ones(len(y), dtype=bool)
         mask[i] = False
-        m = gpr.fit(X[mask], y[mask], hyper, noise_variance, beta=beta)
+        m = gpr.fit(X[mask], y[mask], hyper, noise_variance)
         mean, _ = m.predict(X[i])
         errs.append(mean - y[i])
     return float(np.sqrt(np.mean(np.square(errs))))

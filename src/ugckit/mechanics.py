@@ -32,6 +32,7 @@ from .data import FamilyKind, JointFamily
 from .errors import (
     DesignSpecError,
     GeometryInfeasibleError,
+    MissingThicknessError,
     OutOfValidatedRangeError,
     ZeroDeflectionError,
 )
@@ -375,28 +376,30 @@ class DesignReport:
         return doc
 
     def format_summary(self) -> str:
-        def fmt(v, unit=""):
+        unit_of = {f.name: f.metadata.get("unit") for f in fields(self)}
+
+        def fmt(name):
+            v = getattr(self, name)
             if v is None:
                 return "n/a"
             if isinstance(v, float) and not math.isfinite(v):
                 return "unbounded"
-            s = f"{v:.6g}"
-            return f"{s} {unit}".rstrip()
+            return f"{v:.6g}" if unit_of[name] == "1" else f"{v:.6g} {unit_of[name]}"
 
         rows = [
-            ("outer radius", fmt(self.outer_radius, "mm")),
-            ("sections", fmt(self.n_sections)),
-            ("total joints", fmt(self.total_joints)),
-            ("target ratio", fmt(self.target_ratio)),
-            ("half-section arc", fmt(self.half_section_arc, "mm")),
-            ("target half arc", fmt(self.target_half_arc, "mm")),
-            ("bend angle per joint", fmt(self.bend_angle, "deg")),
-            ("per-joint force", fmt(self.per_joint_force, "N") + f" ({self.per_joint_force_source})"),
-            ("total cable force", fmt(self.total_force, "N")),
-            ("torque at spindle", fmt(self.torque_at_spindle, "N*m")),
-            ("min spindle radius", fmt(self.min_spindle_radius, "mm")),
-            ("recommended spindle", fmt(self.recommended_spindle_radius, "mm")),
-            ("predicted return angle", fmt(self.predicted_return_angle, "deg")),
+            ("outer radius", fmt("outer_radius")),
+            ("sections", fmt("n_sections")),
+            ("total joints", fmt("total_joints")),
+            ("target ratio", fmt("target_ratio")),
+            ("half-section arc", fmt("half_section_arc")),
+            ("target half arc", fmt("target_half_arc")),
+            ("bend angle per joint", fmt("bend_angle")),
+            ("per-joint force", f"{fmt('per_joint_force')} ({self.per_joint_force_source})"),
+            ("total cable force", fmt("total_force")),
+            ("torque at spindle", fmt("torque_at_spindle")),
+            ("min spindle radius", fmt("min_spindle_radius")),
+            ("recommended spindle", fmt("recommended_spindle_radius")),
+            ("predicted return angle", fmt("predicted_return_angle")),
             ("flags", ", ".join(self.flags) if self.flags else "none"),
         ]
         width = max(len(name) for name, _ in rows)
@@ -539,13 +542,9 @@ def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
         return None
     thick = doc.get("thickness_mm")
     try:
-        if kind is FamilyKind.CURVE:
-            return JointFamily(kind, _coerce(float, thick, ""))
-        if thick is None:
-            return JointFamily(kind)
-        problems.append("field joint.thickness_mm: must be null for this family")
-    except ValueError:
-        problems.append("field joint.thickness_mm: curve joints need a finite value > 0")
+        return JointFamily(kind, None if thick is None else _coerce(float, thick, "thickness"))
+    except (ValueError, MissingThicknessError) as exc:
+        problems.append(f"field joint.thickness_mm: {exc}")
     return None
 
 
@@ -556,22 +555,23 @@ def _read_fields(doc: dict, table, problems: list[str], prefix: str = "") -> dic
     values = {}
     for f in table:
         raw = doc.get(f.key)
+        path = prefix + f.key
         if f.kind not in (int, float):
             if not isinstance(raw, dict):
-                problems.append(f"missing field: {f.key}")
+                problems.append(f"missing field: {path}")
             elif f.kind is JointFamily:
                 values[f.name] = _joint_from_json(raw, problems)
             else:
                 count = len(problems)
-                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems, f"{f.key}.")
+                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems, f"{path}.")
                 if len(problems) == count:
                     values[f.name] = ActuatorSpec(**actuator)
         elif f.key not in doc:
             if f.presence == "required":
-                problems.append(f"missing field: {f.key}")
+                problems.append(f"missing field: {path}")
         elif raw is not None or f.presence != "nullable":
             try:
-                values[f.name] = f.check(raw, f"field {f.key}")
+                values[f.name] = f.check(raw, f"field {path}")
             except ValueError as exc:
                 problems.append(str(exc))
     _unknown_keys(doc, {f.key for f in table}, prefix, problems)

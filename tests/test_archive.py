@@ -131,3 +131,40 @@ def test_non_number_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path
     _write_with_literal(fitted_model, path, literal, model_path)
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
     assert f"archive field {'.'.join(path)} must hold JSON numbers" in capsys.readouterr().err
+
+
+def test_missing_fields_are_all_listed(tmp_path, fitted_model):
+    path = tmp_path / "model.json"
+    doc = archive.archive_document(fitted_model)
+    for key in ("beta", "kernel", "train_y"):
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArchiveError) as err:
+        archive.load_model(path)
+    assert str(err.value) == "archive missing fields: ['beta', 'kernel', 'train_y']"
+
+
+@pytest.mark.parametrize(
+    "path, value, shape",
+    [
+        (("noise_variance",), [0.0025], "a number"),
+        (("kernel", "signal_variance"), [1.0], "a number"),
+        (("kernel", "length_scales"), 20.0, "a list of numbers"),
+        (("kernel", "length_scales"), [[20.0]], "a list of numbers"),
+        (("beta",), [[1.0, 0.0, 0.0]], "a list of numbers"),
+        (("train_x",), [10.0] * 12, "a list of lists of numbers"),
+        (("train_y",), 1.0, "a list of numbers"),
+    ],
+    ids=["noise-list", "signal-list", "scales-number", "scales-nested", "beta-nested",
+         "train_x-flat", "train_y-number"],
+)
+def test_field_nesting_checked(tmp_path, fitted_model, capsys, path, value, shape):
+    doc = archive.archive_document(fitted_model, family="square_sym")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
+    assert f"archive field {'.'.join(path)} must be {shape}" in capsys.readouterr().err

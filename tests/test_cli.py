@@ -516,6 +516,20 @@ class TestGlobalFlags:
         ]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("degree = 2.5", "degree must be an integer"),
+         ("angle_bin = wide", "angle_bin must be a finite number")],
+    )
+    def test_config_type_errors_worded(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "ugc.cfg"
+        cfg.write_text(line + "\n")
+        assert main([
+            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+            "--config", str(cfg),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+
     @pytest.mark.parametrize("command", ["fit", "predict", "design", "builtin", "validate"])
     def test_help_lists_global_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

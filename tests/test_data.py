@@ -1,16 +1,19 @@
 import pytest
 
+from ugckit import mechanics
 from ugckit.data import (
     CSV_COLUMNS,
     Direction,
     FamilyKind,
     JointFamily,
+    MeasurementSample,
     average_runs,
     parse_measurements,
     serialize_measurements,
 )
 from ugckit.errors import (
     BadNumberError,
+    DesignSpecError,
     EmptyFileError,
     InputError,
     MissingColumnError,
@@ -177,3 +180,93 @@ def test_joint_family_thickness_rules():
             JointFamily(FamilyKind.CURVE, thickness=bad)
     assert JointFamily(FamilyKind.CURVE, 0.8).input_dim == 2
     assert JointFamily(FamilyKind.SQUARE_SYM).input_dim == 1
+
+
+# Thickness cases every boundary must reject: (family token, thickness).
+BAD_THICKNESS = [
+    ("curve", 0.0),
+    ("curve", -0.4),
+    ("square_sym", 0.8),
+    ("curve", None),
+]
+
+
+def _thickness_through(boundary, family, thickness):
+    if boundary == "constructor":
+        JointFamily(FamilyKind(family), thickness)
+    elif boundary == "csv":
+        cell = "" if thickness is None else repr(thickness)
+        parse_measurements(f"{HEADER}\n{family},{cell},90,forward,1.0,170,r1\n")
+    else:
+        mechanics.spec_from_json_dict({
+            "outer_radius_mm": 100.0,
+            "n_sections": 5,
+            "joints_per_ring": 40,
+            "target_ratio": 0.85,
+            "ring_layers": 2,
+            "actuator": {"rated_torque_nm": 0.08, "spindle_radius_mm": 3.0},
+            "joint": {"family": family, "thickness_mm": thickness},
+        })
+
+
+@pytest.mark.parametrize(
+    "family, thickness", BAD_THICKNESS, ids=["0", "-0.4", "non-curve", "none"]
+)
+@pytest.mark.parametrize("boundary", ["constructor", "csv", "spec"])
+def test_every_boundary_applies_the_thickness_rule(boundary, family, thickness):
+    with pytest.raises((ValueError, InputError)) as err:
+        _thickness_through(boundary, family, thickness)
+    if isinstance(err.value, DesignSpecError):
+        assert len(err.value.problems) == 1
+    assert "thickness" in str(err.value)
+
+
+def _sample(**overrides):
+    values = {"deformation_angle": 90.0, "force": 1.0, "return_angle": 170.0, **overrides}
+    return MeasurementSample(
+        JointFamily(FamilyKind.STRAIGHT), direction=Direction.FORWARD, run_id="r1", **values
+    )
+
+
+# (attribute, CSV column, out-of-range value) for each range rule of a sample
+SAMPLE_RANGES = [
+    ("deformation_angle", "deformation_angle_deg", 200.0),
+    ("force", "force_n", -1.0),
+    ("return_angle", "return_angle_deg", 190.0),
+]
+
+
+@pytest.mark.parametrize(
+    "attr, column, value", SAMPLE_RANGES, ids=[c for _, c, _ in SAMPLE_RANGES]
+)
+def test_constructor_and_reader_share_the_range_rules(attr, column, value):
+    with pytest.raises(ValueError, match=f"^{attr} {value:g} "):
+        _sample(**{attr: value})
+    cells = dict(zip(CSV_COLUMNS, ["straight", "", "90", "forward", "1.0", "170", "r1"]))
+    cells[column] = repr(value)
+    with pytest.raises(OutOfRangeError) as err:
+        parse_measurements(HEADER + "\n" + ",".join(cells.values()) + "\n")
+    assert (err.value.row, err.value.field) == (2, column)
+
+
+@pytest.mark.parametrize("attr", [a for a, _, _ in SAMPLE_RANGES])
+def test_constructor_rejects_nan(attr):
+    with pytest.raises(ValueError, match=f"^{attr} nan "):
+        _sample(**{attr: float("nan")})
+
+
+def test_parse_reads_columns_by_name_and_strips_cells():
+    text = (
+        "run_id,force_n,family,direction,thickness_mm,return_angle_deg,"
+        "deformation_angle_deg,note\n"
+        " r1 , 2.1 , curve ,forward, 0.4 ,165, 90 ,x\n"
+    )
+    (s,) = parse_measurements(text).samples
+    assert s == MeasurementSample(JointFamily(FamilyKind.CURVE, 0.4), 90.0, Direction.FORWARD,
+                                  2.1, 165.0, "r1")
+
+
+def test_parse_short_row_reports_first_empty_cell():
+    with pytest.raises(BadNumberError) as err:
+        parse_measurements(HEADER + "\nstraight,,90\n")
+    assert (err.value.row, err.value.field) == (2, "direction")

@@ -302,6 +302,31 @@ class TestDesignModule:
         assert "total cable force" in summary
         assert "42" in summary
 
+    def test_summary_text_pinned(self):
+        report = mechanics.design_module(
+            reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM)
+        )
+        assert report.format_summary() == "\n".join([
+            "ring module design summary",
+            "----------------------------------------",
+            "outer radius            100 mm",
+            "sections                5",
+            "total joints            40",
+            "target ratio            0.85",
+            "half-section arc        62.8319 mm",
+            "target half arc         53.4071 mm",
+            "bend angle per joint    31.7883 deg",
+            "per-joint force         1.05 N (override)",
+            "total cable force       42 N",
+            "torque at spindle       0.126 N*m",
+            "min spindle radius      1.90476 mm",
+            "recommended spindle     3 mm",
+            "predicted return angle  n/a",
+            "flags                   overdrive",
+            "notes:",
+            "  - override 1.05 N vs model prediction 2.20714 N at 31.79 deg",
+        ])
+
 
 class TestSpecJson:
     def good_doc(self):
@@ -483,9 +508,10 @@ class TestLibraryAndJsonAgree:
             (("friction_loss_factor",), None, "field friction_loss_factor: expected float"),
             (("friction_loss_factor",), math.inf,
              "field friction_loss_factor: must be a finite number"),
-            (("actuator", "overdrive_factor"), 0.5, "field overdrive_factor: must be >= 1"),
+            (("actuator", "overdrive_factor"), 0.5,
+             "field actuator.overdrive_factor: must be >= 1"),
             (("actuator", "overdrive_factor"), math.nan,
-             "field overdrive_factor: must be a finite number"),
+             "field actuator.overdrive_factor: must be a finite number"),
         ],
         ids=["override-range", "override-type", "friction-null", "friction-inf",
              "overdrive-range", "overdrive-nan"],
@@ -496,6 +522,22 @@ class TestLibraryAndJsonAgree:
         for k in key[:-1]:
             parent = parent[k]
         parent[key[-1]] = value
+        with pytest.raises(DesignSpecError) as err:
+            mechanics.spec_from_json_dict(doc)
+        assert err.value.problems == [message]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(None, "missing field: actuator.rated_torque_nm"),
+         (0.0, "field actuator.rated_torque_nm: must be > 0")],
+        ids=["missing", "range"],
+    )
+    def test_nested_problems_name_their_path(self, value, message):
+        doc = curve_spec_doc()
+        if value is None:
+            del doc["actuator"]["rated_torque_nm"]
+        else:
+            doc["actuator"]["rated_torque_nm"] = value
         with pytest.raises(DesignSpecError) as err:
             mechanics.spec_from_json_dict(doc)
         assert err.value.problems == [message]
