@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import archive, joints, mechanics
-from .data import FamilyKind, average_runs, parse_measurements
+from .data import FamilyKind, average_runs, check_angle_bin, parse_measurements
 from .errors import ComputationError, DesignSpecError, InputError, UgcError
 from .units import finite_float
 
@@ -109,8 +109,19 @@ def _json(doc, indent=None) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _rmse_text(rmse) -> str:
+    return f"{rmse:.6g}" if rmse is not None else "n/a"
+
+
 def cmd_fit(args) -> int:
     kind = _family_kind(args.family)
+    if args.degree < 1:
+        raise InputError(f"--degree must be >= 1, got {args.degree}")
+    if not args.no_average:
+        try:
+            check_angle_bin(args.angle_bin)
+        except ValueError as exc:
+            raise InputError(f"--angle-bin: {exc}") from None
     ds = parse_measurements(_read_text(args.data), source=str(args.data))
     if not args.no_average:
         ds = average_runs(ds, args.angle_bin)
@@ -118,8 +129,6 @@ def cmd_fit(args) -> int:
     config = joints.GprFitConfig(noise_variance=args.noise_variance, tune=args.tune)
     model = joints.fit_family_model(ds, kind, config)
 
-    if args.degree < 1:
-        raise InputError(f"--degree must be >= 1, got {args.degree}")
     angles = model.force_model.train_x[:, 0]
     forces = model.force_model.train_y
     try:
@@ -138,11 +147,10 @@ def cmd_fit(args) -> int:
         )
         written.append(str(args.return_out))
 
-    poly_txt = f"{poly_rmse:.6g}" if poly_rmse is not None else "n/a"
     _emit(args, f"fitted {kind.value} on {len(forces)} samples")
     _emit(args, "model        loo rmse (force, N)")
-    _emit(args, f"gpr          {model.force_loo_rmse:.6g}")
-    _emit(args, f"poly{args.degree}        {poly_txt}")
+    _emit(args, f"gpr          {_rmse_text(model.force_loo_rmse)}")
+    _emit(args, f"poly{args.degree}        {_rmse_text(poly_rmse)}")
     _emit(args, "wrote " + ", ".join(written))
     if args.json:
         print(
@@ -185,24 +193,29 @@ def cmd_predict(args) -> int:
     allow = args.allow_extrapolation
     thickness = args.thickness
 
-    def one(theta):
-        pred = joints.predict_force(model, theta, thickness, allow_extrapolation=allow)
-        ret = None
-        if model.return_model is not None or theta == 0.0:
-            ret = joints.predict_return_angle(model, theta, thickness, allow_extrapolation=allow)
-        return pred, ret
-
     if args.sweep:
+        thetas = _parse_sweep(args.sweep)
+        preds = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=allow)
+        rets = [None] * len(thetas)
+        if model.return_model is not None:
+            rets = joints.predict_return_angle_many(
+                model, thetas, thickness, allow_extrapolation=allow
+            )
+        elif 0.0 in thetas:  # the flat reference needs no return model
+            i = thetas.index(0.0)
+            rets[i] = joints.predict_return_angle(model, 0.0, thickness, allow_extrapolation=allow)
         print("theta_deg,force_n,force_std_n,return_angle_deg")
-        for theta in _parse_sweep(args.sweep):
-            pred, ret = one(theta)
+        for theta, pred, ret in zip(thetas, preds, rets):
             ret_txt = repr(ret) if ret is not None else ""
             print(f"{theta!r},{pred.mean!r},{pred.std!r},{ret_txt}")
         return 0
 
     if args.theta is None:
         raise InputError("predict needs --theta or --sweep")
-    pred, ret = one(args.theta)
+    pred = joints.predict_force(model, args.theta, thickness, allow_extrapolation=allow)
+    ret = None
+    if model.return_model is not None or args.theta == 0.0:
+        ret = joints.predict_return_angle(model, args.theta, thickness, allow_extrapolation=allow)
     if args.json:
         print(
             _json(

@@ -19,6 +19,7 @@ import enum
 import io
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -87,7 +88,7 @@ class JointFamily:
 # attribute, CSV column, bounds, and what a value outside them is.
 _SAMPLE_RANGES = (
     ("deformation_angle", "deformation_angle_deg", 0.0, 180.0, "not in [0, 180]"),
-    ("force", "force_n", 0.0, math.inf, "is negative"),
+    ("force", "force_n", 0.0, sys.float_info.max, "is not a finite number >= 0"),
     ("return_angle", "return_angle_deg", 0.0, 180.0, "not in [0, 180]"),
 )
 
@@ -250,15 +251,22 @@ def _group_key(sample: MeasurementSample, angle_bin: float):
     )
 
 
+def check_angle_bin(angle_bin: float) -> None:
+    """ValueError naming angle_bin unless it is a finite bin width in
+    (0, 180] deg: a wider bin would merge every angle of a family."""
+    if not 0.0 < angle_bin <= 180.0:
+        raise ValueError(f"angle_bin must be a finite number in (0, 180] deg, got {angle_bin!r}")
+
+
 def average_runs(ds: JointDataset, angle_bin: float = 5.0) -> JointDataset:
     """Collapse repeat runs into per-angle-bin means.
 
     Samples are grouped by (family, direction, round(angle / angle_bin));
     angle, force, and return angle are replaced by the group means. Averaging
     an already-averaged dataset with the same bin leaves every sample intact.
+    angle_bin must pass check_angle_bin.
     """
-    if angle_bin <= 0:
-        raise ValueError(f"angle_bin must be positive, got {angle_bin}")
+    check_angle_bin(angle_bin)
 
     groups: dict[tuple, list[MeasurementSample]] = {}
     for s in ds.samples:

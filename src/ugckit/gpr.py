@@ -11,8 +11,11 @@ terms, d in {1, 2}) and k is the squared-exponential kernel
 
 beta is either supplied by the caller or estimated by generalized least
 squares. Fitting factorizes K + noise*I once with a Cholesky decomposition;
-no explicit matrix inverse is ever formed (a dense-inverse formulation
-exists only as an independent oracle in the test suite).
+no explicit inverse of K + noise*I is ever formed (a dense-inverse
+formulation exists only as an independent oracle in the test suite).
+Predictions at many points share one triangular solve per block of rows
+(predict_many), and leave-one-out residuals come in closed form from the
+same factor (loo_residuals) rather than from n refits.
 
 Everything returned by fit() is immutable, so a fitted model can be shared
 freely across threads. Grid search in tune_hyperparams evaluates candidates
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +38,7 @@ from .errors import (
 )
 
 CHOLESKY_JITTER = 1e-8
+_PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,8 @@ def _training_data(X, y, hyper: KernelHyperParams, noise_variance: float):
         raise DimensionMismatchError(f"X has {n} rows but y has {yv.shape[0]} entries")
     if d != hyper.dim:
         raise DimensionMismatchError(f"X dim {d} vs {hyper.dim} length scales")
+    if not (np.all(np.isfinite(Xm)) and np.all(np.isfinite(yv))):
+        raise ValueError("training inputs and targets must be finite")
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
     if noise_variance == 0.0 and _has_duplicate_rows(Xm):
@@ -234,27 +240,78 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> Fi
     )
 
 
+def loo_residuals(X, y, hyper: KernelHyperParams, noise_variance: float) -> np.ndarray:
+    """Leave-one-out residuals y_i - mu_(-i)(x_i), beta re-estimated by GLS
+    in every fold, in closed form from one factorization (GPML section 5.4.2;
+    Sundararajan and Keerthi 2001):
+
+        e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
+                               = L^-T (I - Q Q') L^-1,
+
+    with A = L L' factorized as in fit() (jitter retry included) and Q an
+    orthonormal basis of the range of L^-1 H. Q takes only the singular
+    directions above numpy's matrix_rank tolerance, so a basis that is
+    rank-deficient on X (a curve fit at one thickness) gives what the
+    refits' minimum-norm GLS gives. Neither P nor A^-1 is formed; only
+    diag(P) and P y.
+
+    Where the other rows cannot identify the mean at x_i (diag(P)_i within
+    rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
+    residual is undefined and comes back as NaN.
+    """
+    Xm, yv = _training_data(X, y, hyper, noise_variance)
+    L = _factorize(kernel_matrix(Xm, Xm, hyper), noise_variance)
+    n = Xm.shape[0]
+    Linv = solve_triangular(L, np.eye(n), lower=True)
+    Hw = Linv @ basis_matrix(Xm)
+    U, s, _ = np.linalg.svd(Hw, full_matrices=False)
+    Q = U[:, s > s.max() * max(Hw.shape) * np.finfo(float).eps]
+    R = Linv - Q @ (Q.T @ Linv)  # P = R' R
+    diag_p = np.einsum("ij,ij->j", R, R)
+    p_y = R.T @ (R @ yv)
+    # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
+    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->j", Linv, Linv)
+    residuals = np.full(n, np.nan)
+    residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
+    return residuals
+
+
 def predict(model: FittedGP, x_star) -> tuple[float, float]:
-    """Posterior mean and variance at a single query point.
+    """Posterior mean and variance at a single query point; a one-row
+    predict_many."""
+    means, variances = predict_many(model, _as_point(x_star)[None, :])
+    return float(means[0]), float(variances[0])
+
+
+def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at the rows of Xq (m x d, or m angles).
 
     mean = h(x)' beta + k_*' alpha
-    var  = k(x, x) - k_*' (K + noise*I)^-1 k_*   (clamped to 0 from below;
-    the clamp only absorbs rounding on the order of 1e-10)
+    var  = k(x, x) - |L^-1 k_*|^2   (clamped to 0 from below; the clamp only
+    absorbs rounding on the order of 1e-10)
 
-    k(x, x) is the signal variance for the squared-exponential kernel.
+    k(x, x) is the signal variance for the squared-exponential kernel. Rows
+    go through in blocks of _PREDICT_BLOCK: one cross-kernel and one
+    triangular solve against the stored factor per block.
     """
-    xq = _as_point(x_star)
-    if xq.shape[0] != model.input_dim:
+    Q = _as_points(Xq)
+    if Q.shape[1] != model.input_dim:
         raise DimensionMismatchError(
-            f"query dim {xq.shape[0]} vs training dim {model.input_dim}"
+            f"query dim {Q.shape[1]} vs training dim {model.input_dim}"
         )
-    k_star = kernel_matrix(xq[None, :], model.train_x, model.hyper)[0]
-    mean = float(basis_expand(xq) @ model.beta + k_star @ model.alpha)
-    v = cho_solve((model.chol_factor, True), k_star)
-    variance = float(model.hyper.signal_variance - k_star @ v)
-    if variance < 0.0:
-        variance = 0.0
-    return mean, variance
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("query points must be finite")
+    means = np.empty(Q.shape[0])
+    variances = np.empty(Q.shape[0])
+    for start in range(0, Q.shape[0], _PREDICT_BLOCK):
+        rows = slice(start, start + _PREDICT_BLOCK)
+        k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
+        means[rows] = basis_matrix(Q[rows]) @ model.beta + k_star @ model.alpha
+        # the factor is finite by construction and the rows were checked above
+        v = solve_triangular(model.chol_factor, k_star.T, lower=True, check_finite=False)
+        variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->j", v, v)
+    np.maximum(variances, 0.0, out=variances)
+    return means, variances
 
 
 def log_marginal_likelihood(X, y, hyper: KernelHyperParams, noise_variance: float, beta) -> float:

@@ -179,28 +179,27 @@ def _finite_query(value, name: str) -> float:
         raise InputError(f"{name} must be a finite number, got {value!r}") from None
 
 
-def _query_point(model: JointFamilyModel, theta, thickness, allow_extrapolation):
-    """Validate a query and build the model input, collecting warnings."""
-    theta = _finite_query(theta, "theta")
-    warnings = []
+def _query_points(model: JointFamilyModel, thetas, thickness, allow_extrapolation):
+    """Validate queries, each angle once, and build the model inputs (one row
+    per angle) with the warnings of each query."""
+    thetas = [_finite_query(theta, "theta") for theta in thetas]
     low, high = VALIDATED_ANGLE_RANGE
+    outside = [not low <= theta <= high for theta in thetas]
+    shared = []
     if model.kind is FamilyKind.CURVE:
         if thickness is None:
             raise MissingThicknessError("curve-family query requires a thickness in mm")
         thickness = _finite_query(thickness, "thickness")
-        if not low <= theta <= high:
-            if not allow_extrapolation:
-                raise OutOfValidatedRangeError(theta, low, high)
-            warnings.append(WARN_EXTRAPOLATION)
+        if any(outside) and not allow_extrapolation:
+            raise OutOfValidatedRangeError(thetas[outside.index(True)], low, high)
         tlo, thi = TESTED_THICKNESS_RANGE
         if not tlo <= thickness <= thi:
-            warnings.append(WARN_EXTRAPOLATION)
-        x = [theta, thickness]
+            shared.append(WARN_EXTRAPOLATION)
+        X = np.column_stack([thetas, np.full(len(thetas), thickness)])
     else:
-        if not low <= theta <= high:
-            warnings.append(WARN_EXTRAPOLATION)
-        x = [theta]
-    return x, warnings
+        X = np.array(thetas, dtype=float).reshape(-1, 1)
+    warnings = [([WARN_EXTRAPOLATION] if out else []) + shared for out in outside]
+    return X, warnings
 
 
 def predict_force(
@@ -216,11 +215,25 @@ def predict_force(
     only warn. Near zero deflection the model keeps its nonzero intercept,
     which is physically a rest-force artifact, so a caveat flag is attached.
     """
-    x, warnings = _query_point(model, theta, thickness, allow_extrapolation)
-    mean, variance = model.force_model.predict(x)
-    if theta < 1e-9 and mean > 0.0:
-        warnings.append(WARN_REST_FORCE)
-    return ForcePrediction(mean=mean, variance=variance, warnings=tuple(dict.fromkeys(warnings)))
+    return predict_force_many(model, [theta], thickness, allow_extrapolation)[0]
+
+
+def predict_force_many(
+    model: JointFamilyModel,
+    thetas,
+    thickness: float | None = None,
+    allow_extrapolation: bool = False,
+) -> list[ForcePrediction]:
+    """predict_force at each angle of thetas, at one thickness, through one
+    batched GP prediction."""
+    X, warnings = _query_points(model, thetas, thickness, allow_extrapolation)
+    means, variances = gpr.predict_many(model.force_model, X)
+    out = []
+    for theta, mean, variance, flags in zip(X[:, 0], means.tolist(), variances.tolist(), warnings):
+        if theta < 1e-9 and mean > 0.0:
+            flags.append(WARN_REST_FORCE)
+        out.append(ForcePrediction(mean, variance, tuple(dict.fromkeys(flags))))
+    return out
 
 
 def predict_return_angle(
@@ -233,13 +246,26 @@ def predict_return_angle(
 
     Zero deformation returns the flat reference of 180 deg exactly.
     """
-    x, _ = _query_point(model, theta, thickness, allow_extrapolation)
-    if theta == 0.0:
-        return 180.0
-    if model.return_model is None:
-        raise NoReturnModelError(f"{model.kind.value} model has no return-angle component")
-    mean, _ = model.return_model.predict(x)
-    return min(180.0, max(0.0, mean))
+    return predict_return_angle_many(model, [theta], thickness, allow_extrapolation)[0]
+
+
+def predict_return_angle_many(
+    model: JointFamilyModel,
+    thetas,
+    thickness: float | None = None,
+    allow_extrapolation: bool = False,
+) -> list[float]:
+    """predict_return_angle at each angle of thetas, at one thickness,
+    through one batched GP prediction."""
+    X, _ = _query_points(model, thetas, thickness, allow_extrapolation)
+    bent = X[:, 0] != 0.0
+    angles = np.full(X.shape[0], 180.0)
+    if bent.any():
+        if model.return_model is None:
+            raise NoReturnModelError(f"{model.kind.value} model has no return-angle component")
+        means, _ = gpr.predict_many(model.return_model, X[bent])
+        angles[bent] = np.clip(means, 0.0, 180.0)
+    return angles.tolist()
 
 
 def _builtin_anchor_grid(kind: FamilyKind) -> np.ndarray:
@@ -305,18 +331,15 @@ def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
     )
 
 
-def loo_rmse_gp(X, y, hyper, noise_variance) -> float:
-    """Leave-one-out RMSE of the GP, refitting for every held-out point."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    errs = []
-    for i in range(len(y)):
-        mask = np.ones(len(y), dtype=bool)
-        mask[i] = False
-        m = gpr.fit(X[mask], y[mask], hyper, noise_variance)
-        mean, _ = m.predict(X[i])
-        errs.append(mean - y[i])
-    return float(np.sqrt(np.mean(np.square(errs))))
+def loo_rmse_gp(X, y, hyper, noise_variance) -> float | None:
+    """Leave-one-out RMSE of the GP, beta re-estimated in every fold, from
+    the closed-form residuals of gpr.loo_residuals. None when some fold
+    cannot identify the mean at its held-out point: a refit there returns
+    a minimum-norm artifact, not a prediction."""
+    residuals = gpr.loo_residuals(X, y, hyper, noise_variance)
+    if np.isnan(residuals).any():
+        return None
+    return float(np.sqrt(np.mean(np.square(residuals))))
 
 
 def family_training_arrays(ds: JointDataset, kind: FamilyKind):
@@ -455,12 +478,35 @@ def fit_poly_baseline(
 
 
 def loo_rmse_poly(x, y, degree: int) -> float:
-    """Leave-one-out RMSE of the polynomial baseline."""
+    """Leave-one-out RMSE of the polynomial baseline, from the PRESS
+    residuals r_i / (1 - h_ii) of one least-squares fit to all the data
+    (Allen 1974): r is the full fit's residual and h_ii the leverage of
+    sample i, both from one QR of the scaled-domain Vandermonde matrix.
+    The domain map is affine, so each fold's own map gives the same fit.
+
+    Raises InsufficientDataError when a fold has fewer than degree + 1
+    samples, and IllConditionedError when some fold leaves the polynomial
+    undetermined (too few distinct angles: leverage 1).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    errs = []
-    for i in range(len(y)):
-        mask = np.ones(len(y), dtype=bool)
-        mask[i] = False
-        errs.append(_fit_poly(x[mask], y[mask], degree).predict(x[i]) - y[i])
-    return float(np.sqrt(np.mean(np.square(errs))))
+    if len(y) - 1 < degree + 1:
+        raise InsufficientDataError(f"{len(y) - 1} samples cannot support degree {degree}")
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if hi <= lo:
+        raise IllConditionedError("all samples share one angle; polynomial is undetermined")
+    Q, R = np.linalg.qr(np.vander(_to_domain(x, (lo, hi)), degree + 1, increasing=True))
+    if np.linalg.matrix_rank(R) < degree + 1:
+        raise IllConditionedError(
+            f"fewer than {degree + 1} distinct angles; degree {degree} is undetermined"
+        )
+    leverage = np.einsum("ij,ij->i", Q, Q)
+    free = 1.0 - leverage
+    tight = np.flatnonzero(free <= len(y) * np.finfo(float).eps)
+    if tight.size:
+        i = int(tight[0])
+        raise IllConditionedError(
+            f"leaving out the sample at {x[i]:g} deg leaves degree {degree} undetermined"
+        )
+    residuals = (y - Q @ (Q.T @ y)) / free
+    return float(np.sqrt(np.mean(np.square(residuals))))

@@ -1,7 +1,9 @@
-"""Shared fixtures: synthetic bench datasets and naive dense-inverse oracles.
+"""Shared fixtures: synthetic bench datasets and naive oracles.
 
-The oracles intentionally use explicit loops, math.exp, and numpy.linalg.inv
-so they share no code path with the library's Cholesky implementation.
+The dense-inverse oracles intentionally use explicit loops, math.exp, and
+numpy.linalg.inv so they share no code path with the library's Cholesky
+implementation. The leave-one-out oracles refit once per held-out row, the
+definition the library's closed forms must reproduce.
 """
 
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ugckit import gpr, joints
 from ugckit.data import JointDataset, parse_measurements
 
 
@@ -77,6 +80,46 @@ def oracle_lml(X, y, sf2, ls, noise, beta):
     sign, logdet = np.linalg.slogdet(A)
     assert sign > 0
     return float(-0.5 * r @ np.linalg.inv(A) @ r - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def _folds(n):
+    for i in range(n):
+        keep = np.ones(n, dtype=bool)
+        keep[i] = False
+        yield i, keep
+
+
+def refit_loo_residuals_gp(X, y, hyper, noise):
+    """y_i minus the prediction at x_i of a GP refitted (GLS beta) without row i."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    out = np.empty(len(y))
+    for i, keep in _folds(len(y)):
+        mean, _ = gpr.fit(X[keep], y[keep], hyper, noise).predict(X[i])
+        out[i] = y[i] - mean
+    return out
+
+
+def dense_refit_loo_residuals(A, H, y):
+    """Refit residuals on the principal submatrices of a given covariance A:
+    per fold, dense-inverse GLS and the posterior mean at the held-out row."""
+    out = np.empty(len(y))
+    for i, keep in _folds(len(y)):
+        Ainv = np.linalg.inv(A[np.ix_(keep, keep)])
+        Hk = H[keep]
+        beta = np.linalg.solve(Hk.T @ Ainv @ Hk, Hk.T @ Ainv @ y[keep])
+        mean = H[i] @ beta + A[i, keep] @ Ainv @ (y[keep] - Hk @ beta)
+        out[i] = y[i] - mean
+    return out
+
+
+def refit_loo_rmse_poly(x, y, degree):
+    """Leave-one-out RMSE of the polynomial baseline, refitting every fold."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    errs = [joints._fit_poly(x[keep], y[keep], degree).predict(x[i]) - y[i]
+            for i, keep in _folds(len(y))]
+    return float(np.sqrt(np.mean(np.square(errs))))
 
 
 def random_gp_instance(rng, n_max=50, noise_range=(0.05, 0.5)):

@@ -4,9 +4,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ugckit import joints
+from ugckit import archive, joints
 from ugckit.cli import main
-from ugckit.data import CSV_COLUMNS
+from ugckit.data import CSV_COLUMNS, FamilyKind
 
 from conftest import square_bench_csv
 
@@ -135,13 +135,42 @@ class TestFit:
             assert 1e-3 * v <= doc["noise_variance"] <= 1e-1 * v
 
     @pytest.mark.parametrize("degree", ["0", "-1"])
-    def test_degree_below_one_exits_2(self, tmp_path, bench_csv, capsys, degree):
+    def test_degree_below_one_exits_2(self, tmp_path, bench_csv, capsys, monkeypatch, degree):
+        # the flag is checked before the fit, not after it
+        monkeypatch.setattr(joints, "fit_family_model", lambda *a, **k: pytest.fail("fitted"))
         code = main([
             "fit", "--data", str(bench_csv), "--family", "square_sym",
             "--out", str(tmp_path / "m.json"), "--degree", degree,
         ])
         assert code == 2
         assert "--degree" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("width", ["1e308", "180.5", "0", "-5"])
+    def test_unusable_angle_bin_exits_2(self, tmp_path, bench_csv, capsys, width):
+        # a bin wider than the angle range used to merge every angle into one
+        # sample and fail with a sample count that did not name the flag
+        code = main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"), f"--angle-bin={width}",
+        ])
+        assert code == 2
+        assert "--angle-bin" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_undefined_gp_loo_reads_na_and_null(self, tmp_path, capsys):
+        path = tmp_path / "five.csv"
+        rows = [f"curve,{t},{a},forward,{f},170,r1" for a, t, f in
+                [(30, 0.4, 2.1), (60, 1.2, 4.0), (90, 0.8, 3.2), (120, 1.6, 6.5), (150, 0.4, 2.9)]]
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        code = main([
+            "fit", "--data", str(path), "--family", "curve", "--out", str(tmp_path / "m.json"),
+            "--json",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "gpr          n/a" in lines
+        assert json.loads(lines[-1])["gpr_loo_rmse_n"] is None
 
     def test_deterministic_archive(self, tmp_path, bench_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -193,6 +222,43 @@ class TestPredict:
         angles = [float(r[0]) for r in rows]
         assert angles == sorted(angles)
         assert len(set(angles)) == 25
+
+    def test_sweep_rows_match_single_queries(self, tmp_path, bench_csv, capsys):
+        out, ret_out = tmp_path / "m.json", tmp_path / "m.return.json"
+        assert main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(out), "--return-out", str(ret_out), "--quiet",
+        ]) == 0
+        assert main([
+            "predict", "--model", str(out), "--return-model", str(ret_out),
+            "--sweep", "5:175:0.5",
+        ]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 341
+        model = joints.JointFamilyModel(
+            FamilyKind.SQUARE_SYM, archive.load_model(out), archive.load_model(ret_out)
+        )
+        for theta, mean, std, ret in rows[::20]:
+            pred = joints.predict_force(model, float(theta))
+            assert float(mean) == pytest.approx(pred.mean, abs=1e-12)
+            assert float(std) == pytest.approx(pred.std, abs=1e-12)
+            assert float(ret) == pytest.approx(
+                joints.predict_return_angle(model, float(theta)), abs=1e-12
+            )
+
+    def test_sweep_checks_every_angle_before_printing(self, tmp_path, capsys):
+        out = tmp_path / "curve.json"
+        assert main(["builtin", "--family", "curve", "--out", str(out), "--quiet"]) == 0
+        code = main([
+            "predict", "--model", str(out), "--thickness", "0.8", "--sweep", "30:160:5",
+        ])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_through_zero_without_return_model(self, square_archive, capsys):
+        assert main(["predict", "--model", str(square_archive), "--sweep=-1:1:0.5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[3] for r in rows] == ["", "", "180.0", "", ""]
 
     @pytest.mark.parametrize("sweep", ["30:inf:5", "30:nan:5", "nan:150:5", "30:150:inf"])
     def test_non_finite_sweep_exit_2(self, square_archive, sweep):

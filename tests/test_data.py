@@ -168,6 +168,13 @@ def test_average_rejects_nonpositive_bin(square_dataset):
         average_runs(square_dataset, angle_bin=0.0)
 
 
+@pytest.mark.parametrize("width", [float("inf"), float("nan"), 1e308, 180.5, -1.0])
+def test_average_rejects_unusable_bin_naming_it(square_dataset, width):
+    # inf used to merge every angle into one sample, nan to fail in round()
+    with pytest.raises(ValueError, match="angle_bin must be a finite number in"):
+        average_runs(square_dataset, angle_bin=width)
+
+
 def test_joint_family_thickness_rules():
     with pytest.raises(MissingThicknessError):
         JointFamily(FamilyKind.CURVE)
@@ -253,6 +260,13 @@ def test_constructor_and_reader_share_the_range_rules(attr, column, value):
 def test_constructor_rejects_nan(attr):
     with pytest.raises(ValueError, match=f"^{attr} nan "):
         _sample(**{attr: float("nan")})
+
+
+@pytest.mark.parametrize("attr", [a for a, _, _ in SAMPLE_RANGES])
+def test_constructor_rejects_inf(attr):
+    # force had an open upper bound and took inf until the finite rule joined its row
+    with pytest.raises(ValueError, match=f"^{attr} inf "):
+        _sample(**{attr: float("inf")})
 
 
 def test_parse_reads_columns_by_name_and_strips_cells():

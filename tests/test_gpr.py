@@ -13,7 +13,15 @@ from ugckit.errors import (
     UnsupportedDimensionError,
 )
 
-from conftest import oracle_gp, oracle_lml, random_gp_instance
+from scipy.linalg import cho_factor
+
+from conftest import (
+    dense_refit_loo_residuals,
+    oracle_gp,
+    oracle_lml,
+    random_gp_instance,
+    refit_loo_residuals_gp,
+)
 
 
 def hp(sf2=1.0, ls=(1.0,)):
@@ -179,6 +187,115 @@ class TestFitPredict:
             m.alpha[0] = 99.0
         with pytest.raises(ValueError):
             m.train_y[0] = 99.0
+
+
+def _rel_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestLooResiduals:
+    """The closed form against one refit per held-out row, to 1e-10 relative."""
+
+    def test_one_dimensional(self):
+        rng = np.random.default_rng(3)
+        X = np.sort(rng.uniform(10.0, 170.0, 40))[:, None]
+        y = 1.7 + 0.023 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + rng.normal(0.0, 0.05, 40)
+        h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
+        got = gpr.loo_residuals(X, y, h, noise)
+        assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
+
+    def test_two_dimensional(self):
+        rng = np.random.default_rng(4)
+        X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30, 150, 9)])
+        y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
+        h, noise = hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
+        got = gpr.loo_residuals(X, y, h, noise)
+        assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            X, y, sf2, ls, noise, _, _ = random_gp_instance(rng, n_max=30)
+            got = gpr.loo_residuals(X, y, hp(sf2, ls), noise)
+            assert _rel_gap(got, refit_loo_residuals_gp(X, y, hp(sf2, ls), noise)) < 1e-10
+
+    def test_rank_deficient_basis_at_one_thickness(self):
+        # thickness and its square are multiples of the constant column, so
+        # H has rank 3 of 5; the mean at every held-out row is still defined
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.linspace(30.0, 150.0, 41), np.full(41, 0.8)])
+        y = 0.02 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + 2.56 + rng.normal(0.0, 0.08, 41)
+        assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 3
+        h, noise = hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
+        got = gpr.loo_residuals(X, y, h, noise)
+        assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
+
+    def test_jitter_path_matches_refits_on_the_jittered_matrix(self):
+        rng = np.random.default_rng(6)
+        X = np.linspace(0.0, 10.0, 40)[:, None]
+        h = hp(1e-6, (2.0,))
+        K = gpr.kernel_matrix(X, X, h)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(K, lower=True)  # zero noise: the factorization needs the jitter
+        H = gpr.basis_matrix(X)
+        y = H @ np.array([0.5, -0.1, 0.01]) + rng.normal(0.0, 1e-3, 40)
+        got = gpr.loo_residuals(X, y, h, 0.0)
+        want = dense_refit_loo_residuals(K + gpr.CHOLESKY_JITTER * np.eye(40), H, y)
+        assert _rel_gap(got, want) < 1e-10
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_targets_rejected(self, bad):
+        # a NaN target must not pass for an undefined fold
+        X, y = np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0)
+        y[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            gpr.loo_residuals(X, y, hp(), 0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            gpr.fit(X, y, hp(), 0.1)
+
+    def test_undefined_folds_are_nan(self):
+        # five rows for the five-term 2-D basis: without its row, no fold
+        # identifies the mean at the held-out point
+        X = np.array([[30.0, 0.4], [60.0, 1.2], [90.0, 0.8], [120.0, 1.6], [150.0, 0.4]])
+        y = np.array([2.1, 4.0, 3.2, 6.5, 2.9])
+        assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 5
+        assert np.isnan(gpr.loo_residuals(X, y, hp(2.0, (20.0, 0.4)), 0.02)).all()
+
+
+class TestPredictMany:
+    def test_matches_per_point_predict_and_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for trial in range(6):
+            X, y, sf2, ls, noise, _, _ = random_gp_instance(rng)
+            m = gpr.fit(X, y, hp(sf2, ls), noise)
+            # more rows than one block, so block boundaries are crossed
+            Xq = rng.uniform(-1.0, 6.0, size=(600, X.shape[1]))
+            means, variances = gpr.predict_many(m, Xq)
+            single = np.array([m.predict(q) for q in Xq])
+            assert np.max(np.abs(means - single[:, 0])) < 1e-10
+            assert np.max(np.abs(variances - single[:, 1])) < 1e-10
+            _, opredict = oracle_gp(X, y, sf2, ls, noise, beta=m.beta)
+            for q, mean, var in zip(Xq[::50], means[::50], variances[::50]):
+                omean, ovar = opredict(q)
+                assert abs(mean - omean) < 1e-10 and abs(var - ovar) < 1e-10
+
+    def test_one_dimensional_rows_are_angles(self):
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
+        means, _ = gpr.predict_many(m, [1.0, 2.5])
+        assert means == pytest.approx([m.predict([1.0])[0], m.predict([2.5])[0]], abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_rows(self, bad):
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            gpr.predict_many(m, [[1.0], [bad]])
+        with pytest.raises(ValueError, match="finite"):
+            m.predict([bad])
+
+    def test_query_dimension_checked(self):
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
+        with pytest.raises(DimensionMismatchError):
+            gpr.predict_many(m, [[1.0, 2.0]])
 
 
 class TestLogMarginalLikelihood:

@@ -6,6 +6,7 @@ import pytest
 from ugckit import gpr, joints
 from ugckit.data import FamilyKind, JointFamily, parse_measurements
 from ugckit.errors import (
+    IllConditionedError,
     InputError,
     InsufficientDataError,
     MissingThicknessError,
@@ -14,7 +15,13 @@ from ugckit.errors import (
     OutOfValidatedRangeError,
 )
 
-from conftest import curve_bench_csv, square_bench_csv, square_return_true
+from conftest import (
+    curve_bench_csv,
+    refit_loo_residuals_gp,
+    refit_loo_rmse_poly,
+    square_bench_csv,
+    square_return_true,
+)
 
 SQ = FamilyKind.SQUARE_SYM
 CURVE = FamilyKind.CURVE
@@ -279,6 +286,98 @@ class TestPolyBaseline:
         gp_rmse = joints.loo_rmse_gp(theta[:, None], y, hyper, noise)
         poly_rmse = joints.loo_rmse_poly(theta, y, 7)
         assert gp_rmse < poly_rmse
+
+
+def c8_trial(seed):
+    """One trial of acceptance criterion C8: a noisy step at 20 angles and the
+    GP hyperparameters tuned on it."""
+    rng = np.random.default_rng(1000 + seed)
+    theta = np.linspace(10.0, 170.0, 20) + rng.uniform(-2.0, 2.0, 20)
+    y = 2.0 + 1.5 * np.tanh((theta - 90.0) / 8.0) + rng.normal(0.0, 0.1, 20)
+    v = float(np.var(y))
+    grid = gpr.GridSpec((0.5 * v, v, 2.0 * v), ((5.0, 10.0, 20.0, 40.0),),
+                        (1e-3, 3e-3, 1e-2, 3e-2, 1e-1))
+    hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
+    return theta, y, hyper, noise
+
+
+class TestClosedFormLoo:
+    """Closed-form LOO RMSEs against one refit per held-out row."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gp_matches_refit(self, seed):
+        theta, y, hyper, noise = c8_trial(seed)
+        refit = refit_loo_residuals_gp(theta[:, None], y, hyper, noise)
+        want = float(np.sqrt(np.mean(refit**2)))
+        assert joints.loo_rmse_gp(theta[:, None], y, hyper, noise) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("degree", [1, 3, 5, 7])
+    def test_press_matches_refit(self, degree):
+        for seed in range(10):
+            theta, y, _, _ = c8_trial(seed)
+            want = refit_loo_rmse_poly(theta, y, degree)
+            assert joints.loo_rmse_poly(theta, y, degree) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "x, degree, error",
+        [
+            (np.linspace(10.0, 170.0, 8), 7, InsufficientDataError),  # 7 rows per fold
+            (np.array([30.0, 30.0, 90.0]), 1, IllConditionedError),  # a fold of one angle
+            (np.array([30.0, 30.0, 90.0, 90.0, 120.0]), 2, IllConditionedError),
+        ],
+    )
+    def test_poly_errors_match_refit(self, x, degree, error):
+        y = 0.01 * x
+        with pytest.raises(error):
+            refit_loo_rmse_poly(x, y, degree)
+        with pytest.raises(error):
+            joints.loo_rmse_poly(x, y, degree)
+
+    def test_gp_rmse_is_none_where_a_fold_is_undefined(self):
+        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
+        rows = [f"curve,{t},{a},forward,{f},170,r1" for a, t, f in
+                [(30, 0.4, 2.1), (60, 1.2, 4.0), (90, 0.8, 3.2), (120, 1.6, 6.5), (150, 0.4, 2.9)]]
+        ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
+        model = joints.fit_family_model(ds, CURVE)
+        assert model.force_loo_rmse is None and model.return_loo_rmse is None
+
+
+class TestVectorQueries:
+    def test_force_matches_scalar_calls(self, fitted_models):
+        for kind, thickness, thetas in [
+            (SQ, None, [0.0, 10.0, 90.0, 160.0]),
+            (CURVE, 0.8, [20.0, 30.0, 90.0, 150.0]),
+            (CURVE, 2.0, [45.0, 120.0]),
+        ]:
+            model = fitted_models[kind]
+            many = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=True)
+            for theta, pred in zip(thetas, many):
+                one = joints.predict_force(model, theta, thickness, allow_extrapolation=True)
+                assert pred.mean == pytest.approx(one.mean, abs=1e-12)
+                assert pred.variance == pytest.approx(one.variance, abs=1e-12)
+                assert pred.warnings == one.warnings
+
+    def test_return_matches_scalar_calls(self, fitted_models):
+        thetas = [0.0, 10.0, 60.0, 150.0, 180.0]
+        many = joints.predict_return_angle_many(fitted_models[SQ], thetas)
+        assert many[0] == 180.0
+        for theta, value in zip(thetas, many):
+            one = joints.predict_return_angle(fitted_models[SQ], theta)
+            assert value == pytest.approx(one, abs=1e-12)
+
+    def test_every_angle_validated(self, fitted_models):
+        with pytest.raises(InputError, match="theta must be a finite number"):
+            joints.predict_force_many(fitted_models[SQ], [30.0, float("nan"), 60.0])
+        with pytest.raises(OutOfValidatedRangeError):
+            joints.predict_force_many(fitted_models[CURVE], [30.0, 151.0], 0.8)
+        with pytest.raises(OutOfValidatedRangeError):
+            joints.predict_return_angle_many(fitted_models[CURVE], [29.0, 30.0], 0.8)
+
+    def test_flat_reference_needs_no_return_model(self):
+        model = joints.builtin_model(SQ)
+        assert joints.predict_return_angle_many(model, [0.0, 0.0]) == [180.0, 180.0]
+        with pytest.raises(NoReturnModelError):
+            joints.predict_return_angle_many(model, [0.0, 30.0])
 
 
 @pytest.fixture(scope="module")
