@@ -10,12 +10,13 @@ terms, d in {1, 2}) and k is the squared-exponential kernel
     k(a, b) = signal_variance * exp(-0.5 * sum_j ((a_j - b_j) / l_j)^2).
 
 beta is either supplied by the caller or estimated by generalized least
-squares. Fitting factorizes K + noise*I once with a Cholesky decomposition;
-no explicit inverse of K + noise*I is ever formed (a dense-inverse
-formulation exists only as an independent oracle in the test suite).
-Predictions at many points share one triangular solve per block of rows
-(predict_many), and leave-one-out residuals come in closed form from the
-same factor (loo_residuals) rather than from n refits.
+squares (minimum-norm where the basis is rank-deficient). Fitting takes one
+eigendecomposition K = V diag(lam) V' and keeps W = V diag(lam + noise)^-1/2,
+so every solve against K + noise*I = (W W')^-1 is a matrix product (a
+dense-inverse formulation exists only as an independent oracle in the test
+suite). Predictions at many points share one product with W per block of
+rows (predict_many), and leave-one-out residuals come in closed form from
+the same factor (loo_residuals) rather than from n refits.
 
 Everything returned by fit() is immutable, so a fitted model can be shared
 freely across threads. Grid search in tune_hyperparams evaluates candidates
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
-CHOLESKY_JITTER = 1e-8
+JITTER = 1e-8
 _PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
 
 
@@ -121,36 +121,47 @@ def basis_matrix(X) -> np.ndarray:
     return np.hstack([np.ones((pts.shape[0], 1)), pts, pts**2])
 
 
-def _factorize(K: np.ndarray, noise_variance: float):
-    """Cholesky of K + noise*I with a single +1e-8 jitter retry."""
-    A = K + noise_variance * np.eye(K.shape[0])
-    try:
-        c, low = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError:
-        try:
-            c, low = cho_factor(A + CHOLESKY_JITTER * np.eye(K.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "kernel matrix not positive definite even with jitter"
-            ) from None
-    return c
+def _spectrum(lam: np.ndarray, noise_variance: float) -> np.ndarray:
+    """Eigenvalues of A = K + noise*I from those of K, with a single +JITTER
+    retry when one is not positive."""
+    d = lam + noise_variance
+    if d.min() <= 0:
+        d = d + JITTER
+        if d.min() <= 0:
+            raise NotPositiveDefiniteError("kernel matrix not positive definite even with jitter")
+    return d
 
 
-def _has_duplicate_rows(X: np.ndarray) -> bool:
-    return np.unique(X, axis=0).shape[0] < X.shape[0]
+def _factorize(X: np.ndarray, hyper: KernelHyperParams, noise_variance: float):
+    """Whitener W = V diag(d)^-1/2 and spectrum d of A = K + noise*I from one
+    eigendecomposition K = V diag(lam) V': A^-1 = W W', log det A = sum(log d).
+    With zero noise the rows of X must be distinct, otherwise K is singular."""
+    if noise_variance < 0:
+        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+    if noise_variance == 0.0 and np.unique(X, axis=0).shape[0] < X.shape[0]:
+        raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
+    lam, V = np.linalg.eigh(kernel_matrix(X, X, hyper))
+    d = _spectrum(lam, noise_variance)
+    return V / np.sqrt(d), d
 
 
-def _gls_beta(H: np.ndarray, y: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Generalized least squares: argmin_b (y - Hb)' A^-1 (y - Hb)."""
-    W = cho_solve((L, True), H)
-    M = H.T @ W
-    rhs = H.T @ cho_solve((L, True), y)
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        # rank-deficient design (e.g. fewer points than basis terms):
-        # fall back to the minimum-norm solution
-        return np.linalg.pinv(M) @ rhs
+def _gls(Hw: np.ndarray, yw: np.ndarray):
+    """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = W'H and
+    yw = W'y (one or more columns), and the whitened residual yw - Hw b.
+    Singular directions of Hw at numpy's matrix_rank tolerance are cut, as a
+    basis rank-deficient on X (a curve fit at one thickness) needs."""
+    U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
+    keep = s > s.max() * max(Hw.shape) * np.finfo(float).eps
+    U, s, Vt = U[:, keep], s[keep], Vt[keep]
+    coef = U.T @ yw
+    return (Vt.T / s) @ coef, yw - U @ coef
+
+
+def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> float:
+    """-0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi from rw = W'r and A's
+    spectrum d."""
+    quad, logdet = float(rw @ rw), float(np.sum(np.log(d)))
+    return -0.5 * quad - 0.5 * logdet - 0.5 * rw.shape[0] * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -162,11 +173,11 @@ class FittedGP:
     hyper: KernelHyperParams
     train_x: np.ndarray  # (n, d)
     train_y: np.ndarray  # (n,)
-    chol_factor: np.ndarray  # lower-triangular L with L L' = K + noise*I
+    whitener: np.ndarray  # W with W W' = (K + noise*I)^-1
     alpha: np.ndarray  # (K + noise*I)^-1 (y - H beta)
 
     def __post_init__(self):
-        for name in ("beta", "train_x", "train_y", "chol_factor", "alpha"):
+        for name in ("beta", "train_x", "train_y", "whitener", "alpha"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -177,29 +188,18 @@ class FittedGP:
         return predict(self, x_star)
 
 
-def _training_data(X, y, hyper: KernelHyperParams, noise_variance: float):
+def _training_data(X, y, dim: int):
     """Coerce training data to (X, y) arrays and reject what cannot be fitted."""
     Xm = _as_points(X)
     yv = np.asarray(y, dtype=float).ravel()
     n, d = Xm.shape
     if n < 1 or yv.shape[0] != n:
         raise DimensionMismatchError(f"X has {n} rows but y has {yv.shape[0]} entries")
-    if d != hyper.dim:
-        raise DimensionMismatchError(f"X dim {d} vs {hyper.dim} length scales")
+    if d != dim:
+        raise DimensionMismatchError(f"X dim {d} vs {dim} length scales")
     if not (np.all(np.isfinite(Xm)) and np.all(np.isfinite(yv))):
         raise ValueError("training inputs and targets must be finite")
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
-    if noise_variance == 0.0 and _has_duplicate_rows(Xm):
-        raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
     return Xm, yv
-
-
-def _log_marginal(L: np.ndarray, r: np.ndarray) -> float:
-    """-0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi, with L L' = A."""
-    quad = float(r @ cho_solve((L, True), r))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * r.shape[0] * math.log(2.0 * math.pi)
 
 
 def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> FittedGP:
@@ -209,18 +209,14 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> Fi
     squares, or an explicit vector of length 2d+1 to hold them fixed.
     With zero noise the inputs must be distinct, otherwise K is singular.
     """
-    Xm, yv = _training_data(X, y, hyper, noise_variance)
-    # K stays bound until fit returns: freed before the solves below, its
-    # pages are released and faulted in again by the next fit, which costs
-    # the refit-LOO loop about 40% more page faults.
-    K = kernel_matrix(Xm, Xm, hyper)
-    L = _factorize(K, noise_variance)
+    Xm, yv = _training_data(X, y, hyper.dim)
+    W, _ = _factorize(Xm, hyper, noise_variance)
     H = basis_matrix(Xm)
 
     if isinstance(beta, str):
         if beta != "gls":
             raise ValueError(f"beta must be 'gls' or a coefficient vector, got {beta!r}")
-        beta_vec = _gls_beta(H, yv, L)
+        beta_vec, _ = _gls(W.T @ H, W.T @ yv)
     else:
         beta_vec = np.asarray(beta, dtype=float).ravel()
         if beta_vec.shape[0] != H.shape[1]:
@@ -228,15 +224,15 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> Fi
                 f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}"
             )
 
-    alpha = cho_solve((L, True), yv - H @ beta_vec)
+    # alpha from beta alone, so a reload with beta held fixed is bit-identical
     return FittedGP(
         beta=beta_vec,
         noise_variance=float(noise_variance),
         hyper=hyper,
         train_x=Xm.copy(),
         train_y=yv.copy(),
-        chol_factor=np.tril(L),
-        alpha=alpha,
+        whitener=W,
+        alpha=W @ (W.T @ (yv - H @ beta_vec)),
     )
 
 
@@ -246,31 +242,26 @@ def loo_residuals(X, y, hyper: KernelHyperParams, noise_variance: float) -> np.n
     Sundararajan and Keerthi 2001):
 
         e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
-                               = L^-T (I - Q Q') L^-1,
+                               = W (I - Q Q') W',
 
-    with A = L L' factorized as in fit() (jitter retry included) and Q an
-    orthonormal basis of the range of L^-1 H. Q takes only the singular
-    directions above numpy's matrix_rank tolerance, so a basis that is
-    rank-deficient on X (a curve fit at one thickness) gives what the
-    refits' minimum-norm GLS gives. Neither P nor A^-1 is formed; only
-    diag(P) and P y.
+    with A^-1 = W W' factorized as in fit() (jitter retry included) and Q
+    the orthonormal basis of the range of W'H that _gls projects out, so a
+    basis that is rank-deficient on X (a curve fit at one thickness) gives
+    what the refits' minimum-norm GLS gives. Neither P nor A^-1 is formed;
+    only diag(P) and P y.
 
     Where the other rows cannot identify the mean at x_i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
     residual is undefined and comes back as NaN.
     """
-    Xm, yv = _training_data(X, y, hyper, noise_variance)
-    L = _factorize(kernel_matrix(Xm, Xm, hyper), noise_variance)
+    Xm, yv = _training_data(X, y, hyper.dim)
+    W, _ = _factorize(Xm, hyper, noise_variance)
     n = Xm.shape[0]
-    Linv = solve_triangular(L, np.eye(n), lower=True)
-    Hw = Linv @ basis_matrix(Xm)
-    U, s, _ = np.linalg.svd(Hw, full_matrices=False)
-    Q = U[:, s > s.max() * max(Hw.shape) * np.finfo(float).eps]
-    R = Linv - Q @ (Q.T @ Linv)  # P = R' R
+    _, R = _gls(W.T @ basis_matrix(Xm), W.T)  # R = (I - Q Q') W', P = R' R
     diag_p = np.einsum("ij,ij->j", R, R)
     p_y = R.T @ (R @ yv)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
-    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->j", Linv, Linv)
+    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->i", W, W)
     residuals = np.full(n, np.nan)
     residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
     return residuals
@@ -287,12 +278,12 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at the rows of Xq (m x d, or m angles).
 
     mean = h(x)' beta + k_*' alpha
-    var  = k(x, x) - |L^-1 k_*|^2   (clamped to 0 from below; the clamp only
+    var  = k(x, x) - |W' k_*|^2   (clamped to 0 from below; the clamp only
     absorbs rounding on the order of 1e-10)
 
     k(x, x) is the signal variance for the squared-exponential kernel. Rows
-    go through in blocks of _PREDICT_BLOCK: one cross-kernel and one
-    triangular solve against the stored factor per block.
+    go through in blocks of _PREDICT_BLOCK: one cross-kernel and one product
+    with the stored whitener per block.
     """
     Q = _as_points(Xq)
     if Q.shape[1] != model.input_dim:
@@ -307,22 +298,19 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, start + _PREDICT_BLOCK)
         k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
         means[rows] = basis_matrix(Q[rows]) @ model.beta + k_star @ model.alpha
-        # the factor is finite by construction and the rows were checked above
-        v = solve_triangular(model.chol_factor, k_star.T, lower=True, check_finite=False)
-        variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->j", v, v)
+        v = k_star @ model.whitener
+        variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
     np.maximum(variances, 0.0, out=variances)
     return means, variances
 
 
 def log_marginal_likelihood(X, y, hyper: KernelHyperParams, noise_variance: float, beta) -> float:
-    """Gaussian log marginal likelihood of y under the model with fixed beta.
-
-    Computed through the Cholesky factor:
-        -0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi,   r = y - H beta.
-    """
-    Xm, yv = _training_data(X, y, hyper, noise_variance)
-    L = _factorize(kernel_matrix(Xm, Xm, hyper), noise_variance)
-    return _log_marginal(L, yv - basis_matrix(Xm) @ np.asarray(beta, dtype=float).ravel())
+    """Gaussian log marginal likelihood of y under the model with fixed beta:
+    -0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi,   r = y - H beta."""
+    Xm, yv = _training_data(X, y, hyper.dim)
+    W, d = _factorize(Xm, hyper, noise_variance)
+    r = yv - basis_matrix(Xm) @ np.asarray(beta, dtype=float).ravel()
+    return _log_likelihood(W.T @ r, d)
 
 
 @dataclass(frozen=True)
@@ -349,10 +337,13 @@ class GridSpec:
 def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
     """Pick the grid candidate maximizing the log marginal likelihood.
 
-    beta is re-estimated by GLS for every candidate before scoring. The scan
+    beta is re-estimated by GLS for every candidate before scoring. A
+    candidate's covariance is sf2 K1 + noise*I with K1 the unit-signal kernel,
+    so one eigendecomposition of K1 per length-scale tuple scores every
+    (sf2, noise) pair from the shifted spectrum sf2 lam + noise. The scan
     order is the deterministic cartesian product of the grid axes and ties
     keep the earlier candidate, so repeated runs return the same answer.
-    Candidates whose kernel matrix cannot be factorized are skipped.
+    Candidates not positive definite even with jitter are skipped.
     """
     if (
         not search.signal_variances
@@ -362,25 +353,28 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
     ):
         raise EmptyGridError("every grid axis needs at least one candidate")
 
-    Xm = _as_points(X)
-    yv = np.asarray(y, dtype=float).ravel()
+    Xm, yv = _training_data(X, y, len(search.length_scale_grids))
     H = basis_matrix(Xm)
+    # per length-scale tuple: K1's eigenvalues, and H and y in its eigenbasis
+    rotated = []
+    for ls in itertools.product(*search.length_scale_grids):
+        lam, V = np.linalg.eigh(kernel_matrix(Xm, Xm, KernelHyperParams(1.0, ls)))
+        rotated.append((ls, lam, V.T @ H, V.T @ yv))
 
-    best_ll = -math.inf
-    best = None
+    best_ll, best = -math.inf, None
     for sf2 in search.signal_variances:
-        for ls in itertools.product(*search.length_scale_grids):
+        for ls, lam, Hv, yr in rotated:
             hyper = KernelHyperParams(sf2, ls)
-            K = kernel_matrix(Xm, Xm, hyper)
             for noise in search.noise_variances:
                 try:
-                    L = _factorize(K, noise)
+                    d = _spectrum(sf2 * lam, noise)
                 except NotPositiveDefiniteError:
                     continue
-                ll = _log_marginal(L, yv - H @ _gls_beta(H, yv, L))
+                scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
+                _, rw = _gls(Hv * scale[:, None], yr * scale)
+                ll = _log_likelihood(rw, d)
                 if ll > best_ll:
-                    best_ll = ll
-                    best = (hyper, float(noise))
+                    best_ll, best = ll, (hyper, float(noise))
     if best is None:
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
     return best

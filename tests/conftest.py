@@ -1,8 +1,10 @@
 """Shared fixtures: synthetic bench datasets and naive oracles.
 
 The dense-inverse oracles intentionally use explicit loops, math.exp, and
-numpy.linalg.inv so they share no code path with the library's Cholesky
-implementation. The leave-one-out oracles refit once per held-out row, the
+numpy.linalg.inv so they share no code path with the library's
+eigendecomposition. Their GLS beta is the minimum-norm one (numpy.linalg.pinv
+of the normal matrix), which the library must match on a rank-deficient basis
+too. The leave-one-out oracles refit once per held-out row, the
 definition the library's closed forms must reproduce.
 """
 
@@ -49,7 +51,7 @@ def oracle_gp(X, y, sf2, ls, noise, beta=None):
     Ainv = np.linalg.inv(A)
     H = np.array([oracle_basis(row) for row in X])
     if beta is None:
-        beta = np.linalg.solve(H.T @ Ainv @ H, H.T @ Ainv @ y)
+        beta = np.linalg.pinv(H.T @ Ainv @ H) @ (H.T @ Ainv @ y)
     else:
         beta = np.asarray(beta, dtype=float)
     alpha = Ainv @ (y - H @ beta)

@@ -45,7 +45,7 @@ def test_c01_gpr_matches_dense_inverse_oracle():
                 oracle_beta, _ = oracle_gp(X, y, sf2, ls, noise, beta=None)
                 assert np.max(np.abs(model.beta - oracle_beta)) < 1e-8
             # predict path checked at the fitted coefficients, so the 1e-10
-            # bound tests the Cholesky solve against the explicit inverse
+            # bound tests the eigendecomposition solve against the explicit inverse
             _, opredict = oracle_gp(X, y, sf2, ls, noise, beta=model.beta)
             for q in queries:
                 mean, var = model.predict(q)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -619,3 +623,18 @@ class TestGlobalFlags:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, f"{command} help missing {flag}"
+
+
+def test_import_loads_no_scipy():
+    # every ugc command pays its import; numpy is the only runtime dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ugckit.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

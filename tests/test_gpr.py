@@ -1,5 +1,7 @@
 
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,8 +14,6 @@ from ugckit.errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-
-from scipy.linalg import cho_factor
 
 from conftest import (
     dense_refit_loo_residuals,
@@ -124,6 +124,15 @@ class TestFitPredict:
                 worst = max(worst, abs(mean - omean), abs(var - ovar))
         assert worst < 1e-10
 
+    def test_rank_deficient_gls_is_minimum_norm(self):
+        X, y, h, noise = _one_thickness_curve()
+        m = gpr.fit(X, y, h, noise)
+        want_beta, opredict = oracle_gp(X, y, h.signal_variance, h.length_scales, noise)
+        assert np.max(np.abs(m.beta - want_beta)) < 1e-8
+        # off the training thickness the mean depends on how beta splits
+        # across the collinear columns
+        assert abs(m.predict([90.0, 1.2])[0] - opredict([90.0, 1.2])[0]) < 1e-8
+
     def test_zero_noise_interpolation_many_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -189,6 +198,16 @@ class TestFitPredict:
             m.train_y[0] = 99.0
 
 
+def _one_thickness_curve():
+    """41 curve rows at 0.8 mm: thickness and its square are multiples of the
+    constant column, so H has rank 3 of 5."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.linspace(30.0, 150.0, 41), np.full(41, 0.8)])
+    y = 0.02 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + 2.56 + rng.normal(0.0, 0.08, 41)
+    assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 3
+    return X, y, hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
+
+
 def _rel_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -220,13 +239,8 @@ class TestLooResiduals:
             assert _rel_gap(got, refit_loo_residuals_gp(X, y, hp(sf2, ls), noise)) < 1e-10
 
     def test_rank_deficient_basis_at_one_thickness(self):
-        # thickness and its square are multiples of the constant column, so
-        # H has rank 3 of 5; the mean at every held-out row is still defined
-        rng = np.random.default_rng(5)
-        X = np.column_stack([np.linspace(30.0, 150.0, 41), np.full(41, 0.8)])
-        y = 0.02 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + 2.56 + rng.normal(0.0, 0.08, 41)
-        assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 3
-        h, noise = hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
+        # the mean at every held-out row is still defined
+        X, y, h, noise = _one_thickness_curve()
         got = gpr.loo_residuals(X, y, h, noise)
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
@@ -235,12 +249,12 @@ class TestLooResiduals:
         X = np.linspace(0.0, 10.0, 40)[:, None]
         h = hp(1e-6, (2.0,))
         K = gpr.kernel_matrix(X, X, h)
-        with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(K, lower=True)  # zero noise: the factorization needs the jitter
+        # zero noise: K's spectrum reaches 0, so the factorization needs the jitter
+        assert np.linalg.eigvalsh(K).min() <= 0
         H = gpr.basis_matrix(X)
         y = H @ np.array([0.5, -0.1, 0.01]) + rng.normal(0.0, 1e-3, 40)
         got = gpr.loo_residuals(X, y, h, 0.0)
-        want = dense_refit_loo_residuals(K + gpr.CHOLESKY_JITTER * np.eye(40), H, y)
+        want = dense_refit_loo_residuals(K + gpr.JITTER * np.eye(40), H, y)
         assert _rel_gap(got, want) < 1e-10
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -349,6 +363,62 @@ class TestTuneHyperparams:
         hyper, noise = gpr.tune_hyperparams(X, y, grid)
         assert hyper == truth
         assert noise == 0.01
+
+    @pytest.mark.parametrize("y, error, match", [
+        ([1.0, float("nan"), 2.0], ValueError, "must be finite"),
+        ([1.0, float("inf"), 2.0], ValueError, "must be finite"),
+        ([1.0, 2.0], DimensionMismatchError, "3 rows but y has 2"),
+    ])
+    def test_rejects_unusable_targets(self, y, error, match):
+        grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1,))
+        with pytest.raises(error, match=match):
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], y, grid)
+
+    def test_rejects_grid_of_other_dimension(self):
+        grid = gpr.GridSpec((1.0,), ((1.0,), (1.0,)), (0.1,))
+        with pytest.raises(DimensionMismatchError, match="X dim 1 vs 2"):
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+
+    @staticmethod
+    def _check_against_dense_oracle(X, y, grid):
+        # every candidate scored at the dense oracle's GLS beta, in scan order
+        best, best_ll = None, -np.inf
+        for sf2 in grid.signal_variances:
+            for ls in itertools.product(*grid.length_scale_grids):
+                for noise in grid.noise_variances:
+                    beta, _ = oracle_gp(X, y, sf2, ls, noise)
+                    ll = oracle_lml(X, y, sf2, ls, noise, beta)
+                    if ll > best_ll:
+                        best, best_ll = (hp(sf2, ls), noise), ll
+        hyper, noise = gpr.tune_hyperparams(X, y, grid)
+        assert (hyper, noise) == best
+        beta = gpr.fit(X, y, hyper, noise).beta
+        assert gpr.log_marginal_likelihood(X, y, hyper, noise, beta) == pytest.approx(
+            best_ll, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_c8_trial_picks_the_dense_oracles_first_argmax(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        theta = np.linspace(10.0, 170.0, 20) + rng.uniform(-2.0, 2.0, 20)
+        y = 2.0 + 1.5 * np.tanh((theta - 90.0) / 8.0) + rng.normal(0.0, 0.1, 20)
+        v = float(np.var(y))
+        grid = gpr.GridSpec(
+            (0.5 * v, v, 2.0 * v), ((5.0, 10.0, 20.0, 40.0),), (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+        )
+        self._check_against_dense_oracle(theta[:, None], y, grid)
+
+    def test_two_dim_pick_is_the_dense_oracles_first_argmax(self):
+        rng = np.random.default_rng(9)
+        X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30.0, 150.0, 5)])
+        y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
+        v = float(np.var(y))
+        grid = gpr.GridSpec(
+            signal_variances=(0.5 * v, v, 2.0 * v),
+            length_scale_grids=((10.0, 20.0, 40.0), (0.2, 0.4, 0.8)),
+            noise_variances=(1e-3 * v, 1e-2 * v, 1e-1 * v),
+        )
+        self._check_against_dense_oracle(X, y, grid)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
