@@ -23,9 +23,7 @@ from .gpr import (
     KernelHyperParams,
     basis_expand,
     fit,
-    kernel_se,
     log_marginal_likelihood,
-    predict,
     tune_hyperparams,
 )
 from .joints import (
@@ -86,13 +84,11 @@ __all__ = [
     "fit",
     "fit_family_model",
     "fit_poly_baseline",
-    "kernel_se",
     "load_archive",
     "load_model",
     "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
-    "predict",
     "predict_force",
     "predict_return_angle",
     "required_bend_angle",

@@ -22,6 +22,7 @@ from .errors import ComputationError, DesignSpecError, InputError, UgcError
 from .units import finite_float
 
 CONFIG_ENV_VAR = "UGC_CONFIG"
+MAX_SWEEP_POINTS = 100_000  # rows one predict --sweep may print
 
 _CONFIG_KEYS = {
     "quiet": bool,
@@ -177,15 +178,12 @@ def _parse_sweep(spec_text: str):
         raise InputError(f"--sweep values must be finite numbers, got {spec_text!r}") from None
     if step <= 0 or stop < start:
         raise InputError("--sweep needs step > 0 and stop >= start")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(v)
-        k += 1
-    return values
+    last = stop + 1e-9
+    steps = (last - start) / step  # k of the last point, before rounding down
+    if not steps < MAX_SWEEP_POINTS:
+        raise InputError(f"--sweep {spec_text!r} gives more than {MAX_SWEEP_POINTS} points")
+    # one spare index absorbs rounding in steps; start + k*step rises with k
+    return [v for v in (start + k * step for k in range(int(steps) + 2)) if v <= last]
 
 
 def cmd_predict(args) -> int:

@@ -83,14 +83,6 @@ def _as_point(x) -> np.ndarray:
     return arr
 
 
-def kernel_se(a, b, hyper: KernelHyperParams) -> float:
-    """Squared-exponential covariance between two points.
-
-    Symmetric in its arguments and equal to signal_variance when a == b.
-    """
-    return float(kernel_matrix(_as_point(a)[None, :], _as_point(b)[None, :], hyper)[0, 0])
-
-
 def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(xa_i, xb_j)."""
     A, B = _as_points(xa), _as_points(xb)
@@ -132,14 +124,24 @@ def _spectrum(lam: np.ndarray, noise_variance: float) -> np.ndarray:
     return d
 
 
-def _factorize(X: np.ndarray, hyper: KernelHyperParams, noise_variance: float):
-    """Whitener W = V diag(d)^-1/2 and spectrum d of A = K + noise*I from one
-    eigendecomposition K = V diag(lam) V': A^-1 = W W', log det A = sum(log d).
-    With zero noise the rows of X must be distinct, otherwise K is singular."""
+def _has_duplicate_rows(X: np.ndarray) -> bool:
+    return np.unique(X, axis=0).shape[0] < X.shape[0]
+
+
+def _check_noise(noise_variance: float, duplicate_rows: bool) -> None:
+    """The rule for a noise variance: >= 0, and 0 only on distinct rows
+    (with a repeated row and no noise, K is singular)."""
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
-    if noise_variance == 0.0 and np.unique(X, axis=0).shape[0] < X.shape[0]:
+    if noise_variance == 0.0 and duplicate_rows:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
+
+
+def _factorize(X: np.ndarray, hyper: KernelHyperParams, noise_variance: float):
+    """Whitener W = V diag(d)^-1/2 and spectrum d of A = K + noise*I from one
+    eigendecomposition K = V diag(lam) V': A^-1 = W W', log det A = sum(log d)."""
+    # the row scan only where the rule reads it
+    _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(X))
     lam, V = np.linalg.eigh(kernel_matrix(X, X, hyper))
     d = _spectrum(lam, noise_variance)
     return V / np.sqrt(d), d
@@ -185,7 +187,9 @@ class FittedGP:
         return self.train_x.shape[1]
 
     def predict(self, x_star) -> tuple[float, float]:
-        return predict(self, x_star)
+        """Posterior mean and variance at a single query point."""
+        means, variances = predict_many(self, _as_point(x_star)[None, :])
+        return float(means[0]), float(variances[0])
 
 
 def _training_data(X, y, dim: int):
@@ -236,42 +240,37 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> Fi
     )
 
 
-def loo_residuals(X, y, hyper: KernelHyperParams, noise_variance: float) -> np.ndarray:
-    """Leave-one-out residuals y_i - mu_(-i)(x_i), beta re-estimated by GLS
-    in every fold, in closed form from one factorization (GPML section 5.4.2;
+def loo_residuals(model: FittedGP) -> np.ndarray:
+    """Leave-one-out residuals y_i - mu_(-i)(x_i) of a fitted model's
+    training rows, in closed form from its whitener (GPML section 5.4.2;
     Sundararajan and Keerthi 2001):
 
         e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
                                = W (I - Q Q') W',
 
-    with A^-1 = W W' factorized as in fit() (jitter retry included) and Q
-    the orthonormal basis of the range of W'H that _gls projects out, so a
-    basis that is rank-deficient on X (a curve fit at one thickness) gives
-    what the refits' minimum-norm GLS gives. Neither P nor A^-1 is formed;
-    only diag(P) and P y.
+    with A^-1 = W W' the model's whitener (jitter retry included) and Q the
+    orthonormal basis of the range of W'H that _gls projects out, so a basis
+    that is rank-deficient on X (a curve fit at one thickness) gives what the
+    refits' minimum-norm GLS gives. Neither P nor A^-1 is formed; only
+    diag(P) and P y.
+
+    beta is re-estimated by GLS in every fold, also for a model fitted with
+    beta held fixed: the residuals are those of refits with beta="gls".
 
     Where the other rows cannot identify the mean at x_i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
     residual is undefined and comes back as NaN.
     """
-    Xm, yv = _training_data(X, y, hyper.dim)
-    W, _ = _factorize(Xm, hyper, noise_variance)
-    n = Xm.shape[0]
-    _, R = _gls(W.T @ basis_matrix(Xm), W.T)  # R = (I - Q Q') W', P = R' R
+    W = model.whitener
+    n = W.shape[0]
+    _, R = _gls(W.T @ basis_matrix(model.train_x), W.T)  # R = (I - Q Q') W', P = R' R
     diag_p = np.einsum("ij,ij->j", R, R)
-    p_y = R.T @ (R @ yv)
+    p_y = R.T @ (R @ model.train_y)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
     undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->i", W, W)
     residuals = np.full(n, np.nan)
     residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
     return residuals
-
-
-def predict(model: FittedGP, x_star) -> tuple[float, float]:
-    """Posterior mean and variance at a single query point; a one-row
-    predict_many."""
-    means, variances = predict_many(model, _as_point(x_star)[None, :])
-    return float(means[0]), float(variances[0])
 
 
 def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +342,9 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
     (sf2, noise) pair from the shifted spectrum sf2 lam + noise. The scan
     order is the deterministic cartesian product of the grid axes and ties
     keep the earlier candidate, so repeated runs return the same answer.
-    Candidates not positive definite even with jitter are skipped.
+    Candidates that fit() would reject as not positive definite (zero noise
+    on repeated rows, or a spectrum not positive even with jitter) are
+    skipped, so the pick is always one fit() accepts.
     """
     if (
         not search.signal_variances
@@ -354,6 +355,7 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
         raise EmptyGridError("every grid axis needs at least one candidate")
 
     Xm, yv = _training_data(X, y, len(search.length_scale_grids))
+    duplicate_rows = _has_duplicate_rows(Xm)
     H = basis_matrix(Xm)
     # per length-scale tuple: K1's eigenvalues, and H and y in its eigenbasis
     rotated = []
@@ -367,6 +369,7 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
             hyper = KernelHyperParams(sf2, ls)
             for noise in search.noise_variances:
                 try:
+                    _check_noise(noise, duplicate_rows)
                     d = _spectrum(sf2 * lam, noise)
                 except NotPositiveDefiniteError:
                     continue

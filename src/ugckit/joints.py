@@ -331,15 +331,22 @@ def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
     )
 
 
-def loo_rmse_gp(X, y, hyper, noise_variance) -> float | None:
-    """Leave-one-out RMSE of the GP, beta re-estimated in every fold, from
-    the closed-form residuals of gpr.loo_residuals. None when some fold
-    cannot identify the mean at its held-out point: a refit there returns
-    a minimum-norm artifact, not a prediction."""
-    residuals = gpr.loo_residuals(X, y, hyper, noise_variance)
+def _loo_rmse(model: gpr.FittedGP) -> float | None:
+    """Leave-one-out RMSE of a fitted GP over its training rows, beta
+    re-estimated in every fold, from the closed-form residuals of
+    gpr.loo_residuals. None when some fold cannot identify the mean at its
+    held-out point: a refit there returns a minimum-norm artifact, not a
+    prediction."""
+    residuals = gpr.loo_residuals(model)
     if np.isnan(residuals).any():
         return None
     return float(np.sqrt(np.mean(np.square(residuals))))
+
+
+def loo_rmse_gp(X, y, hyper, noise_variance) -> float | None:
+    """Leave-one-out RMSE of the GP with these hyperparameters on (X, y);
+    see _loo_rmse."""
+    return _loo_rmse(gpr.fit(X, y, hyper, noise_variance))
 
 
 def family_training_arrays(ds: JointDataset, kind: FamilyKind):
@@ -368,8 +375,7 @@ def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
         if noise is None:
             noise = max(1e-8, DEFAULT_NOISE_FRACTION * float(np.var(y)))
     model = gpr.fit(X, y, hyper, noise)
-    rmse = loo_rmse_gp(X, y, hyper, noise) if len(y) >= 2 else None
-    return model, rmse
+    return model, _loo_rmse(model)
 
 
 def fit_family_model(
@@ -426,30 +432,34 @@ class PolyModel:
         return float(np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients)))
 
 
-def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
-    """Least-squares polynomial through the scaled-domain Vandermonde system.
+def _poly_qr(x: np.ndarray, degree: int, samples: int):
+    """Thin QR of the Vandermonde matrix of angles x mapped onto [-1, 1],
+    and the domain of that map: the one factor behind the polynomial's fit
+    and its leave-one-out score.
 
-    Normal equations are used while their condition estimate stays below
-    1e12; beyond that the orthogonal (lstsq) path takes over, and only a
-    rank-deficient orthogonal solve is an error.
+    samples is the row count of the fits the factor serves (len(x), or
+    len(x) - 1 for leave-one-out folds). Raises InsufficientDataError when
+    it is below degree + 1, and IllConditionedError when all angles are
+    equal or the matrix has rank below degree + 1.
     """
-    if len(y) < degree + 1:
-        raise InsufficientDataError(f"{len(y)} samples cannot support degree {degree}")
+    if samples < degree + 1:
+        raise InsufficientDataError(f"{samples} samples cannot support degree {degree}")
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:
         raise IllConditionedError("all samples share one angle; polynomial is undetermined")
-    t = _to_domain(x, (lo, hi))
-    V = np.vander(t, degree + 1, increasing=True)
-    M = V.T @ V
-    if np.linalg.cond(M) <= 1e12:
-        coeffs = np.linalg.solve(M, V.T @ y)
-    else:
-        coeffs, _, rank, _ = np.linalg.lstsq(V, y, rcond=None)
-        if rank < degree + 1:
-            raise IllConditionedError(
-                f"rank {rank} < {degree + 1} even with the orthogonal solver"
-            )
-    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in coeffs), domain=(lo, hi))
+    Q, R = np.linalg.qr(np.vander(_to_domain(x, (lo, hi)), degree + 1, increasing=True))
+    if np.linalg.matrix_rank(R) < degree + 1:
+        raise IllConditionedError(
+            f"fewer than {degree + 1} distinct angles; degree {degree} is undetermined"
+        )
+    return Q, R, (lo, hi)
+
+
+def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
+    """Least-squares polynomial: coefficients R^-1 Q'y from _poly_qr."""
+    Q, R, domain = _poly_qr(x, degree, len(y))
+    coeffs = np.linalg.solve(R, Q.T @ y)
+    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in coeffs), domain=domain)
 
 
 def fit_poly_baseline(
@@ -481,8 +491,8 @@ def loo_rmse_poly(x, y, degree: int) -> float:
     """Leave-one-out RMSE of the polynomial baseline, from the PRESS
     residuals r_i / (1 - h_ii) of one least-squares fit to all the data
     (Allen 1974): r is the full fit's residual and h_ii the leverage of
-    sample i, both from one QR of the scaled-domain Vandermonde matrix.
-    The domain map is affine, so each fold's own map gives the same fit.
+    sample i, both from the Q of _poly_qr, as _fit_poly's beta is. The
+    domain map is affine, so each fold's own map gives the same fit.
 
     Raises InsufficientDataError when a fold has fewer than degree + 1
     samples, and IllConditionedError when some fold leaves the polynomial
@@ -490,16 +500,7 @@ def loo_rmse_poly(x, y, degree: int) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(y) - 1 < degree + 1:
-        raise InsufficientDataError(f"{len(y) - 1} samples cannot support degree {degree}")
-    lo, hi = float(np.min(x)), float(np.max(x))
-    if hi <= lo:
-        raise IllConditionedError("all samples share one angle; polynomial is undetermined")
-    Q, R = np.linalg.qr(np.vander(_to_domain(x, (lo, hi)), degree + 1, increasing=True))
-    if np.linalg.matrix_rank(R) < degree + 1:
-        raise IllConditionedError(
-            f"fewer than {degree + 1} distinct angles; degree {degree} is undetermined"
-        )
+    Q, _, _ = _poly_qr(x, degree, len(y) - 1)
     leverage = np.einsum("ij,ij->i", Q, Q)
     free = 1.0 - leverage
     tight = np.flatnonzero(free <= len(y) * np.finfo(float).eps)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from ugckit import archive, joints
-from ugckit.cli import main
+from ugckit.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from ugckit.data import CSV_COLUMNS, FamilyKind
+from ugckit.errors import InputError
 
 from conftest import square_bench_csv
 
@@ -268,6 +269,28 @@ class TestPredict:
     def test_non_finite_sweep_exit_2(self, square_archive, sweep):
         # a non-finite stop would never end the sweep loop
         assert main(["predict", "--model", str(square_archive), "--sweep", sweep]) == 2
+
+    def test_sweep_point_count_is_bounded(self, square_archive, capsys):
+        # a finite but tiny step once grew the angle list until memory ran out
+        assert main(["predict", "--model", str(square_archive), "--sweep", "0:180:1e-300"]) == 2
+        assert "--sweep" in capsys.readouterr().err
+        assert main(["predict", "--model", str(square_archive), "--sweep=-1e308:1e308:1"]) == 2
+        assert len(_parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+        with pytest.raises(InputError, match="--sweep"):
+            _parse_sweep(f"0:{MAX_SWEEP_POINTS}:1")
+
+    @pytest.mark.parametrize("spec", [
+        "10.0:170.0:0.1", "30:150:5", "-1:1:0.5", "0.1:0.3:0.1",
+        # the division behind the point count rounds below the last k here
+        "-1.0:2614.925999999:1.598", "158.765:4271.564999998999:4.85",
+    ])
+    def test_sweep_matches_the_stepping_loop(self, spec):
+        start, stop, step = (float(p) for p in spec.split(":"))
+        want, k = [], 0
+        while start + k * step <= stop + 1e-9:
+            want.append(start + k * step)
+            k += 1
+        assert _parse_sweep(spec) == want
 
     def test_missing_theta_and_sweep_exit_2(self, square_archive):
         assert main(["predict", "--model", str(square_archive)]) == 2

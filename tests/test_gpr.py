@@ -1,13 +1,14 @@
 
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ugckit import gpr
+from ugckit import gpr, joints
 from ugckit.errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -28,20 +29,30 @@ def hp(sf2=1.0, ls=(1.0,)):
     return gpr.KernelHyperParams(sf2, ls)
 
 
+def se_formula(a, b, h) -> float:
+    """sf2 * exp(-0.5 * sum(((a_j - b_j) / l_j)^2)), one pair at a time."""
+    return h.signal_variance * math.exp(
+        -0.5 * sum(((p - q) / l) ** 2 for p, q, l in zip(a, b, h.length_scales))
+    )
+
+
 class TestKernel:
     def test_self_covariance_is_signal_variance(self):
-        assert gpr.kernel_se([90.0], [90.0], hp()) == 1.0
-        assert gpr.kernel_se([1.0, 2.0], [1.0, 2.0], hp(2.5, (3.0, 4.0))) == 2.5
+        assert gpr.kernel_matrix([[90.0]], [[90.0]], hp()).tolist() == [[1.0]]
+        X = [[1.0, 2.0], [5.0, -3.0]]
+        assert np.diag(gpr.kernel_matrix(X, X, hp(2.5, (3.0, 4.0)))).tolist() == [2.5, 2.5]
 
     def test_unit_separation_closed_form(self):
         # exp(-0.5) for unit distance at unit length scale
-        assert gpr.kernel_se([0.0], [1.0], hp()) == pytest.approx(0.6065306597126334, abs=1e-12)
+        K = gpr.kernel_matrix([[0.0]], [[1.0]], hp())
+        assert K.shape == (1, 1)
+        assert K[0, 0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            gpr.kernel_se([0.0, 1.0], [0.0], hp())
+            gpr.kernel_matrix([[0.0, 1.0]], [[0.0]], hp())
         with pytest.raises(DimensionMismatchError):
-            gpr.kernel_se([0.0, 1.0], [0.0, 1.0], hp())
+            gpr.kernel_matrix([[0.0, 1.0]], [[0.0, 1.0]], hp())
 
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=2),
@@ -51,16 +62,20 @@ class TestKernel:
     )
     def test_symmetry(self, a, b, sf2, ls):
         h = hp(sf2, tuple(ls))
-        assert gpr.kernel_se(a, b, h) == pytest.approx(gpr.kernel_se(b, a, h), rel=1e-13)
+        ab = gpr.kernel_matrix([a], [b], h)[0, 0]
+        assert ab == pytest.approx(gpr.kernel_matrix([b], [a], h)[0, 0], rel=1e-13)
+        # abs covers subnormal results, where one ulp is a large relative step
+        assert ab == pytest.approx(se_formula(a, b, h), rel=1e-12, abs=1e-300)
 
     def test_matrix_matches_pairwise(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 5, (8, 2))
         h = hp(1.3, (1.0, 2.0))
         K = gpr.kernel_matrix(X, X, h)
+        assert np.array_equal(K, K.T)
         for i in range(8):
             for j in range(8):
-                assert K[i, j] == pytest.approx(gpr.kernel_se(X[i], X[j], h), rel=1e-13)
+                assert K[i, j] == pytest.approx(se_formula(X[i], X[j], h), rel=1e-13)
 
     def test_random_kernel_matrices_positive_definite(self):
         rng = np.random.default_rng(3)
@@ -220,7 +235,7 @@ class TestLooResiduals:
         X = np.sort(rng.uniform(10.0, 170.0, 40))[:, None]
         y = 1.7 + 0.023 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + rng.normal(0.0, 0.05, 40)
         h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
-        got = gpr.loo_residuals(X, y, h, noise)
+        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
     def test_two_dimensional(self):
@@ -228,20 +243,20 @@ class TestLooResiduals:
         X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30, 150, 9)])
         y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
         h, noise = hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
-        got = gpr.loo_residuals(X, y, h, noise)
+        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
     def test_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             X, y, sf2, ls, noise, _, _ = random_gp_instance(rng, n_max=30)
-            got = gpr.loo_residuals(X, y, hp(sf2, ls), noise)
+            got = gpr.loo_residuals(gpr.fit(X, y, hp(sf2, ls), noise))
             assert _rel_gap(got, refit_loo_residuals_gp(X, y, hp(sf2, ls), noise)) < 1e-10
 
     def test_rank_deficient_basis_at_one_thickness(self):
         # the mean at every held-out row is still defined
         X, y, h, noise = _one_thickness_curve()
-        got = gpr.loo_residuals(X, y, h, noise)
+        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
     def test_jitter_path_matches_refits_on_the_jittered_matrix(self):
@@ -253,19 +268,21 @@ class TestLooResiduals:
         assert np.linalg.eigvalsh(K).min() <= 0
         H = gpr.basis_matrix(X)
         y = H @ np.array([0.5, -0.1, 0.01]) + rng.normal(0.0, 1e-3, 40)
-        got = gpr.loo_residuals(X, y, h, 0.0)
+        got = gpr.loo_residuals(gpr.fit(X, y, h, 0.0))
         want = dense_refit_loo_residuals(K + gpr.JITTER * np.eye(40), H, y)
         assert _rel_gap(got, want) < 1e-10
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_targets_rejected(self, bad):
-        # a NaN target must not pass for an undefined fold
+        # a NaN target must not pass for an undefined fold: fit, which every
+        # model that loo_residuals reads comes from, and the LOO RMSE entry
+        # point reject it
         X, y = np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0)
         y[3] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            gpr.loo_residuals(X, y, hp(), 0.1)
-        with pytest.raises(ValueError, match="must be finite"):
             gpr.fit(X, y, hp(), 0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            joints.loo_rmse_gp(X, y, hp(), 0.1)
 
     def test_undefined_folds_are_nan(self):
         # five rows for the five-term 2-D basis: without its row, no fold
@@ -273,7 +290,7 @@ class TestLooResiduals:
         X = np.array([[30.0, 0.4], [60.0, 1.2], [90.0, 0.8], [120.0, 1.6], [150.0, 0.4]])
         y = np.array([2.1, 4.0, 3.2, 6.5, 2.9])
         assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 5
-        assert np.isnan(gpr.loo_residuals(X, y, hp(2.0, (20.0, 0.4)), 0.02)).all()
+        assert np.isnan(gpr.loo_residuals(gpr.fit(X, y, hp(2.0, (20.0, 0.4)), 0.02))).all()
 
 
 class TestPredictMany:
@@ -373,6 +390,25 @@ class TestTuneHyperparams:
         grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1,))
         with pytest.raises(error, match=match):
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], y, grid)
+
+    def test_agrees_with_fit_on_zero_noise_at_repeated_rows(self):
+        # fit rejects zero noise on a repeated row, so tuning must not pick it
+        X, y = [[0.0], [0.0], [1.0], [2.0]], [0.0, 0.1, 1.0, 2.0]
+        with pytest.raises(NotPositiveDefiniteError):
+            gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
+        with pytest.raises(NotPositiveDefiniteError, match="duplicate training rows"):
+            gpr.fit(X, y, hp(), 0.0)
+        hyper, noise = gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0, 0.1)))
+        assert noise == 0.1
+        gpr.fit(X, y, hyper, noise)
+        # distinct rows keep zero noise a candidate
+        hyper, noise = gpr.tune_hyperparams(X[1:], y[1:], gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
+        assert noise == 0.0
+        gpr.fit(X[1:], y[1:], hyper, noise)
+
+    def test_rejects_negative_noise_candidate(self):
+        with pytest.raises(ValueError, match="noise_variance must be >= 0"):
+            gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], gpr.GridSpec((1.0,), ((1.0,),), (-0.1,)))
 
     def test_rejects_grid_of_other_dimension(self):
         grid = gpr.GridSpec((1.0,), ((1.0,), (1.0,)), (0.1,))

@@ -200,6 +200,26 @@ class TestFitFamilyModel:
         assert decayed < 179.0
         assert decayed == pytest.approx(square_return_true(150.0), abs=5.0)
 
+    def test_one_eigendecomposition_per_target(self, square_dataset, monkeypatch):
+        # the LOO score reads the fitted model's factor instead of taking its own
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        model = joints.fit_family_model(square_dataset, SQ)
+        assert len(calls) == 2
+        assert model.force_loo_rmse is not None and model.return_loo_rmse is not None
+
+    def test_loo_rmse_gp_scores_the_fitted_model(self, square_dataset):
+        model = joints.fit_family_model(square_dataset, SQ)
+        gp = model.force_model
+        rmse = joints.loo_rmse_gp(gp.train_x, gp.train_y, gp.hyper, gp.noise_variance)
+        assert rmse == model.force_loo_rmse
+
     def test_return_angle_identity_at_zero(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
         assert joints.predict_return_angle(model, 0.0) == 180.0
