@@ -118,6 +118,10 @@ def cmd_fit(args) -> int:
     kind = _family_kind(args.family)
     if args.degree < 1:
         raise InputError(f"--degree must be >= 1, got {args.degree}")
+    try:
+        config = joints.GprFitConfig(noise_variance=args.noise_variance, tune=args.tune)
+    except ValueError:
+        raise InputError("--tune picks the noise variance; drop --noise-variance") from None
     if not args.no_average:
         try:
             check_angle_bin(args.angle_bin)
@@ -127,7 +131,6 @@ def cmd_fit(args) -> int:
     if not args.no_average:
         ds = average_runs(ds, args.angle_bin)
 
-    config = joints.GprFitConfig(noise_variance=args.noise_variance, tune=args.tune)
     model = joints.fit_family_model(ds, kind, config)
 
     angles = model.force_model.train_x[:, 0]
@@ -182,8 +185,10 @@ def _parse_sweep(spec_text: str):
     steps = (last - start) / step  # k of the last point, before rounding down
     if not steps < MAX_SWEEP_POINTS:
         raise InputError(f"--sweep {spec_text!r} gives more than {MAX_SWEEP_POINTS} points")
-    # one spare index absorbs rounding in steps; start + k*step rises with k
-    return [v for v in (start + k * step for k in range(int(steps) + 2)) if v <= last]
+    # one spare index absorbs rounding in steps; start + k*step never falls
+    # with k, and the set drops its repeats where step is below half the
+    # float spacing
+    return sorted({v for v in (start + k * step for k in range(int(steps) + 2)) if v <= last})
 
 
 def cmd_predict(args) -> int:
@@ -191,29 +196,23 @@ def cmd_predict(args) -> int:
     allow = args.allow_extrapolation
     thickness = args.thickness
 
-    if args.sweep:
-        thetas = _parse_sweep(args.sweep)
-        preds = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=allow)
-        rets = [None] * len(thetas)
-        if model.return_model is not None:
-            rets = joints.predict_return_angle_many(
-                model, thetas, thickness, allow_extrapolation=allow
-            )
-        elif 0.0 in thetas:  # the flat reference needs no return model
-            i = thetas.index(0.0)
-            rets[i] = joints.predict_return_angle(model, 0.0, thickness, allow_extrapolation=allow)
+    if (args.theta is None) == (args.sweep is None):
+        raise InputError("predict needs exactly one of --theta and --sweep")
+    thetas = [args.theta] if args.sweep is None else _parse_sweep(args.sweep)
+
+    preds = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=allow)
+    # the flat reference (0 deg) needs no return model
+    served = [t for t in thetas if model.return_model is not None or t == 0.0]
+    angles = joints.predict_return_angle_many(model, served, thickness, allow_extrapolation=allow)
+    rets = dict(zip(served, angles))
+    if args.sweep is not None:
         print("theta_deg,force_n,force_std_n,return_angle_deg")
-        for theta, pred, ret in zip(thetas, preds, rets):
-            ret_txt = repr(ret) if ret is not None else ""
+        for theta, pred in zip(thetas, preds):
+            ret_txt = repr(rets[theta]) if theta in rets else ""
             print(f"{theta!r},{pred.mean!r},{pred.std!r},{ret_txt}")
         return 0
 
-    if args.theta is None:
-        raise InputError("predict needs --theta or --sweep")
-    pred = joints.predict_force(model, args.theta, thickness, allow_extrapolation=allow)
-    ret = None
-    if model.return_model is not None or args.theta == 0.0:
-        ret = joints.predict_return_angle(model, args.theta, thickness, allow_extrapolation=allow)
+    pred, ret = preds[0], rets.get(args.theta)
     if args.json:
         print(
             _json(

@@ -52,6 +52,11 @@ class FamilyKind(str, enum.Enum):
     SQUARE_SYM = "square_sym"
     SQUARE_NONSYM = "square_nonsym"
 
+    @property
+    def input_dim(self) -> int:
+        """Model input dimension: [angle, thickness] for curve, [angle] otherwise."""
+        return 2 if self is FamilyKind.CURVE else 1
+
 
 class Direction(str, enum.Enum):
     FORWARD = "forward"
@@ -77,11 +82,6 @@ class JointFamily:
                 raise ValueError(f"thickness must be a finite number > 0, got {self.thickness}")
         elif self.thickness is not None:
             raise ValueError(f"{self.kind.value} family takes no thickness")
-
-    @property
-    def input_dim(self) -> int:
-        """Model input dimension: [angle, thickness] for curve, [angle] otherwise."""
-        return 2 if self.kind is FamilyKind.CURVE else 1
 
 
 # A sample's range rules, stated once for MeasurementSample and the CSV reader:

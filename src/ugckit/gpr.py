@@ -282,7 +282,8 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
 
     k(x, x) is the signal variance for the squared-exponential kernel. Rows
     go through in blocks of _PREDICT_BLOCK: one cross-kernel and one product
-    with the stored whitener per block.
+    with the stored whitener per block. Raises ValueError naming the first
+    query point whose mean or variance is not finite (overflow far from the data).
     """
     Q = _as_points(Xq)
     if Q.shape[1] != model.input_dim:
@@ -300,6 +301,9 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
         v = k_star @ model.whitener
         variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
     np.maximum(variances, 0.0, out=variances)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(variances)))
+    if bad.size:
+        raise ValueError(f"prediction at query point {Q[bad[0]].tolist()} is not finite")
     return means, variances
 
 

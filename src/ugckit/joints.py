@@ -15,6 +15,7 @@ of 30 to 150 deg, where the regression has no supporting data; other
 families only get an extrapolation warning there.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .errors import (
     IllConditionedError,
     InputError,
     InsufficientDataError,
-    MissingThicknessError,
     NoBuiltinModelError,
     NoReturnModelError,
     OutOfValidatedRangeError,
@@ -41,8 +41,11 @@ MIN_FAMILY_SAMPLES = 5
 WARN_EXTRAPOLATION = "extrapolation"
 WARN_REST_FORCE = "rest_force"
 
-DEFAULT_ANGLE_LENGTH_SCALE = 20.0  # deg
-DEFAULT_THICKNESS_LENGTH_SCALE = 0.4  # mm
+# Per input axis, angle (deg) first, then thickness (mm); a family's models
+# use the first kind.input_dim entries of each.
+DEFAULT_LENGTH_SCALES = (20.0, 0.4)
+TUNING_LENGTH_SCALES = ((5.0, 10.0, 20.0, 40.0), (0.2, 0.4, 0.8))
+BUILTIN_ANCHOR_AXES = ((30.0, 60.0, 90.0, 120.0, 150.0), (0.4, 0.8, 1.2, 1.6))
 DEFAULT_NOISE_FRACTION = 0.01  # of target sample variance
 
 # built-in force-model coefficients over the basis [1, angle, (T,) angle^2, (T^2)]
@@ -151,14 +154,13 @@ class JointFamilyModel:
     return_loo_rmse: float | None = None
 
     def __post_init__(self):
-        want = 2 if self.kind is FamilyKind.CURVE else 1
-        if self.force_model.input_dim != want:
-            raise ValueError(
-                f"{self.kind.value} force model must have {want}-D inputs, "
-                f"got {self.force_model.input_dim}"
-            )
-        if self.return_model is not None and self.return_model.input_dim != want:
-            raise ValueError(f"{self.kind.value} return model must have {want}-D inputs")
+        want = self.kind.input_dim
+        for target, gp in (("force", self.force_model), ("return", self.return_model)):
+            if gp is not None and gp.input_dim != want:
+                raise ValueError(
+                    f"{self.kind.value} {target} model must have {want}-D inputs, "
+                    f"got {gp.input_dim}"
+                )
 
 
 @dataclass(frozen=True)
@@ -183,21 +185,23 @@ def _query_points(model: JointFamilyModel, thetas, thickness, allow_extrapolatio
     """Validate queries, each angle once, and build the model inputs (one row
     per angle) with the warnings of each query."""
     thetas = [_finite_query(theta, "theta") for theta in thetas]
+    if thickness is not None:
+        thickness = _finite_query(thickness, "thickness")
+    try:
+        family = JointFamily(model.kind, thickness)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     low, high = VALIDATED_ANGLE_RANGE
     outside = [not low <= theta <= high for theta in thetas]
     shared = []
     if model.kind is FamilyKind.CURVE:
-        if thickness is None:
-            raise MissingThicknessError("curve-family query requires a thickness in mm")
-        thickness = _finite_query(thickness, "thickness")
         if any(outside) and not allow_extrapolation:
             raise OutOfValidatedRangeError(thetas[outside.index(True)], low, high)
         tlo, thi = TESTED_THICKNESS_RANGE
         if not tlo <= thickness <= thi:
             shared.append(WARN_EXTRAPOLATION)
-        X = np.column_stack([thetas, np.full(len(thetas), thickness)])
-    else:
-        X = np.array(thetas, dtype=float).reshape(-1, 1)
+    dim = model.kind.input_dim
+    X = np.array([(t, family.thickness)[:dim] for t in thetas], dtype=float).reshape(-1, dim)
     warnings = [([WARN_EXTRAPOLATION] if out else []) + shared for out in outside]
     return X, warnings
 
@@ -268,15 +272,6 @@ def predict_return_angle_many(
     return angles.tolist()
 
 
-def _builtin_anchor_grid(kind: FamilyKind) -> np.ndarray:
-    angles = np.array([30.0, 60.0, 90.0, 120.0, 150.0])
-    if kind is FamilyKind.CURVE:
-        thicknesses = np.array([0.4, 0.8, 1.2, 1.6])
-        aa, tt = np.meshgrid(angles, thicknesses, indexing="ij")
-        return np.column_stack([aa.ravel(), tt.ravel()])
-    return angles[:, None]
-
-
 def builtin_model(kind: FamilyKind) -> JointFamilyModel:
     """Force model from the built-in calibrated coefficients.
 
@@ -287,7 +282,7 @@ def builtin_model(kind: FamilyKind) -> JointFamilyModel:
     if kind not in BUILTIN_FORCE_BETA:
         raise NoBuiltinModelError(kind.value)
     beta = np.array(BUILTIN_FORCE_BETA[kind])
-    X = _builtin_anchor_grid(kind)
+    X = np.array(list(itertools.product(*BUILTIN_ANCHOR_AXES[: kind.input_dim])))
     y = gpr.basis_matrix(X) @ beta
     hyper = _default_hyper(kind, y)
     force = gpr.fit(X, y, hyper, noise_variance=BUILTIN_NOISE_STD[kind] ** 2, beta=beta)
@@ -300,7 +295,7 @@ class GprFitConfig:
 
     tune=True grid-searches each target's hyperparameters and noise by
     marginal likelihood, on a grid scaled to that target's sample variance
-    (see _default_tuning_grid); noise_variance is then ignored. Otherwise
+    (see _default_tuning_grid), and so takes no noise_variance. Otherwise
     the documented defaults apply: length scales 20 deg and 0.4 mm, signal
     variance = var(y), and noise = noise_variance if given, else 1% of
     var(y).
@@ -309,24 +304,24 @@ class GprFitConfig:
     noise_variance: float | None = None
     tune: bool = False
 
+    def __post_init__(self):
+        if self.tune and self.noise_variance is not None:
+            raise ValueError("tune picks the noise variance; noise_variance must be unset")
+
 
 def _default_hyper(kind: FamilyKind, y: np.ndarray) -> gpr.KernelHyperParams:
-    if kind is FamilyKind.CURVE:
-        scales = (DEFAULT_ANGLE_LENGTH_SCALE, DEFAULT_THICKNESS_LENGTH_SCALE)
-    else:
-        scales = (DEFAULT_ANGLE_LENGTH_SCALE,)
-    return gpr.KernelHyperParams(signal_variance=float(np.var(y)), length_scales=scales)
+    return gpr.KernelHyperParams(
+        signal_variance=float(np.var(y)), length_scales=DEFAULT_LENGTH_SCALES[: kind.input_dim]
+    )
 
 
-def _default_tuning_grid(y: np.ndarray, dim: int) -> gpr.GridSpec:
+def _default_tuning_grid(kind: FamilyKind, y: np.ndarray) -> gpr.GridSpec:
     """Search grid for one target. Signal and noise variances are multiples
     of var(y), so rescaling y (a change of units) selects the same candidate."""
     v = max(float(np.var(y)), 1e-8)
-    angle_grid = (5.0, 10.0, 20.0, 40.0)
-    grids = (angle_grid,) if dim == 1 else (angle_grid, (0.2, 0.4, 0.8))
     return gpr.GridSpec(
         signal_variances=(0.5 * v, v, 2.0 * v),
-        length_scale_grids=grids,
+        length_scale_grids=TUNING_LENGTH_SCALES[: kind.input_dim],
         noise_variances=tuple(f * v for f in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)),
     )
 
@@ -357,10 +352,7 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
         raise InsufficientDataError(
             f"{kind.value}: {len(samples)} samples, need at least {MIN_FAMILY_SAMPLES}"
         )
-    if kind is FamilyKind.CURVE:
-        X = np.array([[s.deformation_angle, s.family.thickness] for s in samples])
-    else:
-        X = np.array([[s.deformation_angle] for s in samples])
+    X = np.array([(s.deformation_angle, s.family.thickness)[: kind.input_dim] for s in samples])
     force = np.array([s.force for s in samples])
     ret = np.array([s.return_angle for s in samples])
     return X, force, ret
@@ -368,7 +360,7 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
 
 def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
     if config.tune:
-        hyper, noise = gpr.tune_hyperparams(X, y, _default_tuning_grid(y, X.shape[1]))
+        hyper, noise = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, y))
     else:
         hyper = _default_hyper(kind, y)
         noise = config.noise_variance

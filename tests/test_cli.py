@@ -139,6 +139,23 @@ class TestFit:
             assert 0.5 * v <= doc["kernel"]["signal_variance"] <= 2.0 * v
             assert 1e-3 * v <= doc["noise_variance"] <= 1e-1 * v
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tune_with_noise_variance_exits_2(self, tmp_path, capsys, source):
+        argv = [
+            "fit", "--data", str(tmp_path / "missing.csv"), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"), "--tune",
+        ]
+        if source == "flag":
+            argv += ["--noise-variance", "0.5"]
+        else:
+            config = tmp_path / "ugc.conf"
+            config.write_text("noise_variance = 0.5\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--tune" in err and "--noise-variance" in err
+        assert "missing.csv" not in err  # refused before the CSV is read
+
     @pytest.mark.parametrize("degree", ["0", "-1"])
     def test_degree_below_one_exits_2(self, tmp_path, bench_csv, capsys, monkeypatch, degree):
         # the flag is checked before the fit, not after it
@@ -302,10 +319,47 @@ class TestPredict:
 
     def test_non_finite_output_is_refused(self, square_archive, capsys, monkeypatch):
         nan_force = joints.ForcePrediction(mean=float("nan"), variance=0.0)
-        monkeypatch.setattr(joints, "predict_force", lambda *a, **k: nan_force)
+        monkeypatch.setattr(joints, "predict_force_many", lambda *a, **k: [nan_force])
         code = main(["predict", "--model", str(square_archive), "--theta", "90", "--json"])
         assert code == 2
         assert "NaN" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("query", [
+        ["--theta", "1e200", "--allow-extrapolation"],
+        ["--theta", "1e200", "--allow-extrapolation", "--json"],
+        ["--sweep", "1e300:1e300:1"],
+    ])
+    def test_non_finite_prediction_exit_2(self, square_archive, capsys, query):
+        with np.errstate(over="ignore"):
+            assert main(["predict", "--model", str(square_archive), *query]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""  # no inf or NaN row, and no header either
+
+    @pytest.mark.parametrize("family, thickness", [
+        ("curve", "0"), ("curve", "-5"), ("square_sym", "0.8"),
+    ])
+    def test_thickness_rule_exit_2(self, tmp_path, capsys, family, thickness):
+        path = tmp_path / "builtin.json"
+        assert main(["builtin", "--family", family, "--out", str(path), "--quiet"]) == 0
+        code = main([
+            "predict", "--model", str(path), "--theta", "90", f"--thickness={thickness}",
+        ])
+        assert code == 2
+        assert "thickness" in capsys.readouterr().err
+
+    def test_theta_with_sweep_exit_2(self, square_archive, capsys):
+        code = main([
+            "predict", "--model", str(square_archive), "--theta", "90", "--sweep", "30:150:5",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta" in captured.err and "--sweep" in captured.err
+
+    @pytest.mark.parametrize("spec", ["1e16:1e16:0.5", "1e300:1e300:1e-300"])
+    def test_sweep_below_float_spacing_gives_one_row(self, spec):
+        assert _parse_sweep(spec) == [float(spec.split(":")[0])]
 
     def test_version_mismatch_exit_2(self, tmp_path, square_archive):
         doc = json.loads(square_archive.read_text())

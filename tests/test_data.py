@@ -1,6 +1,6 @@
 import pytest
 
-from ugckit import mechanics
+from ugckit import joints, mechanics
 from ugckit.data import (
     CSV_COLUMNS,
     Direction,
@@ -185,8 +185,8 @@ def test_joint_family_thickness_rules():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="thickness must be a finite number"):
             JointFamily(FamilyKind.CURVE, thickness=bad)
-    assert JointFamily(FamilyKind.CURVE, 0.8).input_dim == 2
-    assert JointFamily(FamilyKind.SQUARE_SYM).input_dim == 1
+    assert FamilyKind.CURVE.input_dim == 2
+    assert FamilyKind.SQUARE_SYM.input_dim == 1
 
 
 # Thickness cases every boundary must reject: (family token, thickness).
@@ -204,6 +204,8 @@ def _thickness_through(boundary, family, thickness):
     elif boundary == "csv":
         cell = "" if thickness is None else repr(thickness)
         parse_measurements(f"{HEADER}\n{family},{cell},90,forward,1.0,170,r1\n")
+    elif boundary == "query":
+        joints.predict_force(joints.builtin_model(FamilyKind(family)), 90.0, thickness)
     else:
         mechanics.spec_from_json_dict({
             "outer_radius_mm": 100.0,
@@ -219,10 +221,12 @@ def _thickness_through(boundary, family, thickness):
 @pytest.mark.parametrize(
     "family, thickness", BAD_THICKNESS, ids=["0", "-0.4", "non-curve", "none"]
 )
-@pytest.mark.parametrize("boundary", ["constructor", "csv", "spec"])
+@pytest.mark.parametrize("boundary", ["constructor", "csv", "spec", "query"])
 def test_every_boundary_applies_the_thickness_rule(boundary, family, thickness):
     with pytest.raises((ValueError, InputError)) as err:
         _thickness_through(boundary, family, thickness)
+    if boundary == "query":
+        assert isinstance(err.value, InputError)
     if isinstance(err.value, DesignSpecError):
         assert len(err.value.problems) == 1
     assert "thickness" in str(err.value)

@@ -328,6 +328,12 @@ class TestPredictMany:
         with pytest.raises(DimensionMismatchError):
             gpr.predict_many(m, [[1.0, 2.0]])
 
+    def test_non_finite_prediction_names_the_point(self):
+        # the quadratic mean overflows far outside the data
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0) ** 2, hp(), 0.1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"\[1e\+200\]"):
+            gpr.predict_many(m, [[1.0], [1e200], [1e300]])
+
 
 class TestLogMarginalLikelihood:
     def test_unit_matrix_zero_residual_closed_form(self):

@@ -64,6 +64,15 @@ class TestBuiltinModels:
                 pred = joints.predict_force(m, theta, t)
                 assert pred.mean == pytest.approx(curve_quadratic(theta, t), abs=1e-9)
 
+    def test_anchors_are_angle_by_thickness_rows(self):
+        # angle column first, thickness varying fastest, as archives store them
+        X = joints.builtin_model(CURVE).force_model.train_x
+        assert X.shape == (20, 2)
+        assert X[:5].tolist() == [[30.0, 0.4], [30.0, 0.8], [30.0, 1.2], [30.0, 1.6], [60.0, 0.4]]
+        assert joints.builtin_model(SQ).force_model.train_x[:, 0].tolist() == [
+            30.0, 60.0, 90.0, 120.0, 150.0,
+        ]
+
     def test_unavailable_families(self):
         for kind in (FamilyKind.STRAIGHT, FamilyKind.DOUBLE_CURVE, FamilyKind.SQUARE_NONSYM):
             with pytest.raises(NoBuiltinModelError):
@@ -236,6 +245,7 @@ class TestTuning:
         model = joints.fit_family_model(square_dataset, SQ, joints.GprFitConfig(tune=True))
         for gp in (model.force_model, model.return_model):
             v = float(np.var(gp.train_y))
+            assert gp.hyper.length_scales[0] in (5.0, 10.0, 20.0, 40.0)  # deg
             assert 0.5 * v <= gp.hyper.signal_variance <= 2.0 * v
             assert 1e-3 * v <= gp.noise_variance <= 1e-1 * v
 
@@ -250,6 +260,10 @@ class TestTuning:
         assert big.hyper.length_scales == base.hyper.length_scales
         assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
         assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
+
+    def test_tuning_takes_no_noise_variance(self):
+        with pytest.raises(ValueError, match="noise_variance"):
+            joints.GprFitConfig(noise_variance=0.5, tune=True)
 
 
 class TestPolyBaseline:
