@@ -14,11 +14,15 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import archive, joints, mechanics
 from .data import FamilyKind, average_runs, check_angle_bin, parse_measurements
-from .errors import ComputationError, DesignSpecError, InputError, UgcError
+from .errors import (
+    ComputationError,
+    DesignSpecError,
+    IllConditionedError,
+    InputError,
+    InsufficientDataError,
+)
 from .units import finite_float
 
 CONFIG_ENV_VAR = "UGC_CONFIG"
@@ -137,7 +141,7 @@ def cmd_fit(args) -> int:
     forces = model.force_model.train_y
     try:
         poly_rmse = joints.loo_rmse_poly(angles, forces, args.degree)
-    except (UgcError, np.linalg.LinAlgError):
+    except (InsufficientDataError, IllConditionedError):
         poly_rmse = None
 
     archive.save_model(
@@ -200,19 +204,15 @@ def cmd_predict(args) -> int:
         raise InputError("predict needs exactly one of --theta and --sweep")
     thetas = [args.theta] if args.sweep is None else _parse_sweep(args.sweep)
 
-    preds = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=allow)
-    # the flat reference (0 deg) needs no return model
-    served = [t for t in thetas if model.return_model is not None or t == 0.0]
-    angles = joints.predict_return_angle_many(model, served, thickness, allow_extrapolation=allow)
-    rets = dict(zip(served, angles))
+    preds, rets = joints.predict_many(model, thetas, thickness, allow_extrapolation=allow)
     if args.sweep is not None:
         print("theta_deg,force_n,force_std_n,return_angle_deg")
-        for theta, pred in zip(thetas, preds):
-            ret_txt = repr(rets[theta]) if theta in rets else ""
+        for theta, pred, ret in zip(thetas, preds, rets):
+            ret_txt = repr(ret) if ret is not None else ""
             print(f"{theta!r},{pred.mean!r},{pred.std!r},{ret_txt}")
         return 0
 
-    pred, ret = preds[0], rets.get(args.theta)
+    pred, ret = preds[0], rets[0]
     if args.json:
         print(
             _json(

@@ -294,12 +294,15 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("query points must be finite")
     means = np.empty(Q.shape[0])
     variances = np.empty(Q.shape[0])
-    for start in range(0, Q.shape[0], _PREDICT_BLOCK):
-        rows = slice(start, start + _PREDICT_BLOCK)
-        k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
-        means[rows] = basis_matrix(Q[rows]) @ model.beta + k_star @ model.alpha
-        v = k_star @ model.whitener
-        variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
+    # far from the data the arithmetic may overflow; the finite check below
+    # names the point, so numpy's own warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, Q.shape[0], _PREDICT_BLOCK):
+            rows = slice(start, start + _PREDICT_BLOCK)
+            k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
+            means[rows] = basis_matrix(Q[rows]) @ model.beta + k_star @ model.alpha
+            v = k_star @ model.whitener
+            variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
     np.maximum(variances, 0.0, out=variances)
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(variances)))
     if bad.size:

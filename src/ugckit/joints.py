@@ -10,8 +10,10 @@ basis; every other family, and all return-angle models, must be fitted from
 bench data. A plain polynomial baseline is included for accuracy
 comparisons against the GP fit.
 
-Predictions for the curve family are refused outside the validated window
-of 30 to 150 deg, where the regression has no supporting data; other
+predict_many is the one query: it answers force and return angle at a list
+of angles, and predict_force and predict_return_angle are its one-angle
+calls. Predictions for the curve family are refused outside the validated
+window of 30 to 150 deg, where the regression has no supporting data; other
 families only get an extrapolation warning there.
 """
 
@@ -206,38 +208,47 @@ def _query_points(model: JointFamilyModel, thetas, thickness, allow_extrapolatio
     return X, warnings
 
 
+def predict_many(
+    model: JointFamilyModel,
+    thetas,
+    thickness: float | None = None,
+    allow_extrapolation: bool = False,
+) -> tuple[list[ForcePrediction], list[float | None]]:
+    """Holding force (N) and return angle (deg) at each angle of thetas, at
+    one thickness: one batched GP prediction per model component.
+
+    The curve family raises OutOfValidatedRange outside 30..150 deg (pass
+    allow_extrapolation=True to downgrade that to a warning); other families
+    only warn. Near zero deflection the force model keeps its nonzero
+    intercept, which is physically a rest-force artifact, so a caveat flag is
+    attached. The return angle is clamped to [0, 180]; zero deformation gives
+    the flat reference of 180 deg exactly, and a bent angle gives None when
+    the model has no return-angle component.
+    """
+    X, warnings = _query_points(model, thetas, thickness, allow_extrapolation)
+    means, variances = gpr.predict_many(model.force_model, X)
+    forces = []
+    for theta, mean, variance, flags in zip(X[:, 0], means.tolist(), variances.tolist(), warnings):
+        if theta < 1e-9 and mean > 0.0:
+            flags.append(WARN_REST_FORCE)
+        forces.append(ForcePrediction(mean, variance, tuple(dict.fromkeys(flags))))
+    bent = X[:, 0] != 0.0
+    returns = [None if b else 180.0 for b in bent.tolist()]
+    if model.return_model is not None and bent.any():
+        angles, _ = gpr.predict_many(model.return_model, X[bent])
+        for i, angle in zip(np.flatnonzero(bent), np.clip(angles, 0.0, 180.0).tolist()):
+            returns[i] = angle
+    return forces, returns
+
+
 def predict_force(
     model: JointFamilyModel,
     theta: float,
     thickness: float | None = None,
     allow_extrapolation: bool = False,
 ) -> ForcePrediction:
-    """Predicted holding force at a deformation angle (deg), in newtons.
-
-    The curve family raises OutOfValidatedRange outside 30..150 deg (pass
-    allow_extrapolation=True to downgrade that to a warning); other families
-    only warn. Near zero deflection the model keeps its nonzero intercept,
-    which is physically a rest-force artifact, so a caveat flag is attached.
-    """
-    return predict_force_many(model, [theta], thickness, allow_extrapolation)[0]
-
-
-def predict_force_many(
-    model: JointFamilyModel,
-    thetas,
-    thickness: float | None = None,
-    allow_extrapolation: bool = False,
-) -> list[ForcePrediction]:
-    """predict_force at each angle of thetas, at one thickness, through one
-    batched GP prediction."""
-    X, warnings = _query_points(model, thetas, thickness, allow_extrapolation)
-    means, variances = gpr.predict_many(model.force_model, X)
-    out = []
-    for theta, mean, variance, flags in zip(X[:, 0], means.tolist(), variances.tolist(), warnings):
-        if theta < 1e-9 and mean > 0.0:
-            flags.append(WARN_REST_FORCE)
-        out.append(ForcePrediction(mean, variance, tuple(dict.fromkeys(flags))))
-    return out
+    """predict_many's force at one deformation angle (deg)."""
+    return predict_many(model, [theta], thickness, allow_extrapolation)[0][0]
 
 
 def predict_return_angle(
@@ -246,30 +257,12 @@ def predict_return_angle(
     thickness: float | None = None,
     allow_extrapolation: bool = False,
 ) -> float:
-    """Predicted recovery angle (deg) after release, clamped to [0, 180].
-
-    Zero deformation returns the flat reference of 180 deg exactly.
-    """
-    return predict_return_angle_many(model, [theta], thickness, allow_extrapolation)[0]
-
-
-def predict_return_angle_many(
-    model: JointFamilyModel,
-    thetas,
-    thickness: float | None = None,
-    allow_extrapolation: bool = False,
-) -> list[float]:
-    """predict_return_angle at each angle of thetas, at one thickness,
-    through one batched GP prediction."""
-    X, _ = _query_points(model, thetas, thickness, allow_extrapolation)
-    bent = X[:, 0] != 0.0
-    angles = np.full(X.shape[0], 180.0)
-    if bent.any():
-        if model.return_model is None:
-            raise NoReturnModelError(f"{model.kind.value} model has no return-angle component")
-        means, _ = gpr.predict_many(model.return_model, X[bent])
-        angles[bent] = np.clip(means, 0.0, 180.0)
-    return angles.tolist()
+    """predict_many's return angle at one deformation angle (deg); raises
+    NoReturnModelError where that is None."""
+    angle = predict_many(model, [theta], thickness, allow_extrapolation)[1][0]
+    if angle is None:
+        raise NoReturnModelError(f"{model.kind.value} model has no return-angle component")
+    return angle
 
 
 def builtin_model(kind: FamilyKind) -> JointFamilyModel:

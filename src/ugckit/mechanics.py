@@ -443,7 +443,6 @@ def design_module(
     flags: list[str] = []
     diagnostics: list[str] = []
     model_force = model_std = None
-    return_angle: float | None = None
 
     if bend == 0.0:
         # identity design: nothing bends, nothing loads the cables
@@ -452,7 +451,9 @@ def design_module(
         return_angle = 180.0
     else:
         try:
-            pred = joints.predict_force(joint_model, bend, spec.joint.thickness)
+            (pred,), (return_angle,) = joints.predict_many(
+                joint_model, [bend], spec.joint.thickness
+            )
             model_force, model_std = pred.mean, pred.std
             for w in pred.warnings:
                 diagnostics.append(f"force model warning: {w}")
@@ -461,6 +462,9 @@ def design_module(
                 raise
             diagnostics.append(
                 f"model force unavailable at {bend:.2f} deg (outside validated range)"
+            )
+            _, (return_angle,) = joints.predict_many(
+                joint_model, [bend], spec.joint.thickness, allow_extrapolation=True
             )
         if spec.per_joint_force_override is not None:
             per_joint = spec.per_joint_force_override
@@ -473,10 +477,6 @@ def design_module(
         else:
             per_joint = model_force
             source = "model"
-        if joint_model.return_model is not None:
-            return_angle = joints.predict_return_angle(
-                joint_model, bend, spec.joint.thickness, allow_extrapolation=True
-            )
 
     motor = motor_requirements(
         spec.joints_per_ring, per_joint * spec.friction_loss_factor, spec.actuator

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -11,7 +12,7 @@ import pytest
 from ugckit import archive, joints
 from ugckit.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from ugckit.data import CSV_COLUMNS, FamilyKind
-from ugckit.errors import InputError
+from ugckit.errors import InputError, NotPositiveDefiniteError
 
 from conftest import square_bench_csv
 
@@ -194,6 +195,21 @@ class TestFit:
         assert "gpr          n/a" in lines
         assert json.loads(lines[-1])["gpr_loo_rmse_n"] is None
 
+    def test_unexpected_baseline_error_is_not_na(self, tmp_path, bench_csv, capsys, monkeypatch):
+        # only the failures loo_rmse_poly documents read as n/a
+        def broken(*args, **kwargs):
+            raise NotPositiveDefiniteError("baseline broke")
+
+        monkeypatch.setattr(joints, "loo_rmse_poly", broken)
+        code = main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: baseline broke\n"
+        assert "n/a" not in captured.out
+
     def test_deterministic_archive(self, tmp_path, bench_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -319,7 +335,7 @@ class TestPredict:
 
     def test_non_finite_output_is_refused(self, square_archive, capsys, monkeypatch):
         nan_force = joints.ForcePrediction(mean=float("nan"), variance=0.0)
-        monkeypatch.setattr(joints, "predict_force_many", lambda *a, **k: [nan_force])
+        monkeypatch.setattr(joints, "predict_many", lambda *a, **k: ([nan_force], [None]))
         code = main(["predict", "--model", str(square_archive), "--theta", "90", "--json"])
         assert code == 2
         assert "NaN" not in capsys.readouterr().out
@@ -330,10 +346,12 @@ class TestPredict:
         ["--sweep", "1e300:1e300:1"],
     ])
     def test_non_finite_prediction_exit_2(self, square_archive, capsys, query):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow noise
             assert main(["predict", "--model", str(square_archive), *query]) == 2
         captured = capsys.readouterr()
-        assert "not finite" in captured.err
+        point = "1e+300" if "--sweep" in query else "1e+200"
+        assert captured.err == f"error: prediction at query point [{point}] is not finite\n"
         assert captured.out == ""  # no inf or NaN row, and no header either
 
     @pytest.mark.parametrize("family, thickness", [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,7 +332,8 @@ class TestPredictMany:
     def test_non_finite_prediction_names_the_point(self):
         # the quadratic mean overflows far outside the data
         m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0) ** 2, hp(), 0.1)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"\[1e\+200\]"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"\[1e\+200\]"):
+            warnings.simplefilter("error", RuntimeWarning)  # the overflow stays silent
             gpr.predict_many(m, [[1.0], [1e200], [1e300]])
 
 

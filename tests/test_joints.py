@@ -303,6 +303,21 @@ class TestPolyBaseline:
         with pytest.raises(InsufficientDataError, match="19 samples cannot support degree 300"):
             joints.loo_rmse_poly(x, 0.01 * x, 300)
 
+    def test_curve_needs_a_single_thickness(self, curve_dataset):
+        with pytest.raises(ValueError, match="polynomial baseline needs a single thickness"):
+            joints.fit_poly_baseline(curve_dataset, CURVE, degree=2)
+
+    def test_curve_at_one_thickness_fits(self):
+        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
+        rows = [f"curve,0.8,{a},forward,{0.01 * a},170,r1" for a in range(30, 151, 15)]
+        ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
+        poly = joints.fit_poly_baseline(ds, CURVE, degree=1)
+        assert poly.predict(90.0) == pytest.approx(0.9, abs=1e-9)
+
+    def test_unknown_target_rejected(self, square_dataset):
+        with pytest.raises(ValueError, match="target must be 'force' or 'return'"):
+            joints.fit_poly_baseline(square_dataset, SQ, degree=2, target="stiffness")
+
     def test_coefficient_count_invariant(self, square_dataset):
         poly = joints.fit_poly_baseline(square_dataset, SQ, degree=5)
         assert len(poly.coefficients) == 6
@@ -384,7 +399,7 @@ class TestVectorQueries:
             (CURVE, 2.0, [45.0, 120.0]),
         ]:
             model = fitted_models[kind]
-            many = joints.predict_force_many(model, thetas, thickness, allow_extrapolation=True)
+            many, _ = joints.predict_many(model, thetas, thickness, allow_extrapolation=True)
             for theta, pred in zip(thetas, many):
                 one = joints.predict_force(model, theta, thickness, allow_extrapolation=True)
                 assert pred.mean == pytest.approx(one.mean, abs=1e-12)
@@ -393,7 +408,7 @@ class TestVectorQueries:
 
     def test_return_matches_scalar_calls(self, fitted_models):
         thetas = [0.0, 10.0, 60.0, 150.0, 180.0]
-        many = joints.predict_return_angle_many(fitted_models[SQ], thetas)
+        _, many = joints.predict_many(fitted_models[SQ], thetas)
         assert many[0] == 180.0
         for theta, value in zip(thetas, many):
             one = joints.predict_return_angle(fitted_models[SQ], theta)
@@ -401,17 +416,18 @@ class TestVectorQueries:
 
     def test_every_angle_validated(self, fitted_models):
         with pytest.raises(InputError, match="theta must be a finite number"):
-            joints.predict_force_many(fitted_models[SQ], [30.0, float("nan"), 60.0])
+            joints.predict_many(fitted_models[SQ], [30.0, float("nan"), 60.0])
         with pytest.raises(OutOfValidatedRangeError):
-            joints.predict_force_many(fitted_models[CURVE], [30.0, 151.0], 0.8)
+            joints.predict_many(fitted_models[CURVE], [30.0, 151.0], 0.8)
         with pytest.raises(OutOfValidatedRangeError):
-            joints.predict_return_angle_many(fitted_models[CURVE], [29.0, 30.0], 0.8)
+            joints.predict_many(fitted_models[CURVE], [29.0, 30.0], 0.8)
 
     def test_flat_reference_needs_no_return_model(self):
         model = joints.builtin_model(SQ)
-        assert joints.predict_return_angle_many(model, [0.0, 0.0]) == [180.0, 180.0]
+        assert joints.predict_many(model, [0.0, 0.0])[1] == [180.0, 180.0]
+        assert joints.predict_many(model, [0.0, 30.0])[1] == [180.0, None]
         with pytest.raises(NoReturnModelError):
-            joints.predict_return_angle_many(model, [0.0, 30.0])
+            joints.predict_return_angle(model, 30.0)
 
 
 @pytest.fixture(scope="module")

@@ -262,6 +262,24 @@ class TestDesignModule:
             report.min_spindle_radius, report.safety_factor
         )
 
+    def test_override_outside_window_keeps_extrapolated_return_angle(self, curve_dataset):
+        model = joints.fit_family_model(curve_dataset, FamilyKind.CURVE)
+        spec = reference_ring_spec(
+            target_ratio=0.95, joint=JointFamily(FamilyKind.CURVE, 0.8)
+        )
+        report = mechanics.design_module(spec, model)
+        low, high = joints.VALIDATED_ANGLE_RANGE
+        assert not low <= report.bend_angle <= high
+        assert report.model_force is None
+        assert report.per_joint_force_source == "override"
+        assert (
+            f"model force unavailable at {report.bend_angle:.2f} deg (outside validated range)"
+            in report.diagnostics
+        )
+        assert report.predicted_return_angle == joints.predict_return_angle(
+            model, report.bend_angle, 0.8, allow_extrapolation=True
+        )
+
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mechanics.design_module(
