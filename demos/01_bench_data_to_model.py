@@ -17,8 +17,7 @@ from ugckit import (
     average_runs,
     fit_family_model,
     parse_measurements,
-    predict_force,
-    predict_return_angle,
+    predict_many,
     save_model,
 )
 from ugckit.joints import loo_rmse_poly
@@ -46,9 +45,9 @@ print(f"degree-7 poly LOO RMSE:  force {poly_rmse:.4f} N")
 
 # 3. query it -----------------------------------------------------------------
 print("\nangle   force (N)        return angle (deg)")
-for theta in (30.0, 60.0, 90.0, 120.0, 150.0):
-    pred = predict_force(model, theta)
-    ret = predict_return_angle(model, theta)
+thetas = (30.0, 60.0, 90.0, 120.0, 150.0)
+forces, returns = predict_many(model, thetas)  # one batched query for all five
+for theta, pred, ret in zip(thetas, forces, returns):
     print(f"{theta:5.0f}   {pred.mean:5.2f} +/- {pred.std:4.2f}   {ret:6.1f}")
 
 # 4. archive for later use (the CLI and design studies load this file) --------

@@ -21,7 +21,6 @@ from .gpr import (
     FittedGP,
     GridSpec,
     KernelHyperParams,
-    basis_expand,
     fit,
     log_marginal_likelihood,
     tune_hyperparams,
@@ -31,13 +30,12 @@ from .joints import (
     GprFitConfig,
     JointEnvelope,
     JointFamilyModel,
-    PolyModel,
     builtin_model,
     envelope_for,
     envelope_table_as_json,
     fit_family_model,
-    fit_poly_baseline,
     predict_force,
+    predict_many,
     predict_return_angle,
 )
 from .mechanics import (
@@ -71,11 +69,9 @@ __all__ = [
     "JointFamilyModel",
     "KernelHyperParams",
     "MeasurementSample",
-    "PolyModel",
     "RingDesignSpec",
     "SpringChain",
     "average_runs",
-    "basis_expand",
     "builtin_model",
     "design_module",
     "effective_stiffness",
@@ -83,13 +79,13 @@ __all__ = [
     "envelope_table_as_json",
     "fit",
     "fit_family_model",
-    "fit_poly_baseline",
     "load_archive",
     "load_model",
     "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
     "predict_force",
+    "predict_many",
     "predict_return_angle",
     "required_bend_angle",
     "ring_geometry",

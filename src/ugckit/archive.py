@@ -27,6 +27,7 @@ from .errors import (
     CorruptArchiveError,
     IoFailureError,
     NotPositiveDefiniteError,
+    UnsupportedDimensionError,
     VersionMismatchError,
 )
 
@@ -108,7 +109,26 @@ def _read_number_field(doc: dict, path, ndim: int):
     return array if ndim else float(array)
 
 
-def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
+def _check_sizes(path, beta, length_scales, train_x, train_y) -> None:
+    """CorruptArchiveError naming the archive and the first field whose size
+    does not fit train_x: its columns, its rows or the basis terms they give."""
+    try:
+        terms = gpr.basis_matrix(train_x).shape[1]
+    except UnsupportedDimensionError as exc:
+        raise CorruptArchiveError(f"archive {path}: field train_x: {exc}") from exc
+    rows, columns = train_x.shape
+    for name, size, want, per in (
+        ("kernel.length_scales", len(length_scales), columns, "train_x column"),
+        ("train_y", len(train_y), rows, "train_x row"),
+        ("beta", len(beta), terms, "basis term"),
+    ):
+        if size != want:
+            raise CorruptArchiveError(
+                f"archive {path}: field {name} has {size} entries, want {want} (one per {per})"
+            )
+
+
+def _model_from_document(doc: dict, path) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if not isinstance(doc, dict):
         raise CorruptArchiveError("archive root is not a JSON object")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
@@ -117,8 +137,9 @@ def _model_from_document(doc: dict) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if str(doc["version"]) != FORMAT_VERSION:
         raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
     beta, noise, signal_variance, length_scales, train_x, train_y = (
-        _read_number_field(doc, path, ndim) for path, ndim, _ in _NUMERIC_FIELDS
+        _read_number_field(doc, key_path, ndim) for key_path, ndim, _ in _NUMERIC_FIELDS
     )
+    _check_sizes(path, beta, length_scales, train_x, train_y)
     try:
         hyper = gpr.KernelHyperParams(signal_variance, length_scales)
         model = gpr.fit(train_x, train_y, hyper, noise_variance=noise, beta=beta)
@@ -137,7 +158,7 @@ def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptArchiveError(f"archive is not valid JSON: {exc}") from exc
-    return _model_from_document(doc)
+    return _model_from_document(doc, path)
 
 
 def load_model(path) -> gpr.FittedGP:

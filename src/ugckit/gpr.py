@@ -76,13 +76,6 @@ def _as_points(x) -> np.ndarray:
     return arr
 
 
-def _as_point(x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a single point, got shape {arr.shape}")
-    return arr
-
-
 def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(xa_i, xb_j)."""
     A, B = _as_points(xa), _as_points(xb)
@@ -97,16 +90,13 @@ def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
-def basis_expand(x) -> np.ndarray:
-    """Pure-quadratic basis vector [1, x_1..x_d, x_1^2..x_d^2] (length 2d+1).
+def basis_matrix(X) -> np.ndarray:
+    """Pure-quadratic basis rows [1, x_1..x_d, x_1^2..x_d^2] (2d+1 columns)
+    at the rows of X (n x d, or n angles).
 
     For 2-D inputs the convention is angle first, thickness second, matching
     the built-in coefficient ordering [1, angle, T, angle^2, T^2].
     """
-    return basis_matrix(_as_point(x)[None, :])[0]
-
-
-def basis_matrix(X) -> np.ndarray:
     pts = _as_points(X)
     if pts.shape[1] not in (1, 2):
         raise UnsupportedDimensionError(f"basis covers d in {{1, 2}}, got d={pts.shape[1]}")
@@ -168,7 +158,7 @@ def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FittedGP:
-    """A trained model; immutable, safe for concurrent predict() calls."""
+    """A trained model; immutable, so safe to share across threads."""
 
     beta: np.ndarray
     noise_variance: float
@@ -185,11 +175,6 @@ class FittedGP:
     @property
     def input_dim(self) -> int:
         return self.train_x.shape[1]
-
-    def predict(self, x_star) -> tuple[float, float]:
-        """Posterior mean and variance at a single query point."""
-        means, variances = predict_many(self, _as_point(x_star)[None, :])
-        return float(means[0]), float(variances[0])
 
 
 def _training_data(X, y, dim: int):

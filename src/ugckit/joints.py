@@ -7,8 +7,8 @@ force peak, where recovery starts to degrade).
 
 Two families ship with built-in force coefficients over the pure-quadratic
 basis; every other family, and all return-angle models, must be fitted from
-bench data. A plain polynomial baseline is included for accuracy
-comparisons against the GP fit.
+bench data. loo_rmse_poly scores a plain polynomial in angle, the accuracy
+baseline for the GP fit.
 
 predict_many is the one query: it answers force and return angle at a list
 of angles, and predict_force and predict_return_angle are its one-angle
@@ -331,12 +331,6 @@ def _loo_rmse(model: gpr.FittedGP) -> float | None:
     return float(np.sqrt(np.mean(np.square(residuals))))
 
 
-def loo_rmse_gp(X, y, hyper, noise_variance) -> float | None:
-    """Leave-one-out RMSE of the GP with these hyperparameters on (X, y);
-    see _loo_rmse."""
-    return _loo_rmse(gpr.fit(X, y, hyper, noise_variance))
-
-
 def family_training_arrays(ds: JointDataset, kind: FamilyKind):
     """(X, force, return) training arrays for one family; X is (n, 1) angles
     or (n, 2) angle/thickness columns for the curve family."""
@@ -385,99 +379,36 @@ def fit_family_model(
     )
 
 
-def _to_domain(x, domain: tuple[float, float]):
-    """Map angles affinely so that domain becomes [-1, 1]."""
-    lo, hi = domain
-    return (2.0 * x - (lo + hi)) / (hi - lo)
+def _poly_qr(x: np.ndarray, degree: int, samples: int) -> np.ndarray:
+    """Q of the thin QR of the Vandermonde matrix of angles x, mapped
+    affinely onto [-1, 1]: the one factor behind the polynomial baseline's
+    leave-one-out score.
 
-
-@dataclass(frozen=True)
-class PolyModel:
-    """Plain least-squares polynomial in the deformation angle.
-
-    Coefficients live in the scaled domain [-1, 1] (power order, constant
-    first); domain maps angles into it. Used as an accuracy baseline only.
-    """
-
-    degree: int
-    coefficients: tuple[float, ...]
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if len(self.coefficients) != self.degree + 1:
-            raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-
-    def predict(self, theta: float) -> float:
-        t = _to_domain(theta, self.domain)
-        return float(np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients)))
-
-
-def _poly_qr(x: np.ndarray, degree: int, samples: int):
-    """Thin QR of the Vandermonde matrix of angles x mapped onto [-1, 1],
-    and the domain of that map: the one factor behind the polynomial's fit
-    and its leave-one-out score.
-
-    samples is the row count of the fits the factor serves (len(x), or
-    len(x) - 1 for leave-one-out folds). Raises InsufficientDataError when
-    it is below degree + 1, and IllConditionedError when all angles are
-    equal or the matrix has rank below degree + 1.
+    samples is the row count of the fits the factor serves (len(x) - 1 for
+    leave-one-out folds). Raises InsufficientDataError when it is below
+    degree + 1, and IllConditionedError when all angles are equal or the
+    matrix has rank below degree + 1.
     """
     if samples < degree + 1:
         raise InsufficientDataError(f"{samples} samples cannot support degree {degree}")
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:
         raise IllConditionedError("all samples share one angle; polynomial is undetermined")
-    Q, R = np.linalg.qr(np.vander(_to_domain(x, (lo, hi)), degree + 1, increasing=True))
+    t = (2.0 * x - (lo + hi)) / (hi - lo)
+    Q, R = np.linalg.qr(np.vander(t, degree + 1, increasing=True))
     if np.linalg.matrix_rank(R) < degree + 1:
         raise IllConditionedError(
             f"fewer than {degree + 1} distinct angles; degree {degree} is undetermined"
         )
-    return Q, R, (lo, hi)
-
-
-def _fit_poly(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
-    """Least-squares polynomial: coefficients R^-1 Q'y from _poly_qr."""
-    Q, R, domain = _poly_qr(x, degree, len(y))
-    coeffs = np.linalg.solve(R, Q.T @ y)
-    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in coeffs), domain=domain)
-
-
-def fit_poly_baseline(
-    ds: JointDataset, kind: FamilyKind, degree: int, target: str = "force"
-) -> PolyModel:
-    """Degree-n polynomial baseline in angle for one family.
-
-    Curve-family data must be at a single fixed thickness (the baseline is
-    one-dimensional). target selects 'force' or 'return'.
-    """
-    samples = ds.samples_for(kind)
-    if kind is FamilyKind.CURVE:
-        thicknesses = {s.family.thickness for s in samples}
-        if len(thicknesses) > 1:
-            raise ValueError(
-                f"polynomial baseline needs a single thickness, got {sorted(thicknesses)}"
-            )
-    x = np.array([s.deformation_angle for s in samples])
-    if target == "force":
-        y = np.array([s.force for s in samples])
-    elif target == "return":
-        y = np.array([s.return_angle for s in samples])
-    else:
-        raise ValueError(f"target must be 'force' or 'return', got {target!r}")
-    return _fit_poly(x, y, degree)
+    return Q
 
 
 def loo_rmse_poly(x, y, degree: int) -> float:
-    """Leave-one-out RMSE of the polynomial baseline, from the PRESS
-    residuals r_i / (1 - h_ii) of one least-squares fit to all the data
+    """Leave-one-out RMSE of the degree-n least-squares polynomial in angle,
+    from the PRESS residuals r_i / (1 - h_ii) of one fit to all the data
     (Allen 1974): r is the full fit's residual and h_ii the leverage of
-    sample i, both from the Q of _poly_qr, as _fit_poly's beta is. The
-    domain map is affine, so each fold's own map gives the same fit.
+    sample i, both from the Q of _poly_qr. The domain map is affine, so
+    each fold's own map gives the same fit.
 
     Raises InsufficientDataError when a fold has fewer than degree + 1
     samples, and IllConditionedError when some fold leaves the polynomial
@@ -485,7 +416,7 @@ def loo_rmse_poly(x, y, degree: int) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    Q, _, _ = _poly_qr(x, degree, len(y) - 1)
+    Q = _poly_qr(x, degree, len(y) - 1)
     leverage = np.einsum("ij,ij->i", Q, Q)
     free = 1.0 - leverage
     tight = np.flatnonzero(free <= len(y) * np.finfo(float).eps)

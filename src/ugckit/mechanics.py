@@ -13,13 +13,17 @@ must also physically fit: its height (the inward excursion of the folded
 material) may not exceed the contracted radius, or the fold would cross the
 module center; that is the feasibility bound on deep contractions.
 
-Cable force follows the two-sided spring-chain sum
+design_module takes the total cable force as
 
-    F = 2 * sum_i k_i * dtheta_i / R
+    F = joints_per_ring * per-joint force * friction_loss_factor
 
-with k_i in N*mm/deg, angles in deg and R in mm, so the units cancel to
-newtons without conversion. Torque math converts to SI here and nowhere
-else: tau = F * r with r in meters.
+with the per-joint force in N from the joint model at the bend angle, or
+from the spec's override (40 joints at 1.05 N and a factor of 1 give
+42 N). SpringChain and section_force are separate helpers for one section's
+two-sided spring-chain sum, F = 2 * sum_i k_i * dtheta_i / R with k_i in
+N*mm/deg, angles in deg and R in mm, so the units cancel to newtons without
+conversion; design_module does not call them. Torque math converts to SI
+here and nowhere else: tau = F * r with r in meters.
 """
 
 import math

@@ -5,7 +5,8 @@ numpy.linalg.inv so they share no code path with the library's
 eigendecomposition. Their GLS beta is the minimum-norm one (numpy.linalg.pinv
 of the normal matrix), which the library must match on a rank-deficient basis
 too. The leave-one-out oracles refit once per held-out row, the
-definition the library's closed forms must reproduce.
+definition the library's closed forms must reproduce; the polynomial one
+solves every fold with numpy.linalg.lstsq, not the library's QR.
 """
 
 import math
@@ -13,8 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from ugckit import gpr, joints
+from ugckit import gpr
 from ugckit.data import JointDataset, parse_measurements
+from ugckit.errors import IllConditionedError, InsufficientDataError
 
 
 @pytest.fixture(autouse=True)
@@ -97,9 +99,15 @@ def refit_loo_residuals_gp(X, y, hyper, noise):
     y = np.asarray(y, dtype=float).ravel()
     out = np.empty(len(y))
     for i, keep in _folds(len(y)):
-        mean, _ = gpr.fit(X[keep], y[keep], hyper, noise).predict(X[i])
+        (mean,), _ = gpr.predict_many(gpr.fit(X[keep], y[keep], hyper, noise), [X[i]])
         out[i] = y[i] - mean
     return out
+
+
+def gp_loo_rmse(X, y, hyper, noise):
+    """RMSE of the closed-form LOO residuals of the GP fitted on (X, y)."""
+    residuals = gpr.loo_residuals(gpr.fit(X, y, hyper, noise))
+    return float(np.sqrt(np.mean(np.square(residuals))))
 
 
 def dense_refit_loo_residuals(A, H, y):
@@ -116,11 +124,28 @@ def dense_refit_loo_residuals(A, H, y):
 
 
 def refit_loo_rmse_poly(x, y, degree):
-    """Leave-one-out RMSE of the polynomial baseline, refitting every fold."""
+    """Leave-one-out RMSE of the degree-n least-squares polynomial in angle,
+    refitting every fold: lstsq on the Vandermonde matrix of the fold's
+    angles, mapped onto [-1, 1] by the fold's own range. Raises
+    InsufficientDataError when a fold has fewer than degree + 1 rows, and
+    IllConditionedError when a fold holds one angle or has rank below
+    degree + 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    errs = [joints._fit_poly(x[keep], y[keep], degree).predict(x[i]) - y[i]
-            for i, keep in _folds(len(y))]
+    errs = []
+    for i, keep in _folds(len(y)):
+        xk = x[keep]
+        if len(xk) < degree + 1:
+            raise InsufficientDataError(f"fold of {len(xk)} rows, degree {degree}")
+        lo, hi = xk.min(), xk.max()
+        if hi <= lo:
+            raise IllConditionedError(f"fold without row {i} holds one angle")
+        t = (2.0 * x - (lo + hi)) / (hi - lo)
+        V = np.vander(t[keep], degree + 1, increasing=True)
+        coef, _, rank, _ = np.linalg.lstsq(V, y[keep], rcond=None)
+        if rank < degree + 1:
+            raise IllConditionedError(f"fold without row {i} has rank {rank} < {degree + 1}")
+        errs.append(np.polynomial.polynomial.polyval(t[i], coef) - y[i])
     return float(np.sqrt(np.mean(np.square(errs))))
 
 

@@ -15,7 +15,7 @@ from ugckit import archive, gpr, joints, mechanics
 from ugckit.data import FamilyKind, JointFamily
 from ugckit.errors import OutOfValidatedRangeError
 
-from conftest import oracle_gp, random_gp_instance
+from conftest import gp_loo_rmse, oracle_gp, random_gp_instance
 
 
 @contextmanager
@@ -47,8 +47,7 @@ def test_c01_gpr_matches_dense_inverse_oracle():
             # predict path checked at the fitted coefficients, so the 1e-10
             # bound tests the eigendecomposition solve against the explicit inverse
             _, opredict = oracle_gp(X, y, sf2, ls, noise, beta=model.beta)
-            for q in queries:
-                mean, var = model.predict(q)
+            for q, mean, var in zip(queries, *gpr.predict_many(model, queries)):
                 omean, ovar = opredict(q)
                 worst = max(worst, abs(mean - omean), abs(var - ovar))
         elapsed = time.perf_counter() - start
@@ -73,8 +72,8 @@ def test_c02_zero_noise_interpolation():
                 hyper = gpr.KernelHyperParams(1.0, (2.0, 2.0))
             y = np.sin(0.4 * X.sum(axis=1)) + 0.05 * X[:, 0]
             model = gpr.fit(X, y, hyper, noise_variance=0.0)
-            for row, target in zip(X, y):
-                mean, _ = model.predict(row)
+            means, _ = gpr.predict_many(model, X)
+            for mean, target in zip(means, y):
                 assert abs(mean - target) < 1e-6
 
 
@@ -91,8 +90,8 @@ def test_c03_prior_reversion_far_from_data():
             y = gpr.basis_matrix(X) @ beta + rng.normal(0.0, 0.2, n)
             model = gpr.fit(X, y, hyper, 0.05, beta=beta)
             q = np.full(d, 5.0 + 10.0 * max(hyper.length_scales) + 1.0)
-            mean, var = model.predict(q)
-            assert abs(mean - float(gpr.basis_expand(q) @ beta)) < 1e-6
+            (mean,), (var,) = gpr.predict_many(model, [q])
+            assert abs(mean - float(gpr.basis_matrix([q])[0] @ beta)) < 1e-6
             assert abs(var - sf2) < 1e-6
 
 
@@ -182,7 +181,7 @@ def test_c08_gpr_beats_degree7_polynomial():
                 noise_variances=(1e-3, 3e-3, 1e-2, 3e-2, 1e-1),
             )
             hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
-            gp_rmse = joints.loo_rmse_gp(theta[:, None], y, hyper, noise)
+            gp_rmse = gp_loo_rmse(theta[:, None], y, hyper, noise)
             poly_rmse = joints.loo_rmse_poly(theta, y, 7)
             wins += gp_rmse < poly_rmse
         assert wins >= 95, f"GPR won only {wins}/100 trials"
@@ -204,13 +203,16 @@ def test_c09_serialization_keeps_predictions_byte_identical(tmp_path, square_dat
             path = tmp_path / f"model{idx}.json"
             archive.save_model(model, path)
             loaded = archive.load_model(path)
+            queries = []
             for _ in range(10):
                 q = rng.uniform(0.0, 180.0, dim)
                 if dim == 2:
                     q[1] = rng.uniform(0.4, 1.6)
-                before = model.predict(q)
-                after = loaded.predict(q)
-                assert before == after, f"{before} != {after}"
+                queries.append(q)
+            before = gpr.predict_many(model, queries)
+            after = gpr.predict_many(loaded, queries)
+            for b, a in zip(before, after):
+                assert b.tolist() == a.tolist(), f"{b} != {a}"
 
 
 def test_c10_section_force_linearity():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ugckit import archive, gpr
+from ugckit import archive, gpr, joints
 from ugckit.cli import main
+from ugckit.data import FamilyKind
 from ugckit.errors import CorruptArchiveError, IoFailureError, VersionMismatchError
 
 
@@ -23,11 +24,11 @@ def test_round_trip_predictions_identical(tmp_path, fitted_model):
     loaded, info = archive.load_archive(path)
     assert info.family == "square_sym"
     assert info.model_id == "square_sym:force"
-    rng = np.random.default_rng(99)
-    for theta in rng.uniform(0, 180, 10):
-        before = fitted_model.predict([theta])
-        after = loaded.predict([theta])
-        assert before == after  # bit-identical, not merely close
+    thetas = np.random.default_rng(99).uniform(0, 180, 10)
+    before = gpr.predict_many(fitted_model, thetas)
+    after = gpr.predict_many(loaded, thetas)
+    for b, a in zip(before, after):
+        assert b.tolist() == a.tolist()  # bit-identical, not merely close
 
 
 def test_round_trip_preserves_gls_beta(tmp_path, fitted_model):
@@ -168,3 +169,33 @@ def test_field_nesting_checked(tmp_path, fitted_model, capsys, path, value, shap
     model_path.write_text(json.dumps(doc))
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
     assert f"archive field {'.'.join(path)} must be {shape}" in capsys.readouterr().err
+
+
+def _third_train_x_column(doc):
+    for row in doc["train_x"]:
+        row.append(0.5)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_third_train_x_column, "field train_x: basis covers d in {1, 2}, got d=3"),
+        (lambda doc: doc["kernel"]["length_scales"].pop(),
+         "field kernel.length_scales has 1 entries, want 2 (one per train_x column)"),
+        (lambda doc: doc["train_y"].pop(),
+         "field train_y has 19 entries, want 20 (one per train_x row)"),
+        (lambda doc: doc["beta"].pop(), "field beta has 4 entries, want 5 (one per basis term)"),
+    ],
+    ids=["train_x", "kernel.length_scales", "train_y", "beta"],
+)
+def test_size_mismatch_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, message):
+    # the built-in curve model: 20 anchors of angle and thickness
+    doc = archive.archive_document(joints.builtin_model(FamilyKind.CURVE).force_model)
+    corrupt(doc)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArchiveError):
+        archive.load_model(path)
+    argv = ["predict", "--model", str(path), "--theta", "90", "--thickness", "0.8"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: archive {path}: {message}\n"

@@ -17,6 +17,7 @@ from ugckit.errors import (
 
 from conftest import (
     curve_bench_csv,
+    gp_loo_rmse,
     refit_loo_residuals_gp,
     refit_loo_rmse_poly,
     square_bench_csv,
@@ -226,7 +227,7 @@ class TestFitFamilyModel:
     def test_loo_rmse_gp_scores_the_fitted_model(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
         gp = model.force_model
-        rmse = joints.loo_rmse_gp(gp.train_x, gp.train_y, gp.hyper, gp.noise_variance)
+        rmse = gp_loo_rmse(gp.train_x, gp.train_y, gp.hyper, gp.noise_variance)
         assert rmse == model.force_loo_rmse
 
     def test_return_angle_identity_at_zero(self, square_dataset):
@@ -267,60 +268,12 @@ class TestTuning:
 
 
 class TestPolyBaseline:
-    def test_two_points_degree_one_exact(self):
-        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
-        ds = parse_measurements(
-            header + "\nsquare_sym,,30,forward,1.0,170,r1\nsquare_sym,,90,forward,4.0,160,r1\n"
-        )
-        poly = joints.fit_poly_baseline(ds, SQ, degree=1)
-        assert poly.predict(30.0) == pytest.approx(1.0, abs=1e-9)
-        assert poly.predict(90.0) == pytest.approx(4.0, abs=1e-9)
-        assert poly.predict(60.0) == pytest.approx(2.5, abs=1e-9)
-
-    def test_degree_seven_interpolates_eight_points(self):
-        rng = np.random.default_rng(4)
-        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
-        thetas = [float(t) for t in np.linspace(10, 170, 8)]
-        forces = [float(f) for f in rng.uniform(0.5, 5.0, 8)]
-        rows = [
-            f"square_sym,,{t!r},forward,{f!r},170,r1" for t, f in zip(thetas, forces)
-        ]
-        ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
-        poly = joints.fit_poly_baseline(ds, SQ, degree=7)
-        for t, f in zip(thetas, forces):
-            assert abs(poly.predict(float(t)) - f) < 1e-6
-
-    def test_insufficient_points(self):
-        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
-        ds = parse_measurements(header + "\nsquare_sym,,30,forward,1.0,170,r1\n")
-        with pytest.raises(InsufficientDataError):
-            joints.fit_poly_baseline(ds, SQ, degree=3)
-
     def test_loo_checks_sample_count_before_fitting(self):
         # a fold holds 19 points; degree 300 used to build and factor a
         # 301 x 301 normal matrix in each fold before failing
         x = np.linspace(10.0, 170.0, 20)
         with pytest.raises(InsufficientDataError, match="19 samples cannot support degree 300"):
             joints.loo_rmse_poly(x, 0.01 * x, 300)
-
-    def test_curve_needs_a_single_thickness(self, curve_dataset):
-        with pytest.raises(ValueError, match="polynomial baseline needs a single thickness"):
-            joints.fit_poly_baseline(curve_dataset, CURVE, degree=2)
-
-    def test_curve_at_one_thickness_fits(self):
-        header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
-        rows = [f"curve,0.8,{a},forward,{0.01 * a},170,r1" for a in range(30, 151, 15)]
-        ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
-        poly = joints.fit_poly_baseline(ds, CURVE, degree=1)
-        assert poly.predict(90.0) == pytest.approx(0.9, abs=1e-9)
-
-    def test_unknown_target_rejected(self, square_dataset):
-        with pytest.raises(ValueError, match="target must be 'force' or 'return'"):
-            joints.fit_poly_baseline(square_dataset, SQ, degree=2, target="stiffness")
-
-    def test_coefficient_count_invariant(self, square_dataset):
-        poly = joints.fit_poly_baseline(square_dataset, SQ, degree=5)
-        assert len(poly.coefficients) == 6
 
     def test_gpr_beats_degree_seven_on_step_fixture(self):
         # steep smooth step + noise makes the degree-7 fit ring; the GP does not
@@ -332,7 +285,7 @@ class TestPolyBaseline:
             (0.5 * v, v, 2 * v), ((5.0, 10.0, 20.0, 40.0),), (1e-3, 1e-2, 1e-1)
         )
         hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
-        gp_rmse = joints.loo_rmse_gp(theta[:, None], y, hyper, noise)
+        gp_rmse = gp_loo_rmse(theta[:, None], y, hyper, noise)
         poly_rmse = joints.loo_rmse_poly(theta, y, 7)
         assert gp_rmse < poly_rmse
 
@@ -358,7 +311,7 @@ class TestClosedFormLoo:
         theta, y, hyper, noise = c8_trial(seed)
         refit = refit_loo_residuals_gp(theta[:, None], y, hyper, noise)
         want = float(np.sqrt(np.mean(refit**2)))
-        assert joints.loo_rmse_gp(theta[:, None], y, hyper, noise) == pytest.approx(want, rel=1e-10)
+        assert gp_loo_rmse(theta[:, None], y, hyper, noise) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("degree", [1, 3, 5, 7])
     def test_press_matches_refit(self, degree):

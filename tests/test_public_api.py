@@ -1,0 +1,62 @@
+"""The package's public names, pinned: adding or removing one edits this list."""
+
+import ugckit
+from ugckit import joints
+
+PUBLIC_NAMES = [
+    "ActuatorSpec",
+    "DesignReport",
+    "Direction",
+    "FamilyKind",
+    "FittedGP",
+    "ForcePrediction",
+    "GprFitConfig",
+    "GridSpec",
+    "JointDataset",
+    "JointEnvelope",
+    "JointFamily",
+    "JointFamilyModel",
+    "KernelHyperParams",
+    "MeasurementSample",
+    "RingDesignSpec",
+    "SpringChain",
+    "average_runs",
+    "builtin_model",
+    "design_module",
+    "effective_stiffness",
+    "envelope_for",
+    "envelope_table_as_json",
+    "fit",
+    "fit_family_model",
+    "load_archive",
+    "load_model",
+    "log_marginal_likelihood",
+    "motor_requirements",
+    "parse_measurements",
+    "predict_force",
+    "predict_many",
+    "predict_return_angle",
+    "required_bend_angle",
+    "ring_geometry",
+    "save_model",
+    "section_force",
+    "serialize_measurements",
+    "target_arc",
+    "tune_hyperparams",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert sorted(ugckit.__all__) == PUBLIC_NAMES
+    assert len(set(ugckit.__all__)) == len(ugckit.__all__)
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from ugckit import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert getattr(ugckit, name) is namespace[name]
+
+
+def test_predict_many_is_the_joint_query():
+    assert ugckit.predict_many is joints.predict_many
