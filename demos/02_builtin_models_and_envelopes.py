@@ -10,14 +10,18 @@ Run from the repository root:  python demos/02_builtin_models_and_envelopes.py
 
 import json
 
-from ugckit import FamilyKind, builtin_model, envelope_table_as_json, predict_force
+from ugckit import FamilyKind, builtin_model, envelope_table_as_json, predict_many
+
+angles = range(30, 151, 15)  # deg
 
 # 1. square-wave force curve ---------------------------------------------------
 square = builtin_model(FamilyKind.SQUARE_SYM)
 print("symmetric square wave, force vs angle")
 print("angle  force (N)")
-for theta in range(30, 151, 15):
-    pred = predict_force(square, float(theta))
+for theta in angles:
+    # one angle per query, as `ugc predict --theta` asks: a batched query may
+    # differ in the last bit (here 1.087 instead of 1.086 at 135 deg)
+    (pred,), _ = predict_many(square, [theta])
     print(f"{theta:5d}  {pred.mean:6.3f}")
 
 # 2. curve family: force rises with wall thickness ------------------------------
@@ -25,13 +29,13 @@ curve = builtin_model(FamilyKind.CURVE)
 thicknesses = (0.4, 0.8, 1.2, 1.6)
 print("\ncurve family, force vs angle per wall thickness (N)")
 print("angle  " + "  ".join(f"T={t}mm" for t in thicknesses))
-for theta in range(30, 151, 15):
-    row = [predict_force(curve, float(theta), t).mean for t in thicknesses]
-    print(f"{theta:5d}  " + "  ".join(f"{f:6.2f}" for f in row))
+columns = [predict_many(curve, angles, t)[0] for t in thicknesses]
+for theta, row in zip(angles, zip(*columns)):
+    print(f"{theta:5d}  " + "  ".join(f"{pred.mean:6.2f}" for pred in row))
 
 # outside 30..150 deg the curve regression has no data and refuses to answer
 try:
-    predict_force(curve, 20.0, 0.8)
+    predict_many(curve, [20.0], 0.8)
 except Exception as exc:
     print(f"\nquery at 20 deg -> {type(exc).__name__}: {exc}")
 

@@ -6,7 +6,7 @@ sizes the actuator, spindle, and per-joint bend angle needed to contract a
 cable-driven ring to a target radius.
 """
 
-from .archive import load_archive, load_model, save_model
+from .archive import load_archive, save_model
 from .data import (
     Direction,
     FamilyKind,
@@ -34,9 +34,7 @@ from .joints import (
     envelope_for,
     envelope_table_as_json,
     fit_family_model,
-    predict_force,
     predict_many,
-    predict_return_angle,
 )
 from .mechanics import (
     ActuatorSpec,
@@ -80,13 +78,10 @@ __all__ = [
     "fit",
     "fit_family_model",
     "load_archive",
-    "load_model",
     "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
-    "predict_force",
     "predict_many",
-    "predict_return_angle",
     "required_bend_angle",
     "ring_geometry",
     "save_model",

@@ -3,7 +3,9 @@
 One archive holds exactly one fitted model, as one JSON object:
 
     version         "1"
-    model_id        optional label, such as "square_sym:force"
+    model_id        optional tag "<family>:<target>", such as "square_sym:force";
+                    the CLI refuses a force archive given as a return model
+                    and the other way round
     family          family token or null
     beta            [...]
     noise_variance  number
@@ -93,29 +95,31 @@ def _read_number_field(doc: dict, path, ndim: int):
     """The field at path as a float (ndim 0) or a float array; CorruptArchiveError
     naming the field unless it holds finite JSON numbers nested ndim lists deep."""
     name = ".".join(path)
+    value = doc
+    for key in path:
+        if not isinstance(value, dict) or key not in value:
+            raise CorruptArchiveError(f"field {name} is missing")
+        value = value[key]
+    if not _holds_only_numbers(value):
+        raise CorruptArchiveError(f"field {name} must hold JSON numbers")
     try:
-        value = doc
-        for key in path:
-            value = value[key]
-        if not _holds_only_numbers(value):
-            raise CorruptArchiveError(f"archive field {name} must hold JSON numbers")
         array = np.asarray(value, dtype=float)
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise CorruptArchiveError(f"field {name}: {exc}") from exc
     if array.ndim != ndim:
-        raise CorruptArchiveError(f"archive field {name} must be {_SHAPES[ndim]}")
+        raise CorruptArchiveError(f"field {name} must be {_SHAPES[ndim]}")
     if not np.all(np.isfinite(array)):
-        raise CorruptArchiveError(f"archive field {name} must hold finite numbers")
+        raise CorruptArchiveError(f"field {name} must hold finite numbers")
     return array if ndim else float(array)
 
 
-def _check_sizes(path, beta, length_scales, train_x, train_y) -> None:
-    """CorruptArchiveError naming the archive and the first field whose size
-    does not fit train_x: its columns, its rows or the basis terms they give."""
+def _check_sizes(beta, length_scales, train_x, train_y) -> None:
+    """CorruptArchiveError naming the first field whose size does not fit
+    train_x: its columns, its rows or the basis terms they give."""
     try:
         terms = gpr.basis_matrix(train_x).shape[1]
     except UnsupportedDimensionError as exc:
-        raise CorruptArchiveError(f"archive {path}: field train_x: {exc}") from exc
+        raise CorruptArchiveError(f"field train_x: {exc}") from exc
     rows, columns = train_x.shape
     for name, size, want, per in (
         ("kernel.length_scales", len(length_scales), columns, "train_x column"),
@@ -124,43 +128,47 @@ def _check_sizes(path, beta, length_scales, train_x, train_y) -> None:
     ):
         if size != want:
             raise CorruptArchiveError(
-                f"archive {path}: field {name} has {size} entries, want {want} (one per {per})"
+                f"field {name} has {size} entries, want {want} (one per {per})"
             )
 
 
-def _model_from_document(doc: dict, path) -> tuple[gpr.FittedGP, ArchiveInfo]:
+def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
+    """The model a parsed archive holds; CorruptArchiveError naming the field
+    at fault. Value ranges are gpr's rules, reported under the field: what fit
+    still rejects after the checks here is the noise variance (negative, or
+    too small to make the kernel matrix positive definite)."""
     if not isinstance(doc, dict):
-        raise CorruptArchiveError("archive root is not a JSON object")
+        raise CorruptArchiveError("root is not a JSON object")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
-        raise CorruptArchiveError(f"archive missing fields: {missing}")
+        raise CorruptArchiveError(f"missing fields: {missing}")
     if str(doc["version"]) != FORMAT_VERSION:
         raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
     beta, noise, signal_variance, length_scales, train_x, train_y = (
         _read_number_field(doc, key_path, ndim) for key_path, ndim, _ in _NUMERIC_FIELDS
     )
-    _check_sizes(path, beta, length_scales, train_x, train_y)
+    _check_sizes(beta, length_scales, train_x, train_y)
     try:
         hyper = gpr.KernelHyperParams(signal_variance, length_scales)
+    except ValueError as exc:
+        raise CorruptArchiveError(f"field kernel: {exc}") from exc
+    try:
         model = gpr.fit(train_x, train_y, hyper, noise_variance=noise, beta=beta)
     except (ValueError, NotPositiveDefiniteError) as exc:
-        raise CorruptArchiveError(f"archive fields malformed: {exc}") from exc
+        raise CorruptArchiveError(f"field noise_variance: {exc}") from exc
     return model, ArchiveInfo(family=doc.get("family"), model_id=doc.get("model_id"))
 
 
 def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
-    """Load a model plus its family/id metadata."""
+    """Load a model plus its family/id metadata. Every CorruptArchiveError
+    reads "archive <path>: ..." and names the field at fault."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailureError(f"cannot read archive {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return _model_from_document(json.loads(text))
     except json.JSONDecodeError as exc:
-        raise CorruptArchiveError(f"archive is not valid JSON: {exc}") from exc
-    return _model_from_document(doc, path)
-
-
-def load_model(path) -> gpr.FittedGP:
-    model, _ = load_archive(path)
-    return model
+        raise CorruptArchiveError(f"archive {path}: not valid JSON: {exc}") from exc
+    except CorruptArchiveError as exc:
+        raise CorruptArchiveError(f"archive {path}: {exc}") from exc

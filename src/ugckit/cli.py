@@ -86,14 +86,32 @@ def _family_kind(token: str) -> FamilyKind:
         raise InputError(f"unknown family {token!r} (choices: {choices})") from None
 
 
+def _save(gp, path, kind: FamilyKind, target: str) -> None:
+    """Write one target's model to an archive tagged "<family>:<target>"."""
+    archive.save_model(gp, path, family=kind.value, model_id=f"{kind.value}:{target}")
+
+
+def _load(path, flag: str, target: str):
+    """load_archive(path), refused when its model_id tags the other target;
+    any other id, null included, is not read."""
+    model, info = archive.load_archive(path)
+    tag = info.model_id.split(":") if isinstance(info.model_id, str) else []
+    if len(tag) == 2 and tag[1] in ("force", "return") and tag[1] != target:
+        raise InputError(
+            f"{flag} {path}: archive holds a {tag[1]} model (model_id {info.model_id!r}), "
+            f"not a {target} model"
+        )
+    return model, info
+
+
 def _family_model_from_archives(model_path, return_path=None) -> joints.JointFamilyModel:
-    force, info = archive.load_archive(model_path)
+    force, info = _load(model_path, "--model", "force")
     if info.family is None:
         raise InputError(f"archive {model_path} carries no family tag")
     kind = _family_kind(info.family)
     return_model = None
     if return_path is not None:
-        return_model, rinfo = archive.load_archive(return_path)
+        return_model, rinfo = _load(return_path, "--return-model", "return")
         if rinfo.family is not None and rinfo.family != info.family:
             raise InputError(
                 f"return-model family {rinfo.family!r} does not match {info.family!r}"
@@ -144,15 +162,10 @@ def cmd_fit(args) -> int:
     except (InsufficientDataError, IllConditionedError):
         poly_rmse = None
 
-    archive.save_model(
-        model.force_model, args.out, family=kind.value, model_id=f"{kind.value}:force"
-    )
+    _save(model.force_model, args.out, kind, "force")
     written = [str(args.out)]
     if args.return_out:
-        archive.save_model(
-            model.return_model, args.return_out,
-            family=kind.value, model_id=f"{kind.value}:return",
-        )
+        _save(model.return_model, args.return_out, kind, "return")
         written.append(str(args.return_out))
 
     _emit(args, f"fitted {kind.value} on {len(forces)} samples")
@@ -265,9 +278,7 @@ def cmd_design(args) -> int:
 def cmd_builtin(args) -> int:
     kind = _family_kind(args.family)
     model = joints.builtin_model(kind)
-    archive.save_model(
-        model.force_model, args.out, family=kind.value, model_id=f"{kind.value}:force"
-    )
+    _save(model.force_model, args.out, kind, "force")
     _emit(args, f"wrote built-in {kind.value} force model to {args.out}")
     return 0
 

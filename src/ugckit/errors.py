@@ -101,10 +101,6 @@ class MissingThicknessError(InputError):
     """Curve-family query or data row without a thickness value."""
 
 
-class NoReturnModelError(InputError):
-    """Model has no fitted return-angle component."""
-
-
 class InsufficientDataError(InputError):
     """Too few samples to fit the requested model."""
 

@@ -10,11 +10,11 @@ basis; every other family, and all return-angle models, must be fitted from
 bench data. loo_rmse_poly scores a plain polynomial in angle, the accuracy
 baseline for the GP fit.
 
-predict_many is the one query: it answers force and return angle at a list
-of angles, and predict_force and predict_return_angle are its one-angle
-calls. Predictions for the curve family are refused outside the validated
-window of 30 to 150 deg, where the regression has no supporting data; other
-families only get an extrapolation warning there.
+predict_many is the one query, for one angle or many: it answers force and
+return angle, and a bent angle's return angle is None where the model has no
+return-angle component. Predictions for the curve family are refused outside
+the validated window of 30 to 150 deg, where the regression has no
+supporting data; other families only get an extrapolation warning there.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from .errors import (
     InputError,
     InsufficientDataError,
     NoBuiltinModelError,
-    NoReturnModelError,
     OutOfValidatedRangeError,
 )
 from .units import finite_float
@@ -239,30 +238,6 @@ def predict_many(
         for i, angle in zip(np.flatnonzero(bent), np.clip(angles, 0.0, 180.0).tolist()):
             returns[i] = angle
     return forces, returns
-
-
-def predict_force(
-    model: JointFamilyModel,
-    theta: float,
-    thickness: float | None = None,
-    allow_extrapolation: bool = False,
-) -> ForcePrediction:
-    """predict_many's force at one deformation angle (deg)."""
-    return predict_many(model, [theta], thickness, allow_extrapolation)[0][0]
-
-
-def predict_return_angle(
-    model: JointFamilyModel,
-    theta: float,
-    thickness: float | None = None,
-    allow_extrapolation: bool = False,
-) -> float:
-    """predict_many's return angle at one deformation angle (deg); raises
-    NoReturnModelError where that is None."""
-    angle = predict_many(model, [theta], thickness, allow_extrapolation)[1][0]
-    if angle is None:
-        raise NoReturnModelError(f"{model.kind.value} model has no return-angle component")
-    return angle
 
 
 def builtin_model(kind: FamilyKind) -> JointFamilyModel:

@@ -99,11 +99,11 @@ def test_c04_builtin_coefficient_evaluations():
     with criterion("C4 built-in coefficients: square 2.0990 N, curve 3.6627 N (1e-4)"):
         # hand arithmetic: 1.6940 + 0.0225*90 - 0.0002*8100 = 2.0990
         square = joints.builtin_model(FamilyKind.SQUARE_SYM)
-        got = joints.predict_force(square, 90.0).mean
+        got = joints.predict_many(square, [90.0])[0][0].mean
         assert abs(got - 2.0990) < 1e-4, f"square at 90 deg gave {got}"
         # hand arithmetic: -2.4933 + 0.1164*90 + 0*0.4 - 0.0007*8100 + 8.4377*0.16 = 3.6627
         curve = joints.builtin_model(FamilyKind.CURVE)
-        got = joints.predict_force(curve, 90.0, 0.4).mean
+        got = joints.predict_many(curve, [90.0], 0.4)[0][0].mean
         assert abs(got - 3.6627) < 1e-4, f"curve at (90 deg, 0.4 mm) gave {got}"
 
 
@@ -159,12 +159,12 @@ def test_c07_curve_range_guard():
     with criterion("C7 curve range guard at 29 and 151 deg"):
         model = joints.builtin_model(FamilyKind.CURVE)
         with pytest.raises(OutOfValidatedRangeError):
-            joints.predict_force(model, 29.0, 0.8)
+            joints.predict_many(model, [29.0], 0.8)
         with pytest.raises(OutOfValidatedRangeError):
-            joints.predict_force(model, 151.0, 0.8)
+            joints.predict_many(model, [151.0], 0.8)
         # boundary angles stay legal
-        joints.predict_force(model, 30.0, 0.8)
-        joints.predict_force(model, 150.0, 0.8)
+        joints.predict_many(model, [30.0], 0.8)
+        joints.predict_many(model, [150.0], 0.8)
 
 
 def test_c08_gpr_beats_degree7_polynomial():
@@ -202,7 +202,7 @@ def test_c09_serialization_keeps_predictions_byte_identical(tmp_path, square_dat
         for idx, (model, dim) in enumerate(cases):
             path = tmp_path / f"model{idx}.json"
             archive.save_model(model, path)
-            loaded = archive.load_model(path)
+            loaded, _ = archive.load_archive(path)
             queries = []
             for _ in range(10):
                 q = rng.uniform(0.0, 180.0, dim)

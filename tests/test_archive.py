@@ -34,7 +34,7 @@ def test_round_trip_predictions_identical(tmp_path, fitted_model):
 def test_round_trip_preserves_gls_beta(tmp_path, fitted_model):
     path = tmp_path / "model.json"
     archive.save_model(fitted_model, path)
-    loaded = archive.load_model(path)
+    loaded, _ = archive.load_archive(path)
     assert loaded.beta.tolist() == fitted_model.beta.tolist()
     assert loaded.noise_variance == fitted_model.noise_variance
     assert loaded.hyper == fitted_model.hyper
@@ -57,7 +57,7 @@ def test_version_mismatch(tmp_path, fitted_model):
     doc["version"] = "0"
     path.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatchError):
-        archive.load_model(path)
+        archive.load_archive(path)
 
 
 def test_truncated_file_is_corrupt(tmp_path, fitted_model):
@@ -66,7 +66,7 @@ def test_truncated_file_is_corrupt(tmp_path, fitted_model):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(CorruptArchiveError):
-        archive.load_model(path)
+        archive.load_archive(path)
 
 
 def test_missing_field_is_corrupt(tmp_path, fitted_model):
@@ -76,12 +76,12 @@ def test_missing_field_is_corrupt(tmp_path, fitted_model):
     del doc["train_y"]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptArchiveError):
-        archive.load_model(path)
+        archive.load_archive(path)
 
 
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailureError):
-        archive.load_model(tmp_path / "nope.json")
+        archive.load_archive(tmp_path / "nope.json")
 
 
 NUMERIC_FIELDS = pytest.mark.parametrize(
@@ -121,7 +121,8 @@ def test_non_finite_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path
     model_path = tmp_path / "model.json"
     _write_with_literal(fitted_model, path, literal, model_path)
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
-    assert f"archive field {'.'.join(path)} must hold finite numbers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: archive {model_path}: field {'.'.join(path)} must hold finite numbers\n"
 
 
 @NUMERIC_FIELDS
@@ -131,7 +132,8 @@ def test_non_number_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path
     model_path = tmp_path / "model.json"
     _write_with_literal(fitted_model, path, literal, model_path)
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
-    assert f"archive field {'.'.join(path)} must hold JSON numbers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: archive {model_path}: field {'.'.join(path)} must hold JSON numbers\n"
 
 
 def test_missing_fields_are_all_listed(tmp_path, fitted_model):
@@ -141,8 +143,8 @@ def test_missing_fields_are_all_listed(tmp_path, fitted_model):
         del doc[key]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptArchiveError) as err:
-        archive.load_model(path)
-    assert str(err.value) == "archive missing fields: ['beta', 'kernel', 'train_y']"
+        archive.load_archive(path)
+    assert str(err.value) == f"archive {path}: missing fields: ['beta', 'kernel', 'train_y']"
 
 
 @pytest.mark.parametrize(
@@ -168,7 +170,8 @@ def test_field_nesting_checked(tmp_path, fitted_model, capsys, path, value, shap
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
-    assert f"archive field {'.'.join(path)} must be {shape}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: archive {model_path}: field {'.'.join(path)} must be {shape}\n"
 
 
 def _third_train_x_column(doc):
@@ -195,7 +198,48 @@ def test_size_mismatch_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, 
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptArchiveError):
-        archive.load_model(path)
+        archive.load_archive(path)
     argv = ["predict", "--model", str(path), "--theta", "90", "--thickness", "0.8"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: archive {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: doc["kernel"].update(length_scales=[-20.0, 0.4]),
+         "field kernel: length scales must all be finite and > 0, got (-20.0, 0.4)"),
+        (lambda doc: doc.update(noise_variance=-0.0025),
+         "field noise_variance: noise_variance must be >= 0, got -0.0025"),
+        (lambda doc: doc["kernel"].update(signal_variance=-1.0),
+         "field kernel: signal_variance must be finite and >= 0, got -1.0"),
+        (lambda doc: doc["kernel"].pop("signal_variance"),
+         "field kernel.signal_variance is missing"),
+        (lambda doc: doc.update(kernel=[1.0, 20.0]), "field kernel.signal_variance is missing"),
+        (lambda doc: doc.update(beta=[10**400, 0.0, 0.0, 0.0, 0.0]),
+         "field beta: int too large to convert to float"),
+    ],
+    ids=["length_scales", "noise_variance", "signal_variance", "key-missing", "kernel-list",
+         "beta-overflow"],
+)
+def test_bad_value_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, message):
+    # the value ranges are gpr's rules, reported under the archive field
+    doc = archive.archive_document(joints.builtin_model(FamilyKind.CURVE).force_model)
+    corrupt(doc)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    argv = ["predict", "--model", str(path), "--theta", "90", "--thickness", "0.8"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: archive {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message", [("{", "not valid JSON: "), ("[]", "root is not a JSON object")],
+    ids=["not-json", "not-object"],
+)
+def test_unreadable_document_names_the_file(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(CorruptArchiveError) as err:
+        archive.load_archive(path)
+    assert str(err.value).startswith(f"archive {path}: {message}")

@@ -274,15 +274,13 @@ class TestPredict:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert len(rows) == 341
         model = joints.JointFamilyModel(
-            FamilyKind.SQUARE_SYM, archive.load_model(out), archive.load_model(ret_out)
+            FamilyKind.SQUARE_SYM, archive.load_archive(out)[0], archive.load_archive(ret_out)[0]
         )
         for theta, mean, std, ret in rows[::20]:
-            pred = joints.predict_force(model, float(theta))
+            (pred,), (angle,) = joints.predict_many(model, [float(theta)])
             assert float(mean) == pytest.approx(pred.mean, abs=1e-12)
             assert float(std) == pytest.approx(pred.std, abs=1e-12)
-            assert float(ret) == pytest.approx(
-                joints.predict_return_angle(model, float(theta)), abs=1e-12
-            )
+            assert float(ret) == pytest.approx(angle, abs=1e-12)
 
     def test_sweep_checks_every_angle_before_printing(self, tmp_path, capsys):
         out = tmp_path / "curve.json"
@@ -467,6 +465,45 @@ class TestDesign:
                 "--out", str(out),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def fitted_pair(tmp_path, bench_csv):
+    force, back = tmp_path / "f.json", tmp_path / "r.json"
+    assert main([
+        "fit", "--data", str(bench_csv), "--family", "square_sym",
+        "--out", str(force), "--return-out", str(back), "--quiet",
+    ]) == 0
+    return force, back
+
+
+class TestArchiveTarget:
+    # ugc fit tags its archives "square_sym:force" and "square_sym:return"
+    @pytest.mark.parametrize("command", ["predict", "design"])
+    @pytest.mark.parametrize("flag", ["--model", "--return-model"])
+    def test_swapped_archive_exits_2_naming_flag_and_file(
+        self, tmp_path, fitted_pair, spec_file, capsys, command, flag
+    ):
+        force, back = fitted_pair
+        swapped, held, want = (back, "return", "force") if flag == "--model" else (
+            force, "force", "return")
+        models = ["--model", str(swapped)] if flag == "--model" else [
+            "--model", str(force), "--return-model", str(force)]
+        out = tmp_path / "report.json"
+        argv = (["predict", *models, "--theta", "90"] if command == "predict" else
+                ["design", "--spec", str(spec_file), *models, "--out", str(out)])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {flag} {swapped}: archive holds a {held} model "
+            f"(model_id 'square_sym:{held}'), not a {want} model\n"
+        ))
+        assert not out.exists()
+        # an id of any other shape, null included, is not read
+        doc = json.loads(swapped.read_text())
+        for model_id in (None, held, f"square_sym:{held}:2", 7):
+            doc["model_id"] = model_id
+            swapped.write_text(json.dumps(doc))
+            assert main(argv) == 0, model_id
 
 
 class TestValidate:

@@ -205,7 +205,7 @@ def _thickness_through(boundary, family, thickness):
         cell = "" if thickness is None else repr(thickness)
         parse_measurements(f"{HEADER}\n{family},{cell},90,forward,1.0,170,r1\n")
     elif boundary == "query":
-        joints.predict_force(joints.builtin_model(FamilyKind(family)), 90.0, thickness)
+        joints.predict_many(joints.builtin_model(FamilyKind(family)), [90.0], thickness)
     else:
         mechanics.spec_from_json_dict({
             "outer_radius_mm": 100.0,

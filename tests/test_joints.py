@@ -11,7 +11,6 @@ from ugckit.errors import (
     InsufficientDataError,
     MissingThicknessError,
     NoBuiltinModelError,
-    NoReturnModelError,
     OutOfValidatedRangeError,
 )
 
@@ -39,30 +38,30 @@ def curve_quadratic(theta, thickness):
 class TestBuiltinModels:
     def test_square_at_90(self):
         m = joints.builtin_model(SQ)
-        pred = joints.predict_force(m, 90.0)
+        (pred,), _ = joints.predict_many(m, [90.0])
         assert pred.mean == pytest.approx(2.0990, abs=1e-4)
 
     def test_square_prior_mean_across_angles(self):
         m = joints.builtin_model(SQ)
         for theta in (30.0, 60.0, 90.0, 120.0, 150.0):
-            pred = joints.predict_force(m, theta)
+            (pred,), _ = joints.predict_many(m, [theta])
             assert pred.mean == pytest.approx(square_quadratic(theta), abs=1e-9)
 
     def test_curve_at_90_04(self):
         m = joints.builtin_model(CURVE)
-        pred = joints.predict_force(m, 90.0, 0.4)
+        (pred,), _ = joints.predict_many(m, [90.0], 0.4)
         assert pred.mean == pytest.approx(3.6627, abs=1e-4)
 
     def test_curve_at_140_08(self):
         m = joints.builtin_model(CURVE)
-        pred = joints.predict_force(m, 140.0, 0.8)
+        (pred,), _ = joints.predict_many(m, [140.0], 0.8)
         assert pred.mean == pytest.approx(5.4828, abs=1e-4)
 
     def test_curve_prior_mean_everywhere_on_grid(self):
         m = joints.builtin_model(CURVE)
         for theta in (30.0, 75.0, 110.0, 150.0):
             for t in (0.4, 0.6, 1.0, 1.6):
-                pred = joints.predict_force(m, theta, t)
+                (pred,), _ = joints.predict_many(m, [theta], t)
                 assert pred.mean == pytest.approx(curve_quadratic(theta, t), abs=1e-9)
 
     def test_anchors_are_angle_by_thickness_rows(self):
@@ -82,14 +81,13 @@ class TestBuiltinModels:
     def test_builtin_has_no_return_model(self):
         m = joints.builtin_model(SQ)
         assert m.return_model is None
-        with pytest.raises(NoReturnModelError):
-            joints.predict_return_angle(m, 90.0)
+        assert joints.predict_many(m, [90.0])[1] == [None]
 
     def test_curve_force_never_decreases_with_thickness(self):
         # zero linear-T coefficient plus positive T^2 coefficient
         m = joints.builtin_model(CURVE)
         for theta in np.arange(60.0, 141.0, 10.0):
-            forces = [joints.predict_force(m, theta, t).mean for t in (0.4, 0.8, 1.2, 1.6)]
+            forces = [joints.predict_many(m, [theta], t)[0][0].mean for t in (0.4, 0.8, 1.2, 1.6)]
             assert all(b >= a for a, b in zip(forces, forces[1:]))
 
 
@@ -98,26 +96,26 @@ class TestValidatedRange:
         m = joints.builtin_model(CURVE)
         for theta in (20.0, 29.0, 151.0, 160.0):
             with pytest.raises(OutOfValidatedRangeError):
-                joints.predict_force(m, theta, 0.8)
+                joints.predict_many(m, [theta], 0.8)
 
     def test_curve_allows_extrapolation_on_request(self):
         m = joints.builtin_model(CURVE)
-        pred = joints.predict_force(m, 20.0, 0.8, allow_extrapolation=True)
+        (pred,), _ = joints.predict_many(m, [20.0], 0.8, allow_extrapolation=True)
         assert joints.WARN_EXTRAPOLATION in pred.warnings
 
     def test_curve_requires_thickness(self):
         m = joints.builtin_model(CURVE)
         with pytest.raises(MissingThicknessError):
-            joints.predict_force(m, 90.0)
+            joints.predict_many(m, [90.0])
 
     def test_square_warns_only(self):
         m = joints.builtin_model(SQ)
-        pred = joints.predict_force(m, 10.0)
+        (pred,), _ = joints.predict_many(m, [10.0])
         assert joints.WARN_EXTRAPOLATION in pred.warnings
 
     def test_square_rest_force_caveat(self):
         m = joints.builtin_model(SQ)
-        pred = joints.predict_force(m, 0.0)
+        (pred,), _ = joints.predict_many(m, [0.0])
         assert pred.mean == pytest.approx(1.6940, abs=1e-9)
         assert joints.WARN_REST_FORCE in pred.warnings
 
@@ -186,27 +184,28 @@ class TestFitFamilyModel:
         ds = average_runs(square_dataset)
         model = joints.fit_family_model(ds, SQ)
         for s in ds.samples:
-            pred = joints.predict_force(model, s.deformation_angle, allow_extrapolation=True)
+            (pred,), _ = joints.predict_many(
+                model, [s.deformation_angle], allow_extrapolation=True
+            )
             noise = model.force_model.noise_variance
             assert abs(pred.mean - s.force) <= 2.0 * np.sqrt(pred.variance + noise)
 
     def test_monotone_fixture_gives_monotone_window(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        lo = joints.predict_force(model, 30.0).mean
-        hi = joints.predict_force(model, 120.0).mean
-        assert lo < hi
+        (lo, hi), _ = joints.predict_many(model, [30.0, 120.0])
+        assert lo.mean < hi.mean
 
     def test_curve_family_fits_two_inputs(self, curve_dataset):
         model = joints.fit_family_model(curve_dataset, CURVE)
         assert model.force_model.input_dim == 2
-        pred = joints.predict_force(model, 90.0, 0.8)
+        (pred,), _ = joints.predict_many(model, [90.0], 0.8)
         assert pred.mean == pytest.approx(0.3 + 0.02 * 90 - 5e-5 * 8100 + 4 * 0.64, abs=0.5)
 
     def test_return_angle_flat_then_decaying(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        flat = joints.predict_return_angle(model, 60.0)
+        _, (flat,) = joints.predict_many(model, [60.0])
         assert flat == pytest.approx(180.0, abs=2.0)
-        decayed = joints.predict_return_angle(model, 150.0)
+        _, (decayed,) = joints.predict_many(model, [150.0])
         assert decayed < 179.0
         assert decayed == pytest.approx(square_return_true(150.0), abs=5.0)
 
@@ -232,12 +231,12 @@ class TestFitFamilyModel:
 
     def test_return_angle_identity_at_zero(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        assert joints.predict_return_angle(model, 0.0) == 180.0
+        assert joints.predict_many(model, [0.0])[1] == [180.0]
 
     def test_return_angle_always_clamped(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
         for theta in np.linspace(0.0, 180.0, 37):
-            val = joints.predict_return_angle(model, float(theta), allow_extrapolation=True)
+            _, (val,) = joints.predict_many(model, [float(theta)], allow_extrapolation=True)
             assert 0.0 <= val <= 180.0
 
 
@@ -354,7 +353,9 @@ class TestVectorQueries:
             model = fitted_models[kind]
             many, _ = joints.predict_many(model, thetas, thickness, allow_extrapolation=True)
             for theta, pred in zip(thetas, many):
-                one = joints.predict_force(model, theta, thickness, allow_extrapolation=True)
+                (one,), _ = joints.predict_many(
+                    model, [theta], thickness, allow_extrapolation=True
+                )
                 assert pred.mean == pytest.approx(one.mean, abs=1e-12)
                 assert pred.variance == pytest.approx(one.variance, abs=1e-12)
                 assert pred.warnings == one.warnings
@@ -364,7 +365,7 @@ class TestVectorQueries:
         _, many = joints.predict_many(fitted_models[SQ], thetas)
         assert many[0] == 180.0
         for theta, value in zip(thetas, many):
-            one = joints.predict_return_angle(fitted_models[SQ], theta)
+            _, (one,) = joints.predict_many(fitted_models[SQ], [theta])
             assert value == pytest.approx(one, abs=1e-12)
 
     def test_every_angle_validated(self, fitted_models):
@@ -379,8 +380,7 @@ class TestVectorQueries:
         model = joints.builtin_model(SQ)
         assert joints.predict_many(model, [0.0, 0.0])[1] == [180.0, 180.0]
         assert joints.predict_many(model, [0.0, 30.0])[1] == [180.0, None]
-        with pytest.raises(NoReturnModelError):
-            joints.predict_return_angle(model, 30.0)
+        assert joints.predict_many(model, [30.0])[1] == [None]
 
 
 @pytest.fixture(scope="module")
@@ -391,13 +391,16 @@ def fitted_models():
 
 
 class TestNonFiniteQueries:
-    @pytest.mark.parametrize("predict", [joints.predict_force, joints.predict_return_angle])
+    @pytest.mark.parametrize("lead", [[], [60.0]], ids=["one-angle", "second-angle"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "kind, name", [(SQ, "theta"), (CURVE, "theta"), (CURVE, "thickness")]
     )
-    def test_rejected_naming_the_argument(self, fitted_models, predict, bad, kind, name):
+    def test_rejected_naming_the_argument(self, fitted_models, lead, bad, kind, name):
         query = {"theta": 90.0, "thickness": 0.8 if kind is CURVE else None}
         query[name] = float(bad)
+        thetas = [*lead, query["theta"]]
         with pytest.raises(InputError, match=f"{name} must be a finite number"):
-            predict(fitted_models[kind], **query, allow_extrapolation=True)
+            joints.predict_many(
+                fitted_models[kind], thetas, query["thickness"], allow_extrapolation=True
+            )

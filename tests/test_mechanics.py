@@ -276,9 +276,9 @@ class TestDesignModule:
             f"model force unavailable at {report.bend_angle:.2f} deg (outside validated range)"
             in report.diagnostics
         )
-        assert report.predicted_return_angle == joints.predict_return_angle(
-            model, report.bend_angle, 0.8, allow_extrapolation=True
-        )
+        assert [report.predicted_return_angle] == joints.predict_many(
+            model, [report.bend_angle], 0.8, allow_extrapolation=True
+        )[1]
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -29,13 +29,10 @@ PUBLIC_NAMES = [
     "fit",
     "fit_family_model",
     "load_archive",
-    "load_model",
     "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
-    "predict_force",
     "predict_many",
-    "predict_return_angle",
     "required_bend_angle",
     "ring_geometry",
     "save_model",
