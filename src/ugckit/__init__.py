@@ -22,7 +22,6 @@ from .gpr import (
     GridSpec,
     KernelHyperParams,
     fit,
-    log_marginal_likelihood,
     tune_hyperparams,
 )
 from .joints import (
@@ -78,7 +77,6 @@ __all__ = [
     "fit",
     "fit_family_model",
     "load_archive",
-    "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
     "predict_many",

@@ -143,7 +143,7 @@ def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
     if missing:
         raise CorruptArchiveError(f"missing fields: {missing}")
     if str(doc["version"]) != FORMAT_VERSION:
-        raise VersionMismatchError(str(doc["version"]), FORMAT_VERSION)
+        raise VersionMismatchError(f"field version: {doc['version']!r}, want {FORMAT_VERSION!r}")
     beta, noise, signal_variance, length_scales, train_x, train_y = (
         _read_number_field(doc, key_path, ndim) for key_path, ndim, _ in _NUMERIC_FIELDS
     )
@@ -160,8 +160,9 @@ def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
 
 
 def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
-    """Load a model plus its family/id metadata. Every CorruptArchiveError
-    reads "archive <path>: ..." and names the field at fault."""
+    """Load a model plus its family/id metadata. Every CorruptArchiveError,
+    VersionMismatchError included, reads "archive <path>: ..." and names the
+    field at fault."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -170,5 +171,5 @@ def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
         return _model_from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CorruptArchiveError(f"archive {path}: not valid JSON: {exc}") from exc
-    except CorruptArchiveError as exc:
-        raise CorruptArchiveError(f"archive {path}: {exc}") from exc
+    except CorruptArchiveError as exc:  # VersionMismatchError keeps its type
+        raise type(exc)(f"archive {path}: {exc}") from exc

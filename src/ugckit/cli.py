@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import archive, joints, mechanics
@@ -105,18 +106,22 @@ def _load(path, flag: str, target: str):
 
 
 def _family_model_from_archives(model_path, return_path=None) -> joints.JointFamilyModel:
+    """The joint model of a force archive and an optional return archive; an
+    archive whose family tag does not fit reads "archive <path>: field family: ..."."""
     force, info = _load(model_path, "--model", "force")
-    if info.family is None:
-        raise InputError(f"archive {model_path} carries no family tag")
-    kind = _family_kind(info.family)
-    return_model = None
-    if return_path is not None:
-        return_model, rinfo = _load(return_path, "--return-model", "return")
+    try:
+        model = joints.JointFamilyModel(kind=_family_kind(info.family), force_model=force)
+    except (InputError, ValueError) as exc:
+        raise InputError(f"archive {model_path}: field family: {exc}") from None
+    if return_path is None:
+        return model
+    return_model, rinfo = _load(return_path, "--return-model", "return")
+    try:
         if rinfo.family is not None and rinfo.family != info.family:
-            raise InputError(
-                f"return-model family {rinfo.family!r} does not match {info.family!r}"
-            )
-    return joints.JointFamilyModel(kind=kind, force_model=force, return_model=return_model)
+            raise InputError(f"{rinfo.family!r} does not match --model's {info.family!r}")
+        return replace(model, return_model=return_model)
+    except (InputError, ValueError) as exc:
+        raise InputError(f"archive {return_path}: field family: {exc}") from None
 
 
 def _emit(args, text):

@@ -47,15 +47,12 @@ class BadNumberError(InputError):
 
 # -- model archives ------------------------------------------------------------
 
-class VersionMismatchError(InputError):
-    def __init__(self, found, expected):
-        self.found = found
-        self.expected = expected
-        super().__init__(f"archive format version {found!r}, expected {expected!r}")
-
-
 class CorruptArchiveError(InputError):
-    """Archive file is not valid JSON or lacks required fields."""
+    """Archive file is not valid JSON, or a field is missing or malformed."""
+
+
+class VersionMismatchError(CorruptArchiveError):
+    """Archive field version names a format this loader does not read."""
 
 
 class IoFailureError(InputError):

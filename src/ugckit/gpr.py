@@ -10,18 +10,20 @@ terms, d in {1, 2}) and k is the squared-exponential kernel
     k(a, b) = signal_variance * exp(-0.5 * sum_j ((a_j - b_j) / l_j)^2).
 
 beta is either supplied by the caller or estimated by generalized least
-squares (minimum-norm where the basis is rank-deficient). Fitting takes one
-eigendecomposition K = V diag(lam) V' and keeps W = V diag(lam + noise)^-1/2,
-so every solve against K + noise*I = (W W')^-1 is a matrix product (a
-dense-inverse formulation exists only as an independent oracle in the test
-suite). Predictions at many points share one product with W per block of
-rows (predict_many), and leave-one-out residuals come in closed form from
-the same factor (loo_residuals) rather than from n refits.
+squares (minimum-norm where the basis is rank-deficient). fit, archive loads
+(fit with beta held fixed) and tune_hyperparams build every model from one
+eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
+(_kernel_eigh): with K = sf2 K1 (sf2 the signal variance) they keep
+W = V diag(sf2 lam + noise)^-1/2, so every solve against K + noise*I =
+(W W')^-1 is a matrix product (a dense-inverse formulation exists only as an
+independent oracle in the test suite). Predictions at many points share one
+product with W per block of rows (predict_many), and leave-one-out residuals
+come in closed form from the same factor (loo_residuals) rather than from n
+refits.
 
-Everything returned by fit() is immutable, so a fitted model can be shared
-freely across threads. Grid search in tune_hyperparams evaluates candidates
-in a fixed order and breaks ties toward the earlier candidate, so the result
-is reproducible run to run.
+Every model fit() and tune_hyperparams() return is immutable, so it can be
+shared freely across threads. Grid search in tune_hyperparams breaks ties
+toward the earlier candidate in a fixed order, so the result is reproducible.
 """
 
 import itertools
@@ -127,14 +129,11 @@ def _check_noise(noise_variance: float, duplicate_rows: bool) -> None:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
 
 
-def _factorize(X: np.ndarray, hyper: KernelHyperParams, noise_variance: float):
-    """Whitener W = V diag(d)^-1/2 and spectrum d of A = K + noise*I from one
-    eigendecomposition K = V diag(lam) V': A^-1 = W W', log det A = sum(log d)."""
-    # the row scan only where the rule reads it
-    _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(X))
-    lam, V = np.linalg.eigh(kernel_matrix(X, X, hyper))
-    d = _spectrum(lam, noise_variance)
-    return V / np.sqrt(d), d
+def _kernel_eigh(X: np.ndarray, length_scales) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on the
+    rows of X: the one factorization behind fit, archive loads and tuning.
+    A kernel with signal variance sf2 is sf2 K1, with eigenvalues sf2 lam."""
+    return np.linalg.eigh(kernel_matrix(X, X, KernelHyperParams(1.0, length_scales)))
 
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
@@ -191,15 +190,11 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
-def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> FittedGP:
-    """Fit the GP to training inputs X (n x d) and targets y (n,).
-
-    beta: "gls" to estimate the mean coefficients by generalized least
-    squares, or an explicit vector of length 2d+1 to hold them fixed.
-    With zero noise the inputs must be distinct, otherwise K is singular.
-    """
-    Xm, yv = _training_data(X, y, hyper.dim)
-    W, _ = _factorize(Xm, hyper, noise_variance)
+def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, beta="gls"):
+    """The model on checked training data from K1 = V diag(lam) V' (see
+    _kernel_eigh): A = hyper.signal_variance K1 + noise*I has the spectrum
+    d = _spectrum(sf2 lam, noise) and A^-1 = W W' with W = V diag(d)^-1/2."""
+    W = V / np.sqrt(_spectrum(hyper.signal_variance * lam, noise_variance))
     H = basis_matrix(Xm)
 
     if isinstance(beta, str):
@@ -223,6 +218,20 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> Fi
         whitener=W,
         alpha=W @ (W.T @ (yv - H @ beta_vec)),
     )
+
+
+def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> FittedGP:
+    """Fit the GP to training inputs X (n x d) and targets y (n,).
+
+    beta: "gls" to estimate the mean coefficients by generalized least
+    squares, or an explicit vector of length 2d+1 to hold them fixed.
+    With zero noise the inputs must be distinct, otherwise K is singular.
+    """
+    Xm, yv = _training_data(X, y, hyper.dim)
+    # the row scan only where the rule reads it
+    _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(Xm))
+    lam, V = _kernel_eigh(Xm, hyper.length_scales)
+    return _fitted(Xm, yv, hyper, noise_variance, lam, V, beta)
 
 
 def loo_residuals(model: FittedGP) -> np.ndarray:
@@ -295,15 +304,6 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
     return means, variances
 
 
-def log_marginal_likelihood(X, y, hyper: KernelHyperParams, noise_variance: float, beta) -> float:
-    """Gaussian log marginal likelihood of y under the model with fixed beta:
-    -0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi,   r = y - H beta."""
-    Xm, yv = _training_data(X, y, hyper.dim)
-    W, d = _factorize(Xm, hyper, noise_variance)
-    r = yv - basis_matrix(Xm) @ np.asarray(beta, dtype=float).ravel()
-    return _log_likelihood(W.T @ r, d)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Finite hyperparameter grid: candidates per axis, searched exhaustively.
@@ -325,18 +325,19 @@ class GridSpec:
         object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
 
 
-def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
-    """Pick the grid candidate maximizing the log marginal likelihood.
+def tune_hyperparams(X, y, search: GridSpec) -> FittedGP:
+    """The model at the grid candidate maximizing the log marginal likelihood.
 
     beta is re-estimated by GLS for every candidate before scoring. A
     candidate's covariance is sf2 K1 + noise*I with K1 the unit-signal kernel,
     so one eigendecomposition of K1 per length-scale tuple scores every
-    (sf2, noise) pair from the shifted spectrum sf2 lam + noise. The scan
-    order is the deterministic cartesian product of the grid axes and ties
-    keep the earlier candidate, so repeated runs return the same answer.
-    Candidates that fit() would reject as not positive definite (zero noise
-    on repeated rows, or a spectrum not positive even with jitter) are
-    skipped, so the pick is always one fit() accepts.
+    (sf2, noise) pair from the shifted spectrum sf2 lam + noise, and the pick
+    is built from the one it was scored with, bit-identical to fit() there.
+    Ties keep the earlier candidate in the cartesian product of the axes
+    (signal variance, length scales, noise variance), so repeated runs
+    return the same answer. Candidates that fit() would reject as not
+    positive definite (zero noise on repeated rows, or a spectrum not
+    positive even with jitter) are skipped.
     """
     if (
         not search.signal_variances
@@ -349,17 +350,14 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
     Xm, yv = _training_data(X, y, len(search.length_scale_grids))
     duplicate_rows = _has_duplicate_rows(Xm)
     H = basis_matrix(Xm)
-    # per length-scale tuple: K1's eigenvalues, and H and y in its eigenbasis
-    rotated = []
-    for ls in itertools.product(*search.length_scale_grids):
-        lam, V = np.linalg.eigh(kernel_matrix(Xm, Xm, KernelHyperParams(1.0, ls)))
-        rotated.append((ls, lam, V.T @ H, V.T @ yv))
-
-    best_ll, best = -math.inf, None
-    for sf2 in search.signal_variances:
-        for ls, lam, Hv, yr in rotated:
+    # length-scale tuples outermost, so only the best tuple's (lam, V) is held
+    best_key, best = (math.inf,), None
+    for j, ls in enumerate(itertools.product(*search.length_scale_grids)):
+        lam, V = _kernel_eigh(Xm, ls)
+        Hv, yr = V.T @ H, V.T @ yv  # H and y in K1's eigenbasis
+        for i, sf2 in enumerate(search.signal_variances):
             hyper = KernelHyperParams(sf2, ls)
-            for noise in search.noise_variances:
+            for k, noise in enumerate(search.noise_variances):
                 try:
                     _check_noise(noise, duplicate_rows)
                     d = _spectrum(sf2 * lam, noise)
@@ -367,9 +365,10 @@ def tune_hyperparams(X, y, search: GridSpec) -> tuple[KernelHyperParams, float]:
                     continue
                 scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
                 _, rw = _gls(Hv * scale[:, None], yr * scale)
-                ll = _log_likelihood(rw, d)
-                if ll > best_ll:
-                    best_ll, best = ll, (hyper, float(noise))
+                # the scan-order index breaks ties; a NaN score never compares below
+                key = (-_log_likelihood(rw, d), i, j, k)
+                if key < best_key:
+                    best_key, best = key, (hyper, noise, lam, V)
     if best is None:
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
-    return best
+    return _fitted(Xm, yv, *best)

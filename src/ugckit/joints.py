@@ -322,13 +322,12 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
 
 def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
     if config.tune:
-        hyper, noise = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, y))
+        model = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, y))
     else:
-        hyper = _default_hyper(kind, y)
         noise = config.noise_variance
         if noise is None:
             noise = max(1e-8, DEFAULT_NOISE_FRACTION * float(np.var(y)))
-    model = gpr.fit(X, y, hyper, noise)
+        model = gpr.fit(X, y, _default_hyper(kind, y), noise)
     return model, _loo_rmse(model)
 
 

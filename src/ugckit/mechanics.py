@@ -316,7 +316,8 @@ def motor_requirements(
 
 def _ceil_to_grid(value_mm: float) -> float:
     # tiny slack keeps exact grid values from jumping a step
-    return math.ceil(value_mm / SPINDLE_GRID_MM - 1e-9) * SPINDLE_GRID_MM
+    steps = value_mm / SPINDLE_GRID_MM - 1e-9
+    return math.ceil(steps) * SPINDLE_GRID_MM if math.isfinite(steps) else math.inf
 
 
 def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> float:
@@ -325,10 +326,9 @@ def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> fl
     The minimum radius is first rounded up to the 0.1 mm grid, then scaled
     by the safety factor and rounded up to the grid again. Rounding before
     the safety factor keeps the recommendation anchored to a radius that can
-    actually be printed.
+    actually be printed. A recommendation past the float range, like the
+    minimum radius of an unloaded ring, is inf: unbounded.
     """
-    if not math.isfinite(min_radius_mm):
-        return math.inf
     return _ceil_to_grid(_ceil_to_grid(min_radius_mm) * safety_factor)
 
 

@@ -180,8 +180,8 @@ def test_c08_gpr_beats_degree7_polynomial():
                 length_scale_grids=((5.0, 10.0, 20.0, 40.0),),
                 noise_variances=(1e-3, 3e-3, 1e-2, 3e-2, 1e-1),
             )
-            hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
-            gp_rmse = gp_loo_rmse(theta[:, None], y, hyper, noise)
+            m = gpr.tune_hyperparams(theta[:, None], y, grid)
+            gp_rmse = gp_loo_rmse(theta[:, None], y, m.hyper, m.noise_variance)
             poly_rmse = joints.loo_rmse_poly(theta, y, 7)
             wins += gp_rmse < poly_rmse
         assert wins >= 95, f"GPR won only {wins}/100 trials"

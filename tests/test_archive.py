@@ -31,6 +31,23 @@ def test_round_trip_predictions_identical(tmp_path, fitted_model):
         assert b.tolist() == a.tolist()  # bit-identical, not merely close
 
 
+def test_tuned_model_round_trip_predictions_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30.0, 150.0, 9)])
+    y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
+    v = float(np.var(y))
+    grid = gpr.GridSpec((0.5 * v, v), ((10.0, 20.0, 40.0), (0.2, 0.4, 0.8)), (1e-3 * v, 1e-2 * v))
+    tuned = gpr.tune_hyperparams(X, y, grid)
+    path = tmp_path / "model.json"
+    archive.save_model(tuned, path, family="curve")
+    loaded, _ = archive.load_archive(path)
+    queries = rng.uniform((0.0, 0.4), (180.0, 1.6), (10, 2))
+    before = gpr.predict_many(tuned, queries)
+    after = gpr.predict_many(loaded, queries)
+    for b, a in zip(before, after):
+        assert b.tolist() == a.tolist()  # bit-identical, not merely close
+
+
 def test_round_trip_preserves_gls_beta(tmp_path, fitted_model):
     path = tmp_path / "model.json"
     archive.save_model(fitted_model, path)

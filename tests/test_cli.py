@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from ugckit.errors import InputError, NotPositiveDefiniteError
 from conftest import square_bench_csv
 
 HEADER = ",".join(CSV_COLUMNS)
+
+CHOICES = "choices: straight, curve, double_curve, square_sym, square_nonsym"
 
 GOOD_SPEC = {
     "outer_radius_mm": 100.0,
@@ -384,6 +387,20 @@ class TestPredict:
         bad.write_text(json.dumps(doc))
         assert main(["predict", "--model", str(bad), "--theta", "90"]) == 2
 
+    @pytest.mark.parametrize("edit, tail", [
+        ({"version": "0"}, "field version: '0', want '1'"),
+        ({"family": ["square_sym"]}, f"field family: unknown family ['square_sym'] ({CHOICES})"),
+        ({"family": None}, f"field family: unknown family None ({CHOICES})"),
+        ({"family": "curve"}, "field family: curve force model must have 2-D inputs, got 1"),
+    ], ids=["version", "family-list", "family-null", "family-of-other-layout"])
+    def test_archive_tag_errors_name_file_and_field(
+        self, tmp_path, square_archive, capsys, edit, tail
+    ):
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps({**json.loads(square_archive.read_text()), **edit}))
+        assert main(["predict", "--model", str(bad), "--theta", "90"]) == 2
+        assert capsys.readouterr().err == f"error: archive {bad}: {tail}\n"
+
 
 class TestDesign:
     def test_reference_design_report(self, tmp_path, square_archive, spec_file, capsys):
@@ -457,6 +474,28 @@ class TestDesign:
         assert "safety_factor" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, actuator", [
+        (["--safety-factor", "1e308"], {}),
+        ([], {"rated_torque_nm": 1.5e306}),
+    ], ids=["safety-factor", "rated-torque"])
+    def test_recommendation_past_float_range_reads_unbounded(
+        self, tmp_path, square_archive, capsys, flags, actuator
+    ):
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, "actuator": {**GOOD_SPEC["actuator"], **actuator}}))
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out),
+            *flags,
+        ]) == 0
+        q = json.loads(out.read_text())["quantities"]
+        assert q["recommended_spindle_radius"]["value"] is None
+        assert math.isfinite(q["min_spindle_radius"]["value"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[-1] for l in lines if l.startswith("recommended spindle")] == [
+            "unbounded"
+        ]
+
     def test_byte_identical_reports(self, tmp_path, square_archive, spec_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -504,6 +543,20 @@ class TestArchiveTarget:
             doc["model_id"] = model_id
             swapped.write_text(json.dumps(doc))
             assert main(argv) == 0, model_id
+
+    def test_return_archive_of_another_family_names_file_and_field(
+        self, fitted_pair, capsys
+    ):
+        force, back = fitted_pair
+        argv = ["predict", "--model", str(force), "--return-model", str(back), "--theta", "90"]
+        doc = json.loads(back.read_text())
+        back.write_text(json.dumps({**doc, "family": "curve"}))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive {back}: field family: 'curve' does not match --model's 'square_sym'\n"
+        )
+        back.write_text(json.dumps({**doc, "family": None}))  # an untagged return model serves
+        assert main(argv) == 0
 
 
 class TestValidate:

@@ -334,38 +334,12 @@ class TestPredictMany:
             gpr.predict_many(m, [[1.0], [1e200], [1e300]])
 
 
-class TestLogMarginalLikelihood:
-    def test_unit_matrix_zero_residual_closed_form(self):
-        # single point, K + noise = 1, residual 0: -0.5 log(2 pi)
-        val = gpr.log_marginal_likelihood(
-            [[0.0]], [3.0], hp(0.5, (1.0,)), 0.5, beta=[3.0, 0.0, 0.0]
-        )
-        assert val == pytest.approx(-0.9189385332046727, abs=1e-12)
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            X, y, sf2, ls, noise, beta, _ = random_gp_instance(rng, n_max=10)
-            mine = gpr.log_marginal_likelihood(X, y, hp(sf2, ls), noise, beta)
-            ref = oracle_lml(X, y, sf2, ls, noise, beta)
-            assert mine == pytest.approx(ref, abs=1e-9)
-
-    def test_zero_residual_maximizes_data_fit_term(self):
-        X = np.linspace(0, 5, 8)[:, None]
-        beta = np.array([1.0, 0.5, -0.05])
-        y = gpr.basis_matrix(X) @ beta
-        h = hp(1.0, (1.0,))
-        at_truth = gpr.log_marginal_likelihood(X, y, h, 0.1, beta)
-        off = gpr.log_marginal_likelihood(X, y, h, 0.1, beta + 0.1)
-        assert at_truth > off  # identical complexity terms, worse fit term
-
-
 class TestTuneHyperparams:
     def test_singleton_grid_returns_it(self):
         grid = gpr.GridSpec((2.0,), ((3.0,),), (0.01,))
-        hyper, noise = gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], grid)
-        assert hyper == gpr.KernelHyperParams(2.0, (3.0,))
-        assert noise == 0.01
+        m = gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], grid)
+        assert m.hyper == gpr.KernelHyperParams(2.0, (3.0,))
+        assert m.noise_variance == 0.01
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGridError):
@@ -382,9 +356,9 @@ class TestTuneHyperparams:
             length_scale_grids=((0.25, 1.0, 4.0),),
             noise_variances=(0.0025, 0.01, 0.04),
         )
-        hyper, noise = gpr.tune_hyperparams(X, y, grid)
-        assert hyper == truth
-        assert noise == 0.01
+        m = gpr.tune_hyperparams(X, y, grid)
+        assert m.hyper == truth
+        assert m.noise_variance == 0.01
 
     @pytest.mark.parametrize("y, error, match", [
         ([1.0, float("nan"), 2.0], ValueError, "must be finite"),
@@ -403,22 +377,40 @@ class TestTuneHyperparams:
             gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
         with pytest.raises(NotPositiveDefiniteError, match="duplicate training rows"):
             gpr.fit(X, y, hp(), 0.0)
-        hyper, noise = gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0, 0.1)))
-        assert noise == 0.1
-        gpr.fit(X, y, hyper, noise)
+        m = gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0, 0.1)))
+        assert m.noise_variance == 0.1
+        gpr.fit(X, y, m.hyper, m.noise_variance)
         # distinct rows keep zero noise a candidate
-        hyper, noise = gpr.tune_hyperparams(X[1:], y[1:], gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
-        assert noise == 0.0
-        gpr.fit(X[1:], y[1:], hyper, noise)
+        m = gpr.tune_hyperparams(X[1:], y[1:], gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
+        assert m.noise_variance == 0.0
+        gpr.fit(X[1:], y[1:], m.hyper, m.noise_variance)
 
     def test_rejects_negative_noise_candidate(self):
         with pytest.raises(ValueError, match="noise_variance must be >= 0"):
             gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], gpr.GridSpec((1.0,), ((1.0,),), (-0.1,)))
 
+    @pytest.mark.parametrize("sf2", [float("nan"), -1.0])
+    def test_rejects_bad_signal_variance_candidate(self, sf2):
+        # rejected, not skipped, though large noise keeps the spectrum positive
+        grid = gpr.GridSpec((1.0, sf2), ((1.0,),), (10.0,))
+        with pytest.raises(ValueError, match="signal_variance must be finite and >= 0"):
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+
     def test_rejects_grid_of_other_dimension(self):
         grid = gpr.GridSpec((1.0,), ((1.0,), (1.0,)), (0.1,))
         with pytest.raises(DimensionMismatchError, match="X dim 1 vs 2"):
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pick_is_the_model_fit_builds_there(self, dim):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.0, 5.0, (25, dim))
+        y = np.sin(X).sum(axis=1) + rng.normal(0.0, 0.1, 25)
+        grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),) * dim, (1e-3, 1e-2, 1e-1))
+        m = gpr.tune_hyperparams(X, y, grid)
+        ref = gpr.fit(X, y, m.hyper, m.noise_variance)
+        for name in ("beta", "whitener", "alpha"):
+            assert np.array_equal(getattr(m, name), getattr(ref, name)), name
 
     @staticmethod
     def _check_against_dense_oracle(X, y, grid):
@@ -431,10 +423,10 @@ class TestTuneHyperparams:
                     ll = oracle_lml(X, y, sf2, ls, noise, beta)
                     if ll > best_ll:
                         best, best_ll = (hp(sf2, ls), noise), ll
-        hyper, noise = gpr.tune_hyperparams(X, y, grid)
-        assert (hyper, noise) == best
-        beta = gpr.fit(X, y, hyper, noise).beta
-        assert gpr.log_marginal_likelihood(X, y, hyper, noise, beta) == pytest.approx(
+        m = gpr.tune_hyperparams(X, y, grid)
+        assert (m.hyper, m.noise_variance) == best
+        sf2, ls = m.hyper.signal_variance, m.hyper.length_scales
+        assert oracle_lml(X, y, sf2, ls, m.noise_variance, m.beta) == pytest.approx(
             best_ll, rel=1e-9
         )
 
@@ -466,7 +458,10 @@ class TestTuneHyperparams:
         X = rng.uniform(0, 5, (15, 1))
         y = rng.normal(0, 1, 15)
         grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),), (0.01, 0.1))
-        assert gpr.tune_hyperparams(X, y, grid) == gpr.tune_hyperparams(X, y, grid)
+        a, b = gpr.tune_hyperparams(X, y, grid), gpr.tune_hyperparams(X, y, grid)
+        assert (a.hyper, a.noise_variance) == (b.hyper, b.noise_variance)
+        for name in ("beta", "whitener", "alpha"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestHyperParamValidation:

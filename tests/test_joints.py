@@ -27,6 +27,20 @@ SQ = FamilyKind.SQUARE_SYM
 CURVE = FamilyKind.CURVE
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.eigh factorizes during the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def square_quadratic(theta):
     return 1.6940 + 0.0225 * theta - 0.0002 * theta * theta
 
@@ -209,18 +223,10 @@ class TestFitFamilyModel:
         assert decayed < 179.0
         assert decayed == pytest.approx(square_return_true(150.0), abs=5.0)
 
-    def test_one_eigendecomposition_per_target(self, square_dataset, monkeypatch):
+    def test_one_eigendecomposition_per_target(self, square_dataset, eigh_calls):
         # the LOO score reads the fitted model's factor instead of taking its own
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         model = joints.fit_family_model(square_dataset, SQ)
-        assert len(calls) == 2
+        assert len(eigh_calls) == 2
         assert model.force_loo_rmse is not None and model.return_loo_rmse is not None
 
     def test_loo_rmse_gp_scores_the_fitted_model(self, square_dataset):
@@ -261,6 +267,18 @@ class TestTuning:
         assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
         assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
 
+    @pytest.mark.parametrize("kind, dataset, tuples", [
+        (SQ, "square_dataset", 4),
+        (CURVE, "curve_dataset", 12),
+    ])
+    def test_one_eigendecomposition_per_length_scale_tuple(
+        self, request, eigh_calls, kind, dataset, tuples
+    ):
+        # the pick is built from the eigendecomposition it was scored with
+        ds = request.getfixturevalue(dataset)
+        joints.fit_family_model(ds, kind, joints.GprFitConfig(tune=True))
+        assert len(eigh_calls) == 2 * tuples  # force and return targets
+
     def test_tuning_takes_no_noise_variance(self):
         with pytest.raises(ValueError, match="noise_variance"):
             joints.GprFitConfig(noise_variance=0.5, tune=True)
@@ -283,8 +301,8 @@ class TestPolyBaseline:
         grid = gpr.GridSpec(
             (0.5 * v, v, 2 * v), ((5.0, 10.0, 20.0, 40.0),), (1e-3, 1e-2, 1e-1)
         )
-        hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
-        gp_rmse = gp_loo_rmse(theta[:, None], y, hyper, noise)
+        m = gpr.tune_hyperparams(theta[:, None], y, grid)
+        gp_rmse = gp_loo_rmse(theta[:, None], y, m.hyper, m.noise_variance)
         poly_rmse = joints.loo_rmse_poly(theta, y, 7)
         assert gp_rmse < poly_rmse
 
@@ -298,8 +316,8 @@ def c8_trial(seed):
     v = float(np.var(y))
     grid = gpr.GridSpec((0.5 * v, v, 2.0 * v), ((5.0, 10.0, 20.0, 40.0),),
                         (1e-3, 3e-3, 1e-2, 3e-2, 1e-1))
-    hyper, noise = gpr.tune_hyperparams(theta[:, None], y, grid)
-    return theta, y, hyper, noise
+    m = gpr.tune_hyperparams(theta[:, None], y, grid)
+    return theta, y, m.hyper, m.noise_variance
 
 
 class TestClosedFormLoo:

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "fit",
     "fit_family_model",
     "load_archive",
-    "log_marginal_likelihood",
     "motor_requirements",
     "parse_measurements",
     "predict_many",
