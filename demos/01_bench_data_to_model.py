@@ -26,12 +26,12 @@ DATA = Path(__file__).parent / "data" / "square_sym_bench.csv"
 OUT = Path(__file__).parent / "data" / "square_sym_force.json"
 
 # 1. ingest and inspect ------------------------------------------------------
-raw = parse_measurements(DATA.read_text(), source=str(DATA))
+raw = parse_measurements(DATA.read_text())
 print(f"loaded {len(raw)} raw samples from {DATA.name}")
 
 # the bench records 3 runs per angle; collapse them into per-angle means
 ds = average_runs(raw, angle_bin=5.0)
-print(f"averaged down to {len(ds)} samples ({ds.provenance.note})")
+print(f"averaged down to {len(ds)} samples (averaged with angle_bin=5 deg)")
 
 # 2. fit the family model -----------------------------------------------------
 model = fit_family_model(ds, FamilyKind.SQUARE_SYM)

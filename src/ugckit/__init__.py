@@ -15,7 +15,6 @@ from .data import (
     MeasurementSample,
     average_runs,
     parse_measurements,
-    serialize_measurements,
 )
 from .gpr import (
     FittedGP,
@@ -84,7 +83,6 @@ __all__ = [
     "ring_geometry",
     "save_model",
     "section_force",
-    "serialize_measurements",
     "target_arc",
     "tune_hyperparams",
 ]

@@ -16,7 +16,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import archive, joints, mechanics
-from .data import FamilyKind, average_runs, check_angle_bin, parse_measurements
+from .data import (
+    DEFAULT_ANGLE_BIN,
+    FamilyKind,
+    average_runs,
+    check_angle_bin,
+    parse_measurements,
+)
 from .errors import (
     ComputationError,
     DesignSpecError,
@@ -154,7 +160,7 @@ def cmd_fit(args) -> int:
             check_angle_bin(args.angle_bin)
         except ValueError as exc:
             raise InputError(f"--angle-bin: {exc}") from None
-    ds = parse_measurements(_read_text(args.data), source=str(args.data))
+    ds = parse_measurements(_read_text(args.data))
     if not args.no_average:
         ds = average_runs(ds, args.angle_bin)
 
@@ -292,7 +298,7 @@ def cmd_validate(args) -> int:
     if not args.data and not args.spec:
         raise InputError("validate needs --data and/or --spec")
     if args.data:
-        ds = parse_measurements(_read_text(args.data), source=str(args.data))
+        ds = parse_measurements(_read_text(args.data))
         _emit(args, f"{args.data}: ok ({len(ds)} samples)")
     if args.spec:
         _read_spec(args.spec)
@@ -322,7 +328,9 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="joint family token")
     p.add_argument("--out", required=True, help="force-model archive to write")
     p.add_argument("--return-out", help="also write the return-angle archive here")
-    p.add_argument("--angle-bin", type=finite_float, default=5.0, help="run-averaging bin (deg)")
+    p.add_argument(
+        "--angle-bin", type=finite_float, default=DEFAULT_ANGLE_BIN, help="run-averaging bin (deg)"
+    )
     p.add_argument("--no-average", action="store_true", help="fit raw runs without averaging")
     p.add_argument("--noise-variance", type=finite_float, help="fixed noise variance")
     p.add_argument("--tune", action="store_true", help="grid-search hyperparameters")

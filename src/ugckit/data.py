@@ -2,8 +2,8 @@
 
 The test bench records, per bend of a joint, the imposed deformation angle,
 the holding force at the free end, and the angle the joint recovers to after
-release (180 deg = flat, full recovery). A dataset is an immutable list of
-such samples plus provenance about where they came from.
+release (180 deg = flat, full recovery). A dataset is an immutable,
+non-empty tuple of such samples.
 
 CSV wire format (exact header, comma separated):
 
@@ -20,7 +20,7 @@ import io
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     BadNumberError,
@@ -41,6 +41,8 @@ CSV_COLUMNS = (
     "return_angle_deg",
     "run_id",
 )
+
+DEFAULT_ANGLE_BIN = 5.0  # deg, the run-averaging bin of average_runs and ugc fit
 
 
 class FamilyKind(str, enum.Enum):
@@ -121,16 +123,8 @@ class MeasurementSample:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    source: str = "<memory>"
-    note: str = ""
-    group_sizes: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class JointDataset:
     samples: tuple[MeasurementSample, ...]
-    provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self):
         if not self.samples:
@@ -158,7 +152,7 @@ def _parse_token(kind: type[enum.Enum], raw, row, fieldname):
         raise BadNumberError(row, fieldname, token) from None
 
 
-def parse_measurements(csv_text: str, source: str = "<memory>") -> JointDataset:
+def parse_measurements(csv_text: str) -> JointDataset:
     """Parse bench CSV text into a JointDataset.
 
     Rows are validated strictly: the first invalid row aborts the parse with
@@ -166,12 +160,12 @@ def parse_measurements(csv_text: str, source: str = "<memory>") -> JointDataset:
     """
     reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
-        return _parse_records(reader, source)
+        return _parse_records(reader)
     except csv.Error as exc:  # a line the csv module cannot split
         raise InputError(f"after line {reader.line_num}: {exc}") from None
 
 
-def _parse_records(reader, source: str) -> JointDataset:
+def _parse_records(reader) -> JointDataset:
     header = next(reader, None)
     if header is None:
         raise EmptyFileError("no CSV content")
@@ -195,7 +189,7 @@ def _parse_records(reader, source: str) -> JointDataset:
 
     if not samples:
         raise EmptyFileError("CSV has a header but no data rows")
-    return JointDataset(tuple(samples), Provenance(source=source))
+    return JointDataset(tuple(samples))
 
 
 def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
@@ -221,27 +215,6 @@ def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
         raise OutOfRangeError(row, column, detail) from None
 
 
-def serialize_measurements(ds: JointDataset) -> str:
-    """Render a dataset back to CSV; numeric values round-trip exactly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for s in ds.samples:
-        thick = repr(s.family.thickness) if s.family.thickness is not None else ""
-        writer.writerow(
-            [
-                s.family.kind.value,
-                thick,
-                repr(s.deformation_angle),
-                s.direction.value,
-                repr(s.force),
-                repr(s.return_angle),
-                s.run_id,
-            ]
-        )
-    return out.getvalue()
-
-
 def _group_key(sample: MeasurementSample, angle_bin: float):
     return (
         sample.family.kind.value,
@@ -258,7 +231,7 @@ def check_angle_bin(angle_bin: float) -> None:
         raise ValueError(f"angle_bin must be a finite number in (0, 180] deg, got {angle_bin!r}")
 
 
-def average_runs(ds: JointDataset, angle_bin: float = 5.0) -> JointDataset:
+def average_runs(ds: JointDataset, angle_bin: float = DEFAULT_ANGLE_BIN) -> JointDataset:
     """Collapse repeat runs into per-angle-bin means.
 
     Samples are grouped by (family, direction, round(angle / angle_bin));
@@ -273,10 +246,8 @@ def average_runs(ds: JointDataset, angle_bin: float = 5.0) -> JointDataset:
         groups.setdefault(_group_key(s, angle_bin), []).append(s)
 
     merged = []
-    sizes = []
     for key in sorted(groups):
         members = groups[key]
-        sizes.append(len(members))
         if len(members) == 1:
             merged.append(members[0])
             continue
@@ -290,10 +261,4 @@ def average_runs(ds: JointDataset, angle_bin: float = 5.0) -> JointDataset:
                 run_id=f"avg-of-{n}",
             )
         )
-
-    prov = replace(
-        ds.provenance,
-        note=f"averaged with angle_bin={angle_bin:g} deg",
-        group_sizes=tuple(sizes),
-    )
-    return JointDataset(tuple(merged), prov)
+    return JointDataset(tuple(merged))

@@ -121,10 +121,10 @@ def _has_duplicate_rows(X: np.ndarray) -> bool:
 
 
 def _check_noise(noise_variance: float, duplicate_rows: bool) -> None:
-    """The rule for a noise variance: >= 0, and 0 only on distinct rows
-    (with a repeated row and no noise, K is singular)."""
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+    """The rule for a noise variance: finite and >= 0, and 0 only on distinct
+    rows (with a repeated row and no noise, K is singular)."""
+    if not 0 <= noise_variance < math.inf:
+        raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     if noise_variance == 0.0 and duplicate_rows:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
 
@@ -190,16 +190,14 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
-def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, beta="gls"):
+def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, beta=None):
     """The model on checked training data from K1 = V diag(lam) V' (see
     _kernel_eigh): A = hyper.signal_variance K1 + noise*I has the spectrum
     d = _spectrum(sf2 lam, noise) and A^-1 = W W' with W = V diag(d)^-1/2."""
     W = V / np.sqrt(_spectrum(hyper.signal_variance * lam, noise_variance))
     H = basis_matrix(Xm)
 
-    if isinstance(beta, str):
-        if beta != "gls":
-            raise ValueError(f"beta must be 'gls' or a coefficient vector, got {beta!r}")
+    if beta is None:
         beta_vec, _ = _gls(W.T @ H, W.T @ yv)
     else:
         beta_vec = np.asarray(beta, dtype=float).ravel()
@@ -220,10 +218,10 @@ def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, bet
     )
 
 
-def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta="gls") -> FittedGP:
+def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta=None) -> FittedGP:
     """Fit the GP to training inputs X (n x d) and targets y (n,).
 
-    beta: "gls" to estimate the mean coefficients by generalized least
+    beta: None to estimate the mean coefficients by generalized least
     squares, or an explicit vector of length 2d+1 to hold them fixed.
     With zero noise the inputs must be distinct, otherwise K is singular.
     """
@@ -249,7 +247,7 @@ def loo_residuals(model: FittedGP) -> np.ndarray:
     diag(P) and P y.
 
     beta is re-estimated by GLS in every fold, also for a model fitted with
-    beta held fixed: the residuals are those of refits with beta="gls".
+    beta held fixed: the residuals are those of refits with beta=None.
 
     Where the other rows cannot identify the mean at x_i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's

@@ -60,6 +60,7 @@ def _at_least(low):
     return (lambda v: v >= low), f"must be >= {low}"
 
 
+_ANY = (lambda v: True), ""
 _POSITIVE = (lambda v: v > 0), "must be > 0"
 _RATIO = (lambda v: 0 < v <= 1), "must be in (0, 1]"
 
@@ -80,22 +81,23 @@ def _coerce(kind, value, label: str):
         raise ValueError(f"{label}: must be a finite number") from None
 
 
+def _checked(label: str, value, rule=_ANY, kind=float):
+    """value as kind (see _coerce); ValueError starting with label if it breaks rule."""
+    value = _coerce(kind, value, label)
+    _enforce(label, value, rule)
+    return value
+
+
 class _Field(NamedTuple):
     key: str  # JSON key
     kind: type  # int, float, or the class of a nested document
-    rule: tuple = ((lambda v: True), "")  # (test, message text)
+    rule: tuple = _ANY  # (test, message text)
     attr: str | None = None  # attribute name, when it differs from key
     presence: str = "required"
 
     @property
     def name(self) -> str:
         return self.attr or self.key
-
-    def check(self, value, label: str):
-        """value as this field's type; ValueError starting with label if it breaks the row."""
-        value = _coerce(self.kind, value, label)
-        _enforce(label, value, self.rule)
-        return value
 
 
 def _check_attributes(obj, table) -> None:
@@ -107,7 +109,7 @@ def _check_attributes(obj, table) -> None:
             if not isinstance(value, f.kind):
                 raise ValueError(f"{f.name}={value!r}: expected {f.kind.__name__}")
         elif not (value is None and f.presence == "nullable"):
-            object.__setattr__(obj, f.name, f.check(value, f"{f.name}={value!r}"))
+            object.__setattr__(obj, f.name, _checked(f"{f.name}={value!r}", value, f.rule, f.kind))
 
 
 _ACTUATOR_FIELDS = (
@@ -141,9 +143,6 @@ _SPEC_FIELDS = (
     _Field("per_joint_force_n", float, _at_least(0), "per_joint_force_override", "nullable"),
     _Field("friction_loss_factor", float, _POSITIVE, presence="optional"),
 )
-
-
-_SAFETY_FACTOR = _Field("safety_factor", float, _POSITIVE)
 
 
 def _spread_problem(joints_per_ring=None, n_sections=None, **_) -> str | None:
@@ -184,28 +183,23 @@ class SpringChain:
 
     elements holds (stiffness k in N*mm/deg, cumulative angle in deg) pairs;
     consecutive angle differences are the per-spring deflections, measured
-    from a flat reference of 0. current_radius is R(t) in mm, optionally
-    clamped into [min_radius, max_radius].
+    from a flat reference of 0. current_radius is R(t) in mm. Stiffnesses and
+    the radius must be finite and > 0, angles finite.
     """
 
     elements: tuple[tuple[float, float], ...]
     current_radius: float  # mm
-    min_radius: float | None = None
-    max_radius: float | None = None
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("spring chain needs at least one element")
-        if any(k <= 0 for k, _ in self.elements):
-            raise ValueError("all spring stiffnesses must be positive")
+        elements = []
+        for i, (k, angle) in enumerate(self.elements):
+            k = _checked(f"elements[{i}] stiffness={k!r}", k, _POSITIVE)
+            elements.append((k, _checked(f"elements[{i}] angle={angle!r}", angle)))
+        object.__setattr__(self, "elements", tuple(elements))
         r = self.current_radius
-        if self.min_radius is not None:
-            r = max(r, self.min_radius)
-        if self.max_radius is not None:
-            r = min(r, self.max_radius)
-        object.__setattr__(self, "current_radius", r)
-        if self.current_radius <= 0:
-            raise ValueError(f"current_radius must be positive, got {self.current_radius}")
+        object.__setattr__(self, "current_radius", _checked(f"current_radius={r!r}", r, _POSITIVE))
 
 
 def ring_geometry(outer_radius: float, n_sections: int) -> tuple[float, float]:
@@ -267,6 +261,9 @@ def effective_stiffness(force: float, delta_theta: float, radius: float) -> floa
     F is the full two-sided section force, so k covers both mirror halves;
     a one-sided chain element reproducing F carries k / 2.
     """
+    force = _checked(f"force={force!r}", force)
+    radius = _checked(f"radius={radius!r}", radius, _POSITIVE)
+    delta_theta = _checked(f"delta_theta={delta_theta!r}", delta_theta)
     if delta_theta <= 0:
         raise ZeroDeflectionError(f"delta_theta must be positive, got {delta_theta}")
     return radius * force / delta_theta
@@ -278,7 +275,6 @@ class MotorRequirements:
     min_spindle_radius: float  # mm, inf when unloaded
     torque_at_spindle: float  # N*m at the configured radius
     overdrive: bool
-    no_load: bool
 
 
 def motor_requirements(
@@ -291,8 +287,10 @@ def motor_requirements(
     demands more torque than rated and raises the overdrive flag (scaled by
     the actuator's overdrive tolerance).
     """
-    if total_joints < 0 or per_joint_force < 0:
-        raise ValueError("joint count and per-joint force must be non-negative")
+    total_joints = _checked(f"total_joints={total_joints!r}", total_joints, _at_least(0), int)
+    per_joint_force = _checked(
+        f"per_joint_force={per_joint_force!r}", per_joint_force, _at_least(0)
+    )
     total_force = total_joints * per_joint_force
     if total_force == 0.0:
         return MotorRequirements(
@@ -300,7 +298,6 @@ def motor_requirements(
             min_spindle_radius=math.inf,
             torque_at_spindle=0.0,
             overdrive=False,
-            no_load=True,
         )
     min_radius_mm = units.m_to_mm(actuator.rated_torque / total_force)
     torque = total_force * units.mm_to_m(actuator.spindle_radius)
@@ -310,7 +307,6 @@ def motor_requirements(
         min_spindle_radius=min_radius_mm,
         torque_at_spindle=torque,
         overdrive=overdrive,
-        no_load=False,
     )
 
 
@@ -426,7 +422,7 @@ def design_module(
     infeasibility (the fold not fitting inside the contracted ring) and
     out-of-range curve queries do abort.
     """
-    safety_factor = _SAFETY_FACTOR.check(safety_factor, f"safety_factor={safety_factor!r}")
+    safety_factor = _checked(f"safety_factor={safety_factor!r}", safety_factor, _POSITIVE)
     if joint_model.kind is not spec.joint.kind:
         raise ValueError(
             f"model covers {joint_model.kind.value}, design uses {spec.joint.kind.value}"
@@ -487,7 +483,7 @@ def design_module(
     )
     if motor.overdrive:
         flags.append(FLAG_OVERDRIVE)
-    if motor.no_load:
+    if motor.total_force == 0.0:
         diagnostics.append("no cable load; spindle radius unconstrained")
 
     env = joints.envelope_for(spec.joint)
@@ -575,7 +571,7 @@ def _read_fields(doc: dict, table, problems: list[str], prefix: str = "") -> dic
                 problems.append(f"missing field: {path}")
         elif raw is not None or f.presence != "nullable":
             try:
-                values[f.name] = f.check(raw, f"field {path}")
+                values[f.name] = _checked(f"field {path}", raw, f.rule, f.kind)
             except ValueError as exc:
                 problems.append(str(exc))
     _unknown_keys(doc, {f.key for f in table}, prefix, problems)

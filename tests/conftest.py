@@ -208,10 +208,10 @@ def curve_bench_csv(rng, runs=3, force_noise=0.08, return_noise=1.0):
 @pytest.fixture
 def square_dataset() -> JointDataset:
     rng = np.random.default_rng(7)
-    return parse_measurements(square_bench_csv(rng), source="square-fixture")
+    return parse_measurements(square_bench_csv(rng))
 
 
 @pytest.fixture
 def curve_dataset() -> JointDataset:
     rng = np.random.default_rng(11)
-    return parse_measurements(curve_bench_csv(rng), source="curve-fixture")
+    return parse_measurements(curve_bench_csv(rng))

@@ -227,7 +227,7 @@ def test_size_mismatch_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, 
         (lambda doc: doc["kernel"].update(length_scales=[-20.0, 0.4]),
          "field kernel: length scales must all be finite and > 0, got (-20.0, 0.4)"),
         (lambda doc: doc.update(noise_variance=-0.0025),
-         "field noise_variance: noise_variance must be >= 0, got -0.0025"),
+         "field noise_variance: noise_variance must be finite and >= 0, got -0.0025"),
         (lambda doc: doc["kernel"].update(signal_variance=-1.0),
          "field kernel: signal_variance must be finite and >= 0, got -1.0"),
         (lambda doc: doc["kernel"].pop("signal_variance"),

@@ -78,6 +78,11 @@ class TestBuiltin:
         assert main(["builtin", "--family", "square_sym", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_out_exits_2_naming_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sq.json"
+        assert main(["builtin", "--family", "square_sym", "--out", str(out)]) == 2
+        assert f"cannot write archive {out}" in capsys.readouterr().err
+
 
 class TestFit:
     def test_happy_path_prints_rmse_table(self, tmp_path, bench_csv, capsys):
@@ -326,6 +331,17 @@ class TestPredict:
             k += 1
         assert _parse_sweep(spec) == want
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("1:2", "--sweep expects start:stop:step, got '1:2'"),
+        ("1:5:0", "--sweep needs step > 0 and stop >= start"),
+        ("10:5:1", "--sweep needs step > 0 and stop >= start"),
+    ], ids=["two-parts", "zero-step", "stop-below-start"])
+    def test_malformed_sweep_exit_2(self, square_archive, capsys, sweep, message):
+        assert main(["predict", "--model", str(square_archive), "--sweep", sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_missing_theta_and_sweep_exit_2(self, square_archive):
         assert main(["predict", "--model", str(square_archive)]) == 2
 
@@ -496,6 +512,62 @@ class TestDesign:
             "unbounded"
         ]
 
+    def test_json_stdout_is_the_report(self, tmp_path, square_archive, spec_file, capsys):
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec_file), "--model", str(square_archive),
+            "--out", str(out), "--json",
+        ]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_spec_not_json_exit_2(self, tmp_path, square_archive, capsys):
+        spec = tmp_path / "ring.json"
+        spec.write_text("{")
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2_naming_path(self, tmp_path, square_archive, spec_file, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main([
+            "design", "--spec", str(spec_file), "--model", str(square_archive), "--out", str(out),
+        ]) == 2
+        assert f"cannot write report {out}" in capsys.readouterr().err
+
+    def test_curve_bend_below_window_exits_2_naming_angle(self, tmp_path, capsys):
+        # ratio 0.9 bends each joint acos(0.9) = 25.8 deg, below the curve
+        # model's validated 30 deg, and no override stands in
+        model = tmp_path / "curve.json"
+        assert main(["builtin", "--family", "curve", "--out", str(model)]) == 0
+        spec = tmp_path / "ring.json"
+        doc = {**GOOD_SPEC, "target_ratio": 0.9, "per_joint_force_n": None,
+               "joint": {"family": "curve", "thickness_mm": 0.8}}
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([
+            "design", "--spec", str(spec), "--model", str(model), "--out", str(out),
+        ]) == 2
+        assert "deformation angle 25.8419 deg outside the validated window" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_square_bend_below_window_warns_in_report(self, tmp_path, square_archive):
+        spec = tmp_path / "ring.json"
+        doc = {k: v for k, v in GOOD_SPEC.items() if k != "per_joint_force_n"}
+        spec.write_text(json.dumps({**doc, "target_ratio": 0.95}))
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["per_joint_force_source"] == "model"
+        assert "force model warning: extrapolation" in report["diagnostics"]
+
     def test_byte_identical_reports(self, tmp_path, square_archive, spec_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -589,6 +661,12 @@ class TestValidate:
         path.write_text(HEADER + "\n" + row + "\n")
         assert main(["validate", "--data", str(path)]) == 2
         assert "row 2: 8 cells, header has 7" in capsys.readouterr().err
+
+    def test_cell_past_csv_field_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(HEADER + "\nsquare_sym,," + "9" * 131_073 + ",forward,1.0,170,r1\n")
+        assert main(["validate", "--data", str(path)]) == 2
+        assert "after line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_family_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ring.json"
@@ -771,10 +849,21 @@ class TestGlobalFlags:
         ]) == 2
         assert key in capsys.readouterr().err
 
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert main([
+            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+            "--config", str(cfg),
+        ]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [("degree = 2.5", "degree must be an integer"),
-         ("angle_bin = wide", "angle_bin must be a finite number")],
+         ("angle_bin = wide", "angle_bin must be a finite number"),
+         ("quiet", "expected key = value"),
+         ("quiet = maybe", "quiet must be true/false")],
     )
     def test_config_type_errors_worded(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "ugc.cfg"

@@ -121,6 +121,13 @@ class TestFitPredict:
         with pytest.raises(DimensionMismatchError):
             gpr.fit([[1.0]], [1.0], hp(), 0.1, beta=[1.0, 2.0])
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        # inf fitted beta = 0 and saved an archive no loader accepts; nan
+        # escaped as numpy's LinAlgError
+        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
+            gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), noise)
+
     def test_matches_oracle_fixed_and_gls_beta(self):
         rng = np.random.default_rng(123)
         worst = 0.0
@@ -128,7 +135,7 @@ class TestFitPredict:
             X, y, sf2, ls, noise, beta, queries = random_gp_instance(rng)
             use_gls = trial % 2 == 0
             h = hp(sf2, ls)
-            m = gpr.fit(X, y, h, noise, beta="gls" if use_gls else beta)
+            m = gpr.fit(X, y, h, noise, beta=None if use_gls else beta)
             if use_gls:
                 ob, _ = oracle_gp(X, y, sf2, ls, noise, beta=None)
                 assert m.beta == pytest.approx(ob, abs=1e-8)
@@ -386,8 +393,14 @@ class TestTuneHyperparams:
         gpr.fit(X[1:], y[1:], m.hyper, m.noise_variance)
 
     def test_rejects_negative_noise_candidate(self):
-        with pytest.raises(ValueError, match="noise_variance must be >= 0"):
+        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
             gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], gpr.GridSpec((1.0,), ((1.0,),), (-0.1,)))
+
+    def test_rejects_infinite_noise_candidate(self):
+        # rejected, not skipped: an infinite noise would make an all-zero beta the pick
+        grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1, math.inf))
+        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
 
     @pytest.mark.parametrize("sf2", [float("nan"), -1.0])
     def test_rejects_bad_signal_variance_candidate(self, sf2):

@@ -283,6 +283,11 @@ class TestTuning:
         with pytest.raises(ValueError, match="noise_variance"):
             joints.GprFitConfig(noise_variance=0.5, tune=True)
 
+    def test_infinite_configured_noise_rejected(self, square_dataset):
+        config = joints.GprFitConfig(noise_variance=np.inf)
+        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
+            joints.fit_family_model(square_dataset, SQ, config)
+
 
 class TestPolyBaseline:
     def test_loo_checks_sample_count_before_fitting(self):

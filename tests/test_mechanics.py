@@ -126,15 +126,30 @@ class TestSectionForce:
         doubled_r = mechanics.SpringChain(elements=base.elements, current_radius=160.0)
         assert mechanics.section_force(doubled_r) == pytest.approx(0.5 * f, rel=1e-12)
 
-    def test_radius_clamped_into_bounds(self):
-        chain = mechanics.SpringChain(
-            elements=((10.0, 30.0),), current_radius=500.0, min_radius=3.0, max_radius=100.0
-        )
-        assert chain.current_radius == 100.0
-
     def test_rejects_nonpositive_stiffness(self):
         with pytest.raises(ValueError):
             mechanics.SpringChain(elements=((0.0, 10.0),), current_radius=100.0)
+
+    @pytest.mark.parametrize(
+        "elements, radius, message",
+        [
+            (((math.nan, 30.0),), 100.0, "elements[0] stiffness=nan: must be a finite number"),
+            (((math.inf, 30.0),), 100.0, "elements[0] stiffness=inf: must be a finite number"),
+            (((10.0, 5.0), (10.0, math.inf)), 100.0,
+             "elements[1] angle=inf: must be a finite number"),
+            (((10.0, math.nan),), 100.0, "elements[0] angle=nan: must be a finite number"),
+            (((10.0, 30.0),), math.nan, "current_radius=nan: must be a finite number"),
+            (((10.0, 30.0),), math.inf, "current_radius=inf: must be a finite number"),
+            (((10.0, 30.0),), -math.inf, "current_radius=-inf: must be a finite number"),
+        ],
+        ids=["k-nan", "k-inf", "angle-inf", "angle-nan", "radius-nan", "radius-inf",
+             "radius-neg-inf"],
+    )
+    def test_rejects_non_finite_values(self, elements, radius, message):
+        # section_force used to return nan, inf or 0.0 for these
+        with pytest.raises(ValueError) as err:
+            mechanics.SpringChain(elements=elements, current_radius=radius)
+        assert str(err.value) == message
 
 
 class TestEffectiveStiffness:
@@ -147,6 +162,24 @@ class TestEffectiveStiffness:
     def test_zero_deflection_rejected(self):
         with pytest.raises(ZeroDeflectionError):
             mechanics.effective_stiffness(6.0, 0.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 30.0, 100.0), "force=nan: must be a finite number"),
+            ((6.0, math.inf, 100.0), "delta_theta=inf: must be a finite number"),
+            ((6.0, math.nan, 100.0), "delta_theta=nan: must be a finite number"),
+            ((6.0, 30.0, math.inf), "radius=inf: must be a finite number"),
+            ((6.0, 30.0, -100.0), "radius=-100.0: must be > 0"),
+        ],
+        ids=["force-nan", "delta-inf", "delta-nan", "radius-inf", "radius-neg"],
+    )
+    def test_rejects_bad_values(self, args, message):
+        # (nan, 30, 100) returned nan and (6, inf, 100) returned 0.0
+        with pytest.raises(ValueError) as err:
+            mechanics.effective_stiffness(*args)
+        assert str(err.value) == message
+        assert not isinstance(err.value, ZeroDeflectionError)
 
     def test_round_trip_against_section_force(self):
         force, delta, radius = 6.0, 30.0, 100.0
@@ -167,7 +200,6 @@ class TestMotorRequirements:
     def test_no_load(self):
         req = mechanics.motor_requirements(1, 0.0, ACTUATOR)
         assert req.total_force == 0.0
-        assert req.no_load
         assert math.isinf(req.min_spindle_radius)
         assert not req.overdrive
 
@@ -181,6 +213,23 @@ class TestMotorRequirements:
         tolerant = mechanics.ActuatorSpec(0.08, 3.0, overdrive_factor=2.0)
         req = mechanics.motor_requirements(40, 1.05, tolerant)
         assert not req.overdrive  # 0.126 <= 0.08 * 2
+
+    @pytest.mark.parametrize(
+        "joints_, force, message",
+        [
+            (40, math.nan, "per_joint_force=nan: must be a finite number"),
+            (40, math.inf, "per_joint_force=inf: must be a finite number"),
+            (40, -1.0, "per_joint_force=-1.0: must be >= 0"),
+            (-1, 1.05, "total_joints=-1: must be >= 0"),
+            (40.0, 1.05, "total_joints=40.0: expected int"),
+        ],
+        ids=["force-nan", "force-inf", "force-neg", "joints-neg", "joints-float"],
+    )
+    def test_rejects_bad_values(self, joints_, force, message):
+        # nan gave nan in every field; inf gave a min_spindle_radius of 0.0
+        with pytest.raises(ValueError) as err:
+            mechanics.motor_requirements(joints_, force, ACTUATOR)
+        assert str(err.value) == message
 
 
 class TestRecommendedSpindle:
@@ -222,6 +271,28 @@ class TestDesignModule:
         assert report.per_joint_force == 0.0
         assert report.flags == ()
         assert report.predicted_return_angle == 180.0
+
+    @pytest.mark.parametrize(
+        "yield_angle, contact_angle, flags",
+        [
+            (30.0, None, (mechanics.FLAG_YIELD,)),
+            (90.0, 31.0, (mechanics.FLAG_SELF_CONTACT,)),
+            (30.0, 31.0, (mechanics.FLAG_YIELD, mechanics.FLAG_SELF_CONTACT)),
+            (32.0, 32.0, ()),
+        ],
+        ids=["yield", "self-contact", "both", "neither"],
+    )
+    def test_envelope_flags(self, monkeypatch, yield_angle, contact_angle, flags):
+        # the shipped envelopes yield at 90 deg or more, past every design bend
+        # (acos of a ratio in (0, 1]), so a low-angle envelope stands in
+        env = joints.JointEnvelope(yield_angle, contact_angle, None, 20.0)
+        monkeypatch.setattr(joints, "envelope_for", lambda family: env)
+        report = mechanics.design_module(
+            reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM)
+        )
+        assert report.bend_angle == pytest.approx(31.79, abs=0.1)
+        assert report.flags == (mechanics.FLAG_OVERDRIVE, *flags)
+        assert (report.yield_angle, report.self_contact_angle) == (yield_angle, contact_angle)
 
     def test_deep_contraction_infeasible(self):
         with pytest.raises(GeometryInfeasibleError):

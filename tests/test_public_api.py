@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "ring_geometry",
     "save_model",
     "section_force",
-    "serialize_measurements",
     "target_arc",
     "tune_hyperparams",
 ]
