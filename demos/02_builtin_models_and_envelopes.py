@@ -18,10 +18,7 @@ angles = range(30, 151, 15)  # deg
 square = builtin_model(FamilyKind.SQUARE_SYM)
 print("symmetric square wave, force vs angle")
 print("angle  force (N)")
-for theta in angles:
-    # one angle per query, as `ugc predict --theta` asks: a batched query may
-    # differ in the last bit (here 1.087 instead of 1.086 at 135 deg)
-    (pred,), _ = predict_many(square, [theta])
+for theta, pred in zip(angles, predict_many(square, angles)[0]):
     print(f"{theta:5d}  {pred.mean:6.3f}")
 
 # 2. curve family: force rises with wall thickness ------------------------------

@@ -274,8 +274,11 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
 
     k(x, x) is the signal variance for the squared-exponential kernel. Rows
     go through in blocks of _PREDICT_BLOCK: one cross-kernel and one product
-    with the stored whitener per block. Raises ValueError naming the first
-    query point whose mean or variance is not finite (overflow far from the data).
+    with the stored whitener per block. A row's mean does not depend on the
+    rows queried with it (both mean products run row by row); its variance
+    comes from a matrix product with the whitener and may differ in the last
+    bits between batches. Raises ValueError naming the first query point
+    whose mean or variance is not finite (overflow far from the data).
     """
     Q = _as_points(Xq)
     if Q.shape[1] != model.input_dim:
@@ -292,7 +295,10 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, Q.shape[0], _PREDICT_BLOCK):
             rows = slice(start, start + _PREDICT_BLOCK)
             k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
-            means[rows] = basis_matrix(Q[rows]) @ model.beta + k_star @ model.alpha
+            H = basis_matrix(Q[rows])
+            means[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
+                "ij,j->i", k_star, model.alpha
+            )
             v = k_star @ model.whitener
             variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
     np.maximum(variances, 0.0, out=variances)

@@ -4,7 +4,7 @@ The module is a ring of n mirrored sections, contracted by cables wound on a
 central spindle. Sizing works through a fixed pipeline:
 
     ring geometry -> target arc -> bend angle per joint -> per-joint force
-    -> total cable force -> spindle torque and radius -> envelope checks
+    -> total cable force -> spindle torque and radius -> overdrive flag
 
 The bend angle comes from a right-triangle approximation of one folding
 half-section: hypotenuse = half the original arc, adjacent = half the
@@ -12,6 +12,11 @@ shortened arc, so the angle is arccos of the contraction ratio. The fold
 must also physically fit: its height (the inward excursion of the folded
 material) may not exceed the contracted radius, or the fold would cross the
 module center; that is the feasibility bound on deep contractions.
+
+The report quotes the joint's envelope (yield and self-contact angles) but
+compares no angle with it: a feasible design's bend, arccos of a ratio in
+(0, 1], stays below 90 deg, short of every yield and self-contact angle in
+the table.
 
 design_module takes the total cable force as
 
@@ -44,8 +49,6 @@ from .errors import (
 DEFAULT_SAFETY_FACTOR = 1.5
 SPINDLE_GRID_MM = 0.1  # manufacturable spindle radius resolution
 
-FLAG_YIELD = "yield_exceeded"
-FLAG_SELF_CONTACT = "self_contact"
 FLAG_OVERDRIVE = "overdrive"
 
 
@@ -246,27 +249,38 @@ def fold_depth(half_section_arc: float, bend_angle_deg: float) -> float:
 
 
 def section_force(chain: SpringChain) -> float:
-    """Two-sided cable force (N) of one section: 2 * sum k_i dtheta_i / R."""
+    """Two-sided cable force (N) of one section: 2 * sum k_i dtheta_i / R.
+    ValueError where the force is past the float range."""
     prev = 0.0
     total = 0.0
     for k, angle in chain.elements:
         total += k * (angle - prev)
         prev = angle
-    return 2.0 * total / chain.current_radius
+    force = 2.0 * total / chain.current_radius
+    if not math.isfinite(force):
+        raise ValueError(f"section force of {chain!r} is not finite")
+    return force
 
 
 def effective_stiffness(force: float, delta_theta: float, radius: float) -> float:
     """Aggregate stiffness k = R * F / dtheta in N*mm/deg.
 
     F is the full two-sided section force, so k covers both mirror halves;
-    a one-sided chain element reproducing F carries k / 2.
+    a one-sided chain element reproducing F carries k / 2. ValueError where
+    k is past the float range.
     """
     force = _checked(f"force={force!r}", force)
     radius = _checked(f"radius={radius!r}", radius, _POSITIVE)
     delta_theta = _checked(f"delta_theta={delta_theta!r}", delta_theta)
     if delta_theta <= 0:
         raise ZeroDeflectionError(f"delta_theta must be positive, got {delta_theta}")
-    return radius * force / delta_theta
+    k = radius * force / delta_theta
+    if not math.isfinite(k):
+        raise ValueError(
+            f"stiffness at force={force!r}, delta_theta={delta_theta!r}, "
+            f"radius={radius!r} is not finite"
+        )
+    return k
 
 
 @dataclass(frozen=True)
@@ -285,13 +299,19 @@ def motor_requirements(
     The motor torque relates to cable force through tau = F * r, so the
     smallest workable spindle is rated_torque / F; an oversized spindle
     demands more torque than rated and raises the overdrive flag (scaled by
-    the actuator's overdrive tolerance).
+    the actuator's overdrive tolerance). ValueError where the total force or
+    the torque is past the float range.
     """
     total_joints = _checked(f"total_joints={total_joints!r}", total_joints, _at_least(0), int)
     per_joint_force = _checked(
         f"per_joint_force={per_joint_force!r}", per_joint_force, _at_least(0)
     )
     total_force = total_joints * per_joint_force
+    if not math.isfinite(total_force):
+        raise ValueError(
+            f"total force of total_joints={total_joints!r} at "
+            f"per_joint_force={per_joint_force!r} is not finite"
+        )
     if total_force == 0.0:
         return MotorRequirements(
             total_force=0.0,
@@ -301,6 +321,11 @@ def motor_requirements(
         )
     min_radius_mm = units.m_to_mm(actuator.rated_torque / total_force)
     torque = total_force * units.mm_to_m(actuator.spindle_radius)
+    if not math.isfinite(torque):
+        raise ValueError(
+            f"torque of total force {total_force!r} N at "
+            f"spindle_radius={actuator.spindle_radius!r} mm is not finite"
+        )
     overdrive = torque > actuator.rated_torque * actuator.overdrive_factor
     return MotorRequirements(
         total_force=total_force,
@@ -418,9 +443,10 @@ def design_module(
 ) -> DesignReport:
     """Run the full sizing pipeline for one ring design.
 
-    Envelope violations are reported as flags, never as errors; geometric
-    infeasibility (the fold not fitting inside the contracted ring) and
-    out-of-range curve queries do abort.
+    The one flag is overdrive; the joint's envelope angles are quoted, not
+    compared (see the module docstring). Geometric infeasibility (the fold
+    not fitting inside the contracted ring), out-of-range curve queries and
+    a total force or torque past the float range abort.
     """
     safety_factor = _checked(f"safety_factor={safety_factor!r}", safety_factor, _POSITIVE)
     if joint_model.kind is not spec.joint.kind:
@@ -440,7 +466,6 @@ def design_module(
             f"{contracted_radius:.2f} mm; the fold would cross the module center"
         )
 
-    flags: list[str] = []
     diagnostics: list[str] = []
     model_force = model_std = None
 
@@ -481,16 +506,10 @@ def design_module(
     motor = motor_requirements(
         spec.joints_per_ring, per_joint * spec.friction_loss_factor, spec.actuator
     )
-    if motor.overdrive:
-        flags.append(FLAG_OVERDRIVE)
     if motor.total_force == 0.0:
         diagnostics.append("no cable load; spindle radius unconstrained")
 
     env = joints.envelope_for(spec.joint)
-    if bend > env.yield_angle:
-        flags.append(FLAG_YIELD)
-    if env.self_contact_angle is not None and bend >= env.self_contact_angle:
-        flags.append(FLAG_SELF_CONTACT)
 
     return DesignReport(
         outer_radius=spec.outer_radius,
@@ -521,7 +540,7 @@ def design_module(
         predicted_return_angle=return_angle,
         yield_angle=env.yield_angle,
         self_contact_angle=env.self_contact_angle,
-        flags=tuple(flags),
+        flags=(FLAG_OVERDRIVE,) if motor.overdrive else (),
         diagnostics=tuple(diagnostics),
     )
 

@@ -5,6 +5,7 @@ from ugckit.data import (
     CSV_COLUMNS,
     Direction,
     FamilyKind,
+    JointDataset,
     JointFamily,
     MeasurementSample,
     average_runs,
@@ -43,6 +44,11 @@ def test_parse_header_only_is_empty_file():
 def test_parse_no_content_is_empty_file():
     with pytest.raises(EmptyFileError):
         parse_measurements("")
+
+
+def test_dataset_needs_a_sample():
+    with pytest.raises(EmptyFileError, match="dataset has no samples"):
+        JointDataset(())
 
 
 def test_parse_missing_column():

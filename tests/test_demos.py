@@ -37,13 +37,13 @@ DEMO_02_STDOUT = (
     "symmetric square wave, force vs angle\n"
     "angle  force (N)\n"
     "   30   2.189\n"
-    "   45   2.302\n"
+    "   45   2.301\n"
     "   60   2.324\n"
     "   75   2.256\n"
     "   90   2.099\n"
     "  105   1.851\n"
     "  120   1.514\n"
-    "  135   1.086\n"
+    "  135   1.087\n"
     "  150   0.569\n"
     "\n"
     "curve family, force vs angle per wall thickness (N)\n"

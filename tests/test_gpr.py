@@ -112,6 +112,14 @@ class TestFitPredict:
         with pytest.raises(NotPositiveDefiniteError):
             gpr.fit([[1.0], [1.0]], [1.0, 2.0], hp(), noise_variance=0.0)
 
+    def test_spectrum_negative_past_the_jitter_rejected(self):
+        # 200 rows within 1e-3 of one another: K1 is all but rank one, and its
+        # rounding-level negative eigenvalues, scaled by sf2 = 1e8, outweigh
+        # the jitter
+        X = np.linspace(0.0, 1e-3, 200)
+        with pytest.raises(NotPositiveDefiniteError, match="even with jitter"):
+            gpr.fit(X, np.zeros(200), hp(1e8), noise_variance=0.0)
+
     def test_duplicate_rows_fine_with_noise(self):
         m = gpr.fit([[1.0], [1.0]], [1.0, 2.0], hp(), noise_variance=0.1)
         (mean,), _ = gpr.predict_many(m, [1.0])
@@ -307,7 +315,8 @@ class TestPredictMany:
             Xq = rng.uniform(-1.0, 6.0, size=(600, X.shape[1]))
             means, variances = gpr.predict_many(m, Xq)
             single = np.array([gpr.predict_many(m, [q]) for q in Xq])[:, :, 0]
-            assert np.max(np.abs(means - single[:, 0])) < 1e-10
+            # a row's mean does not depend on its batch; its variance may in the last bits
+            assert np.array_equal(means, single[:, 0])
             assert np.max(np.abs(variances - single[:, 1])) < 1e-10
             _, opredict = oracle_gp(X, y, sf2, ls, noise, beta=m.beta)
             for q, mean, var in zip(Xq[::50], means[::50], variances[::50]):
@@ -332,6 +341,11 @@ class TestPredictMany:
         m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
         with pytest.raises(DimensionMismatchError):
             gpr.predict_many(m, [[1.0, 2.0]])
+
+    def test_rejects_three_dimensional_queries(self):
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 1, 1\)"):
+            gpr.predict_many(m, np.zeros((2, 1, 1)))
 
     def test_non_finite_prediction_names_the_point(self):
         # the quadratic mean overflows far outside the data

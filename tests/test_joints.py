@@ -166,6 +166,19 @@ class TestEnvelopes:
         env = joints.envelope_for(JointFamily(FamilyKind.SQUARE_NONSYM))
         assert env.return_decay_onset == 40.0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((80.0, None, None, 90.0), "need 0 < decay onset <= yield <= 180, got 90.0, 80.0"),
+            ((90.0, 0.0, None, 70.0), "self_contact_angle 0.0 outside (0, 180]"),
+        ],
+        ids=["onset-past-yield", "contact-at-zero"],
+    )
+    def test_rejects_inconsistent_angles(self, args, message):
+        with pytest.raises(ValueError) as err:
+            joints.JointEnvelope(*args)
+        assert str(err.value) == message
+
     def test_json_export_covers_every_row(self):
         doc = joints.envelope_table_as_json()
         assert doc["version"] == joints.ENVELOPE_TABLE_VERSION
@@ -296,6 +309,18 @@ class TestPolyBaseline:
         x = np.linspace(10.0, 170.0, 20)
         with pytest.raises(InsufficientDataError, match="19 samples cannot support degree 300"):
             joints.loo_rmse_poly(x, 0.01 * x, 300)
+
+    @pytest.mark.parametrize(
+        "x, degree, message",
+        [
+            ([90.0] * 10, 2, "all samples share one angle"),
+            ([30.0, 60.0, 90.0] * 4, 5, "fewer than 6 distinct angles; degree 5 is undetermined"),
+        ],
+        ids=["one-angle", "three-angles"],
+    )
+    def test_loo_rejects_too_few_distinct_angles(self, x, degree, message):
+        with pytest.raises(IllConditionedError, match=message):
+            joints.loo_rmse_poly(x, np.arange(len(x), dtype=float), degree)
 
     def test_gpr_beats_degree_seven_on_step_fixture(self):
         # steep smooth step + noise makes the degree-7 fit ring; the GP does not

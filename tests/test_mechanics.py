@@ -126,6 +126,10 @@ class TestSectionForce:
         doubled_r = mechanics.SpringChain(elements=base.elements, current_radius=160.0)
         assert mechanics.section_force(doubled_r) == pytest.approx(0.5 * f, rel=1e-12)
 
+    def test_rejects_an_empty_chain(self):
+        with pytest.raises(ValueError, match="spring chain needs at least one element"):
+            mechanics.SpringChain(elements=(), current_radius=1.0)
+
     def test_rejects_nonpositive_stiffness(self):
         with pytest.raises(ValueError):
             mechanics.SpringChain(elements=((0.0, 10.0),), current_radius=100.0)
@@ -150,6 +154,13 @@ class TestSectionForce:
         with pytest.raises(ValueError) as err:
             mechanics.SpringChain(elements=elements, current_radius=radius)
         assert str(err.value) == message
+
+    def test_rejects_a_force_past_the_float_range(self):
+        # returned inf
+        chain = mechanics.SpringChain(elements=((1e308, 100.0),), current_radius=1.0)
+        with pytest.raises(ValueError) as err:
+            mechanics.section_force(chain)
+        assert str(err.value) == f"section force of {chain!r} is not finite"
 
 
 class TestEffectiveStiffness:
@@ -180,6 +191,13 @@ class TestEffectiveStiffness:
             mechanics.effective_stiffness(*args)
         assert str(err.value) == message
         assert not isinstance(err.value, ZeroDeflectionError)
+
+    def test_rejects_a_stiffness_past_the_float_range(self):
+        with pytest.raises(ValueError) as err:
+            mechanics.effective_stiffness(1e308, 1e-3, 100.0)
+        assert str(err.value) == (
+            "stiffness at force=1e+308, delta_theta=0.001, radius=100.0 is not finite"
+        )
 
     def test_round_trip_against_section_force(self):
         force, delta, radius = 6.0, 30.0, 100.0
@@ -231,6 +249,22 @@ class TestMotorRequirements:
             mechanics.motor_requirements(joints_, force, ACTUATOR)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "joints_, force, spindle, message",
+        [
+            (40, 1e308, 3.0, "total force of total_joints=40 at per_joint_force=1e+308 "
+             "is not finite"),
+            (1, 1e308, 1e10, "torque of total force 1e+308 N at spindle_radius=10000000000.0 "
+             "mm is not finite"),
+        ],
+        ids=["total-force", "torque"],
+    )
+    def test_rejects_totals_past_the_float_range(self, joints_, force, spindle, message):
+        # (40, 1e308) returned total_force=inf and min_spindle_radius=0.0
+        with pytest.raises(ValueError) as err:
+            mechanics.motor_requirements(joints_, force, mechanics.ActuatorSpec(0.08, spindle))
+        assert str(err.value) == message
+
 
 class TestRecommendedSpindle:
     def test_reference_recommendation(self):
@@ -261,6 +295,8 @@ class TestDesignModule:
         assert report.model_force == pytest.approx(2.2073, abs=1e-3)
         assert any("override" in d for d in report.diagnostics)
         assert mechanics.FLAG_OVERDRIVE in report.flags  # 0.126 N*m at r=3 mm
+        # the square row of the envelope table, quoted
+        assert (report.yield_angle, report.self_contact_angle) == (90.0, 150.0)
 
     def test_identity_design_zero_everything(self):
         report = mechanics.design_module(
@@ -272,27 +308,36 @@ class TestDesignModule:
         assert report.flags == ()
         assert report.predicted_return_angle == 180.0
 
-    @pytest.mark.parametrize(
-        "yield_angle, contact_angle, flags",
-        [
-            (30.0, None, (mechanics.FLAG_YIELD,)),
-            (90.0, 31.0, (mechanics.FLAG_SELF_CONTACT,)),
-            (30.0, 31.0, (mechanics.FLAG_YIELD, mechanics.FLAG_SELF_CONTACT)),
-            (32.0, 32.0, ()),
-        ],
-        ids=["yield", "self-contact", "both", "neither"],
-    )
-    def test_envelope_flags(self, monkeypatch, yield_angle, contact_angle, flags):
-        # the shipped envelopes yield at 90 deg or more, past every design bend
-        # (acos of a ratio in (0, 1]), so a low-angle envelope stands in
-        env = joints.JointEnvelope(yield_angle, contact_angle, None, 20.0)
-        monkeypatch.setattr(joints, "envelope_for", lambda family: env)
-        report = mechanics.design_module(
-            reference_ring_spec(), joints.builtin_model(FamilyKind.SQUARE_SYM)
-        )
-        assert report.bend_angle == pytest.approx(31.79, abs=0.1)
-        assert report.flags == (mechanics.FLAG_OVERDRIVE, *flags)
-        assert (report.yield_angle, report.self_contact_angle) == (yield_angle, contact_angle)
+    def test_no_design_bend_reaches_the_envelope(self):
+        # the report quotes the envelope and compares no angle with it; that
+        # holds only while every row yields at 90 deg or more and self-contacts
+        # at 110 deg or more, and every feasible design bends less than 90 deg
+        for row in joints.envelope_table_as_json()["envelopes"]:
+            assert row["yield_angle_deg"] >= 90.0, row
+            assert row["self_contact_angle_deg"] is None or row["self_contact_angle_deg"] >= 110.0
+        model = joints.builtin_model(FamilyKind.SQUARE_SYM)
+        for n in [*range(2, 401), 10**3, 10**6, 10**12]:
+            # the fold fits while (pi / 2n) sqrt(1 - r^2) <= r, so the deepest
+            # feasible ratio, and with it the largest bend, sits at the edge
+            a = math.pi / (2 * n)
+            edge = a / math.sqrt(1.0 + a * a)
+            ratios = [10.0**-k for k in range(18)] + [edge * (1 + 1e-12 * j) for j in range(4)]
+            feasible = {}
+            _, half = mechanics.ring_geometry(100.0, n)
+            for ratio in ratios:
+                try:
+                    bend = mechanics.required_bend_angle(half, mechanics.target_arc(half, ratio)[1])
+                except GeometryInfeasibleError:  # the arc reduction rounds to the whole arc
+                    continue
+                if mechanics.fold_depth(half, bend) <= 100.0 * ratio:
+                    feasible[bend] = ratio
+            # the pipeline itself at the largest feasible bend
+            spec = reference_ring_spec(
+                n_sections=n, joints_per_ring=n, target_ratio=feasible[max(feasible)]
+            )
+            report = mechanics.design_module(spec, model)
+            assert report.bend_angle == max(feasible) < 90.0, n
+            assert report.flags in ((), (mechanics.FLAG_OVERDRIVE,))
 
     def test_deep_contraction_infeasible(self):
         with pytest.raises(GeometryInfeasibleError):
