@@ -38,13 +38,10 @@ from .mechanics import (
     ActuatorSpec,
     DesignReport,
     RingDesignSpec,
-    SpringChain,
     design_module,
-    effective_stiffness,
     motor_requirements,
     required_bend_angle,
     ring_geometry,
-    section_force,
     target_arc,
 )
 
@@ -66,11 +63,9 @@ __all__ = [
     "KernelHyperParams",
     "MeasurementSample",
     "RingDesignSpec",
-    "SpringChain",
     "average_runs",
     "builtin_model",
     "design_module",
-    "effective_stiffness",
     "envelope_for",
     "envelope_table_as_json",
     "fit",
@@ -82,7 +77,6 @@ __all__ = [
     "required_bend_angle",
     "ring_geometry",
     "save_model",
-    "section_force",
     "target_arc",
     "tune_hyperparams",
 ]

@@ -166,6 +166,7 @@ def cmd_fit(args) -> int:
 
     model = joints.fit_family_model(ds, kind, config)
 
+    # the baseline is in angle alone: on curve it pools every thickness's rows
     angles = model.force_model.train_x[:, 0]
     forces = model.force_model.train_y
     try:

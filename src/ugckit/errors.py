@@ -108,10 +108,6 @@ class IllConditionedError(ComputationError):
 
 # -- ring mechanics ----------------------------------------------------------------
 
-class ZeroDeflectionError(InputError):
-    """Stiffness from force requires a nonzero angular deflection."""
-
-
 class GeometryInfeasibleError(ComputationError):
     """Requested contraction cannot be realized by the fold geometry."""
 

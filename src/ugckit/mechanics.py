@@ -1,4 +1,4 @@
-"""Ring-module sizing: fold geometry, spring-chain forces, and motor math.
+"""Ring-module sizing: fold geometry and motor math.
 
 The module is a ring of n mirrored sections, contracted by cables wound on a
 central spindle. Sizing works through a fixed pipeline:
@@ -24,11 +24,8 @@ design_module takes the total cable force as
 
 with the per-joint force in N from the joint model at the bend angle, or
 from the spec's override (40 joints at 1.05 N and a factor of 1 give
-42 N). SpringChain and section_force are separate helpers for one section's
-two-sided spring-chain sum, F = 2 * sum_i k_i * dtheta_i / R with k_i in
-N*mm/deg, angles in deg and R in mm, so the units cancel to newtons without
-conversion; design_module does not call them. Torque math converts to SI
-here and nowhere else: tau = F * r with r in meters.
+42 N). Torque math converts to SI here and nowhere else: tau = F * r with
+r in meters.
 """
 
 import math
@@ -43,7 +40,6 @@ from .errors import (
     GeometryInfeasibleError,
     MissingThicknessError,
     OutOfValidatedRangeError,
-    ZeroDeflectionError,
 )
 
 DEFAULT_SAFETY_FACTOR = 1.5
@@ -84,7 +80,7 @@ def _coerce(kind, value, label: str):
         raise ValueError(f"{label}: must be a finite number") from None
 
 
-def _checked(label: str, value, rule=_ANY, kind=float):
+def _checked(label: str, value, rule, kind=float):
     """value as kind (see _coerce); ValueError starting with label if it breaks rule."""
     value = _coerce(kind, value, label)
     _enforce(label, value, rule)
@@ -180,31 +176,6 @@ class RingDesignSpec:
             raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class SpringChain:
-    """Series of torsional springs along one half-section.
-
-    elements holds (stiffness k in N*mm/deg, cumulative angle in deg) pairs;
-    consecutive angle differences are the per-spring deflections, measured
-    from a flat reference of 0. current_radius is R(t) in mm. Stiffnesses and
-    the radius must be finite and > 0, angles finite.
-    """
-
-    elements: tuple[tuple[float, float], ...]
-    current_radius: float  # mm
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("spring chain needs at least one element")
-        elements = []
-        for i, (k, angle) in enumerate(self.elements):
-            k = _checked(f"elements[{i}] stiffness={k!r}", k, _POSITIVE)
-            elements.append((k, _checked(f"elements[{i}] angle={angle!r}", angle)))
-        object.__setattr__(self, "elements", tuple(elements))
-        r = self.current_radius
-        object.__setattr__(self, "current_radius", _checked(f"current_radius={r!r}", r, _POSITIVE))
-
-
 def ring_geometry(outer_radius: float, n_sections: int) -> tuple[float, float]:
     """(section arc, half-section arc) in mm for a ring of n mirrored sections.
 
@@ -246,41 +217,6 @@ def required_bend_angle(half_section_arc: float, delta: float) -> float:
 def fold_depth(half_section_arc: float, bend_angle_deg: float) -> float:
     """Inward excursion (mm) of the folded half-section: hyp * sin(bend)."""
     return (half_section_arc / 2.0) * math.sin(units.deg_to_rad(bend_angle_deg))
-
-
-def section_force(chain: SpringChain) -> float:
-    """Two-sided cable force (N) of one section: 2 * sum k_i dtheta_i / R.
-    ValueError where the force is past the float range."""
-    prev = 0.0
-    total = 0.0
-    for k, angle in chain.elements:
-        total += k * (angle - prev)
-        prev = angle
-    force = 2.0 * total / chain.current_radius
-    if not math.isfinite(force):
-        raise ValueError(f"section force of {chain!r} is not finite")
-    return force
-
-
-def effective_stiffness(force: float, delta_theta: float, radius: float) -> float:
-    """Aggregate stiffness k = R * F / dtheta in N*mm/deg.
-
-    F is the full two-sided section force, so k covers both mirror halves;
-    a one-sided chain element reproducing F carries k / 2. ValueError where
-    k is past the float range.
-    """
-    force = _checked(f"force={force!r}", force)
-    radius = _checked(f"radius={radius!r}", radius, _POSITIVE)
-    delta_theta = _checked(f"delta_theta={delta_theta!r}", delta_theta)
-    if delta_theta <= 0:
-        raise ZeroDeflectionError(f"delta_theta must be positive, got {delta_theta}")
-    k = radius * force / delta_theta
-    if not math.isfinite(k):
-        raise ValueError(
-            f"stiffness at force={force!r}, delta_theta={delta_theta!r}, "
-            f"radius={radius!r} is not finite"
-        )
-    return k
 
 
 @dataclass(frozen=True)
@@ -336,9 +272,9 @@ def motor_requirements(
 
 
 def _ceil_to_grid(value_mm: float) -> float:
-    # tiny slack keeps exact grid values from jumping a step
+    # tiny slack keeps exact grid values from jumping a step; never below one step
     steps = value_mm / SPINDLE_GRID_MM - 1e-9
-    return math.ceil(steps) * SPINDLE_GRID_MM if math.isfinite(steps) else math.inf
+    return max(1, math.ceil(steps)) * SPINDLE_GRID_MM if math.isfinite(steps) else math.inf
 
 
 def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> float:
@@ -347,8 +283,10 @@ def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> fl
     The minimum radius is first rounded up to the 0.1 mm grid, then scaled
     by the safety factor and rounded up to the grid again. Rounding before
     the safety factor keeps the recommendation anchored to a radius that can
-    actually be printed. A recommendation past the float range, like the
-    minimum radius of an unloaded ring, is inf: unbounded.
+    actually be printed. Each rounding may undershoot by up to 1e-10 mm, so
+    1.5 * 49.2 = 73.80000000000001 stays 73.8, and gives at least one step.
+    A recommendation past the float range, like the minimum radius of an
+    unloaded ring, is inf: unbounded.
     """
     return _ceil_to_grid(_ceil_to_grid(min_radius_mm) * safety_factor)
 

@@ -213,28 +213,3 @@ def test_c09_serialization_keeps_predictions_byte_identical(tmp_path, square_dat
             after = gpr.predict_many(loaded, queries)
             for b, a in zip(before, after):
                 assert b.tolist() == a.tolist(), f"{b} != {a}"
-
-
-def test_c10_section_force_linearity():
-    with criterion("C10 spring-chain force linearity exact to 1e-12 relative"):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            m = int(rng.integers(1, 6))
-            ks = rng.uniform(0.5, 20.0, m)
-            angles = np.cumsum(rng.uniform(1.0, 15.0, m))
-            radius = float(rng.uniform(10.0, 200.0))
-            chain = mechanics.SpringChain(
-                elements=tuple(zip(ks, angles)), current_radius=radius
-            )
-            f = mechanics.section_force(chain)
-            doubled_k = mechanics.SpringChain(
-                elements=tuple((2.0 * k, a) for k, a in chain.elements),
-                current_radius=radius,
-            )
-            assert mechanics.section_force(doubled_k) == pytest.approx(2.0 * f, rel=1e-12)
-            doubled_r = mechanics.SpringChain(
-                elements=chain.elements, current_radius=2.0 * radius
-            )
-            assert mechanics.section_force(doubled_r) == pytest.approx(0.5 * f, rel=1e-12)
-        flat = mechanics.SpringChain(elements=((12.0, 0.0), (5.0, 0.0)), current_radius=90.0)
-        assert mechanics.section_force(flat) == 0.0

@@ -513,6 +513,23 @@ class TestDesign:
             "unbounded"
         ]
 
+    def test_tiny_rated_torque_recommends_one_grid_step(self, tmp_path, square_archive, capsys):
+        # printed "recommended spindle 0 mm"
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, "actuator": {
+            **GOOD_SPEC["actuator"], "rated_torque_nm": 1e-320}}))
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["quantities"]["recommended_spindle_radius"] == {
+            "value": 0.2, "unit": "mm"
+        }
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("recommended spindle")] == [
+            "recommended spindle     0.2 mm"
+        ]
+
     def test_json_stdout_is_the_report(self, tmp_path, square_archive, spec_file, capsys):
         out = tmp_path / "r.json"
         assert main([

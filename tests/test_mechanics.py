@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ugckit import joints, mechanics
 from ugckit.data import FamilyKind, JointFamily
-from ugckit.errors import DesignSpecError, GeometryInfeasibleError, ZeroDeflectionError
+from ugckit.errors import DesignSpecError, GeometryInfeasibleError
 
 ACTUATOR = mechanics.ActuatorSpec(rated_torque=0.08, spindle_radius=3.0)
 
@@ -96,117 +96,6 @@ class TestRequiredBendAngle:
         assert a2 > a1
 
 
-class TestSectionForce:
-    def test_no_deformation_no_force(self):
-        chain = mechanics.SpringChain(elements=((10.0, 0.0),), current_radius=100.0)
-        assert mechanics.section_force(chain) == 0.0
-
-    def test_single_spring_closed_form(self):
-        chain = mechanics.SpringChain(elements=((10.0, 30.0),), current_radius=100.0)
-        assert mechanics.section_force(chain) == pytest.approx(6.0, rel=1e-15)
-
-    def test_split_chain_matches_single_spring(self):
-        total = mechanics.section_force(
-            mechanics.SpringChain(elements=((10.0, 30.0),), current_radius=100.0)
-        )
-        split = mechanics.section_force(
-            mechanics.SpringChain(elements=((10.0, 15.0), (10.0, 30.0)), current_radius=100.0)
-        )
-        assert split == pytest.approx(total, rel=1e-15)
-
-    def test_linearity_and_inverse_radius(self):
-        base = mechanics.SpringChain(
-            elements=((7.0, 12.0), (3.0, 20.0), (5.0, 33.0)), current_radius=80.0
-        )
-        f = mechanics.section_force(base)
-        doubled_k = mechanics.SpringChain(
-            elements=tuple((2.0 * k, a) for k, a in base.elements), current_radius=80.0
-        )
-        assert mechanics.section_force(doubled_k) == pytest.approx(2.0 * f, rel=1e-12)
-        doubled_r = mechanics.SpringChain(elements=base.elements, current_radius=160.0)
-        assert mechanics.section_force(doubled_r) == pytest.approx(0.5 * f, rel=1e-12)
-
-    def test_rejects_an_empty_chain(self):
-        with pytest.raises(ValueError, match="spring chain needs at least one element"):
-            mechanics.SpringChain(elements=(), current_radius=1.0)
-
-    def test_rejects_nonpositive_stiffness(self):
-        with pytest.raises(ValueError):
-            mechanics.SpringChain(elements=((0.0, 10.0),), current_radius=100.0)
-
-    @pytest.mark.parametrize(
-        "elements, radius, message",
-        [
-            (((math.nan, 30.0),), 100.0, "elements[0] stiffness=nan: must be a finite number"),
-            (((math.inf, 30.0),), 100.0, "elements[0] stiffness=inf: must be a finite number"),
-            (((10.0, 5.0), (10.0, math.inf)), 100.0,
-             "elements[1] angle=inf: must be a finite number"),
-            (((10.0, math.nan),), 100.0, "elements[0] angle=nan: must be a finite number"),
-            (((10.0, 30.0),), math.nan, "current_radius=nan: must be a finite number"),
-            (((10.0, 30.0),), math.inf, "current_radius=inf: must be a finite number"),
-            (((10.0, 30.0),), -math.inf, "current_radius=-inf: must be a finite number"),
-        ],
-        ids=["k-nan", "k-inf", "angle-inf", "angle-nan", "radius-nan", "radius-inf",
-             "radius-neg-inf"],
-    )
-    def test_rejects_non_finite_values(self, elements, radius, message):
-        # section_force used to return nan, inf or 0.0 for these
-        with pytest.raises(ValueError) as err:
-            mechanics.SpringChain(elements=elements, current_radius=radius)
-        assert str(err.value) == message
-
-    def test_rejects_a_force_past_the_float_range(self):
-        # returned inf
-        chain = mechanics.SpringChain(elements=((1e308, 100.0),), current_radius=1.0)
-        with pytest.raises(ValueError) as err:
-            mechanics.section_force(chain)
-        assert str(err.value) == f"section force of {chain!r} is not finite"
-
-
-class TestEffectiveStiffness:
-    def test_closed_form(self):
-        assert mechanics.effective_stiffness(6.0, 30.0, 100.0) == pytest.approx(20.0, rel=1e-15)
-
-    def test_zero_force(self):
-        assert mechanics.effective_stiffness(0.0, 30.0, 100.0) == 0.0
-
-    def test_zero_deflection_rejected(self):
-        with pytest.raises(ZeroDeflectionError):
-            mechanics.effective_stiffness(6.0, 0.0, 100.0)
-
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((math.nan, 30.0, 100.0), "force=nan: must be a finite number"),
-            ((6.0, math.inf, 100.0), "delta_theta=inf: must be a finite number"),
-            ((6.0, math.nan, 100.0), "delta_theta=nan: must be a finite number"),
-            ((6.0, 30.0, math.inf), "radius=inf: must be a finite number"),
-            ((6.0, 30.0, -100.0), "radius=-100.0: must be > 0"),
-        ],
-        ids=["force-nan", "delta-inf", "delta-nan", "radius-inf", "radius-neg"],
-    )
-    def test_rejects_bad_values(self, args, message):
-        # (nan, 30, 100) returned nan and (6, inf, 100) returned 0.0
-        with pytest.raises(ValueError) as err:
-            mechanics.effective_stiffness(*args)
-        assert str(err.value) == message
-        assert not isinstance(err.value, ZeroDeflectionError)
-
-    def test_rejects_a_stiffness_past_the_float_range(self):
-        with pytest.raises(ValueError) as err:
-            mechanics.effective_stiffness(1e308, 1e-3, 100.0)
-        assert str(err.value) == (
-            "stiffness at force=1e+308, delta_theta=0.001, radius=100.0 is not finite"
-        )
-
-    def test_round_trip_against_section_force(self):
-        force, delta, radius = 6.0, 30.0, 100.0
-        k_total = mechanics.effective_stiffness(force, delta, radius)
-        # k aggregates both mirror halves; one side of the chain carries k/2
-        chain = mechanics.SpringChain(elements=((k_total / 2.0, delta),), current_radius=radius)
-        assert mechanics.section_force(chain) == pytest.approx(force, abs=1e-12)
-
-
 class TestMotorRequirements:
     def test_reference_numbers(self):
         req = mechanics.motor_requirements(40, 1.05, ACTUATOR)
@@ -277,6 +166,14 @@ class TestRecommendedSpindle:
 
     def test_unbounded_stays_unbounded(self):
         assert math.isinf(mechanics.recommended_spindle_radius(math.inf, 1.5))
+
+    @pytest.mark.parametrize("min_radius", [1e-320, 1e-10])
+    @pytest.mark.parametrize("factor, expected", [(1.0, 0.1), (1.5, 0.2)])
+    def test_a_tiny_radius_rounds_up_to_one_grid_step(self, min_radius, factor, expected):
+        # returned 0.0
+        assert mechanics.recommended_spindle_radius(min_radius, factor) == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 class TestDesignModule:

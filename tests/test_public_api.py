@@ -19,11 +19,9 @@ PUBLIC_NAMES = [
     "KernelHyperParams",
     "MeasurementSample",
     "RingDesignSpec",
-    "SpringChain",
     "average_runs",
     "builtin_model",
     "design_module",
-    "effective_stiffness",
     "envelope_for",
     "envelope_table_as_json",
     "fit",
@@ -35,7 +33,6 @@ PUBLIC_NAMES = [
     "required_bend_angle",
     "ring_geometry",
     "save_model",
-    "section_force",
     "target_arc",
     "tune_hyperparams",
 ]
