@@ -48,6 +48,21 @@ class TestRingGeometry:
             section, _ = mechanics.ring_geometry(73.0, n)
             assert n * section == pytest.approx(2 * math.pi * 73.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "radius, n, message",
+        [
+            (0.0, 5, "outer_radius=0.0: must be > 0"),
+            (-10.0, 5, "outer_radius=-10.0: must be > 0"),
+            (math.nan, 5, "outer_radius=nan: must be > 0"),
+            (100.0, 0, "n_sections=0: must be >= 1"),
+        ],
+        ids=["radius-zero", "radius-neg", "radius-nan", "sections-zero"],
+    )
+    def test_rejects_bad_values(self, radius, n, message):
+        with pytest.raises(ValueError) as err:
+            mechanics.ring_geometry(radius, n)
+        assert str(err.value) == message
+
 
 class TestTargetArc:
     def test_reference_contraction(self):
@@ -63,6 +78,12 @@ class TestTargetArc:
     def test_half_ratio(self):
         new_arc, _ = mechanics.target_arc(62.83185307179586, 0.5)
         assert new_arc == pytest.approx(31.42, abs=0.005)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0000001, math.nan])
+    def test_rejects_a_ratio_outside_the_unit_interval(self, ratio):
+        with pytest.raises(ValueError) as err:
+            mechanics.target_arc(62.83, ratio)
+        assert str(err.value) == f"target_ratio={ratio!r}: must be in (0, 1]"
 
 
 class TestRequiredBendAngle:
@@ -96,6 +117,23 @@ class TestRequiredBendAngle:
         assert a2 > a1
 
 
+class TestFoldDepth:
+    def test_flat_fold_has_no_depth(self):
+        assert mechanics.fold_depth(62.83, 0.0) == 0.0
+
+    def test_right_angle_fold_reaches_the_hypotenuse(self):
+        assert mechanics.fold_depth(60.0, 90.0) == pytest.approx(30.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.7, 0.85, 0.95])
+    def test_depth_is_the_opposite_leg(self, ratio):
+        # independent oracle: Pythagoras on hypotenuse half/2 and adjacent new_half/2
+        _, half = mechanics.ring_geometry(100.0, 5)
+        new_half, delta = mechanics.target_arc(half, ratio)
+        bend = mechanics.required_bend_angle(half, delta)
+        oracle = math.sqrt((half / 2.0) ** 2 - (new_half / 2.0) ** 2)
+        assert mechanics.fold_depth(half, bend) == pytest.approx(oracle, rel=1e-12)
+
+
 class TestMotorRequirements:
     def test_reference_numbers(self):
         req = mechanics.motor_requirements(40, 1.05, ACTUATOR)
@@ -120,6 +158,24 @@ class TestMotorRequirements:
         tolerant = mechanics.ActuatorSpec(0.08, 3.0, overdrive_factor=2.0)
         req = mechanics.motor_requirements(40, 1.05, tolerant)
         assert not req.overdrive  # 0.126 <= 0.08 * 2
+
+    def test_torque_at_the_rating_is_not_overdrive(self):
+        # 1 N on a 1000 mm spindle is exactly the 1 N*m rating
+        req = mechanics.motor_requirements(4, 0.25, mechanics.ActuatorSpec(1.0, 1000.0))
+        assert req.torque_at_spindle == 1.0
+        assert not req.overdrive
+
+    def test_torque_past_the_rating_is_overdrive(self):
+        req = mechanics.motor_requirements(4, 0.2500001, mechanics.ActuatorSpec(1.0, 1000.0))
+        assert req.torque_at_spindle > 1.0
+        assert req.overdrive
+
+    def test_no_joints_is_unloaded(self):
+        req = mechanics.motor_requirements(0, 1.05, ACTUATOR)
+        assert req.total_force == 0.0
+        assert math.isinf(req.min_spindle_radius)
+        assert req.torque_at_spindle == 0.0
+        assert not req.overdrive
 
     @pytest.mark.parametrize(
         "joints_, force, message",
@@ -166,6 +222,25 @@ class TestRecommendedSpindle:
 
     def test_unbounded_stays_unbounded(self):
         assert math.isinf(mechanics.recommended_spindle_radius(math.inf, 1.5))
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, 2.5, 12.3])
+    def test_grid_values_stay_at_factor_one(self, value):
+        assert mechanics.recommended_spindle_radius(value, 1.0) == pytest.approx(value, abs=1e-12)
+
+    def test_slack_keeps_a_product_just_past_the_grid(self):
+        # 49.14 rounds to 49.2, and 49.2 * 1.5 is 73.80000000000001
+        assert mechanics.recommended_spindle_radius(49.14, 1.5) == pytest.approx(73.8, abs=1e-12)
+
+    @given(
+        st.floats(min_value=0.01, max_value=50.0),
+        st.floats(min_value=1.0, max_value=3.0),
+    )
+    def test_a_grid_multiple_no_smaller_than_the_scaled_minimum(self, min_radius, factor):
+        rec = mechanics.recommended_spindle_radius(min_radius, factor)
+        steps = rec / mechanics.SPINDLE_GRID_MM
+        assert steps == pytest.approx(round(steps), abs=1e-6)
+        assert rec >= min_radius * factor - 1e-9
+        assert rec < (min_radius + mechanics.SPINDLE_GRID_MM) * factor + mechanics.SPINDLE_GRID_MM
 
     @pytest.mark.parametrize("min_radius", [1e-320, 1e-10])
     @pytest.mark.parametrize("factor, expected", [(1.0, 0.1), (1.5, 0.2)])
