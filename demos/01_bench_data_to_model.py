@@ -46,9 +46,9 @@ print(f"degree-7 poly LOO RMSE:  force {poly_rmse:.4f} N")
 # 3. query it -----------------------------------------------------------------
 print("\nangle   force (N)        return angle (deg)")
 thetas = (30.0, 60.0, 90.0, 120.0, 150.0)
-forces, returns = predict_many(model, thetas)  # one batched query for all five
-for theta, pred, ret in zip(thetas, forces, returns):
-    print(f"{theta:5.0f}   {pred.mean:5.2f} +/- {pred.std:4.2f}   {ret:6.1f}")
+means, stds, returns, _ = predict_many(model, thetas)  # one batched query for all five
+for theta, mean, std, ret in zip(thetas, means, stds, returns):
+    print(f"{theta:5.0f}   {mean:5.2f} +/- {std:4.2f}   {ret:6.1f}")
 
 # 4. archive for later use (the CLI and design studies load this file) --------
 save_model(model.force_model, OUT, family="square_sym", model_id="square_sym:force")

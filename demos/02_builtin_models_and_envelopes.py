@@ -18,8 +18,8 @@ angles = range(30, 151, 15)  # deg
 square = builtin_model(FamilyKind.SQUARE_SYM)
 print("symmetric square wave, force vs angle")
 print("angle  force (N)")
-for theta, pred in zip(angles, predict_many(square, angles)[0]):
-    print(f"{theta:5d}  {pred.mean:6.3f}")
+for theta, mean in zip(angles, predict_many(square, angles)[0]):
+    print(f"{theta:5d}  {mean:6.3f}")
 
 # 2. curve family: force rises with wall thickness ------------------------------
 curve = builtin_model(FamilyKind.CURVE)
@@ -28,7 +28,7 @@ print("\ncurve family, force vs angle per wall thickness (N)")
 print("angle  " + "  ".join(f"T={t}mm" for t in thicknesses))
 columns = [predict_many(curve, angles, t)[0] for t in thicknesses]
 for theta, row in zip(angles, zip(*columns)):
-    print(f"{theta:5d}  " + "  ".join(f"{pred.mean:6.2f}" for pred in row))
+    print(f"{theta:5d}  " + "  ".join(f"{mean:6.2f}" for mean in row))
 
 # outside 30..150 deg the curve regression has no data and refuses to answer
 try:

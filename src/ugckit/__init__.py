@@ -24,7 +24,6 @@ from .gpr import (
     tune_hyperparams,
 )
 from .joints import (
-    ForcePrediction,
     GprFitConfig,
     JointEnvelope,
     JointFamilyModel,
@@ -53,7 +52,6 @@ __all__ = [
     "DesignReport",
     "FamilyKind",
     "FittedGP",
-    "ForcePrediction",
     "GprFitConfig",
     "GridSpec",
     "JointDataset",

@@ -6,9 +6,15 @@ and 2 for input or validation problems. Global flags --config/--quiet/--json
 work on every subcommand; the UGC_CONFIG environment variable names a
 fallback config file. Config files are flat key = value documents; flags
 beat file values, file values beat defaults.
+
+Each cmd_* returns (doc, lines, warnings) and prints nothing; main renders
+it once. With --json, stdout is the one line _json(doc), warnings included
+in doc. Otherwise the lines go to stdout and each warning to stderr as
+"warning: ...", and --quiet prints neither. Errors print only to stderr.
 """
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -130,14 +136,10 @@ def _family_model_from_archives(model_path, return_path=None) -> joints.JointFam
         raise InputError(f"archive {return_path}: field family: {exc}") from None
 
 
-def _emit(args, text):
-    if not args.quiet:
-        print(text)
-
-
-def _json(doc, indent=None) -> str:
-    """Every CLI JSON document: sorted keys and RFC-valid numbers (no NaN or Infinity)."""
-    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+def _json(doc) -> str:
+    """Every CLI JSON document: one line, sorted keys and RFC-valid numbers
+    (no NaN or Infinity)."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -147,7 +149,7 @@ def _rmse_text(rmse) -> str:
     return f"{rmse:.6g}" if rmse is not None else "n/a"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     kind = _family_kind(args.family)
     if args.degree < 1:
         raise InputError(f"--degree must be >= 1, got {args.degree}")
@@ -180,24 +182,22 @@ def cmd_fit(args) -> int:
         _save(model.return_model, args.return_out, kind, "return")
         written.append(str(args.return_out))
 
-    _emit(args, f"fitted {kind.value} on {len(forces)} samples")
-    _emit(args, "model        loo rmse (force, N)")
-    _emit(args, f"gpr          {_rmse_text(model.force_loo_rmse)}")
-    _emit(args, f"poly{args.degree}        {_rmse_text(poly_rmse)}")
-    _emit(args, "wrote " + ", ".join(written))
-    if args.json:
-        print(
-            _json(
-                {
-                    "family": kind.value,
-                    "samples": len(forces),
-                    "gpr_loo_rmse_n": model.force_loo_rmse,
-                    f"poly{args.degree}_loo_rmse_n": poly_rmse,
-                    "outputs": written,
-                }
-            )
-        )
-    return 0
+    doc = {
+        "family": kind.value,
+        "samples": len(forces),
+        "gpr_loo_rmse_n": model.force_loo_rmse,
+        "gpr_return_loo_rmse_deg": model.return_loo_rmse,
+        f"poly{args.degree}_loo_rmse_n": poly_rmse,
+        "outputs": written,
+    }
+    lines = [
+        f"fitted {kind.value} on {len(forces)} samples",
+        "model        loo rmse (force, N)",
+        f"gpr          {_rmse_text(model.force_loo_rmse)}",
+        f"poly{args.degree}        {_rmse_text(poly_rmse)}",
+        "wrote " + ", ".join(written),
+    ]
+    return doc, lines, ()
 
 
 def _parse_sweep(spec_text: str):
@@ -220,43 +220,38 @@ def _parse_sweep(spec_text: str):
     return sorted({v for v in (start + k * step for k in range(int(steps) + 2)) if v <= last})
 
 
-def cmd_predict(args) -> int:
-    model = _family_model_from_archives(args.model, args.return_model)
-    allow = args.allow_extrapolation
-    thickness = args.thickness
-
+def cmd_predict(args):
     if (args.theta is None) == (args.sweep is None):
         raise InputError("predict needs exactly one of --theta and --sweep")
     thetas = [args.theta] if args.sweep is None else _parse_sweep(args.sweep)
+    model = _family_model_from_archives(args.model, args.return_model)
 
-    preds, rets = joints.predict_many(model, thetas, thickness, allow_extrapolation=allow)
+    means, stds, rets, flags = joints.predict_many(
+        model, thetas, args.thickness, allow_extrapolation=args.allow_extrapolation
+    )
+    table = list(zip(thetas, means.tolist(), stds.tolist(), rets, flags))
+    rows = [
+        {"theta_deg": theta, "thickness_mm": args.thickness, "force_n": mean,
+         "force_std_n": std, "return_angle_deg": ret, "warnings": list(row_flags)}
+        for theta, mean, std, ret, row_flags in table
+    ]
     if args.sweep is not None:
-        print("theta_deg,force_n,force_std_n,return_angle_deg")
-        for theta, pred, ret in zip(thetas, preds, rets):
-            ret_txt = repr(ret) if ret is not None else ""
-            print(f"{theta!r},{pred.mean!r},{pred.std!r},{ret_txt}")
-        return 0
+        lines = ["theta_deg,force_n,force_std_n,return_angle_deg"]
+        lines += [
+            f"{theta!r},{mean!r},{std!r},{'' if ret is None else repr(ret)}"
+            for theta, mean, std, ret, _ in table
+        ]
+        # one warning per distinct flag, with the count of its angles
+        counts = collections.Counter(flag for row_flags in flags for flag in row_flags)
+        warnings = [f"{flag} at {n} of {len(rows)} angles" for flag, n in counts.items()]
+        return {"rows": rows}, lines, warnings
 
-    pred, ret = preds[0], rets[0]
-    if args.json:
-        print(
-            _json(
-                {
-                    "theta_deg": args.theta,
-                    "thickness_mm": thickness,
-                    "force_n": pred.mean,
-                    "force_std_n": pred.std,
-                    "return_angle_deg": ret,
-                    "warnings": list(pred.warnings),
-                }
-            )
-        )
-        return 0
-    _emit(args, f"force: {pred.mean:.6g} +/- {pred.std:.6g} N")
-    _emit(args, f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a")
-    for w in pred.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return 0
+    ((_, mean, std, ret, row_flags),) = table
+    lines = [
+        f"force: {mean:.6g} +/- {std:.6g} N",
+        f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a",
+    ]
+    return rows[0], lines, row_flags
 
 
 def _read_spec(path) -> mechanics.RingDesignSpec:
@@ -267,44 +262,41 @@ def _read_spec(path) -> mechanics.RingDesignSpec:
     return mechanics.spec_from_json_dict(doc)
 
 
-def cmd_design(args) -> int:
+def cmd_design(args):
     spec = _read_spec(args.spec)
     model = _family_model_from_archives(args.model, args.return_model)
     report = mechanics.design_module(spec, model, safety_factor=args.safety_factor)
 
-    out_doc = {"design_spec": mechanics.spec_to_json_dict(spec), **report.to_json_dict()}
-    text = _json(out_doc, indent=2) + "\n"
+    doc = {"design_spec": mechanics.spec_to_json_dict(spec), **report.to_json_dict()}
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(_json(doc) + "\n", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write report {args.out}: {exc}") from exc
-
-    if args.json:
-        print(text, end="")
-    else:
-        _emit(args, report.format_summary())
-        _emit(args, f"wrote {args.out}")
-    return 0
+    return doc, [report.format_summary(), f"wrote {args.out}"], ()
 
 
-def cmd_builtin(args) -> int:
+def cmd_builtin(args):
     kind = _family_kind(args.family)
     model = joints.builtin_model(kind)
     _save(model.force_model, args.out, kind, "force")
-    _emit(args, f"wrote built-in {kind.value} force model to {args.out}")
-    return 0
+    doc = {"family": kind.value, "outputs": [str(args.out)]}
+    return doc, [f"wrote built-in {kind.value} force model to {args.out}"], ()
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     if not args.data and not args.spec:
         raise InputError("validate needs --data and/or --spec")
+    doc = {"data": None, "samples": None, "spec": None}
+    lines = []
     if args.data:
         ds = parse_measurements(_read_text(args.data))
-        _emit(args, f"{args.data}: ok ({len(ds)} samples)")
+        doc.update(data=str(args.data), samples=len(ds))
+        lines.append(f"{args.data}: ok ({len(ds)} samples)")
     if args.spec:
         _read_spec(args.spec)
-        _emit(args, f"{args.spec}: ok")
-    return 0
+        doc["spec"] = str(args.spec)
+        lines.append(f"{args.spec}: ok")
+    return doc, lines, ()
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -384,7 +376,14 @@ def main(argv=None) -> int:
             # subcommands share, so a shared parser would carry a file's values
             # into later calls.
             args = _build_parser(_load_config(path)).parse_args(argv)
-        return args.handler(args)
+        doc, lines, warnings = args.handler(args)
+        if args.json:
+            print(_json(doc))
+        elif not args.quiet:
+            print("\n".join(lines))
+            for warning in warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+        return 0
     except DesignSpecError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

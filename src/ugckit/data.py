@@ -234,10 +234,10 @@ def check_angle_bin(angle_bin: float) -> None:
 def average_runs(ds: JointDataset, angle_bin: float = DEFAULT_ANGLE_BIN) -> JointDataset:
     """Collapse repeat runs into per-angle-bin means.
 
-    Samples are grouped by (family, direction, round(angle / angle_bin));
-    angle, force, and return angle are replaced by the group means. Averaging
-    an already-averaged dataset with the same bin leaves every sample intact.
-    angle_bin must pass check_angle_bin.
+    Samples are grouped by (family, thickness, direction, round(angle /
+    angle_bin)); angle, force, and return angle are replaced by the group
+    means. Averaging an already-averaged dataset with the same bin leaves
+    every sample intact. angle_bin must pass check_angle_bin.
     """
     check_angle_bin(angle_bin)
 

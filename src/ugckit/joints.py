@@ -18,7 +18,6 @@ supporting data; other families only get an extrapolation warning there.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +163,6 @@ class JointFamilyModel:
                 )
 
 
-@dataclass(frozen=True)
-class ForcePrediction:
-    mean: float  # N
-    variance: float  # N^2
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
 def _finite_query(value, name: str) -> float:
     try:
         return finite_float(value)
@@ -182,29 +170,18 @@ def _finite_query(value, name: str) -> float:
         raise InputError(f"{name} must be a finite number, got {value!r}") from None
 
 
-def _query_points(model: JointFamilyModel, thetas, thickness, allow_extrapolation):
-    """Validate queries, each angle once, and build the model inputs (one row
-    per angle) with the warnings of each query."""
-    thetas = [_finite_query(theta, "theta") for theta in thetas]
-    if thickness is not None:
-        thickness = _finite_query(thickness, "thickness")
+def _query_angles(thetas) -> np.ndarray:
+    """thetas as one float array; InputError naming the first value that is
+    not a finite number."""
+    thetas = list(thetas)
     try:
-        family = JointFamily(model.kind, thickness)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    low, high = VALIDATED_ANGLE_RANGE
-    outside = [not low <= theta <= high for theta in thetas]
-    shared = []
-    if model.kind is FamilyKind.CURVE:
-        if any(outside) and not allow_extrapolation:
-            raise OutOfValidatedRangeError(thetas[outside.index(True)], low, high)
-        tlo, thi = TESTED_THICKNESS_RANGE
-        if not tlo <= thickness <= thi:
-            shared.append(WARN_EXTRAPOLATION)
-    dim = model.kind.input_dim
-    X = np.array([(t, family.thickness)[:dim] for t in thetas], dtype=float).reshape(-1, dim)
-    warnings = [([WARN_EXTRAPOLATION] if out else []) + shared for out in outside]
-    return X, warnings
+        angles = np.array(thetas, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        angles = None
+    if angles is None or angles.shape != (len(thetas),) or not np.isfinite(angles).all():
+        # one value at a time, so the message names the first bad one
+        angles = np.array([_finite_query(theta, "theta") for theta in thetas], dtype=float)
+    return angles
 
 
 def predict_many(
@@ -212,9 +189,13 @@ def predict_many(
     thetas,
     thickness: float | None = None,
     allow_extrapolation: bool = False,
-) -> tuple[list[ForcePrediction], list[float | None]]:
+) -> tuple[np.ndarray, np.ndarray, list[float | None], list[tuple[str, ...]]]:
     """Holding force (N) and return angle (deg) at each angle of thetas, at
     one thickness: one batched GP prediction per model component.
+
+    Returns (means, stds, returns, warnings): the force means and standard
+    deviations as float arrays, the return angles, and one tuple of warning
+    flags per angle.
 
     The curve family raises OutOfValidatedRange outside 30..150 deg (pass
     allow_extrapolation=True to downgrade that to a warning); other families
@@ -224,20 +205,37 @@ def predict_many(
     the flat reference of 180 deg exactly, and a bent angle gives None when
     the model has no return-angle component.
     """
-    X, warnings = _query_points(model, thetas, thickness, allow_extrapolation)
+    angles = _query_angles(thetas)
+    if thickness is not None:
+        thickness = _finite_query(thickness, "thickness")
+    try:
+        family = JointFamily(model.kind, thickness)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    low, high = VALIDATED_ANGLE_RANGE
+    extrapolated = (angles < low) | (angles > high)
+    if model.kind is FamilyKind.CURVE:
+        if extrapolated.any() and not allow_extrapolation:
+            raise OutOfValidatedRangeError(float(angles[extrapolated.argmax()]), low, high)
+        tlo, thi = TESTED_THICKNESS_RANGE
+        extrapolated |= not tlo <= thickness <= thi
+    X = angles[:, None]
+    if model.kind.input_dim == 2:
+        X = np.column_stack([angles, np.full_like(angles, family.thickness)])
+
     means, variances = gpr.predict_many(model.force_model, X)
-    forces = []
-    for theta, mean, variance, flags in zip(X[:, 0], means.tolist(), variances.tolist(), warnings):
-        if theta < 1e-9 and mean > 0.0:
-            flags.append(WARN_REST_FORCE)
-        forces.append(ForcePrediction(mean, variance, tuple(dict.fromkeys(flags))))
-    bent = X[:, 0] != 0.0
+    rest_force = (angles < 1e-9) & (means > 0.0)
+    warnings = [
+        (WARN_EXTRAPOLATION,) * e + (WARN_REST_FORCE,) * r
+        for e, r in zip(extrapolated.tolist(), rest_force.tolist())
+    ]
+    bent = angles != 0.0
     returns = [None if b else 180.0 for b in bent.tolist()]
     if model.return_model is not None and bent.any():
-        angles, _ = gpr.predict_many(model.return_model, X[bent])
-        for i, angle in zip(np.flatnonzero(bent), np.clip(angles, 0.0, 180.0).tolist()):
+        back, _ = gpr.predict_many(model.return_model, X[bent])
+        for i, angle in zip(np.flatnonzero(bent), np.clip(back, 0.0, 180.0).tolist()):
             returns[i] = angle
-    return forces, returns
+    return means, np.sqrt(variances), returns, warnings
 
 
 def builtin_model(kind: FamilyKind) -> JointFamilyModel:

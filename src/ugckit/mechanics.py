@@ -414,19 +414,18 @@ def design_module(
         return_angle = 180.0
     else:
         try:
-            (pred,), (return_angle,) = joints.predict_many(
+            means, stds, (return_angle,), (flags,) = joints.predict_many(
                 joint_model, [bend], spec.joint.thickness
             )
-            model_force, model_std = pred.mean, pred.std
-            for w in pred.warnings:
-                diagnostics.append(f"force model warning: {w}")
+            model_force, model_std = means.item(), stds.item()
+            diagnostics += [f"force model warning: {w}" for w in flags]
         except OutOfValidatedRangeError:
             if spec.per_joint_force_override is None:
                 raise
             diagnostics.append(
                 f"model force unavailable at {bend:.2f} deg (outside validated range)"
             )
-            _, (return_angle,) = joints.predict_many(
+            _, _, (return_angle,), _ = joints.predict_many(
                 joint_model, [bend], spec.joint.thickness, allow_extrapolation=True
             )
         if spec.per_joint_force_override is not None:

@@ -99,11 +99,11 @@ def test_c04_builtin_coefficient_evaluations():
     with criterion("C4 built-in coefficients: square 2.0990 N, curve 3.6627 N (1e-4)"):
         # hand arithmetic: 1.6940 + 0.0225*90 - 0.0002*8100 = 2.0990
         square = joints.builtin_model(FamilyKind.SQUARE_SYM)
-        got = joints.predict_many(square, [90.0])[0][0].mean
+        got = joints.predict_many(square, [90.0])[0][0]
         assert abs(got - 2.0990) < 1e-4, f"square at 90 deg gave {got}"
         # hand arithmetic: -2.4933 + 0.1164*90 + 0*0.4 - 0.0007*8100 + 8.4377*0.16 = 3.6627
         curve = joints.builtin_model(FamilyKind.CURVE)
-        got = joints.predict_many(curve, [90.0], 0.4)[0][0].mean
+        got = joints.predict_many(curve, [90.0], 0.4)[0][0]
         assert abs(got - 3.6627) < 1e-4, f"curve at (90 deg, 0.4 mm) gave {got}"
 
 

@@ -15,9 +15,20 @@ from ugckit.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from ugckit.data import CSV_COLUMNS, FamilyKind
 from ugckit.errors import InputError, NotPositiveDefiniteError
 
-from conftest import square_bench_csv
+from conftest import refit_loo_residuals_gp, square_bench_csv
 
 HEADER = ",".join(CSV_COLUMNS)
+
+def _reject_constant(token):
+    raise ValueError(f"non-RFC JSON constant {token}")
+
+
+def strict_json(text: str):
+    """The one JSON document of a --json stdout: exactly one line, and no
+    NaN or Infinity."""
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    return json.loads(text, parse_constant=_reject_constant)
+
 
 CHOICES = "choices: straight, curve, double_curve, square_sym, square_nonsym"
 
@@ -194,14 +205,24 @@ class TestFit:
         rows = [f"curve,{t},{a},forward,{f},170,r1" for a, t, f in
                 [(30, 0.4, 2.1), (60, 1.2, 4.0), (90, 0.8, 3.2), (120, 1.6, 6.5), (150, 0.4, 2.9)]]
         path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-        code = main([
-            "fit", "--data", str(path), "--family", "curve", "--out", str(tmp_path / "m.json"),
-            "--json",
-        ])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "gpr          n/a" in lines
-        assert json.loads(lines[-1])["gpr_loo_rmse_n"] is None
+        argv = ["fit", "--data", str(path), "--family", "curve", "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        assert "gpr          n/a" in capsys.readouterr().out.splitlines()
+        assert main([*argv, "--json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["gpr_loo_rmse_n"] is None and doc["gpr_return_loo_rmse_deg"] is None
+
+    def test_json_reports_the_return_loo_rmse(self, tmp_path, bench_csv, capsys):
+        force, back = tmp_path / "f.json", tmp_path / "r.json"
+        assert main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(force), "--return-out", str(back), "--json",
+        ]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        for path, key in ((force, "gpr_loo_rmse_n"), (back, "gpr_return_loo_rmse_deg")):
+            gp, _ = archive.load_archive(path)
+            refit = refit_loo_residuals_gp(gp.train_x, gp.train_y, gp.hyper, gp.noise_variance)
+            assert doc[key] == pytest.approx(np.sqrt(np.mean(refit**2)), rel=1e-10)
 
     def test_unexpected_baseline_error_is_not_na(self, tmp_path, bench_csv, capsys, monkeypatch):
         # only the failures loo_rmse_poly documents read as n/a
@@ -285,10 +306,10 @@ class TestPredict:
             FamilyKind.SQUARE_SYM, archive.load_archive(out)[0], archive.load_archive(ret_out)[0]
         )
         for theta, mean, std, ret in rows[::20]:
-            (pred,), (angle,) = joints.predict_many(model, [float(theta)])
+            (one_mean,), (one_std,), (angle,), _ = joints.predict_many(model, [float(theta)])
             # a mean does not depend on its batch; a variance may in the last bits
-            assert float(mean) == pred.mean
-            assert float(std) == pytest.approx(pred.std, abs=1e-12)
+            assert float(mean) == one_mean
+            assert float(std) == pytest.approx(one_std, abs=1e-12)
             assert float(ret) == angle
 
     def test_sweep_checks_every_angle_before_printing(self, tmp_path, capsys):
@@ -352,8 +373,8 @@ class TestPredict:
         assert main(["predict", "--model", str(bad), "--theta", "90"]) == 2
 
     def test_non_finite_output_is_refused(self, square_archive, capsys, monkeypatch):
-        nan_force = joints.ForcePrediction(mean=float("nan"), variance=0.0)
-        monkeypatch.setattr(joints, "predict_many", lambda *a, **k: ([nan_force], [None]))
+        nan_force = (np.array([np.nan]), np.array([0.0]), [None], [()])
+        monkeypatch.setattr(joints, "predict_many", lambda *a, **k: nan_force)
         code = main(["predict", "--model", str(square_archive), "--theta", "90", "--json"])
         assert code == 2
         assert "NaN" not in capsys.readouterr().out
@@ -724,7 +745,7 @@ class Run(NamedTuple):
 
 
 def _fit_json(run):
-    return json.loads(run.out.splitlines()[-1])  # after the text table
+    return strict_json(run.out)
 
 
 # Each config key: the command ({d} is the directory that bench_csv and
@@ -796,7 +817,7 @@ class TestConfigPrecedence:
     def test_keys_a_command_does_not_use_are_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "ugc.cfg"
         cfg.write_text(
-            "json = true\nallow_extrapolation = true\nangle_bin = 20\ndegree = 3\n"
+            "allow_extrapolation = true\nangle_bin = 20\ndegree = 3\n"
             "noise_variance = 0.02\nsafety_factor = 2.5\n"
         )
         out = tmp_path / "m.json"
@@ -928,6 +949,106 @@ class TestGlobalFlags:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, f"{command} help missing {flag}"
+
+
+# One call per subcommand on the inputs of bench_csv and _precedence_inputs
+# ({d}); the predict calls raise warnings, which --json and --quiet keep off
+# stderr.
+OUTPUT_COMMANDS = {
+    "fit": "fit --data {d}/square.csv --family square_sym --out {d}/f.json --return-out {d}/r.json",
+    "predict-theta": "predict --model {d}/sq.json --theta 10",
+    "predict-sweep": "predict --model {d}/sq.json --sweep 0:180:30",
+    "design": "design --spec {d}/ring.json --model {d}/sq.json --out {d}/report.json",
+    "builtin": "builtin --family curve --out {d}/curve.json",
+    "validate": "validate --data {d}/square.csv --spec {d}/ring.json",
+}
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize("flag", ["--json", "--quiet"])
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_one_document_or_nothing(self, tmp_path, bench_csv, capsys, command, flag):
+        _precedence_inputs(tmp_path)
+        capsys.readouterr()
+        assert main([*OUTPUT_COMMANDS[command].format(d=tmp_path).split(), flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if flag == "--quiet":
+            assert out == ""
+        else:
+            assert isinstance(strict_json(out), dict)
+
+    def test_json_quiet_still_prints_the_document(self, tmp_path, capsys):
+        out = tmp_path / "sq.json"
+        assert main(["builtin", "--family", "square_sym", "--out", str(out), "--json", "--quiet"]) == 0
+        assert strict_json(capsys.readouterr().out) == {
+            "family": "square_sym", "outputs": [str(out)]
+        }
+
+    def test_validate_document(self, bench_csv, spec_file, capsys):
+        assert main(["validate", "--data", str(bench_csv), "--json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc == {"data": str(bench_csv), "samples": doc["samples"], "spec": None}
+        assert doc["samples"] > 0
+        assert main(["validate", "--spec", str(spec_file), "--json"]) == 0
+        assert strict_json(capsys.readouterr().out) == {
+            "data": None, "samples": None, "spec": str(spec_file)
+        }
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "--data", "{d}/ghost.csv", "--family", "square_sym", "--out", "{d}/m.json"], 2),
+        (["predict", "--model", "{d}/sq.json", "--theta", "1e200", "--allow-extrapolation"], 2),
+        (["design", "--spec", "{d}/deep.json", "--model", "{d}/sq.json", "--out", "{d}/r.json"], 1),
+    ], ids=["input", "prediction", "computation"])
+    def test_errors_print_no_document(self, tmp_path, capsys, argv, code):
+        _precedence_inputs(tmp_path)
+        (tmp_path / "deep.json").write_text(json.dumps({**GOOD_SPEC, "target_ratio": 0.1}))
+        capsys.readouterr()
+        assert main([a.format(d=tmp_path) for a in argv] + ["--json"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_sweep_rows_are_theta_documents(self, fitted_pair, capsys):
+        force, back = fitted_pair
+        models = ["predict", "--model", str(force), "--return-model", str(back), "--json"]
+        assert main([*models, "--sweep", "0:180:7.5"]) == 0
+        rows = strict_json(capsys.readouterr().out)["rows"]
+        assert len(rows) == 25
+        for row in rows[::3]:
+            assert main([*models, "--theta", repr(row["theta_deg"])]) == 0
+            one = strict_json(capsys.readouterr().out)
+            assert row.keys() == one.keys()
+            # a mean does not depend on its batch; a variance may in the last bits
+            assert row["force_n"] == one["force_n"]
+            assert row["force_std_n"] == pytest.approx(one["force_std_n"], abs=1e-12)
+            rest = ("theta_deg", "thickness_mm", "return_angle_deg", "warnings")
+            assert [row[k] for k in rest] == [one[k] for k in rest]
+
+    def test_sweep_warns_once_per_flag(self, square_archive, capsys):
+        # 0 and 180 deg lie outside 30..150; 0 deg also carries the rest force
+        assert main(["predict", "--model", str(square_archive), "--sweep", "0:180:30"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 8
+        assert err == (
+            "warning: extrapolation at 2 of 7 angles\n"
+            "warning: rest_force at 1 of 7 angles\n"
+        )
+
+    def test_theta_warns_per_flag(self, square_archive, capsys):
+        assert main(["predict", "--model", str(square_archive), "--theta", "0"]) == 0
+        assert capsys.readouterr().err == "warning: extrapolation\nwarning: rest_force\n"
+
+    @pytest.mark.parametrize("query, named", [
+        (["--sweep", "1:2"], ["--sweep"]),
+        (["--sweep", "30:nan:5"], ["--sweep"]),
+        (["--theta", "90", "--sweep", "30:150:5"], ["--theta", "--sweep"]),
+    ], ids=["malformed", "non-finite", "both"])
+    def test_query_checked_before_any_archive_is_read(self, tmp_path, capsys, query, named):
+        ghost = tmp_path / "ghost.json"
+        assert main(["predict", "--model", str(ghost), *query]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "ghost" not in err
+        assert all(flag in err for flag in named)
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,31 +53,31 @@ def curve_quadratic(theta, thickness):
 class TestBuiltinModels:
     def test_square_at_90(self):
         m = joints.builtin_model(SQ)
-        (pred,), _ = joints.predict_many(m, [90.0])
-        assert pred.mean == pytest.approx(2.0990, abs=1e-4)
+        (mean,), *_ = joints.predict_many(m, [90.0])
+        assert mean == pytest.approx(2.0990, abs=1e-4)
 
     def test_square_prior_mean_across_angles(self):
         m = joints.builtin_model(SQ)
         for theta in (30.0, 60.0, 90.0, 120.0, 150.0):
-            (pred,), _ = joints.predict_many(m, [theta])
-            assert pred.mean == pytest.approx(square_quadratic(theta), abs=1e-9)
+            (mean,), *_ = joints.predict_many(m, [theta])
+            assert mean == pytest.approx(square_quadratic(theta), abs=1e-9)
 
     def test_curve_at_90_04(self):
         m = joints.builtin_model(CURVE)
-        (pred,), _ = joints.predict_many(m, [90.0], 0.4)
-        assert pred.mean == pytest.approx(3.6627, abs=1e-4)
+        (mean,), *_ = joints.predict_many(m, [90.0], 0.4)
+        assert mean == pytest.approx(3.6627, abs=1e-4)
 
     def test_curve_at_140_08(self):
         m = joints.builtin_model(CURVE)
-        (pred,), _ = joints.predict_many(m, [140.0], 0.8)
-        assert pred.mean == pytest.approx(5.4828, abs=1e-4)
+        (mean,), *_ = joints.predict_many(m, [140.0], 0.8)
+        assert mean == pytest.approx(5.4828, abs=1e-4)
 
     def test_curve_prior_mean_everywhere_on_grid(self):
         m = joints.builtin_model(CURVE)
         for theta in (30.0, 75.0, 110.0, 150.0):
             for t in (0.4, 0.6, 1.0, 1.6):
-                (pred,), _ = joints.predict_many(m, [theta], t)
-                assert pred.mean == pytest.approx(curve_quadratic(theta, t), abs=1e-9)
+                (mean,), *_ = joints.predict_many(m, [theta], t)
+                assert mean == pytest.approx(curve_quadratic(theta, t), abs=1e-9)
 
     def test_anchors_are_angle_by_thickness_rows(self):
         # angle column first, thickness varying fastest, as archives store them
@@ -95,13 +96,13 @@ class TestBuiltinModels:
     def test_builtin_has_no_return_model(self):
         m = joints.builtin_model(SQ)
         assert m.return_model is None
-        assert joints.predict_many(m, [90.0])[1] == [None]
+        assert joints.predict_many(m, [90.0])[2] == [None]
 
     def test_curve_force_never_decreases_with_thickness(self):
         # zero linear-T coefficient plus positive T^2 coefficient
         m = joints.builtin_model(CURVE)
         for theta in np.arange(60.0, 141.0, 10.0):
-            forces = [joints.predict_many(m, [theta], t)[0][0].mean for t in (0.4, 0.8, 1.2, 1.6)]
+            forces = [joints.predict_many(m, [theta], t)[0][0] for t in (0.4, 0.8, 1.2, 1.6)]
             assert all(b >= a for a, b in zip(forces, forces[1:]))
 
 
@@ -114,8 +115,8 @@ class TestValidatedRange:
 
     def test_curve_allows_extrapolation_on_request(self):
         m = joints.builtin_model(CURVE)
-        (pred,), _ = joints.predict_many(m, [20.0], 0.8, allow_extrapolation=True)
-        assert joints.WARN_EXTRAPOLATION in pred.warnings
+        *_, (flags,) = joints.predict_many(m, [20.0], 0.8, allow_extrapolation=True)
+        assert joints.WARN_EXTRAPOLATION in flags
 
     def test_curve_requires_thickness(self):
         m = joints.builtin_model(CURVE)
@@ -124,14 +125,14 @@ class TestValidatedRange:
 
     def test_square_warns_only(self):
         m = joints.builtin_model(SQ)
-        (pred,), _ = joints.predict_many(m, [10.0])
-        assert joints.WARN_EXTRAPOLATION in pred.warnings
+        *_, (flags,) = joints.predict_many(m, [10.0])
+        assert joints.WARN_EXTRAPOLATION in flags
 
     def test_square_rest_force_caveat(self):
         m = joints.builtin_model(SQ)
-        (pred,), _ = joints.predict_many(m, [0.0])
-        assert pred.mean == pytest.approx(1.6940, abs=1e-9)
-        assert joints.WARN_REST_FORCE in pred.warnings
+        (mean,), _, _, (flags,) = joints.predict_many(m, [0.0])
+        assert mean == pytest.approx(1.6940, abs=1e-9)
+        assert joints.WARN_REST_FORCE in flags
 
 
 class TestEnvelopes:
@@ -211,28 +212,28 @@ class TestFitFamilyModel:
         ds = average_runs(square_dataset)
         model = joints.fit_family_model(ds, SQ)
         for s in ds.samples:
-            (pred,), _ = joints.predict_many(
+            (mean,), (std,), *_ = joints.predict_many(
                 model, [s.deformation_angle], allow_extrapolation=True
             )
             noise = model.force_model.noise_variance
-            assert abs(pred.mean - s.force) <= 2.0 * np.sqrt(pred.variance + noise)
+            assert abs(mean - s.force) <= 2.0 * np.sqrt(std**2 + noise)
 
     def test_monotone_fixture_gives_monotone_window(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        (lo, hi), _ = joints.predict_many(model, [30.0, 120.0])
-        assert lo.mean < hi.mean
+        (lo, hi), *_ = joints.predict_many(model, [30.0, 120.0])
+        assert lo < hi
 
     def test_curve_family_fits_two_inputs(self, curve_dataset):
         model = joints.fit_family_model(curve_dataset, CURVE)
         assert model.force_model.input_dim == 2
-        (pred,), _ = joints.predict_many(model, [90.0], 0.8)
-        assert pred.mean == pytest.approx(0.3 + 0.02 * 90 - 5e-5 * 8100 + 4 * 0.64, abs=0.5)
+        (mean,), *_ = joints.predict_many(model, [90.0], 0.8)
+        assert mean == pytest.approx(0.3 + 0.02 * 90 - 5e-5 * 8100 + 4 * 0.64, abs=0.5)
 
     def test_return_angle_flat_then_decaying(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        _, (flat,) = joints.predict_many(model, [60.0])
+        _, _, (flat,), _ = joints.predict_many(model, [60.0])
         assert flat == pytest.approx(180.0, abs=2.0)
-        _, (decayed,) = joints.predict_many(model, [150.0])
+        _, _, (decayed,), _ = joints.predict_many(model, [150.0])
         assert decayed < 179.0
         assert decayed == pytest.approx(square_return_true(150.0), abs=5.0)
 
@@ -250,12 +251,12 @@ class TestFitFamilyModel:
 
     def test_return_angle_identity_at_zero(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
-        assert joints.predict_many(model, [0.0])[1] == [180.0]
+        assert joints.predict_many(model, [0.0])[2] == [180.0]
 
     def test_return_angle_always_clamped(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
         for theta in np.linspace(0.0, 180.0, 37):
-            _, (val,) = joints.predict_many(model, [float(theta)], allow_extrapolation=True)
+            _, _, (val,), _ = joints.predict_many(model, [float(theta)], allow_extrapolation=True)
             assert 0.0 <= val <= 180.0
 
 
@@ -399,21 +400,23 @@ class TestVectorQueries:
             (CURVE, 2.0, [45.0, 120.0]),
         ]:
             model = fitted_models[kind]
-            many, _ = joints.predict_many(model, thetas, thickness, allow_extrapolation=True)
-            for theta, pred in zip(thetas, many):
-                (one,), _ = joints.predict_many(
+            means, stds, _, flags = joints.predict_many(
+                model, thetas, thickness, allow_extrapolation=True
+            )
+            for i, theta in enumerate(thetas):
+                (mean,), (std,), _, (one_flags,) = joints.predict_many(
                     model, [theta], thickness, allow_extrapolation=True
                 )
-                assert pred.mean == pytest.approx(one.mean, abs=1e-12)
-                assert pred.variance == pytest.approx(one.variance, abs=1e-12)
-                assert pred.warnings == one.warnings
+                assert means[i] == pytest.approx(mean, abs=1e-12)
+                assert stds[i] ** 2 == pytest.approx(std**2, abs=1e-12)
+                assert flags[i] == one_flags
 
     def test_return_matches_scalar_calls(self, fitted_models):
         thetas = [0.0, 10.0, 60.0, 150.0, 180.0]
-        _, many = joints.predict_many(fitted_models[SQ], thetas)
+        _, _, many, _ = joints.predict_many(fitted_models[SQ], thetas)
         assert many[0] == 180.0
         for theta, value in zip(thetas, many):
-            _, (one,) = joints.predict_many(fitted_models[SQ], [theta])
+            _, _, (one,), _ = joints.predict_many(fitted_models[SQ], [theta])
             assert value == pytest.approx(one, abs=1e-12)
 
     def test_every_angle_validated(self, fitted_models):
@@ -424,11 +427,28 @@ class TestVectorQueries:
         with pytest.raises(OutOfValidatedRangeError):
             joints.predict_many(fitted_models[CURVE], [29.0, 30.0], 0.8)
 
+    def test_arrays_and_one_flag_tuple_per_angle(self):
+        model = joints.builtin_model(SQ)
+        means, stds, returns, flags = joints.predict_many(model, range(0, 181, 90))
+        assert means.dtype == stds.dtype == np.float64
+        assert means.shape == stds.shape == (3,)
+        assert returns == [180.0, None, None]
+        assert flags == [
+            (joints.WARN_EXTRAPOLATION, joints.WARN_REST_FORCE), (), (joints.WARN_EXTRAPOLATION,)
+        ]
+
+    @pytest.mark.parametrize("bad", ["abc", None, [1.0], 10**400])
+    def test_message_names_the_first_bad_angle(self, bad):
+        model = joints.builtin_model(SQ)
+        message = f"theta must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(InputError, match=message):
+            joints.predict_many(model, [30.0, bad, float("nan")])
+
     def test_flat_reference_needs_no_return_model(self):
         model = joints.builtin_model(SQ)
-        assert joints.predict_many(model, [0.0, 0.0])[1] == [180.0, 180.0]
-        assert joints.predict_many(model, [0.0, 30.0])[1] == [180.0, None]
-        assert joints.predict_many(model, [30.0])[1] == [None]
+        assert joints.predict_many(model, [0.0, 0.0])[2] == [180.0, 180.0]
+        assert joints.predict_many(model, [0.0, 30.0])[2] == [180.0, None]
+        assert joints.predict_many(model, [30.0])[2] == [None]
 
 
 @pytest.fixture(scope="module")

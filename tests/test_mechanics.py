@@ -366,7 +366,7 @@ class TestDesignModule:
         )
         assert [report.predicted_return_angle] == joints.predict_many(
             model, [report.bend_angle], 0.8, allow_extrapolation=True
-        )[1]
+        )[2]
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError):

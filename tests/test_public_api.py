@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "Direction",
     "FamilyKind",
     "FittedGP",
-    "ForcePrediction",
     "GprFitConfig",
     "GridSpec",
     "JointDataset",
