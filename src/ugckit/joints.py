@@ -170,20 +170,6 @@ def _finite_query(value, name: str) -> float:
         raise InputError(f"{name} must be a finite number, got {value!r}") from None
 
 
-def _query_angles(thetas) -> np.ndarray:
-    """thetas as one float array; InputError naming the first value that is
-    not a finite number."""
-    thetas = list(thetas)
-    try:
-        angles = np.array(thetas, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        angles = None
-    if angles is None or angles.shape != (len(thetas),) or not np.isfinite(angles).all():
-        # one value at a time, so the message names the first bad one
-        angles = np.array([_finite_query(theta, "theta") for theta in thetas], dtype=float)
-    return angles
-
-
 def predict_many(
     model: JointFamilyModel,
     thetas,
@@ -205,7 +191,7 @@ def predict_many(
     the flat reference of 180 deg exactly, and a bent angle gives None when
     the model has no return-angle component.
     """
-    angles = _query_angles(thetas)
+    angles = np.array([_finite_query(theta, "theta") for theta in thetas], dtype=float)
     if thickness is not None:
         thickness = _finite_query(thickness, "thickness")
     try:
