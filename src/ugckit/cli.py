@@ -29,13 +29,7 @@ from .data import (
     check_angle_bin,
     parse_measurements,
 )
-from .errors import (
-    ComputationError,
-    DesignSpecError,
-    IllConditionedError,
-    InputError,
-    InsufficientDataError,
-)
+from .errors import ComputationError, DesignSpecError, InputError
 from .units import finite_float
 
 CONFIG_ENV_VAR = "UGC_CONFIG"
@@ -168,13 +162,9 @@ def cmd_fit(args):
 
     model = joints.fit_family_model(ds, kind, config)
 
-    # the baseline is in angle alone: on curve it pools every thickness's rows
-    angles = model.force_model.train_x[:, 0]
+    # on curve the baseline fits one polynomial in angle per thickness
     forces = model.force_model.train_y
-    try:
-        poly_rmse = joints.loo_rmse_poly(angles, forces, args.degree)
-    except (InsufficientDataError, IllConditionedError):
-        poly_rmse = None
+    poly_rmse = joints.loo_rmse_poly(model.force_model.train_x, forces, args.degree)
 
     _save(model.force_model, args.out, kind, "force")
     written = [str(args.out)]
@@ -272,7 +262,7 @@ def cmd_design(args):
         Path(args.out).write_text(_json(doc) + "\n", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write report {args.out}: {exc}") from exc
-    return doc, [report.format_summary(), f"wrote {args.out}"], ()
+    return doc, [report.format_summary(), f"wrote {args.out}"], report.diagnostics
 
 
 def cmd_builtin(args):

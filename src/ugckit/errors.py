@@ -102,10 +102,6 @@ class InsufficientDataError(InputError):
     """Too few samples to fit the requested model."""
 
 
-class IllConditionedError(ComputationError):
-    """Polynomial system too ill-conditioned even for the orthogonal solver."""
-
-
 # -- ring mechanics ----------------------------------------------------------------
 
 class GeometryInfeasibleError(ComputationError):

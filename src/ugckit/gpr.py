@@ -19,7 +19,8 @@ W = V diag(sf2 lam + noise)^-1/2, so every solve against K + noise*I =
 independent oracle in the test suite). Predictions at many points share one
 product with W per block of rows (predict_many), and leave-one-out residuals
 come in closed form from the same factor (loo_residuals) rather than from n
-refits.
+refits. loo_residuals is the toolkit's one leave-one-out routine: with W = I
+it scores the polynomial baseline of joints too.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -138,14 +139,18 @@ def _kernel_eigh(X: np.ndarray, length_scales) -> tuple[np.ndarray, np.ndarray]:
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
     """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = W'H and
-    yw = W'y (one or more columns), and the whitened residual yw - Hw b.
-    Singular directions of Hw at numpy's matrix_rank tolerance are cut, as a
-    basis rank-deficient on X (a curve fit at one thickness) needs."""
+    yw = W'y (one or more columns), the whitened residual yw - Hw b, and the
+    rank kept. Singular directions of Hw at numpy's matrix_rank tolerance are
+    cut, as a basis rank-deficient on X (a curve fit at one thickness) needs;
+    this is the one rank rule for fits, tuning and leave-one-out scores."""
     U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
     keep = s > s.max() * max(Hw.shape) * np.finfo(float).eps
     U, s, Vt = U[:, keep], s[keep], Vt[keep]
     coef = U.T @ yw
-    return (Vt.T / s) @ coef, yw - U @ coef
+    # the residual built in place: loo_residuals passes n columns
+    r = U @ coef
+    np.subtract(yw, r, out=r)
+    return (Vt.T / s) @ coef, r, int(s.size)
 
 
 def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> float:
@@ -198,7 +203,7 @@ def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, bet
     H = basis_matrix(Xm)
 
     if beta is None:
-        beta_vec, _ = _gls(W.T @ H, W.T @ yv)
+        beta_vec, _, _ = _gls(W.T @ H, W.T @ yv)
     else:
         beta_vec = np.asarray(beta, dtype=float).ravel()
         if beta_vec.shape[0] != H.shape[1]:
@@ -232,37 +237,37 @@ def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta=None) -> Fit
     return _fitted(Xm, yv, hyper, noise_variance, lam, V, beta)
 
 
-def loo_residuals(model: FittedGP) -> np.ndarray:
-    """Leave-one-out residuals y_i - mu_(-i)(x_i) of a fitted model's
-    training rows, in closed form from its whitener (GPML section 5.4.2;
-    Sundararajan and Keerthi 2001):
+def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Leave-one-out residuals y_i - mu_(-i)(x_i) of generalized least squares
+    on the basis H plus a GP with A^-1 = W W', and the rank of W'H kept, in
+    closed form (GPML section 5.4.2; Sundararajan and Keerthi 2001):
 
         e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
                                = W (I - Q Q') W',
 
-    with A^-1 = W W' the model's whitener (jitter retry included) and Q the
-    orthonormal basis of the range of W'H that _gls projects out, so a basis
-    that is rank-deficient on X (a curve fit at one thickness) gives what the
-    refits' minimum-norm GLS gives. Neither P nor A^-1 is formed; only
-    diag(P) and P y.
+    with Q the orthonormal basis of the range of W'H that _gls projects out,
+    so a basis that is rank-deficient on the rows (a curve fit at one
+    thickness) gives what the refits' minimum-norm GLS gives. Neither P nor
+    A^-1 is formed; only diag(P) and P y.
 
-    beta is re-estimated by GLS in every fold, also for a model fitted with
-    beta held fixed: the residuals are those of refits with beta=None.
+    The one leave-one-out routine: a fitted GP passes its whitener,
+    basis_matrix(train_x) and train_y (beta re-estimated in every fold, also
+    for a model fitted with beta held fixed), and W = I gives the PRESS
+    residuals r_i / (1 - h_ii) of ordinary least squares on H (Allen 1974).
 
-    Where the other rows cannot identify the mean at x_i (diag(P)_i within
+    Where the other rows cannot identify the mean at row i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
     residual is undefined and comes back as NaN.
     """
-    W = model.whitener
     n = W.shape[0]
-    _, R = _gls(W.T @ basis_matrix(model.train_x), W.T)  # R = (I - Q Q') W', P = R' R
+    _, R, rank = _gls(W.T @ H, W.T)  # R = (I - Q Q') W', P = R' R
     diag_p = np.einsum("ij,ij->j", R, R)
-    p_y = R.T @ (R @ model.train_y)
+    p_y = R.T @ (R @ y)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
     undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->i", W, W)
     residuals = np.full(n, np.nan)
     residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
-    return residuals
+    return residuals, rank
 
 
 def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +373,7 @@ def tune_hyperparams(X, y, search: GridSpec) -> FittedGP:
                 except NotPositiveDefiniteError:
                     continue
                 scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
-                _, rw = _gls(Hv * scale[:, None], yr * scale)
+                _, rw, _ = _gls(Hv * scale[:, None], yr * scale)
                 # the scan-order index breaks ties; a NaN score never compares below
                 key = (-_log_likelihood(rw, d), i, j, k)
                 if key < best_key:

@@ -7,8 +7,9 @@ force peak, where recovery starts to degrade).
 
 Two families ship with built-in force coefficients over the pure-quadratic
 basis; every other family, and all return-angle models, must be fitted from
-bench data. loo_rmse_poly scores a plain polynomial in angle, the accuracy
-baseline for the GP fit.
+bench data. loo_rmse_poly scores a plain polynomial in angle (one per
+thickness on curve), the accuracy baseline for the GP fit; both scores come
+from gpr.loo_residuals.
 
 predict_many is the one query, for one angle or many: it answers force and
 return angle, and a bent angle's return angle is None where the model has no
@@ -25,7 +26,6 @@ import numpy as np
 from . import gpr
 from .data import FamilyKind, JointDataset, JointFamily
 from .errors import (
-    IllConditionedError,
     InputError,
     InsufficientDataError,
     NoBuiltinModelError,
@@ -278,13 +278,10 @@ def _default_tuning_grid(kind: FamilyKind, y: np.ndarray) -> gpr.GridSpec:
     )
 
 
-def _loo_rmse(model: gpr.FittedGP) -> float | None:
-    """Leave-one-out RMSE of a fitted GP over its training rows, beta
-    re-estimated in every fold, from the closed-form residuals of
-    gpr.loo_residuals. None when some fold cannot identify the mean at its
-    held-out point: a refit there returns a minimum-norm artifact, not a
-    prediction."""
-    residuals = gpr.loo_residuals(model)
+def _rmse(residuals: np.ndarray) -> float | None:
+    """RMSE of leave-one-out residuals from gpr.loo_residuals; None when some
+    fold is undefined (NaN): a refit there returns a minimum-norm artifact,
+    not a prediction."""
     if np.isnan(residuals).any():
         return None
     return float(np.sqrt(np.mean(np.square(residuals))))
@@ -312,7 +309,9 @@ def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
         if noise is None:
             noise = max(1e-8, DEFAULT_NOISE_FRACTION * float(np.var(y)))
         model = gpr.fit(X, y, _default_hyper(kind, y), noise)
-    return model, _loo_rmse(model)
+    H = gpr.basis_matrix(model.train_x)
+    residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+    return model, _rmse(residuals)
 
 
 def fit_family_model(
@@ -337,51 +336,32 @@ def fit_family_model(
     )
 
 
-def _poly_qr(x: np.ndarray, degree: int, samples: int) -> np.ndarray:
-    """Q of the thin QR of the Vandermonde matrix of angles x, mapped
-    affinely onto [-1, 1]: the one factor behind the polynomial baseline's
-    leave-one-out score.
+def loo_rmse_poly(x, y, degree: int) -> float | None:
+    """Leave-one-out RMSE of the degree-n least-squares polynomial in angle.
 
-    samples is the row count of the fits the factor serves (len(x) - 1 for
-    leave-one-out folds). Raises InsufficientDataError when it is below
-    degree + 1, and IllConditionedError when all angles are equal or the
-    matrix has rank below degree + 1.
+    x holds angles, or (angle, thickness) rows: then each thickness gets its
+    own polynomial, one column block of the Vandermonde matrix per distinct
+    thickness, and the score pools every thickness's folds. Angles are mapped
+    affinely onto [-1, 1]; the map does not change a fit, so each fold's own
+    map gives the same one. The residuals are the PRESS residuals of one fit
+    to all the data (Allen 1974), from gpr.loo_residuals with W = I.
+
+    None when a fold has fewer than degree + 1 rows (checked before any
+    matrix is built), all angles are equal, the Vandermonde matrix has rank
+    below its column count, or some fold leaves the polynomial undetermined.
     """
-    if samples < degree + 1:
-        raise InsufficientDataError(f"{samples} samples cannot support degree {degree}")
-    lo, hi = float(np.min(x)), float(np.max(x))
-    if hi <= lo:
-        raise IllConditionedError("all samples share one angle; polynomial is undetermined")
-    t = (2.0 * x - (lo + hi)) / (hi - lo)
-    Q, R = np.linalg.qr(np.vander(t, degree + 1, increasing=True))
-    if np.linalg.matrix_rank(R) < degree + 1:
-        raise IllConditionedError(
-            f"fewer than {degree + 1} distinct angles; degree {degree} is undetermined"
-        )
-    return Q
-
-
-def loo_rmse_poly(x, y, degree: int) -> float:
-    """Leave-one-out RMSE of the degree-n least-squares polynomial in angle,
-    from the PRESS residuals r_i / (1 - h_ii) of one fit to all the data
-    (Allen 1974): r is the full fit's residual and h_ii the leverage of
-    sample i, both from the Q of _poly_qr. The domain map is affine, so
-    each fold's own map gives the same fit.
-
-    Raises InsufficientDataError when a fold has fewer than degree + 1
-    samples, and IllConditionedError when some fold leaves the polynomial
-    undetermined (too few distinct angles: leverage 1).
-    """
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(x, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     y = np.asarray(y, dtype=float)
-    Q = _poly_qr(x, degree, len(y) - 1)
-    leverage = np.einsum("ij,ij->i", Q, Q)
-    free = 1.0 - leverage
-    tight = np.flatnonzero(free <= len(y) * np.finfo(float).eps)
-    if tight.size:
-        i = int(tight[0])
-        raise IllConditionedError(
-            f"leaving out the sample at {x[i]:g} deg leaves degree {degree} undetermined"
-        )
-    residuals = (y - Q @ (Q.T @ y)) / free
-    return float(np.sqrt(np.mean(np.square(residuals))))
+    _, group, counts = np.unique(X[:, 1:], axis=0, return_inverse=True, return_counts=True)
+    if min(counts, default=0) - 1 < degree + 1:
+        return None
+    angles = X[:, 0]
+    lo, hi = float(np.min(angles)), float(np.max(angles))
+    if hi <= lo:
+        return None
+    V = np.vander((2.0 * angles - (lo + hi)) / (hi - lo), degree + 1, increasing=True)
+    H = np.hstack([V * (group.ravel() == g)[:, None] for g in range(counts.size)])
+    residuals, rank = gpr.loo_residuals(np.eye(len(y)), H, y)
+    return None if rank < H.shape[1] else _rmse(residuals)

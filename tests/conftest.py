@@ -6,7 +6,7 @@ eigendecomposition. Their GLS beta is the minimum-norm one (numpy.linalg.pinv
 of the normal matrix), which the library must match on a rank-deficient basis
 too. The leave-one-out oracles refit once per held-out row, the
 definition the library's closed forms must reproduce; the polynomial one
-solves every fold with numpy.linalg.lstsq, not the library's QR.
+solves every fold with numpy.linalg.lstsq, not the library's projection.
 """
 
 import math
@@ -16,7 +16,6 @@ import pytest
 
 from ugckit import gpr
 from ugckit.data import JointDataset, parse_measurements
-from ugckit.errors import IllConditionedError, InsufficientDataError
 
 
 @pytest.fixture(autouse=True)
@@ -104,9 +103,16 @@ def refit_loo_residuals_gp(X, y, hyper, noise):
     return out
 
 
+def model_loo_residuals(model):
+    """Closed-form LOO residuals of a fitted GP, as joints scores it."""
+    H = gpr.basis_matrix(model.train_x)
+    residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+    return residuals
+
+
 def gp_loo_rmse(X, y, hyper, noise):
     """RMSE of the closed-form LOO residuals of the GP fitted on (X, y)."""
-    residuals = gpr.loo_residuals(gpr.fit(X, y, hyper, noise))
+    residuals = model_loo_residuals(gpr.fit(X, y, hyper, noise))
     return float(np.sqrt(np.mean(np.square(residuals))))
 
 
@@ -123,28 +129,31 @@ def dense_refit_loo_residuals(A, H, y):
     return out
 
 
+class UndefinedFold(Exception):
+    """A leave-one-out fold of the polynomial refit oracle cannot be fitted."""
+
+
 def refit_loo_rmse_poly(x, y, degree):
     """Leave-one-out RMSE of the degree-n least-squares polynomial in angle,
     refitting every fold: lstsq on the Vandermonde matrix of the fold's
     angles, mapped onto [-1, 1] by the fold's own range. Raises
-    InsufficientDataError when a fold has fewer than degree + 1 rows, and
-    IllConditionedError when a fold holds one angle or has rank below
-    degree + 1."""
+    UndefinedFold when a fold has fewer than degree + 1 rows, holds one
+    angle or has rank below degree + 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     errs = []
     for i, keep in _folds(len(y)):
         xk = x[keep]
         if len(xk) < degree + 1:
-            raise InsufficientDataError(f"fold of {len(xk)} rows, degree {degree}")
+            raise UndefinedFold(f"fold of {len(xk)} rows, degree {degree}")
         lo, hi = xk.min(), xk.max()
         if hi <= lo:
-            raise IllConditionedError(f"fold without row {i} holds one angle")
+            raise UndefinedFold(f"fold without row {i} holds one angle")
         t = (2.0 * x - (lo + hi)) / (hi - lo)
         V = np.vander(t[keep], degree + 1, increasing=True)
         coef, _, rank, _ = np.linalg.lstsq(V, y[keep], rcond=None)
         if rank < degree + 1:
-            raise IllConditionedError(f"fold without row {i} has rank {rank} < {degree + 1}")
+            raise UndefinedFold(f"fold without row {i} has rank {rank} < {degree + 1}")
         errs.append(np.polynomial.polynomial.polyval(t[i], coef) - y[i])
     return float(np.sqrt(np.mean(np.square(errs))))
 

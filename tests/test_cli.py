@@ -225,7 +225,8 @@ class TestFit:
             assert doc[key] == pytest.approx(np.sqrt(np.mean(refit**2)), rel=1e-10)
 
     def test_unexpected_baseline_error_is_not_na(self, tmp_path, bench_csv, capsys, monkeypatch):
-        # only the failures loo_rmse_poly documents read as n/a
+        # loo_rmse_poly returns None for an undefined score and raises
+        # nothing, so an exception out of it is a failure, not an n/a
         def broken(*args, **kwargs):
             raise NotPositiveDefiniteError("baseline broke")
 
@@ -477,6 +478,25 @@ class TestDesign:
             "design", "--spec", str(spec2), "--model", str(square_archive),
             "--out", str(tmp_path / "r.json"),
         ]) == 1
+
+    def test_notes_are_warnings_on_stderr(self, tmp_path, square_archive, capsys):
+        # bend 18.2 deg, below the 30 deg window: the force model warns
+        spec = tmp_path / "shallow.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, "target_ratio": 0.95}))
+        out = tmp_path / "report.json"
+        argv = ["design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        notes = json.loads(out.read_text())["diagnostics"]
+        assert "force model warning: extrapolation" in notes
+        assert "notes:\n" in captured.out  # the text summary still lists them
+        assert captured.err == "".join(f"warning: {note}\n" for note in notes)
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main([*argv, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert strict_json(captured.out) == json.loads(out.read_text())
+        assert captured.err == ""
 
     def test_schema_violation_lists_fields(self, tmp_path, square_archive, capsys):
         bad = dict(GOOD_SPEC)

@@ -19,6 +19,7 @@ from ugckit.errors import (
 
 from conftest import (
     dense_refit_loo_residuals,
+    model_loo_residuals,
     oracle_gp,
     oracle_lml,
     random_gp_instance,
@@ -250,7 +251,7 @@ class TestLooResiduals:
         X = np.sort(rng.uniform(10.0, 170.0, 40))[:, None]
         y = 1.7 + 0.023 * X[:, 0] - 5e-5 * X[:, 0] ** 2 + rng.normal(0.0, 0.05, 40)
         h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
-        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
+        got = model_loo_residuals(gpr.fit(X, y, h, noise))
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
     def test_two_dimensional(self):
@@ -258,21 +259,23 @@ class TestLooResiduals:
         X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30, 150, 9)])
         y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
         h, noise = hp(float(np.var(y)), (20.0, 0.4)), 0.01 * float(np.var(y))
-        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
+        got = model_loo_residuals(gpr.fit(X, y, h, noise))
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
 
     def test_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             X, y, sf2, ls, noise, _, _ = random_gp_instance(rng, n_max=30)
-            got = gpr.loo_residuals(gpr.fit(X, y, hp(sf2, ls), noise))
+            got = model_loo_residuals(gpr.fit(X, y, hp(sf2, ls), noise))
             assert _rel_gap(got, refit_loo_residuals_gp(X, y, hp(sf2, ls), noise)) < 1e-10
 
     def test_rank_deficient_basis_at_one_thickness(self):
         # the mean at every held-out row is still defined
         X, y, h, noise = _one_thickness_curve()
-        got = gpr.loo_residuals(gpr.fit(X, y, h, noise))
+        model = gpr.fit(X, y, h, noise)
+        got, rank = gpr.loo_residuals(model.whitener, gpr.basis_matrix(X), y)
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
+        assert rank == 3  # thickness and its square are multiples of the constant
 
     def test_jitter_path_matches_refits_on_the_jittered_matrix(self):
         rng = np.random.default_rng(6)
@@ -283,7 +286,7 @@ class TestLooResiduals:
         assert np.linalg.eigvalsh(K).min() <= 0
         H = gpr.basis_matrix(X)
         y = H @ np.array([0.5, -0.1, 0.01]) + rng.normal(0.0, 1e-3, 40)
-        got = gpr.loo_residuals(gpr.fit(X, y, h, 0.0))
+        got = model_loo_residuals(gpr.fit(X, y, h, 0.0))
         want = dense_refit_loo_residuals(K + gpr.JITTER * np.eye(40), H, y)
         assert _rel_gap(got, want) < 1e-10
 
@@ -302,7 +305,7 @@ class TestLooResiduals:
         X = np.array([[30.0, 0.4], [60.0, 1.2], [90.0, 0.8], [120.0, 1.6], [150.0, 0.4]])
         y = np.array([2.1, 4.0, 3.2, 6.5, 2.9])
         assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 5
-        assert np.isnan(gpr.loo_residuals(gpr.fit(X, y, hp(2.0, (20.0, 0.4)), 0.02))).all()
+        assert np.isnan(model_loo_residuals(gpr.fit(X, y, hp(2.0, (20.0, 0.4)), 0.02))).all()
 
 
 class TestPredictMany:
