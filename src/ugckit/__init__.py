@@ -24,7 +24,6 @@ from .gpr import (
     tune_hyperparams,
 )
 from .joints import (
-    GprFitConfig,
     JointEnvelope,
     JointFamilyModel,
     builtin_model,
@@ -52,7 +51,6 @@ __all__ = [
     "DesignReport",
     "FamilyKind",
     "FittedGP",
-    "GprFitConfig",
     "GridSpec",
     "JointDataset",
     "JointEnvelope",

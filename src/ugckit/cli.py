@@ -2,10 +2,9 @@
 
 Subcommands: fit, predict, design, builtin, validate. Exit codes are 0 for
 success, 1 for computation failures (fit breakdown, infeasible geometry),
-and 2 for input or validation problems. Global flags --config/--quiet/--json
-work on every subcommand; the UGC_CONFIG environment variable names a
-fallback config file. Config files are flat key = value documents; flags
-beat file values, file values beat defaults.
+and 2 for input or validation problems. The global flags --quiet and --json
+work on every subcommand. Every option comes from its flag alone, with the
+default its add_argument declares.
 
 Each cmd_* returns (doc, lines, warnings) and prints nothing; main renders
 it once. With --json, stdout is the one line _json(doc), warnings included
@@ -16,7 +15,6 @@ in doc. Otherwise the lines go to stdout and each warning to stderr as
 import argparse
 import collections
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,55 +30,13 @@ from .data import (
 from .errors import ComputationError, DesignSpecError, InputError
 from .units import finite_float
 
-CONFIG_ENV_VAR = "UGC_CONFIG"
 MAX_SWEEP_POINTS = 100_000  # rows one predict --sweep may print
-
-_CONFIG_KEYS = {
-    "quiet": bool,
-    "json": bool,
-    "allow_extrapolation": bool,
-    "angle_bin": finite_float,
-    "safety_factor": finite_float,
-    "degree": int,
-    "noise_variance": finite_float,
-}
-
-_BOOL_TOKENS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key = value")
-        key, _, val = (p.strip() for p in line.partition("="))
-        val = val.strip("\"'")
-        if key not in _CONFIG_KEYS:
-            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if kind is bool:
-            if val.lower() not in _BOOL_TOKENS:
-                raise InputError(f"{path}:{lineno}: {key} must be true/false")
-            values[key] = _BOOL_TOKENS[val.lower()]
-        else:
-            try:
-                values[key] = kind(val)
-            except ValueError:
-                noun = "an integer" if kind is int else "a finite number"
-                raise InputError(f"{path}:{lineno}: {key} must be {noun}") from None
-    return values
 
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors save one
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -147,10 +103,6 @@ def cmd_fit(args):
     kind = _family_kind(args.family)
     if args.degree < 1:
         raise InputError(f"--degree must be >= 1, got {args.degree}")
-    try:
-        config = joints.GprFitConfig(noise_variance=args.noise_variance, tune=args.tune)
-    except ValueError:
-        raise InputError("--tune picks the noise variance; drop --noise-variance") from None
     if not args.no_average:
         try:
             check_angle_bin(args.angle_bin)
@@ -160,7 +112,7 @@ def cmd_fit(args):
     if not args.no_average:
         ds = average_runs(ds, args.angle_bin)
 
-    model = joints.fit_family_model(ds, kind, config)
+    model = joints.fit_family_model(ds, kind, noise_variance=args.noise_variance, tune=args.tune)
 
     # on curve the baseline fits one polynomial in angle per thickness
     forces = model.force_model.train_y
@@ -292,11 +244,8 @@ def cmd_validate(args):
 # -- argument parsing --------------------------------------------------------------
 
 
-def _build_parser(config=None) -> argparse.ArgumentParser:
-    """The ugc parser; config values (from _load_config) become every
-    subcommand's defaults, so a flag still beats its file value."""
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file (fallback: $UGC_CONFIG)")
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -315,8 +264,10 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
         "--angle-bin", type=finite_float, default=DEFAULT_ANGLE_BIN, help="run-averaging bin (deg)"
     )
     p.add_argument("--no-average", action="store_true", help="fit raw runs without averaging")
-    p.add_argument("--noise-variance", type=finite_float, help="fixed noise variance")
-    p.add_argument("--tune", action="store_true", help="grid-search hyperparameters")
+    # --tune picks the noise variance, so the two flags exclude each other
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise-variance", type=finite_float, help="fixed noise variance")
+    noise.add_argument("--tune", action="store_true", help="grid-search hyperparameters")
     p.add_argument("--degree", type=int, default=7, help="baseline polynomial degree")
     p.set_defaults(handler=cmd_fit)
 
@@ -351,21 +302,12 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--data", help="measurement CSV to check")
     p.add_argument("--spec", help="design-spec JSON to check")
     p.set_defaults(handler=cmd_validate)
-
-    for command in sub.choices.values():
-        command.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        if path:
-            # Parsers are built per call: set_defaults changes action objects the
-            # subcommands share, so a shared parser would carry a file's values
-            # into later calls.
-            args = _build_parser(_load_config(path)).parse_args(argv)
         doc, lines, warnings = args.handler(args)
         if args.json:
             print(_json(doc))

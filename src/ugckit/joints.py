@@ -236,41 +236,21 @@ def builtin_model(kind: FamilyKind) -> JointFamilyModel:
     beta = np.array(BUILTIN_FORCE_BETA[kind])
     X = np.array(list(itertools.product(*BUILTIN_ANCHOR_AXES[: kind.input_dim])))
     y = gpr.basis_matrix(X) @ beta
-    hyper = _default_hyper(kind, y)
+    hyper = _default_hyper(kind, float(np.var(y)))
     force = gpr.fit(X, y, hyper, noise_variance=BUILTIN_NOISE_STD[kind] ** 2, beta=beta)
     return JointFamilyModel(kind=kind, force_model=force)
 
 
-@dataclass(frozen=True)
-class GprFitConfig:
-    """Fitting configuration; every field optional.
-
-    tune=True grid-searches each target's hyperparameters and noise by
-    marginal likelihood, on a grid scaled to that target's sample variance
-    (see _default_tuning_grid), and so takes no noise_variance. Otherwise
-    the documented defaults apply: length scales 20 deg and 0.4 mm, signal
-    variance = var(y), and noise = noise_variance if given, else 1% of
-    var(y).
-    """
-
-    noise_variance: float | None = None
-    tune: bool = False
-
-    def __post_init__(self):
-        if self.tune and self.noise_variance is not None:
-            raise ValueError("tune picks the noise variance; noise_variance must be unset")
-
-
-def _default_hyper(kind: FamilyKind, y: np.ndarray) -> gpr.KernelHyperParams:
+def _default_hyper(kind: FamilyKind, variance: float) -> gpr.KernelHyperParams:
     return gpr.KernelHyperParams(
-        signal_variance=float(np.var(y)), length_scales=DEFAULT_LENGTH_SCALES[: kind.input_dim]
+        signal_variance=variance, length_scales=DEFAULT_LENGTH_SCALES[: kind.input_dim]
     )
 
 
-def _default_tuning_grid(kind: FamilyKind, y: np.ndarray) -> gpr.GridSpec:
+def _default_tuning_grid(kind: FamilyKind, variance: float) -> gpr.GridSpec:
     """Search grid for one target. Signal and noise variances are multiples
     of var(y), so rescaling y (a change of units) selects the same candidate."""
-    v = max(float(np.var(y)), 1e-8)
+    v = max(variance, 1e-8)
     return gpr.GridSpec(
         signal_variances=(0.5 * v, v, 2.0 * v),
         length_scale_grids=TUNING_LENGTH_SCALES[: kind.input_dim],
@@ -281,10 +261,12 @@ def _default_tuning_grid(kind: FamilyKind, y: np.ndarray) -> gpr.GridSpec:
 def _rmse(residuals: np.ndarray) -> float | None:
     """RMSE of leave-one-out residuals from gpr.loo_residuals; None when some
     fold is undefined (NaN): a refit there returns a minimum-norm artifact,
-    not a prediction."""
+    not a prediction. None too when the RMSE is past the float range."""
     if np.isnan(residuals).any():
         return None
-    return float(np.sqrt(np.mean(np.square(residuals))))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(np.square(residuals))))
+    return rmse if rmse < np.inf else None
 
 
 def family_training_arrays(ds: JointDataset, kind: FamilyKind):
@@ -301,32 +283,47 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
     return X, force, ret
 
 
-def _fit_target(X, y, kind: FamilyKind, config: GprFitConfig):
-    if config.tune:
-        model = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, y))
-    else:
-        noise = config.noise_variance
-        if noise is None:
-            noise = max(1e-8, DEFAULT_NOISE_FRACTION * float(np.var(y)))
-        model = gpr.fit(X, y, _default_hyper(kind, y), noise)
-    H = gpr.basis_matrix(model.train_x)
-    residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
-    return model, _rmse(residuals)
+def _fit_target(X, y, column: str, kind: FamilyKind, noise_variance, tune: bool):
+    try:
+        # an overflow anywhere in the fit (var(y) first) means the values are
+        # too large for it; numpy would only warn and go on with inf
+        with np.errstate(over="raise"):
+            variance = float(np.var(y))
+            if tune:
+                model = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, variance))
+            else:
+                if noise_variance is None:
+                    noise_variance = max(1e-8, DEFAULT_NOISE_FRACTION * variance)
+                model = gpr.fit(X, y, _default_hyper(kind, variance), noise_variance)
+            H = gpr.basis_matrix(model.train_x)
+            residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+            return model, _rmse(residuals)
+    except FloatingPointError:
+        raise InputError(f"{column}: values too large to fit, the fit overflows") from None
 
 
 def fit_family_model(
-    ds: JointDataset, kind: FamilyKind, config: GprFitConfig | None = None
+    ds: JointDataset, kind: FamilyKind, *, noise_variance: float | None = None, tune: bool = False
 ) -> JointFamilyModel:
     """Fit force and return-angle models for one family from bench data.
 
     Needs at least 5 samples of the family. Forward and reverse runs are
     folded into the same model (the bench showed matching responses in both
     directions); direction stays available in the dataset for audits.
+
+    tune=True grid-searches each target's hyperparameters and noise by
+    marginal likelihood, on a grid scaled to that target's sample variance
+    (see _default_tuning_grid), and so takes no noise_variance. Otherwise
+    the documented defaults apply: length scales 20 deg and 0.4 mm, signal
+    variance = var(y), and noise = noise_variance if given, else 1% of
+    var(y). A target whose fit overflows raises InputError naming its
+    column.
     """
-    config = config or GprFitConfig()
+    if tune and noise_variance is not None:
+        raise ValueError("tune picks the noise variance; noise_variance must be unset")
     X, force, ret = family_training_arrays(ds, kind)
-    force_model, force_rmse = _fit_target(X, force, kind, config)
-    return_model, return_rmse = _fit_target(X, ret, kind, config)
+    force_model, force_rmse = _fit_target(X, force, "force_n", kind, noise_variance, tune)
+    return_model, return_rmse = _fit_target(X, ret, "return_angle_deg", kind, noise_variance, tune)
     return JointFamilyModel(
         kind=kind,
         force_model=force_model,
@@ -348,7 +345,8 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
 
     None when a fold has fewer than degree + 1 rows (checked before any
     matrix is built), all angles are equal, the Vandermonde matrix has rank
-    below its column count, or some fold leaves the polynomial undetermined.
+    below its column count, some fold leaves the polynomial undetermined, or
+    the RMSE is past the float range.
     """
     X = np.asarray(x, dtype=float)
     if X.ndim == 1:

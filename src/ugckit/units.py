@@ -5,8 +5,8 @@ torque math switches to SI (N, m) only inside the ring-mechanics module.
 Keeping the conversions in one place makes that boundary testable.
 
 finite_float is the one check every input boundary (CSV cells, design-spec
-numbers, CLI flags, config values and joint-model queries) uses to turn a
-value into a number.
+numbers, CLI flags and joint-model queries) uses to turn a value into a
+number.
 """
 
 import math

@@ -18,11 +18,6 @@ from ugckit import gpr
 from ugckit.data import JointDataset, parse_measurements
 
 
-@pytest.fixture(autouse=True)
-def _isolate_config_env(monkeypatch):
-    # a user-level UGC_CONFIG must never leak into the tests
-    monkeypatch.delenv("UGC_CONFIG", raising=False)
-
 # -- independent GP oracle ----------------------------------------------------
 
 

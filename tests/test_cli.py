@@ -30,6 +30,19 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def _run_cli(*args):
+    """A fresh interpreter, python *args, with this checkout's src on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
 CHOICES = "choices: straight, curve, double_curve, square_sym, square_nonsym"
 
 GOOD_SPEC = {
@@ -109,6 +122,16 @@ class TestFit:
         assert out.exists() and ret_out.exists()
         assert json.loads(out.read_text())["model_id"] == "square_sym:force"
 
+    def test_byte_order_mark_fits_as_plain(self, tmp_path, bench_csv, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + bench_csv.read_bytes())
+        for data, out in ((bench_csv, "plain.json"), (bom, "bom.json")):
+            assert main([
+                "fit", "--data", str(data), "--family", "square_sym",
+                "--out", str(tmp_path / out), "--quiet",
+            ]) == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "bom.json").read_bytes()
+
     def test_missing_file_exits_2_naming_path(self, tmp_path, capsys):
         code = main([
             "fit", "--data", str(tmp_path / "ghost.csv"), "--family", "square_sym",
@@ -159,19 +182,13 @@ class TestFit:
             assert 0.5 * v <= doc["kernel"]["signal_variance"] <= 2.0 * v
             assert 1e-3 * v <= doc["noise_variance"] <= 1e-1 * v
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_tune_with_noise_variance_exits_2(self, tmp_path, capsys, source):
-        argv = [
-            "fit", "--data", str(tmp_path / "missing.csv"), "--family", "square_sym",
-            "--out", str(tmp_path / "m.json"), "--tune",
-        ]
-        if source == "flag":
-            argv += ["--noise-variance", "0.5"]
-        else:
-            config = tmp_path / "ugc.conf"
-            config.write_text("noise_variance = 0.5\n")
-            argv += ["--config", str(config)]
-        assert main(argv) == 2
+    def test_tune_with_noise_variance_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fit", "--data", str(tmp_path / "missing.csv"), "--family", "square_sym",
+                "--out", str(tmp_path / "m.json"), "--tune", "--noise-variance", "0.5",
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--tune" in err and "--noise-variance" in err
         assert "missing.csv" not in err  # refused before the CSV is read
@@ -239,6 +256,43 @@ class TestFit:
         assert code == 1
         assert captured.err == "error: baseline broke\n"
         assert "n/a" not in captured.out
+
+    def test_force_past_the_float_range_exits_2_naming_force_n(self, tmp_path):
+        # var(force_n) overflows: the error names the column, not a derived
+        # signal_variance of inf, and no numpy warning reaches stderr
+        rows = [f"square_sym,,{10 + 20 * i},forward,{(1 + i / 4) * 1e160!r},170,r1"
+                for i in range(9)]
+        path = tmp_path / "huge.csv"
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "m.json"
+        for tune in ([], ["--tune"]):
+            result = _run_cli(
+                "-W", "error", "-m", "ugckit.cli", "fit", "--data", str(path),
+                "--family", "square_sym", "--out", str(out), *tune,
+            )
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
+            assert not out.exists()
+
+    def test_baseline_past_the_float_range_reads_na_and_null(self, tmp_path, capsys):
+        # the GP fits, but poly7's leave-one-out residuals square past the
+        # float range: the score is undefined, not inf, and --json stays
+        # RFC-valid
+        rows = [f"square_sym,,{a},forward,{f}e152,170,r1"
+                for a, f in zip(range(10, 180, 20), [1, 3, 0, 2, 5, 1, 4, 0, 2])]
+        path = tmp_path / "huge.csv"
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        argv = [
+            "fit", "--data", str(path), "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+            assert "poly7        n/a" in capsys.readouterr().out.splitlines()
+            assert main([*argv, "--json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["poly7_loo_rmse_n"] is None and math.isfinite(doc["gpr_loo_rmse_n"])
 
     def test_deterministic_archive(self, tmp_path, bench_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -512,23 +566,15 @@ class TestDesign:
         err = capsys.readouterr().err
         assert "n_sections" in err and "target_ratio" in err
 
-    @pytest.mark.parametrize(
-        "flag, config", [("0", None), ("-1", None), (None, "safety_factor = -2\n")],
-        ids=["flag-0", "flag-neg", "config-neg"],
-    )
+    @pytest.mark.parametrize("flag", ["0", "-1"], ids=["flag-0", "flag-neg"])
     def test_non_positive_safety_factor_exit_2(
-        self, tmp_path, square_archive, spec_file, capsys, flag, config
+        self, tmp_path, square_archive, spec_file, capsys, flag
     ):
         out = tmp_path / "r.json"
-        argv = ["design", "--spec", str(spec_file), "--model", str(square_archive),
-                "--out", str(out)]
-        if flag is not None:
-            argv += ["--safety-factor", flag]
-        else:
-            cfg = tmp_path / "ugc.cfg"
-            cfg.write_text(config)
-            argv += ["--config", str(cfg)]
-        assert main(argv) == 2
+        assert main([
+            "design", "--spec", str(spec_file), "--model", str(square_archive),
+            "--out", str(out), "--safety-factor", flag,
+        ]) == 2
         assert "safety_factor" in capsys.readouterr().err
         assert not out.exists()
 
@@ -757,6 +803,19 @@ class TestValidate:
     def test_requires_an_input(self):
         assert main(["validate"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--data", "--spec"])
+    def test_byte_order_mark_is_read_past(self, tmp_path, bench_csv, spec_file, capsys, flag):
+        # some editors save UTF-8 with a BOM; it must not hide the CSV
+        # header's first column or the spec's opening brace
+        plain = bench_csv if flag == "--data" else spec_file
+        bom = tmp_path / f"bom-{plain.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        docs = []
+        for path in (plain, bom):
+            assert main(["validate", flag, str(path), "--json"]) == 0
+            docs.append(strict_json(capsys.readouterr().out))
+        assert docs[1] == {**docs[0], flag[2:]: str(bom)}
+
 
 class Run(NamedTuple):
     code: int
@@ -768,37 +827,35 @@ def _fit_json(run):
     return strict_json(run.out)
 
 
-# Each config key: the command ({d} is the directory that bench_csv and
-# _precedence_inputs fill), two file values (None for a boolean, whose file value is "true"),
-# the flag, and the visible effect of the key on a Run.
+# Each option flag: the command ({d} is the directory that bench_csv and
+# _flag_inputs fill), the flag with its value, and the visible effect of the
+# flag on a Run.
 FIT = "fit --data {d}/square.csv --family square_sym --out {d}/m.json"
-PRECEDENCE = {
-    "quiet": ("builtin --family square_sym --out {d}/m.json", None, "--quiet", lambda r: r.out),
-    "json": ("predict --model {d}/sq.json --theta 90", None, "--json", lambda r: r.out[:1]),
+FLAG_EFFECTS = {
+    "quiet": ("builtin --family square_sym --out {d}/m.json", ["--quiet"], lambda r: r.out),
+    "json": ("predict --model {d}/sq.json --theta 90", ["--json"], lambda r: r.out[:1]),
     "allow_extrapolation": (
-        "predict --model {d}/curve.json --theta 20 --thickness 0.8", None,
-        "--allow-extrapolation", lambda r: r.code,
+        "predict --model {d}/curve.json --theta 20 --thickness 0.8", ["--allow-extrapolation"],
+        lambda r: r.code,
     ),
-    "angle_bin": (
-        FIT + " --json", ("20", "40"), "--angle-bin", lambda r: _fit_json(r)["samples"],
-    ),
+    "angle_bin": (FIT + " --json", ["--angle-bin", "20"], lambda r: _fit_json(r)["samples"]),
     "degree": (
-        FIT + " --json", ("3", "4"), "--degree",
+        FIT + " --json", ["--degree", "3"],
         lambda r: [k for k in _fit_json(r) if k.startswith("poly")],
     ),
     "noise_variance": (
-        FIT + " --quiet", ("0.02", "0.03"), "--noise-variance",
+        FIT + " --quiet", ["--noise-variance", "0.02"],
         lambda r: json.loads(r.written)["noise_variance"],
     ),
     "safety_factor": (
         "design --spec {d}/ring.json --model {d}/sq.json --out {d}/m.json --quiet",
-        ("2.5", "3"), "--safety-factor",
+        ["--safety-factor", "2.5"],
         lambda r: json.loads(r.written)["quantities"]["safety_factor"]["value"],
     ),
 }
 
 
-def _precedence_inputs(tmp_path):
+def _flag_inputs(tmp_path):
     (tmp_path / "ring.json").write_text(json.dumps(GOOD_SPEC))
     for family, name in (("square_sym", "sq.json"), ("curve", "curve.json")):
         assert main(["builtin", "--family", family, "--out", str(tmp_path / name)]) == 0
@@ -813,38 +870,35 @@ def _run(tmp_path, capsys, command, *extra):
     return Run(code, capsys.readouterr().out, text)
 
 
-class TestConfigPrecedence:
-    @pytest.mark.parametrize("key", PRECEDENCE)
-    def test_file_value_acts_as_flag_default(self, tmp_path, bench_csv, capsys, key):
-        command, values, flag, effect = PRECEDENCE[key]
-        _precedence_inputs(tmp_path)
-        file_value, flag_value = values or ("true", None)
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text(f"{key} = {file_value}\n")
-
-        def flagged(value):
-            return [flag] if value == "true" else [flag, value]
-
-        from_file = effect(_run(tmp_path, capsys, command, "--config", str(cfg)))
-        assert from_file == effect(_run(tmp_path, capsys, command, *flagged(file_value)))
+class TestOptionFlags:
+    @pytest.mark.parametrize("key", FLAG_EFFECTS)
+    def test_flag_changes_its_effect(self, tmp_path, bench_csv, capsys, key):
+        command, flag, effect = FLAG_EFFECTS[key]
+        _flag_inputs(tmp_path)
+        default = effect(_run(tmp_path, capsys, command))
+        assert effect(_run(tmp_path, capsys, command, *flag)) != default
         # a second call in the same process sees the parser's own default again
-        assert effect(_run(tmp_path, capsys, command)) != from_file
-        if flag_value is not None:
-            over = _run(tmp_path, capsys, command, "--config", str(cfg), *flagged(flag_value))
-            assert effect(over) == effect(_run(tmp_path, capsys, command, *flagged(flag_value)))
-            assert effect(over) != from_file
+        assert effect(_run(tmp_path, capsys, command)) == default
 
-    def test_keys_a_command_does_not_use_are_accepted(self, tmp_path, capsys):
+    def test_config_flag_is_unrecognized(self, tmp_path, capsys):
+        # every option comes from its flag; there is no config file to name
+        with pytest.raises(SystemExit) as exc:
+            main(["builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+                  "--config", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("content", [None, "quiet = true\n"], ids=["missing", "quiet"])
+    def test_ugc_config_variable_is_not_read(self, tmp_path, capsys, monkeypatch, content):
         cfg = tmp_path / "ugc.cfg"
-        cfg.write_text(
-            "allow_extrapolation = true\nangle_bin = 20\ndegree = 3\n"
-            "noise_variance = 0.02\nsafety_factor = 2.5\n"
-        )
-        out = tmp_path / "m.json"
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(out), "--config", str(cfg),
-        ]) == 0
-        assert capsys.readouterr().out == f"wrote built-in square_sym force model to {out}\n"
+        if content is not None:
+            cfg.write_text(content)
+        command = "builtin --family square_sym --out {d}/m.json"
+        plain = _run(tmp_path, capsys, command)
+        monkeypatch.setenv("UGC_CONFIG", str(cfg))
+        assert _run(tmp_path, capsys, command) == plain
+        assert plain.code == 0 and plain.out
 
 
 class TestGlobalFlags:
@@ -852,46 +906,6 @@ class TestGlobalFlags:
         out = tmp_path / "m.json"
         assert main(["builtin", "--family", "square_sym", "--out", str(out), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
-
-    def test_config_file_sets_quiet(self, tmp_path, capsys):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text("# settings\nquiet = true\n")
-        out = tmp_path / "m.json"
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(out), "--config", str(cfg),
-        ]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text("quiet = true\n")
-        monkeypatch.setenv("UGC_CONFIG", str(cfg))
-        out = tmp_path / "m.json"
-        assert main(["builtin", "--family", "square_sym", "--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_flag_beats_config(self, tmp_path, capsys):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text("safety_factor = 9.0\n")
-        spec = tmp_path / "ring.json"
-        spec.write_text(json.dumps(GOOD_SPEC))
-        model = tmp_path / "sq.json"
-        main(["builtin", "--family", "square_sym", "--out", str(model)])
-        out = tmp_path / "r.json"
-        assert main([
-            "design", "--spec", str(spec), "--model", str(model), "--out", str(out),
-            "--config", str(cfg), "--safety-factor", "1.5",
-        ]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["quantities"]["safety_factor"]["value"] == 1.5
-
-    def test_unknown_config_key_exit_2(self, tmp_path):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text("mystery = 1\n")
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
-            "--config", str(cfg),
-        ]) == 2
 
     @pytest.mark.parametrize(
         "flag,command",
@@ -911,48 +925,13 @@ class TestGlobalFlags:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["angle_bin", "safety_factor", "noise_variance"])
-    def test_non_finite_config_value_exit_2(self, tmp_path, capsys, key):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text(f"{key} = inf\n")
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
-            "--config", str(cfg),
-        ]) == 2
-        assert key in capsys.readouterr().err
-
-    def test_unreadable_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "missing.cfg"
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
-            "--config", str(cfg),
-        ]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [("degree = 2.5", "degree must be an integer"),
-         ("angle_bin = wide", "angle_bin must be a finite number"),
-         ("quiet", "expected key = value"),
-         ("quiet = maybe", "quiet must be true/false")],
-    )
-    def test_config_type_errors_worded(self, tmp_path, capsys, line, message):
-        cfg = tmp_path / "ugc.cfg"
-        cfg.write_text(line + "\n")
-        assert main([
-            "builtin", "--family", "square_sym", "--out", str(tmp_path / "m.json"),
-            "--config", str(cfg),
-        ]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
-
     @pytest.mark.parametrize("command", ["fit", "predict", "design", "builtin", "validate"])
     def test_help_lists_global_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for flag in ("--config", "--quiet", "--json"):
+        for flag in ("--quiet", "--json"):
             assert flag in text
 
     def test_help_lists_documented_flags(self, capsys):
@@ -971,7 +950,7 @@ class TestGlobalFlags:
                 assert flag in text, f"{command} help missing {flag}"
 
 
-# One call per subcommand on the inputs of bench_csv and _precedence_inputs
+# One call per subcommand on the inputs of bench_csv and _flag_inputs
 # ({d}); the predict calls raise warnings, which --json and --quiet keep off
 # stderr.
 OUTPUT_COMMANDS = {
@@ -988,7 +967,7 @@ class TestOutputModes:
     @pytest.mark.parametrize("flag", ["--json", "--quiet"])
     @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
     def test_one_document_or_nothing(self, tmp_path, bench_csv, capsys, command, flag):
-        _precedence_inputs(tmp_path)
+        _flag_inputs(tmp_path)
         capsys.readouterr()
         assert main([*OUTPUT_COMMANDS[command].format(d=tmp_path).split(), flag]) == 0
         out, err = capsys.readouterr()
@@ -1021,7 +1000,7 @@ class TestOutputModes:
         (["design", "--spec", "{d}/deep.json", "--model", "{d}/sq.json", "--out", "{d}/r.json"], 1),
     ], ids=["input", "prediction", "computation"])
     def test_errors_print_no_document(self, tmp_path, capsys, argv, code):
-        _precedence_inputs(tmp_path)
+        _flag_inputs(tmp_path)
         (tmp_path / "deep.json").write_text(json.dumps({**GOOD_SPEC, "target_ratio": 0.1}))
         capsys.readouterr()
         assert main([a.format(d=tmp_path) for a in argv] + ["--json"]) == code
@@ -1073,14 +1052,6 @@ class TestOutputModes:
 
 def test_import_loads_no_scipy():
     # every ugc command pays its import; numpy is the only runtime dependency
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, ugckit.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
+    result = _run_cli("-c", "import sys, ugckit.cli; print('scipy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"

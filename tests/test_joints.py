@@ -203,7 +203,7 @@ class TestFitFamilyModel:
             f = 0.5 + 0.02 * theta + 1e-4 * theta * theta
             rows.append(f"square_sym,,{theta},forward,{f!r},170,r1")
         ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
-        model = joints.fit_family_model(ds, SQ, joints.GprFitConfig(noise_variance=0.0))
+        model = joints.fit_family_model(ds, SQ, noise_variance=0.0)
         assert model.force_loo_rmse < 1e-6  # quadratic lives in the basis span
 
     def test_fixture_predictions_within_two_sigma(self, square_dataset):
@@ -262,7 +262,7 @@ class TestFitFamilyModel:
 
 class TestTuning:
     def test_grid_follows_each_target(self, square_dataset):
-        model = joints.fit_family_model(square_dataset, SQ, joints.GprFitConfig(tune=True))
+        model = joints.fit_family_model(square_dataset, SQ, tune=True)
         for gp in (model.force_model, model.return_model):
             v = float(np.var(gp.train_y))
             assert gp.hyper.length_scales[0] in (5.0, 10.0, 20.0, 40.0)  # deg
@@ -274,9 +274,8 @@ class TestTuning:
             square_dataset,
             samples=tuple(replace(s, force=1000.0 * s.force) for s in square_dataset.samples),
         )
-        config = joints.GprFitConfig(tune=True)
-        base = joints.fit_family_model(square_dataset, SQ, config).force_model
-        big = joints.fit_family_model(scaled, SQ, config).force_model
+        base = joints.fit_family_model(square_dataset, SQ, tune=True).force_model
+        big = joints.fit_family_model(scaled, SQ, tune=True).force_model
         assert big.hyper.length_scales == base.hyper.length_scales
         assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
         assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
@@ -290,17 +289,17 @@ class TestTuning:
     ):
         # the pick is built from the eigendecomposition it was scored with
         ds = request.getfixturevalue(dataset)
-        joints.fit_family_model(ds, kind, joints.GprFitConfig(tune=True))
+        joints.fit_family_model(ds, kind, tune=True)
         assert len(eigh_calls) == 2 * tuples  # force and return targets
 
-    def test_tuning_takes_no_noise_variance(self):
+    def test_tuning_takes_no_noise_variance(self, square_dataset, eigh_calls):
         with pytest.raises(ValueError, match="noise_variance"):
-            joints.GprFitConfig(noise_variance=0.5, tune=True)
+            joints.fit_family_model(square_dataset, SQ, noise_variance=0.5, tune=True)
+        assert not eigh_calls  # refused before any fit
 
     def test_infinite_configured_noise_rejected(self, square_dataset):
-        config = joints.GprFitConfig(noise_variance=np.inf)
         with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
-            joints.fit_family_model(square_dataset, SQ, config)
+            joints.fit_family_model(square_dataset, SQ, noise_variance=np.inf)
 
 
 class TestPolyBaseline:

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "Direction",
     "FamilyKind",
     "FittedGP",
-    "GprFitConfig",
     "GridSpec",
     "JointDataset",
     "JointEnvelope",
