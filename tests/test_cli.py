@@ -18,6 +18,7 @@ from ugckit.errors import InputError, NotPositiveDefiniteError
 from conftest import refit_loo_residuals_gp, square_bench_csv
 
 HEADER = ",".join(CSV_COLUMNS)
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 def _reject_constant(token):
     raise ValueError(f"non-RFC JSON constant {token}")
@@ -122,12 +123,14 @@ class TestFit:
         assert out.exists() and ret_out.exists()
         assert json.loads(out.read_text())["model_id"] == "square_sym:force"
 
-    def test_byte_order_mark_fits_as_plain(self, tmp_path, bench_csv, capsys):
+    @pytest.mark.parametrize("family", ["square_sym", "curve"])
+    def test_byte_order_mark_fits_as_plain(self, tmp_path, bench_csv, capsys, family):
+        plain = bench_csv if family == "square_sym" else DEMO_DATA / "curve_bench.csv"
         bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + bench_csv.read_bytes())
-        for data, out in ((bench_csv, "plain.json"), (bom, "bom.json")):
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data, out in ((plain, "plain.json"), (bom, "bom.json")):
             assert main([
-                "fit", "--data", str(data), "--family", "square_sym",
+                "fit", "--data", str(data), "--family", family,
                 "--out", str(tmp_path / out), "--quiet",
             ]) == 0
         assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "bom.json").read_bytes()
@@ -182,11 +185,15 @@ class TestFit:
             assert 0.5 * v <= doc["kernel"]["signal_variance"] <= 2.0 * v
             assert 1e-3 * v <= doc["noise_variance"] <= 1e-1 * v
 
-    def test_tune_with_noise_variance_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--tune", "--noise-variance", "0.5"], ["--noise-variance", "0.5", "--tune"]],
+        ids=["flag", "flag-reversed"],
+    )
+    def test_tune_with_noise_variance_exits_2(self, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main([
                 "fit", "--data", str(tmp_path / "missing.csv"), "--family", "square_sym",
-                "--out", str(tmp_path / "m.json"), "--tune", "--noise-variance", "0.5",
+                "--out", str(tmp_path / "m.json"), *flags,
             ])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -257,7 +264,8 @@ class TestFit:
         assert captured.err == "error: baseline broke\n"
         assert "n/a" not in captured.out
 
-    def test_force_past_the_float_range_exits_2_naming_force_n(self, tmp_path):
+    @pytest.mark.parametrize("tune", [[], ["--tune"]], ids=["fixed", "tuned"])
+    def test_force_past_the_float_range_exits_2_naming_force_n(self, tmp_path, tune):
         # var(force_n) overflows: the error names the column, not a derived
         # signal_variance of inf, and no numpy warning reaches stderr
         rows = [f"square_sym,,{10 + 20 * i},forward,{(1 + i / 4) * 1e160!r},170,r1"
@@ -265,15 +273,14 @@ class TestFit:
         path = tmp_path / "huge.csv"
         path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
         out = tmp_path / "m.json"
-        for tune in ([], ["--tune"]):
-            result = _run_cli(
-                "-W", "error", "-m", "ugckit.cli", "fit", "--data", str(path),
-                "--family", "square_sym", "--out", str(out), *tune,
-            )
-            assert result.returncode == 2
-            assert result.stdout == ""
-            assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
-            assert not out.exists()
+        result = _run_cli(
+            "-W", "error", "-m", "ugckit.cli", "fit", "--data", str(path),
+            "--family", "square_sym", "--out", str(out), *tune,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
+        assert not out.exists()
 
     def test_baseline_past_the_float_range_reads_na_and_null(self, tmp_path, capsys):
         # the GP fits, but poly7's leave-one-out residuals square past the
@@ -565,6 +572,20 @@ class TestDesign:
         assert code == 2
         err = capsys.readouterr().err
         assert "n_sections" in err and "target_ratio" in err
+
+    def test_byte_order_mark_spec_designs_as_plain(
+        self, tmp_path, square_archive, spec_file, capsys
+    ):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + spec_file.read_bytes())
+        for spec, out in ((spec_file, "plain-report.json"), (bom, "bom-report.json")):
+            assert main([
+                "design", "--spec", str(spec), "--model", str(square_archive),
+                "--out", str(tmp_path / out), "--quiet",
+            ]) == 0
+        assert (tmp_path / "plain-report.json").read_bytes() == (
+            tmp_path / "bom-report.json"
+        ).read_bytes()
 
     @pytest.mark.parametrize("flag", ["0", "-1"], ids=["flag-0", "flag-neg"])
     def test_non_positive_safety_factor_exit_2(
@@ -924,6 +945,25 @@ class TestGlobalFlags:
             main([*command.split(), f"{flag}={token}"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,token,kind,command",
+        [
+            ("--degree", "2.5", "int", "fit --data d.csv --family curve --out m.json"),
+            ("--angle-bin", "wide", "finite_float", "fit --data d.csv --family curve --out m.json"),
+            ("--noise-variance", "wide", "finite_float",
+             "fit --data d.csv --family curve --out m.json"),
+            ("--safety-factor", "wide", "finite_float",
+             "design --spec s.json --model m.json --out r.json"),
+        ],
+    )
+    def test_malformed_flag_value_exit_2(self, flag, token, kind, command, capsys):
+        # argparse names the flag and the value before any file is opened
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), flag, token])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid {kind} value: '{token}'" in err
 
     @pytest.mark.parametrize("command", ["fit", "predict", "design", "builtin", "validate"])
     def test_help_lists_global_flags(self, command, capsys):
