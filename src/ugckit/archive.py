@@ -162,9 +162,9 @@ def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
 def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
     """Load a model plus its family/id metadata. Every CorruptArchiveError,
     VersionMismatchError included, reads "archive <path>: ..." and names the
-    field at fault."""
+    field at fault. A leading UTF-8 byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoFailureError(f"cannot read archive {path}: {exc}") from exc
     try:

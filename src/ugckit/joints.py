@@ -1,9 +1,10 @@
 """Per-family joint models: force and return-angle predictors plus envelopes.
 
-A JointFamilyModel bundles a force predictor F(angle[, thickness]) in N, an
-optional return-angle predictor (180 deg = full recovery), and the static
-deformation envelope for the geometry (yield onset, self-contact, observed
-force peak, where recovery starts to degrade).
+A JointFamilyModel bundles a force predictor F(angle[, thickness]) in N and
+an optional return-angle predictor (180 deg = full recovery). The static
+deformation envelope of a geometry (yield onset, self-contact, observed force
+peak, where recovery starts to degrade) is a separate table: envelope_for
+looks a joint's row up.
 
 Two families ship with built-in force coefficients over the pure-quadratic
 basis; every other family, and all return-angle models, must be fitted from
@@ -13,13 +14,16 @@ from gpr.loo_residuals.
 
 predict_many is the one query, for one angle or many: it answers force and
 return angle, and a bent angle's return angle is None where the model has no
-return-angle component. Predictions for the curve family are refused outside
-the validated window of 30 to 150 deg, where the regression has no
-supporting data; other families only get an extrapolation warning there.
+return-angle component. Its angles and thickness must be finite real
+numbers; a string, bytes or a bool is refused. Predictions for the curve
+family are refused outside the validated window of 30 to 150 deg, where the
+regression has no supporting data; other families only get an extrapolation
+warning there.
 """
 
 import itertools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,13 +68,14 @@ BUILTIN_NOISE_STD = {
 class JointEnvelope:
     """Static deformation limits for one joint geometry (angles in deg).
 
-    max_observed_force is None where no peak was recorded on the bench.
+    max_observed_force is None where no peak was recorded on the bench. Each
+    field's metadata holds its key in envelope_table_as_json.
     """
 
-    yield_angle: float
-    self_contact_angle: float | None
-    max_observed_force: float | None  # N
-    return_decay_onset: float
+    yield_angle: float = field(metadata={"key": "yield_angle_deg"})
+    self_contact_angle: float | None = field(metadata={"key": "self_contact_angle_deg"})
+    max_observed_force: float | None = field(metadata={"key": "max_observed_force_n"})  # N
+    return_decay_onset: float = field(metadata={"key": "return_decay_onset_deg"})
 
     def __post_init__(self):
         if not 0.0 < self.return_decay_onset <= self.yield_angle <= 180.0:
@@ -84,14 +89,11 @@ class JointEnvelope:
 
 ENVELOPE_TABLE_VERSION = 1
 
-# Rows keyed by (family kind, thick-wall flag); the flag only matters for the
-# curve family, where walls of 0.8 mm and up behave differently from 0.4 mm.
-# Values without a recorded counterpart on the bench are None.
+# Rows keyed by (family kind, thick-wall flag), in the order that
+# envelope_table_as_json lists them. The flag is None except for the curve
+# family, where walls of 0.8 mm and up behave differently from 0.4 mm. Values
+# without a recorded counterpart on the bench are None.
 _ENVELOPES = {
-    (FamilyKind.STRAIGHT, False): JointEnvelope(
-        yield_angle=135.0, self_contact_angle=None, max_observed_force=None,
-        return_decay_onset=135.0,
-    ),
     (FamilyKind.CURVE, False): JointEnvelope(  # 0.4 mm wall
         yield_angle=140.0, self_contact_angle=None, max_observed_force=2.9,
         return_decay_onset=90.0,
@@ -100,41 +102,38 @@ _ENVELOPES = {
         yield_angle=140.0, self_contact_angle=None, max_observed_force=7.1,
         return_decay_onset=90.0,
     ),
-    (FamilyKind.DOUBLE_CURVE, False): JointEnvelope(
+    (FamilyKind.DOUBLE_CURVE, None): JointEnvelope(
         yield_angle=150.0, self_contact_angle=110.0, max_observed_force=15.5,
         return_decay_onset=150.0,
     ),
-    (FamilyKind.SQUARE_SYM, False): JointEnvelope(
+    (FamilyKind.SQUARE_NONSYM, None): JointEnvelope(
+        yield_angle=90.0, self_contact_angle=150.0, max_observed_force=None,
+        return_decay_onset=40.0,
+    ),
+    (FamilyKind.SQUARE_SYM, None): JointEnvelope(
         yield_angle=90.0, self_contact_angle=150.0, max_observed_force=None,
         return_decay_onset=70.0,
     ),
-    (FamilyKind.SQUARE_NONSYM, False): JointEnvelope(
-        yield_angle=90.0, self_contact_angle=150.0, max_observed_force=None,
-        return_decay_onset=40.0,
+    (FamilyKind.STRAIGHT, None): JointEnvelope(
+        yield_angle=135.0, self_contact_angle=None, max_observed_force=None,
+        return_decay_onset=135.0,
     ),
 }
 
 
 def envelope_for(family: JointFamily) -> JointEnvelope:
     """Envelope row for a concrete joint (curve rows depend on thickness)."""
-    thick = family.kind is FamilyKind.CURVE and family.thickness >= 0.8
+    thick = family.thickness >= 0.8 if family.kind is FamilyKind.CURVE else None
     return _ENVELOPES[(family.kind, thick)]
 
 
 def envelope_table_as_json() -> dict:
     """The full envelope table as a JSON-ready document."""
-    rows = []
-    for (kind, thick), env in sorted(_ENVELOPES.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-        rows.append(
-            {
-                "family": kind.value,
-                "thick_wall": thick if kind is FamilyKind.CURVE else None,
-                "yield_angle_deg": env.yield_angle,
-                "self_contact_angle_deg": env.self_contact_angle,
-                "max_observed_force_n": env.max_observed_force,
-                "return_decay_onset_deg": env.return_decay_onset,
-            }
-        )
+    rows = [
+        {"family": kind.value, "thick_wall": thick}
+        | {f.metadata["key"]: getattr(env, f.name) for f in fields(env)}
+        for (kind, thick), env in _ENVELOPES.items()
+    ]
     return {"version": ENVELOPE_TABLE_VERSION, "envelopes": rows}
 
 
@@ -164,10 +163,14 @@ class JointFamilyModel:
 
 
 def _finite_query(value, name: str) -> float:
-    try:
-        return finite_float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a finite number, got {value!r}") from None
+    """value as a float; InputError unless it is a finite real number (a bool,
+    a string or bytes is not one)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return finite_float(value)
+        except ValueError:
+            pass
+    raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def predict_many(

@@ -28,10 +28,11 @@ from the spec's override (40 joints at 1.05 N and a factor of 1 give
 r in meters.
 """
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 from . import joints, units
 from .data import FamilyKind, JointFamily
@@ -49,10 +50,12 @@ FLAG_OVERDRIVE = "overdrive"
 
 
 # -- design-spec fields ----------------------------------------------------------
-# Each field of a design spec is one row of the tables below; the constructors
-# and the JSON reader and writer all read the rows. presence says what a JSON
-# document may do with the key: "required" (carry it), "optional" (leave it out
-# for the constructor default) or "nullable" (leave it out or null it: None).
+# Each field of a design spec is declared once, on its dataclass field: _spec
+# adds its JSON key and rule, and the annotation gives its kind (int, float or a
+# nested document's class). The constructors and the JSON reader and writer all
+# walk _spec_fields. A field's default sets its key's presence in JSON: with no
+# default the key is required, with None it may be null or absent, and with any
+# other default it may be absent and then takes that value.
 
 
 def _at_least(low):
@@ -69,53 +72,48 @@ def _enforce(label: str, value, rule) -> None:
         raise ValueError(f"{label}: {rule[1]}")
 
 
-def _coerce(kind, value, label: str):
-    """value as kind, int or float (bools are neither); ValueError otherwise."""
+def _checked(label: str, value, rule, kind=float):
+    """value as kind, int or float (bools are neither); ValueError starting
+    with label if it is not one, is not finite, or breaks rule."""
     wanted = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, wanted):
         raise ValueError(f"{label}: expected {kind.__name__}")
     try:
-        return int(value) if kind is int else units.finite_float(value)
+        value = int(value) if kind is int else units.finite_float(value)
     except ValueError:
         raise ValueError(f"{label}: must be a finite number") from None
-
-
-def _checked(label: str, value, rule, kind=float):
-    """value as kind (see _coerce); ValueError starting with label if it breaks rule."""
-    value = _coerce(kind, value, label)
     _enforce(label, value, rule)
     return value
 
 
-class _Field(NamedTuple):
-    key: str  # JSON key
-    kind: type  # int, float, or the class of a nested document
-    rule: tuple = _ANY  # (test, message text)
-    attr: str | None = None  # attribute name, when it differs from key
-    presence: str = "required"
-
-    @property
-    def name(self) -> str:
-        return self.attr or self.key
+def _spec(key=None, rule=_ANY, default=MISSING):
+    """A design-spec field: its JSON key, when it differs from the attribute
+    name, and its rule (test, message text)."""
+    return field(default=default, metadata={"key": key, "rule": rule})
 
 
-def _check_attributes(obj, table) -> None:
-    """Store obj's numbers as their rows' types and require its nested fields to
-    be instances of theirs; ValueError naming the first bad one."""
-    for f in table:
-        value = getattr(obj, f.name)
-        if f.kind not in (int, float):
-            if not isinstance(value, f.kind):
-                raise ValueError(f"{f.name}={value!r}: expected {f.kind.__name__}")
-        elif not (value is None and f.presence == "nullable"):
-            object.__setattr__(obj, f.name, _checked(f"{f.name}={value!r}", value, f.rule, f.kind))
+@functools.cache
+def _spec_fields(cls) -> tuple:
+    """(attribute, JSON key, kind, rule, default) for each field of a spec
+    class, in field order; kind is the annotated type, None unwrapped."""
+    hints = get_type_hints(cls)
+    rows = []
+    for f in fields(cls):
+        kind = next(t for t in get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
+        rows.append((f.name, f.metadata["key"] or f.name, kind, f.metadata["rule"], f.default))
+    return tuple(rows)
 
 
-_ACTUATOR_FIELDS = (
-    _Field("rated_torque_nm", float, _POSITIVE, "rated_torque"),
-    _Field("spindle_radius_mm", float, _POSITIVE, "spindle_radius"),
-    _Field("overdrive_factor", float, _at_least(1), presence="optional"),
-)
+def _check_attributes(obj) -> None:
+    """Store obj's numbers as their fields' kinds and require its nested fields
+    to be instances of theirs; ValueError naming the first bad one."""
+    for name, _, kind, rule, default in _spec_fields(type(obj)):
+        value = getattr(obj, name)
+        if kind not in (int, float):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name}={value!r}: expected {kind.__name__}")
+        elif not (value is None and default is None):
+            object.__setattr__(obj, name, _checked(f"{name}={value!r}", value, rule, kind))
 
 
 @dataclass(frozen=True)
@@ -123,25 +121,12 @@ class ActuatorSpec:
     """Central motor: rated torque (N*m), spindle radius (mm), and how much
     torque overshoot the drive electronics tolerate (>= 1)."""
 
-    rated_torque: float  # N*m
-    spindle_radius: float  # mm
-    overdrive_factor: float = 1.0
+    rated_torque: float = _spec("rated_torque_nm", _POSITIVE)  # N*m
+    spindle_radius: float = _spec("spindle_radius_mm", _POSITIVE)  # mm
+    overdrive_factor: float = _spec(rule=_at_least(1), default=1.0)
 
     def __post_init__(self):
-        _check_attributes(self, _ACTUATOR_FIELDS)
-
-
-_SPEC_FIELDS = (
-    _Field("outer_radius_mm", float, _POSITIVE, "outer_radius"),
-    _Field("n_sections", int, _at_least(2)),
-    _Field("joints_per_ring", int, _POSITIVE),
-    _Field("ring_layers", int, _at_least(1)),
-    _Field("target_ratio", float, _RATIO),
-    _Field("actuator", ActuatorSpec),
-    _Field("joint", JointFamily),
-    _Field("per_joint_force_n", float, _at_least(0), "per_joint_force_override", "nullable"),
-    _Field("friction_loss_factor", float, _POSITIVE, presence="optional"),
-)
+        _check_attributes(self)
 
 
 def _spread_problem(joints_per_ring=None, n_sections=None, **_) -> str | None:
@@ -159,18 +144,18 @@ class RingDesignSpec:
     ring with 20 joints per layer has joints_per_ring = 40).
     """
 
-    outer_radius: float  # mm
-    n_sections: int
-    joints_per_ring: int
-    target_ratio: float  # remaining-radius fraction in (0, 1]
-    actuator: ActuatorSpec
-    joint: JointFamily
-    ring_layers: int = 2
-    per_joint_force_override: float | None = None  # N
-    friction_loss_factor: float = 1.0
+    outer_radius: float = _spec("outer_radius_mm", _POSITIVE)  # mm
+    n_sections: int = _spec(rule=_at_least(2))
+    joints_per_ring: int = _spec(rule=_POSITIVE)
+    target_ratio: float = _spec(rule=_RATIO)  # remaining-radius fraction in (0, 1]
+    actuator: ActuatorSpec = _spec()
+    joint: JointFamily = _spec()
+    ring_layers: int = _spec(rule=_at_least(1), default=2)
+    per_joint_force_override: float | None = _spec("per_joint_force_n", _at_least(0), default=None)
+    friction_loss_factor: float = _spec(rule=_POSITIVE, default=1.0)
 
     def __post_init__(self):
-        _check_attributes(self, _SPEC_FIELDS)
+        _check_attributes(self)
         problem = _spread_problem(**vars(self))
         if problem:
             raise ValueError(problem)
@@ -498,39 +483,39 @@ def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
         return None
     thick = doc.get("thickness_mm")
     try:
-        return JointFamily(kind, None if thick is None else _coerce(float, thick, "thickness"))
+        return JointFamily(kind, None if thick is None else _checked("thickness", thick, _ANY))
     except (ValueError, MissingThicknessError) as exc:
         problems.append(f"field joint.thickness_mm: {exc}")
     return None
 
 
-def _read_fields(doc: dict, table, problems: list[str], prefix: str = "") -> dict:
-    """Attribute values of the table's fields in doc; appends a problem for
-    each field that is missing or breaks its row and for each key that no row
+def _read_fields(doc: dict, cls, problems: list[str], prefix: str = "") -> dict:
+    """Attribute values of cls's spec fields in doc; appends a problem for each
+    field that is missing or breaks its rule and for each key that no field
     names (prefix is the key path of a nested document)."""
     values = {}
-    for f in table:
-        raw = doc.get(f.key)
-        path = prefix + f.key
-        if f.kind not in (int, float):
+    for name, key, kind, rule, default in _spec_fields(cls):
+        raw = doc.get(key)
+        path = prefix + key
+        if kind not in (int, float):
             if not isinstance(raw, dict):
                 problems.append(f"missing field: {path}")
-            elif f.kind is JointFamily:
-                values[f.name] = _joint_from_json(raw, problems)
+            elif kind is JointFamily:
+                values[name] = _joint_from_json(raw, problems)
             else:
                 count = len(problems)
-                actuator = _read_fields(raw, _ACTUATOR_FIELDS, problems, f"{path}.")
+                nested = _read_fields(raw, kind, problems, f"{path}.")
                 if len(problems) == count:
-                    values[f.name] = ActuatorSpec(**actuator)
-        elif f.key not in doc:
-            if f.presence == "required":
+                    values[name] = kind(**nested)
+        elif key not in doc:
+            if default is MISSING:
                 problems.append(f"missing field: {path}")
-        elif raw is not None or f.presence != "nullable":
+        elif raw is not None or default is not None:
             try:
-                values[f.name] = _checked(f"field {path}", raw, f.rule, f.kind)
+                values[name] = _checked(f"field {path}", raw, rule, kind)
             except ValueError as exc:
                 problems.append(str(exc))
-    _unknown_keys(doc, {f.key for f in table}, prefix, problems)
+    _unknown_keys(doc, {key for _, key, *_ in _spec_fields(cls)}, prefix, problems)
     return values
 
 
@@ -540,7 +525,7 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     if not isinstance(doc, dict):
         raise DesignSpecError(["design spec root is not a JSON object"])
     problems: list[str] = []
-    values = _read_fields(doc, _SPEC_FIELDS, problems)
+    values = _read_fields(doc, RingDesignSpec, problems)
     spread = _spread_problem(**values)
     if spread:
         problems.append(f"field {spread}")
@@ -549,19 +534,19 @@ def spec_from_json_dict(doc: dict) -> RingDesignSpec:
     return RingDesignSpec(**values)
 
 
-def _write_fields(obj, table) -> dict:
+def _write_fields(obj) -> dict:
     doc = {}
-    for f in table:
-        value = getattr(obj, f.name)
-        if f.kind is ActuatorSpec:
-            value = _write_fields(value, _ACTUATOR_FIELDS)
-        elif f.kind is JointFamily:
+    for name, key, kind, _, _ in _spec_fields(type(obj)):
+        value = getattr(obj, name)
+        if kind is JointFamily:
             value = {"family": value.kind.value, "thickness_mm": value.thickness}
+        elif kind not in (int, float):
+            value = _write_fields(value)
         elif value is None:
             continue  # a nullable field left unset
-        doc[f.key] = value
+        doc[key] = value
     return doc
 
 
 def spec_to_json_dict(spec: RingDesignSpec) -> dict:
-    return _write_fields(spec, _SPEC_FIELDS)
+    return _write_fields(spec)

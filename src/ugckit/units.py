@@ -4,9 +4,10 @@ Angles travel through the toolkit in degrees and lengths in millimeters;
 torque math switches to SI (N, m) only inside the ring-mechanics module.
 Keeping the conversions in one place makes that boundary testable.
 
-finite_float is the one check every input boundary (CSV cells, design-spec
-numbers, CLI flags and joint-model queries) uses to turn a value into a
-number.
+finite_float is the one finiteness check every input boundary (CSV cells,
+design-spec numbers, CLI flags and joint-model queries) uses to turn a value
+into a number. Design-spec numbers and joint-model queries test the type
+first, so a bool or a string never reaches it there.
 """
 
 import math

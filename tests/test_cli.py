@@ -325,6 +325,15 @@ class TestPredict:
         assert doc["force_n"] == pytest.approx(2.099, abs=1e-4)
         assert doc["return_angle_deg"] is None
 
+    def test_byte_order_mark_archive_reads_as_plain(self, tmp_path, square_archive, capsys):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + square_archive.read_bytes())
+        outs = []
+        for path in (square_archive, bom):
+            assert main(["predict", "--model", str(path), "--theta", "90"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_curve_out_of_range_exit_2(self, tmp_path):
         out = tmp_path / "curve.json"
         main(["builtin", "--family", "curve", "--out", str(out)])
@@ -823,6 +832,26 @@ class TestValidate:
 
     def test_requires_an_input(self):
         assert main(["validate"]) == 2
+
+    def test_problems_listed_in_field_order(self, tmp_path, capsys):
+        doc = {**GOOD_SPEC, "outer_radius_mm": -1.0, "ring_layers": 0, "bogus": 1,
+               "actuator": {"spindle_radius_mm": 3.0}, "joint": {"family": "nope"}}
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: field outer_radius_mm: must be > 0",
+            "error: missing field: actuator.rated_torque_nm",
+            "error: field joint.family: unknown family 'nope'",
+            "error: field ring_layers: must be >= 1",
+            "error: unknown field: bogus",
+        ]
+
+    def test_spec_without_ring_layers_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({k: v for k, v in GOOD_SPEC.items() if k != "ring_layers"}))
+        assert main(["validate", "--spec", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: ok\n"
 
     @pytest.mark.parametrize("flag", ["--data", "--spec"])
     def test_byte_order_mark_is_read_past(self, tmp_path, bench_csv, spec_file, capsys, flag):

@@ -462,6 +462,28 @@ class TestVectorQueries:
         with pytest.raises(InputError, match=message):
             joints.predict_many(model, [30.0, bad, float("nan")])
 
+    @pytest.mark.parametrize(
+        "bad", ["90", True, b"45", np.bool_(True)], ids=["str", "bool", "bytes", "numpy-bool"]
+    )
+    def test_non_numbers_rejected(self, bad):
+        # float() would read each of these; a query takes real numbers only
+        model = joints.builtin_model(SQ)
+        message = f"theta must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(InputError, match=message):
+            joints.predict_many(model, [bad])
+
+    @pytest.mark.parametrize("bad", ["0.8", True])
+    def test_non_number_thickness_rejected(self, bad):
+        model = joints.builtin_model(CURVE)
+        message = f"thickness must be a finite number, got {re.escape(repr(bad))}$"
+        with pytest.raises(InputError, match=message):
+            joints.predict_many(model, [90.0], bad)
+
+    def test_numpy_scalars_accepted(self):
+        model = joints.builtin_model(CURVE)
+        means, _, _, _ = joints.predict_many(model, [np.float32(90), np.int64(60)], np.float64(0.8))
+        assert means.tolist() == joints.predict_many(model, [90.0, 60.0], 0.8)[0].tolist()
+
     def test_flat_reference_needs_no_return_model(self):
         model = joints.builtin_model(SQ)
         assert joints.predict_many(model, [0.0, 0.0])[2] == [180.0, 180.0]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -511,6 +512,37 @@ class TestSpecJson:
         with pytest.raises(DesignSpecError) as err:
             mechanics.spec_from_json_dict(doc)
         assert err.value.problems == [f"unknown field: {key}.{name}"]
+
+    def test_absent_ring_layers_reads_as_the_library_default(self):
+        doc = self.good_doc()
+        del doc["ring_layers"]
+        spec = mechanics.spec_from_json_dict(doc)
+        assert spec.ring_layers == 2
+        library = {k: v for k, v in vars(spec).items() if k != "ring_layers"}
+        assert mechanics.RingDesignSpec(**library) == spec
+
+    @pytest.mark.parametrize("cls", [mechanics.RingDesignSpec, mechanics.ActuatorSpec])
+    def test_every_field_declares_its_key_and_rule(self, cls):
+        # a field added without _spec has no JSON key or rule to check it by
+        for f in fields(cls):
+            assert {"key", "rule"} <= f.metadata.keys(), f.name
+
+    @pytest.mark.parametrize(
+        "key, default, nullable",
+        [("ring_layers", 2, False), ("friction_loss_factor", 1.0, False),
+         ("per_joint_force_n", None, True)],
+    )
+    def test_presence_follows_the_default(self, key, default, nullable):
+        doc = self.good_doc()
+        doc.pop(key, None)
+        absent = mechanics.spec_to_json_dict(mechanics.spec_from_json_dict(doc))
+        assert absent.get(key) == default
+        doc[key] = None
+        if nullable:
+            assert mechanics.spec_from_json_dict(doc) == mechanics.spec_from_json_dict(absent)
+        else:
+            with pytest.raises(DesignSpecError):
+                mechanics.spec_from_json_dict(doc)
 
     def test_curve_joint_needs_thickness(self):
         doc = self.good_doc()
