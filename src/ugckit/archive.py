@@ -132,11 +132,12 @@ def _check_sizes(beta, length_scales, train_x, train_y) -> None:
             )
 
 
-def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
-    """The model a parsed archive holds; CorruptArchiveError naming the field
-    at fault. Value ranges are gpr's rules, reported under the field: what fit
-    still rejects after the checks here is the noise variance (negative, or
-    too small to make the kernel matrix positive definite)."""
+def _model_from_document(doc, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]:
+    """The model a parsed archive holds, refitted by gpr.fit on spectrum
+    where it matches (see load_archive); CorruptArchiveError naming the field
+    at fault. Value ranges are gpr's rules, reported under the field: what
+    fit still rejects after the checks here is the noise variance (negative,
+    or too small to make the kernel matrix positive definite)."""
     if not isinstance(doc, dict):
         raise CorruptArchiveError("root is not a JSON object")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
@@ -153,22 +154,26 @@ def _model_from_document(doc) -> tuple[gpr.FittedGP, ArchiveInfo]:
     except ValueError as exc:
         raise CorruptArchiveError(f"field kernel: {exc}") from exc
     try:
-        model = gpr.fit(train_x, train_y, hyper, noise_variance=noise, beta=beta)
+        model = gpr.fit(train_x, train_y, hyper, noise_variance=noise, beta=beta, spectrum=spectrum)
     except (ValueError, NotPositiveDefiniteError) as exc:
         raise CorruptArchiveError(f"field noise_variance: {exc}") from exc
     return model, ArchiveInfo(family=doc.get("family"), model_id=doc.get("model_id"))
 
 
-def load_archive(path) -> tuple[gpr.FittedGP, ArchiveInfo]:
+def load_archive(path, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]:
     """Load a model plus its family/id metadata. Every CorruptArchiveError,
     VersionMismatchError included, reads "archive <path>: ..." and names the
-    field at fault. A leading UTF-8 byte-order mark is dropped."""
+    field at fault. A leading UTF-8 byte-order mark is dropped.
+
+    spectrum: another model's FittedGP.spectrum, which the refit reuses when
+    the archive's train_x and length scales match it bit for bit (a force and
+    return archive pair of one fit); the model is the same either way."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoFailureError(f"cannot read archive {path}: {exc}") from exc
     try:
-        return _model_from_document(json.loads(text))
+        return _model_from_document(json.loads(text), spectrum)
     except json.JSONDecodeError as exc:
         raise CorruptArchiveError(f"archive {path}: not valid JSON: {exc}") from exc
     except CorruptArchiveError as exc:  # VersionMismatchError keeps its type

@@ -10,6 +10,8 @@ Each cmd_* returns (doc, lines, warnings) and prints nothing; main renders
 it once. With --json, stdout is the one line _json(doc), warnings included
 in doc. Otherwise the lines go to stdout and each warning to stderr as
 "warning: ...", and --quiet prints neither. Errors print only to stderr.
+A predict sweep builds only what its mode prints: its doc is None in text
+mode, and it has no lines with --json.
 """
 
 import argparse
@@ -54,10 +56,10 @@ def _save(gp, path, kind: FamilyKind, target: str) -> None:
     archive.save_model(gp, path, family=kind.value, model_id=f"{kind.value}:{target}")
 
 
-def _load(path, flag: str, target: str):
-    """load_archive(path), refused when its model_id tags the other target;
-    any other id, null included, is not read."""
-    model, info = archive.load_archive(path)
+def _load(path, flag: str, target: str, spectrum=None):
+    """load_archive(path, spectrum), refused when its model_id tags the other
+    target; any other id, null included, is not read."""
+    model, info = archive.load_archive(path, spectrum=spectrum)
     tag = info.model_id.split(":") if isinstance(info.model_id, str) else []
     if len(tag) == 2 and tag[1] in ("force", "return") and tag[1] != target:
         raise InputError(
@@ -68,8 +70,10 @@ def _load(path, flag: str, target: str):
 
 
 def _family_model_from_archives(model_path, return_path=None) -> joints.JointFamilyModel:
-    """The joint model of a force archive and an optional return archive; an
-    archive whose family tag does not fit reads "archive <path>: field family: ..."."""
+    """The joint model of a force archive and an optional return archive,
+    loaded on the force model's kernel spectrum (one eigh for a pair that
+    shares rows and length scales); an archive whose family tag does not fit
+    reads "archive <path>: field family: ..."."""
     force, info = _load(model_path, "--model", "force")
     try:
         model = joints.JointFamilyModel(kind=_family_kind(info.family), force_model=force)
@@ -77,7 +81,7 @@ def _family_model_from_archives(model_path, return_path=None) -> joints.JointFam
         raise InputError(f"archive {model_path}: field family: {exc}") from None
     if return_path is None:
         return model
-    return_model, rinfo = _load(return_path, "--return-model", "return")
+    return_model, rinfo = _load(return_path, "--return-model", "return", force.spectrum)
     try:
         if rinfo.family is not None and rinfo.family != info.family:
             raise InputError(f"{rinfo.family!r} does not match --model's {info.family!r}")
@@ -172,28 +176,31 @@ def cmd_predict(args):
         model, thetas, args.thickness, allow_extrapolation=args.allow_extrapolation
     )
     table = list(zip(thetas, means.tolist(), stds.tolist(), rets, flags))
-    rows = [
-        {"theta_deg": theta, "thickness_mm": args.thickness, "force_n": mean,
-         "force_std_n": std, "return_angle_deg": ret, "warnings": list(row_flags)}
-        for theta, mean, std, ret, row_flags in table
-    ]
-    if args.sweep is not None:
-        lines = ["theta_deg,force_n,force_std_n,return_angle_deg"]
-        lines += [
-            f"{theta!r},{mean!r},{std!r},{'' if ret is None else repr(ret)}"
-            for theta, mean, std, ret, _ in table
+    if args.sweep is None:
+        ((_, mean, std, ret, row_flags),) = table
+        lines = [
+            f"force: {mean:.6g} +/- {std:.6g} N",
+            f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a",
         ]
-        # one warning per distinct flag, with the count of its angles
-        counts = collections.Counter(flag for row_flags in flags for flag in row_flags)
-        warnings = [f"{flag} at {n} of {len(rows)} angles" for flag, n in counts.items()]
-        return {"rows": rows}, lines, warnings
+        return _prediction_row(args.thickness, *table[0]), lines, row_flags
 
-    ((_, mean, std, ret, row_flags),) = table
-    lines = [
-        f"force: {mean:.6g} +/- {std:.6g} N",
-        f"return angle: {ret:.6g} deg" if ret is not None else "return angle: n/a",
+    # one warning per distinct flag, with the count of its angles
+    counts = collections.Counter(flag for row_flags in flags for flag in row_flags)
+    warnings = [f"{flag} at {n} of {len(table)} angles" for flag, n in counts.items()]
+    # a sweep builds only the output it prints: JSON rows or CSV lines
+    if args.json:
+        return {"rows": [_prediction_row(args.thickness, *row) for row in table]}, (), warnings
+    lines = ["theta_deg,force_n,force_std_n,return_angle_deg"]
+    lines += [
+        f"{theta!r},{mean!r},{std!r},{'' if ret is None else repr(ret)}"
+        for theta, mean, std, ret, _ in table
     ]
-    return rows[0], lines, row_flags
+    return None, lines, warnings
+
+
+def _prediction_row(thickness, theta, mean, std, ret, row_flags) -> dict:
+    return {"theta_deg": theta, "thickness_mm": thickness, "force_n": mean,
+            "force_std_n": std, "return_angle_deg": ret, "warnings": list(row_flags)}
 
 
 def _read_spec(path) -> mechanics.RingDesignSpec:

@@ -13,14 +13,26 @@ beta is either supplied by the caller or estimated by generalized least
 squares (minimum-norm where the basis is rank-deficient). fit, archive loads
 (fit with beta held fixed) and tune_hyperparams build every model from one
 eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
-(_kernel_eigh): with K = sf2 K1 (sf2 the signal variance) they keep
-W = V diag(sf2 lam + noise)^-1/2, so every solve against K + noise*I =
-(W W')^-1 is a matrix product (a dense-inverse formulation exists only as an
-independent oracle in the test suite). Predictions at many points share one
-product with W per block of rows (predict_many), and leave-one-out residuals
-come in closed form from the same factor (loo_residuals) rather than from n
-refits. loo_residuals is the toolkit's one leave-one-out routine: with W = I
-it scores the polynomial baseline of joints too.
+(_kernel_eigh, held as a KernelSpectrum): with K = sf2 K1 (sf2 the signal
+variance) they keep W = V diag(sf2 lam + noise)^-1/2, so every solve against
+K + noise*I = (W W')^-1 is a matrix product (a dense-inverse formulation
+exists only as an independent oracle in the test suite). Predictions at many
+points share one product with W per block of rows (predict_many), and
+leave-one-out residuals come in closed form from the same factor
+(loo_residuals) rather than from n refits. loo_residuals is the toolkit's one
+leave-one-out routine: with W = I it scores the polynomial baseline of joints
+too.
+
+K1 depends only on the training rows and the length scales, so there is one
+eigh per distinct (rows, length scales), shared by the targets and archive
+pairs that match bit for bit (GPML sections 2.2 and 5.4: many targets on one
+covariance share one factorization). The sharing is explicit: every model
+keeps a read-only reference to the KernelSpectrum it was built from
+(FittedGP.spectrum), and fit(..., spectrum=s) reuses s only when its rows
+and length scales are bit-identical to X and hyper.length_scales, and takes
+its own eigh otherwise. tune_hyperparams(X, targets) scores every (y,
+GridSpec) target in one loop over the length-scale tuples their grids share.
+Nothing is cached between calls.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -106,7 +118,7 @@ def basis_matrix(X) -> np.ndarray:
     return np.hstack([np.ones((pts.shape[0], 1)), pts, pts**2])
 
 
-def _spectrum(lam: np.ndarray, noise_variance: float) -> np.ndarray:
+def _shifted_spectrum(lam: np.ndarray, noise_variance: float) -> np.ndarray:
     """Eigenvalues of A = K + noise*I from those of K, with a single +JITTER
     retry when one is not positive."""
     d = lam + noise_variance
@@ -130,11 +142,40 @@ def _check_noise(noise_variance: float, duplicate_rows: bool) -> None:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
 
 
-def _kernel_eigh(X: np.ndarray, length_scales) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on the
-    rows of X: the one factorization behind fit, archive loads and tuning.
-    A kernel with signal variance sf2 is sf2 K1, with eigenvalues sf2 lam."""
-    return np.linalg.eigh(kernel_matrix(X, X, KernelHyperParams(1.0, length_scales)))
+@dataclass(frozen=True)
+class KernelSpectrum:
+    """K1 = V diag(lam) V', the unit-signal kernel on the rows x at
+    length_scales (see _kernel_eigh). Its arrays are read-only, so models of
+    several targets on the same rows share one."""
+
+    x: np.ndarray  # (n, d)
+    length_scales: tuple[float, ...]
+    lam: np.ndarray  # (n,)
+    V: np.ndarray  # (n, n)
+
+    def __post_init__(self):
+        for name in ("x", "lam", "V"):
+            getattr(self, name).setflags(write=False)
+
+    def matches(self, X: np.ndarray, length_scales) -> bool:
+        """Whether this is K1's spectrum on X at length_scales: the rows and
+        the length scales bit for bit."""
+        return (
+            self.length_scales == tuple(length_scales)
+            and self.x.shape == X.shape
+            and self.x.tobytes() == X.tobytes()
+        )
+
+
+def _kernel_eigh(rows: np.ndarray, length_scales) -> KernelSpectrum:
+    """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on
+    rows, which the spectrum keeps (the caller's own copy): the one
+    factorization behind fit, archive loads and tuning, one per distinct
+    (rows, length scales). A kernel with signal variance sf2 is sf2 K1, with
+    eigenvalues sf2 lam."""
+    length_scales = tuple(length_scales)
+    lam, V = np.linalg.eigh(kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales)))
+    return KernelSpectrum(rows, length_scales, lam, V)
 
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
@@ -167,14 +208,18 @@ class FittedGP:
     beta: np.ndarray
     noise_variance: float
     hyper: KernelHyperParams
-    train_x: np.ndarray  # (n, d)
     train_y: np.ndarray  # (n,)
     whitener: np.ndarray  # W with W W' = (K + noise*I)^-1
     alpha: np.ndarray  # (K + noise*I)^-1 (y - H beta)
+    spectrum: KernelSpectrum  # K1 on train_x at hyper.length_scales, maybe shared
 
     def __post_init__(self):
-        for name in ("beta", "train_x", "train_y", "whitener", "alpha"):
+        for name in ("beta", "train_y", "whitener", "alpha"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def train_x(self) -> np.ndarray:  # (n, d)
+        return self.spectrum.x
 
     @property
     def input_dim(self) -> int:
@@ -195,12 +240,15 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
-def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, beta=None):
-    """The model on checked training data from K1 = V diag(lam) V' (see
-    _kernel_eigh): A = hyper.signal_variance K1 + noise*I has the spectrum
-    d = _spectrum(sf2 lam, noise) and A^-1 = W W' with W = V diag(d)^-1/2."""
-    W = V / np.sqrt(_spectrum(hyper.signal_variance * lam, noise_variance))
-    H = basis_matrix(Xm)
+def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
+            beta=None):
+    """The model on checked targets yv at the rows of spectrum, K1 = V
+    diag(lam) V': A = hyper.signal_variance K1 + noise*I has the spectrum
+    d = _shifted_spectrum(sf2 lam, noise) and A^-1 = W W' with
+    W = V diag(d)^-1/2."""
+    d = _shifted_spectrum(hyper.signal_variance * spectrum.lam, noise_variance)
+    W = spectrum.V / np.sqrt(d)
+    H = basis_matrix(spectrum.x)
 
     if beta is None:
         beta_vec, _, _ = _gls(W.T @ H, W.T @ yv)
@@ -216,25 +264,34 @@ def _fitted(Xm, yv, hyper: KernelHyperParams, noise_variance: float, lam, V, bet
         beta=beta_vec,
         noise_variance=float(noise_variance),
         hyper=hyper,
-        train_x=Xm.copy(),
         train_y=yv.copy(),
         whitener=W,
         alpha=W @ (W.T @ (yv - H @ beta_vec)),
+        spectrum=spectrum,
     )
 
 
-def fit(X, y, hyper: KernelHyperParams, noise_variance: float, beta=None) -> FittedGP:
+def fit(
+    X, y, hyper: KernelHyperParams, noise_variance: float, beta=None,
+    spectrum: KernelSpectrum | None = None,
+) -> FittedGP:
     """Fit the GP to training inputs X (n x d) and targets y (n,).
 
     beta: None to estimate the mean coefficients by generalized least
     squares, or an explicit vector of length 2d+1 to hold them fixed.
     With zero noise the inputs must be distinct, otherwise K is singular.
+
+    spectrum: another model's FittedGP.spectrum, reused when its rows and
+    length scales are bit-identical to X and hyper.length_scales (then the
+    model equals a lone fit bit for bit); otherwise, or when None, fit takes
+    its own eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
     # the row scan only where the rule reads it
     _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(Xm))
-    lam, V = _kernel_eigh(Xm, hyper.length_scales)
-    return _fitted(Xm, yv, hyper, noise_variance, lam, V, beta)
+    if spectrum is None or not spectrum.matches(Xm, hyper.length_scales):
+        spectrum = _kernel_eigh(Xm.copy(), hyper.length_scales)
+    return _fitted(yv, hyper, noise_variance, spectrum, beta)
 
 
 def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -334,50 +391,65 @@ class GridSpec:
         object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
 
 
-def tune_hyperparams(X, y, search: GridSpec) -> FittedGP:
-    """The model at the grid candidate maximizing the log marginal likelihood.
+def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
+    """For each (y, GridSpec) pair of targets, in order, the model at its
+    grid's candidate maximizing the log marginal likelihood on the rows X.
 
-    beta is re-estimated by GLS for every candidate before scoring. A
-    candidate's covariance is sf2 K1 + noise*I with K1 the unit-signal kernel,
-    so one eigendecomposition of K1 per length-scale tuple scores every
-    (sf2, noise) pair from the shifted spectrum sf2 lam + noise, and the pick
-    is built from the one it was scored with, bit-identical to fit() there.
+    The grids must have equal length_scale_grids; each keeps its own signal
+    and noise variance axes. beta is re-estimated by GLS for every candidate
+    before scoring. A candidate's covariance is sf2 K1 + noise*I with K1 the
+    unit-signal kernel, so one eigendecomposition of K1 per length-scale
+    tuple scores every target's (sf2, noise) pairs from the shifted spectrum
+    sf2 lam + noise, and each pick is built from the spectrum it was scored
+    with, bit-identical to fit() there. A one-target call runs the same loop.
     Ties keep the earlier candidate in the cartesian product of the axes
     (signal variance, length scales, noise variance), so repeated runs
     return the same answer. Candidates that fit() would reject as not
     positive definite (zero noise on repeated rows, or a spectrum not
     positive even with jitter) are skipped.
     """
-    if (
-        not search.signal_variances
-        or not search.noise_variances
-        or not search.length_scale_grids
-        or any(not g for g in search.length_scale_grids)
-    ):
-        raise EmptyGridError("every grid axis needs at least one candidate")
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError("tune_hyperparams needs at least one (y, GridSpec) target")
+    grids = targets[0][1].length_scale_grids
+    for _, search in targets:
+        if (
+            not search.signal_variances
+            or not search.noise_variances
+            or not search.length_scale_grids
+            or any(not g for g in search.length_scale_grids)
+        ):
+            raise EmptyGridError("every grid axis needs at least one candidate")
+        if search.length_scale_grids != grids:
+            raise ValueError("every target's grid needs the same length_scale_grids")
 
-    Xm, yv = _training_data(X, y, len(search.length_scale_grids))
-    duplicate_rows = _has_duplicate_rows(Xm)
-    H = basis_matrix(Xm)
-    # length-scale tuples outermost, so only the best tuple's (lam, V) is held
-    best_key, best = (math.inf,), None
-    for j, ls in enumerate(itertools.product(*search.length_scale_grids)):
-        lam, V = _kernel_eigh(Xm, ls)
-        Hv, yr = V.T @ H, V.T @ yv  # H and y in K1's eigenbasis
-        for i, sf2 in enumerate(search.signal_variances):
-            hyper = KernelHyperParams(sf2, ls)
-            for k, noise in enumerate(search.noise_variances):
-                try:
-                    _check_noise(noise, duplicate_rows)
-                    d = _spectrum(sf2 * lam, noise)
-                except NotPositiveDefiniteError:
-                    continue
-                scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
-                _, rw, _ = _gls(Hv * scale[:, None], yr * scale)
-                # the scan-order index breaks ties; a NaN score never compares below
-                key = (-_log_likelihood(rw, d), i, j, k)
-                if key < best_key:
-                    best_key, best = key, (hyper, noise, lam, V)
-    if best is None:
+    checked = [_training_data(X, y, len(grids)) for y, _ in targets]
+    rows = checked[0][0].copy()
+    ys = [yv for _, yv in checked]
+    duplicate_rows = _has_duplicate_rows(rows)
+    H = basis_matrix(rows)
+    # length-scale tuples outermost, so only each target's best spectrum is held
+    best = [((math.inf,), None)] * len(targets)
+    for j, ls in enumerate(itertools.product(*grids)):
+        spectrum = _kernel_eigh(rows, ls)
+        Hv = spectrum.V.T @ H  # H in K1's eigenbasis
+        for t, (yv, (_, search)) in enumerate(zip(ys, targets)):
+            # one V'y per target, not one V'Y: gemv and gemm may round differently
+            yr = spectrum.V.T @ yv
+            for i, sf2 in enumerate(search.signal_variances):
+                hyper = KernelHyperParams(sf2, ls)
+                for k, noise in enumerate(search.noise_variances):
+                    try:
+                        _check_noise(noise, duplicate_rows)
+                        d = _shifted_spectrum(sf2 * spectrum.lam, noise)
+                    except NotPositiveDefiniteError:
+                        continue
+                    scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
+                    _, rw, _ = _gls(Hv * scale[:, None], yr * scale)
+                    # the scan-order index breaks ties; a NaN score never compares below
+                    key = (-_log_likelihood(rw, d), i, j, k)
+                    if key < best[t][0]:
+                        best[t] = (key, (hyper, noise, spectrum))
+    if any(pick is None for _, pick in best):
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
-    return _fitted(Xm, yv, *best)
+    return tuple(_fitted(yv, *pick) for yv, (_, pick) in zip(ys, best))

@@ -21,6 +21,7 @@ regression has no supporting data; other families only get an extrapolation
 warning there.
 """
 
+import contextlib
 import itertools
 import numbers
 from dataclasses import dataclass, field, fields
@@ -286,23 +287,55 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
     return X, force, ret
 
 
-def _fit_target(X, y, column: str, kind: FamilyKind, noise_variance, tune: bool):
+@contextlib.contextmanager
+def _overflow_names(column: str):
+    """InputError naming column for an overflow anywhere in the block; numpy
+    would only warn and go on with inf."""
     try:
-        # an overflow anywhere in the fit (var(y) first) means the values are
-        # too large for it; numpy would only warn and go on with inf
         with np.errstate(over="raise"):
-            variance = float(np.var(y))
-            if tune:
-                model = gpr.tune_hyperparams(X, y, _default_tuning_grid(kind, variance))
-            else:
-                if noise_variance is None:
-                    noise_variance = max(1e-8, DEFAULT_NOISE_FRACTION * variance)
-                model = gpr.fit(X, y, _default_hyper(kind, variance), noise_variance)
-            H = gpr.basis_matrix(model.train_x)
-            residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
-            return model, _rmse(residuals)
+            yield
     except FloatingPointError:
         raise InputError(f"{column}: values too large to fit, the fit overflows") from None
+
+
+def _fit_targets(X, targets, kind: FamilyKind, noise_variance, tune: bool):
+    """One model per (column, y) of targets on the rows X, built from one
+    kernel spectrum per length-scale tuple: a tuned fit scores every target
+    in one gpr.tune_hyperparams call, and an untuned one fits each later
+    target on the first model's spectrum (the length scales are the same)."""
+    variances = []
+    for column, y in targets:
+        with _overflow_names(column):
+            variances.append(float(np.var(y)))
+    if tune:
+        grids = [(y, _default_tuning_grid(kind, v)) for (_, y), v in zip(targets, variances)]
+        try:
+            with np.errstate(over="raise"):
+                return gpr.tune_hyperparams(X, grids)
+        except FloatingPointError:
+            # each target's arithmetic is the same in a lone tune, so tuning
+            # each alone in turn finds the column to name
+            for (column, _), grid in zip(targets, grids):
+                with _overflow_names(column):
+                    gpr.tune_hyperparams(X, [grid])
+            raise
+    models, spectrum = [], None
+    for (column, y), variance in zip(targets, variances):
+        noise = noise_variance
+        if noise is None:
+            noise = max(1e-8, DEFAULT_NOISE_FRACTION * variance)
+        with _overflow_names(column):
+            model = gpr.fit(X, y, _default_hyper(kind, variance), noise, spectrum=spectrum)
+        models.append(model)
+        spectrum = model.spectrum
+    return models
+
+
+def _loo_rmse(model: gpr.FittedGP, column: str) -> float | None:
+    with _overflow_names(column):
+        H = gpr.basis_matrix(model.train_x)
+        residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+        return _rmse(residuals)
 
 
 def fit_family_model(
@@ -321,18 +354,24 @@ def fit_family_model(
     variance = var(y), and noise = noise_variance if given, else 1% of
     var(y). A target whose fit overflows raises InputError naming its
     column.
+
+    Both targets share the rows and, in every untuned fit and every tuning
+    grid tuple, the length scales, so there is one eigh per distinct (rows,
+    length scales): an untuned fit fits force, then return on the force
+    model's spectrum, and a tuned fit tunes both targets in one
+    gpr.tune_hyperparams call. Each model equals its lone fit bit for bit.
     """
     if tune and noise_variance is not None:
         raise ValueError("tune picks the noise variance; noise_variance must be unset")
     X, force, ret = family_training_arrays(ds, kind)
-    force_model, force_rmse = _fit_target(X, force, "force_n", kind, noise_variance, tune)
-    return_model, return_rmse = _fit_target(X, ret, "return_angle_deg", kind, noise_variance, tune)
+    targets = (("force_n", force), ("return_angle_deg", ret))
+    force_model, return_model = _fit_targets(X, targets, kind, noise_variance, tune)
     return JointFamilyModel(
         kind=kind,
         force_model=force_model,
         return_model=return_model,
-        force_loo_rmse=force_rmse,
-        return_loo_rmse=return_rmse,
+        force_loo_rmse=_loo_rmse(force_model, "force_n"),
+        return_loo_rmse=_loo_rmse(return_model, "return_angle_deg"),
     )
 
 

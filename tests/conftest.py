@@ -210,6 +210,27 @@ def curve_bench_csv(rng, runs=3, force_noise=0.08, return_noise=1.0):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.eigh factorizes during the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def assert_same_model(got: gpr.FittedGP, want: gpr.FittedGP) -> None:
+    """got equals want bit for bit in every fitted value."""
+    assert (got.hyper, got.noise_variance) == (want.hyper, want.noise_variance)
+    for name in ("beta", "whitener", "alpha"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.fixture
 def square_dataset() -> JointDataset:
     rng = np.random.default_rng(7)
     return parse_measurements(square_bench_csv(rng))

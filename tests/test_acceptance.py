@@ -180,7 +180,7 @@ def test_c08_gpr_beats_degree7_polynomial():
                 length_scale_grids=((5.0, 10.0, 20.0, 40.0),),
                 noise_variances=(1e-3, 3e-3, 1e-2, 3e-2, 1e-1),
             )
-            m = gpr.tune_hyperparams(theta[:, None], y, grid)
+            (m,) = gpr.tune_hyperparams(theta[:, None], [(y, grid)])
             gp_rmse = gp_loo_rmse(theta[:, None], y, m.hyper, m.noise_variance)
             poly_rmse = joints.loo_rmse_poly(theta, y, 7)
             wins += gp_rmse < poly_rmse

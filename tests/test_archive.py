@@ -8,6 +8,8 @@ from ugckit.cli import main
 from ugckit.data import FamilyKind
 from ugckit.errors import CorruptArchiveError, IoFailureError, VersionMismatchError
 
+from conftest import assert_same_model
+
 
 @pytest.fixture
 def fitted_model():
@@ -37,7 +39,7 @@ def test_tuned_model_round_trip_predictions_identical(tmp_path):
     y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
     v = float(np.var(y))
     grid = gpr.GridSpec((0.5 * v, v), ((10.0, 20.0, 40.0), (0.2, 0.4, 0.8)), (1e-3 * v, 1e-2 * v))
-    tuned = gpr.tune_hyperparams(X, y, grid)
+    (tuned,) = gpr.tune_hyperparams(X, [(y, grid)])
     path = tmp_path / "model.json"
     archive.save_model(tuned, path, family="curve")
     loaded, _ = archive.load_archive(path)
@@ -46,6 +48,29 @@ def test_tuned_model_round_trip_predictions_identical(tmp_path):
     after = gpr.predict_many(loaded, queries)
     for b, a in zip(before, after):
         assert b.tolist() == a.tolist()  # bit-identical, not merely close
+
+
+@pytest.mark.parametrize("edit", [None, "train_x", "length_scales"])
+def test_return_archive_on_force_spectrum_equals_lone_load(
+    tmp_path, square_dataset, eigh_calls, edit
+):
+    model = joints.fit_family_model(square_dataset, FamilyKind.SQUARE_SYM)
+    force_path, return_path = tmp_path / "f.json", tmp_path / "r.json"
+    archive.save_model(model.force_model, force_path)
+    doc = archive.archive_document(model.return_model)
+    if edit == "train_x":
+        doc["train_x"][0][0] += 1e-9
+    elif edit == "length_scales":
+        doc["kernel"]["length_scales"] = [25.0]
+    return_path.write_text(json.dumps(doc))
+    force, _ = archive.load_archive(force_path)
+    eigh_calls.clear()
+    shared, _ = archive.load_archive(return_path, spectrum=force.spectrum)
+    assert len(eigh_calls) == (0 if edit is None else 1)
+    assert (shared.spectrum is force.spectrum) == (edit is None)
+    lone, _ = archive.load_archive(return_path)
+    assert_same_model(shared, lone)
+    assert shared.train_x.tolist() == lone.train_x.tolist()
 
 
 def test_round_trip_preserves_gls_beta(tmp_path, fitted_model):

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ugckit import archive, joints
+from ugckit import archive, cli, joints
 from ugckit.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from ugckit.data import CSV_COLUMNS, FamilyKind
 from ugckit.errors import InputError, NotPositiveDefiniteError
@@ -282,6 +282,19 @@ class TestFit:
         assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
         assert not out.exists()
 
+    def test_tuned_force_overflowing_past_its_variance_names_force_n(self, tmp_path):
+        # var(force_n) is 0, but tuning's likelihood overflows: the error
+        # still names the one column whose own tune overflows
+        rows = [f"square_sym,,{10 + 20 * i},forward,1e200,170,r1" for i in range(9)]
+        path = tmp_path / "flat.csv"
+        path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        result = _run_cli(
+            "-W", "error", "-m", "ugckit.cli", "fit", "--tune", "--data", str(path),
+            "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
+
     def test_baseline_past_the_float_range_reads_na_and_null(self, tmp_path, capsys):
         # the GP fits, but poly7's leave-one-out residuals square past the
         # float range: the score is undefined, not inf, and --json stays
@@ -382,6 +395,38 @@ class TestPredict:
             assert float(mean) == one_mean
             assert float(std) == pytest.approx(one_std, abs=1e-12)
             assert float(ret) == angle
+
+    def test_text_sweep_prints_the_json_rows(self, fitted_pair, capsys):
+        # 3,201 angles with a return model: each CSV line is its JSON row's
+        # numbers in repr, and each warning counts the rows that carry it
+        force, back = fitted_pair
+        argv = ["predict", "--model", str(force), "--return-model", str(back),
+                "--sweep", "10:170:0.05"]
+        assert main([*argv, "--json"]) == 0
+        rows = strict_json(capsys.readouterr().out)["rows"]
+        assert len(rows) == 3201
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        want = ["theta_deg,force_n,force_std_n,return_angle_deg"] + [
+            f"{r['theta_deg']!r},{r['force_n']!r},{r['force_std_n']!r},{r['return_angle_deg']!r}"
+            for r in rows
+        ]
+        assert out == "\n".join(want) + "\n"
+        flags = [flag for r in rows for flag in r["warnings"]]
+        assert err == "".join(
+            f"warning: {flag} at {flags.count(flag)} of 3201 angles\n"
+            for flag in dict.fromkeys(flags)
+        )
+
+    def test_text_sweep_builds_no_json_rows(self, fitted_pair, capsys, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("a JSON row was built")
+
+        monkeypatch.setattr(cli, "_prediction_row", no_row)
+        force, back = fitted_pair
+        assert main(["predict", "--model", str(force), "--return-model", str(back),
+                     "--sweep", "10:170:0.05", "--quiet"]) == 0
+        assert main(["predict", "--model", str(force), "--sweep", "10:170:0.05"]) == 0
 
     def test_sweep_checks_every_angle_before_printing(self, tmp_path, capsys):
         out = tmp_path / "curve.json"
@@ -777,6 +822,59 @@ class TestArchiveTarget:
         )
         back.write_text(json.dumps({**doc, "family": None}))  # an untagged return model serves
         assert main(argv) == 0
+
+
+class TestSharedSpectrum:
+    """A force and return archive pair on the same rows and length scales
+    loads with one eigendecomposition; any other pair with two."""
+
+    @staticmethod
+    def _argv(command, force, back, tmp_path, spec_file):
+        models = ["--model", str(force), "--return-model", str(back), "--json"]
+        if command == "predict":
+            return ["predict", *models, "--theta", "90"]
+        return ["design", "--spec", str(spec_file), *models, "--out", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize("command", ["predict", "design"])
+    @pytest.mark.parametrize("edit", [None, "train_x", "length_scales"])
+    def test_one_eigh_per_distinct_spectrum(
+        self, tmp_path, fitted_pair, spec_file, capsys, eigh_calls, command, edit
+    ):
+        force, back = fitted_pair
+        if edit is not None:
+            doc = json.loads(back.read_text())
+            if edit == "train_x":
+                doc["train_x"][3][0] += 1e-9
+            else:
+                doc["kernel"]["length_scales"] = [25.0]
+            back.write_text(json.dumps(doc))
+        capsys.readouterr()
+        eigh_calls.clear()
+        assert main(self._argv(command, force, back, tmp_path, spec_file)) == 0
+        assert len(eigh_calls) == (1 if edit is None else 2)
+        got = strict_json(capsys.readouterr().out)
+        if command == "predict":
+            # the same answer as the two archives loaded on their own
+            model = joints.JointFamilyModel(
+                FamilyKind.SQUARE_SYM, archive.load_archive(force)[0], archive.load_archive(back)[0]
+            )
+            (mean,), (std,), (ret,), _ = joints.predict_many(model, [90.0])
+            assert (got["force_n"], got["force_std_n"], got["return_angle_deg"]) == (mean, std, ret)
+
+    def test_tuned_curve_pair_answers(self, tmp_path, capsys):
+        # the installed entry point's smoke test, in process: a tuned pair
+        # whose targets may pick different length scales
+        force, back = tmp_path / "f.json", tmp_path / "r.json"
+        assert main([
+            "fit", "--tune", "--data", str(DEMO_DATA / "curve_bench.csv"), "--family", "curve",
+            "--out", str(force), "--return-out", str(back), "--quiet",
+        ]) == 0
+        assert main([
+            "predict", "--model", str(force), "--return-model", str(back),
+            "--theta", "90", "--thickness", "0.8", "--json",
+        ]) == 0
+        got = strict_json(capsys.readouterr().out)
+        assert math.isfinite(got["force_n"]) and isinstance(got["return_angle_deg"], float)
 
 
 class TestValidate:

@@ -18,6 +18,7 @@ from ugckit.errors import (
 )
 
 from conftest import (
+    assert_same_model,
     dense_refit_loo_residuals,
     model_loo_residuals,
     oracle_gp,
@@ -229,6 +230,50 @@ class TestFitPredict:
             m.train_y[0] = 99.0
 
 
+def _two_targets(n=20):
+    rng = np.random.default_rng(31)
+    X = np.sort(rng.uniform(0.0, 10.0, n))[:, None]
+    return X, np.sin(X[:, 0]) + rng.normal(0.0, 0.1, n), 3.0 * np.cos(X[:, 0])
+
+
+class TestSharedSpectrum:
+    def test_matching_spectrum_is_reused_bit_for_bit(self, eigh_calls):
+        X, y1, y2 = _two_targets()
+        first = gpr.fit(X, y1, hp(1.0, (2.0,)), 0.01)
+        second = gpr.fit(X.copy(), y2, hp(4.0, (2.0,)), 0.1, spectrum=first.spectrum)
+        assert len(eigh_calls) == 1
+        assert second.spectrum is first.spectrum
+        assert_same_model(second, gpr.fit(X, y2, hp(4.0, (2.0,)), 0.1))
+
+    @pytest.mark.parametrize("change", ["row", "length_scale", "signed_zero"])
+    def test_other_rows_or_length_scales_take_their_own_eigh(self, eigh_calls, change):
+        X, y1, y2 = _two_targets()
+        X[0, 0] = 0.0
+        first = gpr.fit(X, y1, hp(1.0, (2.0,)), 0.01)
+        other, ls = X.copy(), (2.0,)
+        if change == "row":
+            other[5, 0] = np.nextafter(other[5, 0], np.inf)
+        elif change == "length_scale":
+            ls = (np.nextafter(2.0, np.inf),)
+        else:
+            other[0, 0] = -0.0  # the same kernel, but not the same rows bit for bit
+        second = gpr.fit(other, y2, hp(4.0, ls), 0.1, spectrum=first.spectrum)
+        assert len(eigh_calls) == 2
+        assert second.spectrum is not first.spectrum
+        assert np.signbit(second.train_x).tolist() == np.signbit(other).tolist()
+        assert_same_model(second, gpr.fit(other, y2, hp(4.0, ls), 0.1))
+
+    def test_spectrum_is_read_only_and_owns_its_rows(self):
+        X, y1, _ = _two_targets()
+        m = gpr.fit(X, y1, hp(), 0.1)
+        X[0, 0] = 99.0
+        assert m.train_x[0, 0] != 99.0
+        assert m.train_x is m.spectrum.x
+        for array in (m.spectrum.x, m.spectrum.lam, m.spectrum.V):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+
+
 def _one_thickness_curve():
     """41 curve rows at 0.8 mm: thickness and its square are multiples of the
     constant column, so H has rank 3 of 5."""
@@ -361,13 +406,13 @@ class TestPredictMany:
 class TestTuneHyperparams:
     def test_singleton_grid_returns_it(self):
         grid = gpr.GridSpec((2.0,), ((3.0,),), (0.01,))
-        m = gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], grid)
+        (m,) = gpr.tune_hyperparams([[0.0], [1.0]], [([0.0, 1.0], grid)])
         assert m.hyper == gpr.KernelHyperParams(2.0, (3.0,))
         assert m.noise_variance == 0.01
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGridError):
-            gpr.tune_hyperparams([[0.0]], [0.0], gpr.GridSpec((), ((1.0,),), (0.1,)))
+            gpr.tune_hyperparams([[0.0]], [([0.0], gpr.GridSpec((), ((1.0,),), (0.1,)))])
 
     def test_recovers_generating_hyperparams(self):
         rng = np.random.default_rng(42)
@@ -380,7 +425,7 @@ class TestTuneHyperparams:
             length_scale_grids=((0.25, 1.0, 4.0),),
             noise_variances=(0.0025, 0.01, 0.04),
         )
-        m = gpr.tune_hyperparams(X, y, grid)
+        (m,) = gpr.tune_hyperparams(X, [(y, grid)])
         assert m.hyper == truth
         assert m.noise_variance == 0.01
 
@@ -392,44 +437,45 @@ class TestTuneHyperparams:
     def test_rejects_unusable_targets(self, y, error, match):
         grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1,))
         with pytest.raises(error, match=match):
-            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], y, grid)
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [(y, grid)])
 
     def test_agrees_with_fit_on_zero_noise_at_repeated_rows(self):
         # fit rejects zero noise on a repeated row, so tuning must not pick it
         X, y = [[0.0], [0.0], [1.0], [2.0]], [0.0, 0.1, 1.0, 2.0]
         with pytest.raises(NotPositiveDefiniteError):
-            gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
+            gpr.tune_hyperparams(X, [(y, gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))])
         with pytest.raises(NotPositiveDefiniteError, match="duplicate training rows"):
             gpr.fit(X, y, hp(), 0.0)
-        m = gpr.tune_hyperparams(X, y, gpr.GridSpec((1.0,), ((1.0,),), (0.0, 0.1)))
+        (m,) = gpr.tune_hyperparams(X, [(y, gpr.GridSpec((1.0,), ((1.0,),), (0.0, 0.1)))])
         assert m.noise_variance == 0.1
         gpr.fit(X, y, m.hyper, m.noise_variance)
         # distinct rows keep zero noise a candidate
-        m = gpr.tune_hyperparams(X[1:], y[1:], gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))
+        (m,) = gpr.tune_hyperparams(X[1:], [(y[1:], gpr.GridSpec((1.0,), ((1.0,),), (0.0,)))])
         assert m.noise_variance == 0.0
         gpr.fit(X[1:], y[1:], m.hyper, m.noise_variance)
 
     def test_rejects_negative_noise_candidate(self):
+        grid = gpr.GridSpec((1.0,), ((1.0,),), (-0.1,))
         with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
-            gpr.tune_hyperparams([[0.0], [1.0]], [0.0, 1.0], gpr.GridSpec((1.0,), ((1.0,),), (-0.1,)))
+            gpr.tune_hyperparams([[0.0], [1.0]], [([0.0, 1.0], grid)])
 
     def test_rejects_infinite_noise_candidate(self):
         # rejected, not skipped: an infinite noise would make an all-zero beta the pick
         grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1, math.inf))
         with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
-            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     @pytest.mark.parametrize("sf2", [float("nan"), -1.0])
     def test_rejects_bad_signal_variance_candidate(self, sf2):
         # rejected, not skipped, though large noise keeps the spectrum positive
         grid = gpr.GridSpec((1.0, sf2), ((1.0,),), (10.0,))
         with pytest.raises(ValueError, match="signal_variance must be finite and >= 0"):
-            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     def test_rejects_grid_of_other_dimension(self):
         grid = gpr.GridSpec((1.0,), ((1.0,), (1.0,)), (0.1,))
         with pytest.raises(DimensionMismatchError, match="X dim 1 vs 2"):
-            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], grid)
+            gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pick_is_the_model_fit_builds_there(self, dim):
@@ -437,7 +483,7 @@ class TestTuneHyperparams:
         X = rng.uniform(0.0, 5.0, (25, dim))
         y = np.sin(X).sum(axis=1) + rng.normal(0.0, 0.1, 25)
         grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),) * dim, (1e-3, 1e-2, 1e-1))
-        m = gpr.tune_hyperparams(X, y, grid)
+        (m,) = gpr.tune_hyperparams(X, [(y, grid)])
         ref = gpr.fit(X, y, m.hyper, m.noise_variance)
         for name in ("beta", "whitener", "alpha"):
             assert np.array_equal(getattr(m, name), getattr(ref, name)), name
@@ -453,7 +499,7 @@ class TestTuneHyperparams:
                     ll = oracle_lml(X, y, sf2, ls, noise, beta)
                     if ll > best_ll:
                         best, best_ll = (hp(sf2, ls), noise), ll
-        m = gpr.tune_hyperparams(X, y, grid)
+        (m,) = gpr.tune_hyperparams(X, [(y, grid)])
         assert (m.hyper, m.noise_variance) == best
         sf2, ls = m.hyper.signal_variance, m.hyper.length_scales
         assert oracle_lml(X, y, sf2, ls, m.noise_variance, m.beta) == pytest.approx(
@@ -483,12 +529,35 @@ class TestTuneHyperparams:
         )
         self._check_against_dense_oracle(X, y, grid)
 
+    def test_targets_share_one_eigh_per_tuple_and_equal_lone_tunes(self, eigh_calls):
+        X, y1, y2 = _two_targets()
+        # the same length scales, but each target its own signal and noise axes
+        g1 = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),), (1e-3, 1e-2, 1e-1))
+        g2 = gpr.GridSpec((4.5, 9.0, 18.0), ((0.5, 1.0, 2.0),), (9e-3, 9e-2))
+        pair = gpr.tune_hyperparams(X, [(y1, g1), (y2, g2)])
+        assert len(eigh_calls) == 3
+        for model, y, grid in zip(pair, (y1, y2), (g1, g2)):
+            (lone,) = gpr.tune_hyperparams(X, [(y, grid)])
+            assert_same_model(model, lone)
+        assert len(eigh_calls) == 9
+
+    def test_targets_need_the_same_length_scale_grids(self):
+        X, y1, y2 = _two_targets()
+        g1 = gpr.GridSpec((1.0,), ((0.5, 1.0),), (0.1,))
+        g2 = gpr.GridSpec((1.0,), ((0.5, 2.0),), (0.1,))
+        with pytest.raises(ValueError, match="same length_scale_grids"):
+            gpr.tune_hyperparams(X, [(y1, g1), (y2, g2)])
+
+    def test_needs_a_target(self):
+        with pytest.raises(ValueError, match="at least one"):
+            gpr.tune_hyperparams([[0.0], [1.0]], [])
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 5, (15, 1))
         y = rng.normal(0, 1, 15)
         grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),), (0.01, 0.1))
-        a, b = gpr.tune_hyperparams(X, y, grid), gpr.tune_hyperparams(X, y, grid)
+        (a,), (b,) = gpr.tune_hyperparams(X, [(y, grid)]), gpr.tune_hyperparams(X, [(y, grid)])
         assert (a.hyper, a.noise_variance) == (b.hyper, b.noise_variance)
         for name in ("beta", "whitener", "alpha"):
             assert np.array_equal(getattr(a, name), getattr(b, name))

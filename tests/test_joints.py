@@ -16,6 +16,7 @@ from ugckit.errors import (
 
 from conftest import (
     UndefinedFold,
+    assert_same_model,
     curve_bench_csv,
     gp_loo_rmse,
     refit_loo_residuals_gp,
@@ -26,20 +27,6 @@ from conftest import (
 
 SQ = FamilyKind.SQUARE_SYM
 CURVE = FamilyKind.CURVE
-
-
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the matrices np.linalg.eigh factorizes during the test."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return calls
 
 
 def square_quadratic(theta):
@@ -237,11 +224,23 @@ class TestFitFamilyModel:
         assert decayed < 179.0
         assert decayed == pytest.approx(square_return_true(150.0), abs=5.0)
 
-    def test_one_eigendecomposition_per_target(self, square_dataset, eigh_calls):
-        # the LOO score reads the fitted model's factor instead of taking its own
+    def test_one_eigendecomposition_for_both_targets(self, square_dataset, eigh_calls):
+        # the LOO score reads the fitted model's factor instead of taking its
+        # own, and the return model is fitted on the force model's spectrum
         model = joints.fit_family_model(square_dataset, SQ)
-        assert len(eigh_calls) == 2
+        assert len(eigh_calls) == 1
+        assert model.return_model.spectrum is model.force_model.spectrum
         assert model.force_loo_rmse is not None and model.return_loo_rmse is not None
+
+    @pytest.mark.parametrize("kind, dataset", [(SQ, "square_dataset"), (CURVE, "curve_dataset")])
+    def test_shared_spectrum_models_equal_lone_fits(self, request, kind, dataset):
+        ds = request.getfixturevalue(dataset)
+        model = joints.fit_family_model(ds, kind)
+        X, force, ret = joints.family_training_arrays(ds, kind)
+        for gp, y in ((model.force_model, force), (model.return_model, ret)):
+            v = float(np.var(y))
+            lone = gpr.fit(X, y, joints._default_hyper(kind, v), max(1e-8, 0.01 * v))
+            assert_same_model(gp, lone)
 
     def test_loo_rmse_gp_scores_the_fitted_model(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)
@@ -287,10 +286,21 @@ class TestTuning:
     def test_one_eigendecomposition_per_length_scale_tuple(
         self, request, eigh_calls, kind, dataset, tuples
     ):
-        # the pick is built from the eigendecomposition it was scored with
+        # the pick is built from the eigendecomposition it was scored with,
+        # and both targets are scored on the same one
         ds = request.getfixturevalue(dataset)
         joints.fit_family_model(ds, kind, tune=True)
-        assert len(eigh_calls) == 2 * tuples  # force and return targets
+        assert len(eigh_calls) == tuples
+
+    @pytest.mark.parametrize("kind, dataset", [(SQ, "square_dataset"), (CURVE, "curve_dataset")])
+    def test_jointly_tuned_models_equal_lone_tunes(self, request, kind, dataset):
+        ds = request.getfixturevalue(dataset)
+        model = joints.fit_family_model(ds, kind, tune=True)
+        X, force, ret = joints.family_training_arrays(ds, kind)
+        for gp, y in ((model.force_model, force), (model.return_model, ret)):
+            grid = joints._default_tuning_grid(kind, float(np.var(y)))
+            (lone,) = gpr.tune_hyperparams(X, [(y, grid)])
+            assert_same_model(gp, lone)
 
     def test_tuning_takes_no_noise_variance(self, square_dataset, eigh_calls):
         with pytest.raises(ValueError, match="noise_variance"):
@@ -350,7 +360,7 @@ class TestPolyBaseline:
         grid = gpr.GridSpec(
             (0.5 * v, v, 2 * v), ((5.0, 10.0, 20.0, 40.0),), (1e-3, 1e-2, 1e-1)
         )
-        m = gpr.tune_hyperparams(theta[:, None], y, grid)
+        (m,) = gpr.tune_hyperparams(theta[:, None], [(y, grid)])
         gp_rmse = gp_loo_rmse(theta[:, None], y, m.hyper, m.noise_variance)
         poly_rmse = joints.loo_rmse_poly(theta, y, 7)
         assert gp_rmse < poly_rmse
@@ -365,7 +375,7 @@ def c8_trial(seed):
     v = float(np.var(y))
     grid = gpr.GridSpec((0.5 * v, v, 2.0 * v), ((5.0, 10.0, 20.0, 40.0),),
                         (1e-3, 3e-3, 1e-2, 3e-2, 1e-1))
-    m = gpr.tune_hyperparams(theta[:, None], y, grid)
+    (m,) = gpr.tune_hyperparams(theta[:, None], [(y, grid)])
     return theta, y, m.hyper, m.noise_variance
 
 
