@@ -71,9 +71,9 @@ def _load(path, flag: str, target: str, spectrum=None):
 
 def _family_model_from_archives(model_path, return_path=None) -> joints.JointFamilyModel:
     """The joint model of a force archive and an optional return archive,
-    loaded on the force model's kernel spectrum (one eigh for a pair that
-    shares rows and length scales); an archive whose family tag does not fit
-    reads "archive <path>: field family: ..."."""
+    loaded on the force model's kernel spectrum (one spectrum for a pair
+    that shares rows and length scales); an archive whose family tag does
+    not fit reads "archive <path>: field family: ..."."""
     force, info = _load(model_path, "--model", "force")
     try:
         model = joints.JointFamilyModel(kind=_family_kind(info.family), force_model=force)

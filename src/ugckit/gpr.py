@@ -24,15 +24,26 @@ leave-one-out routine: with W = I it scores the polynomial baseline of joints
 too.
 
 K1 depends only on the training rows and the length scales, so there is one
-eigh per distinct (rows, length scales), shared by the targets and archive
+spectrum per distinct (rows, length scales), shared by the targets and archive
 pairs that match bit for bit (GPML sections 2.2 and 5.4: many targets on one
 covariance share one factorization). The sharing is explicit: every model
 keeps a read-only reference to the KernelSpectrum it was built from
 (FittedGP.spectrum), and fit(..., spectrum=s) reuses s only when its rows
-and length scales are bit-identical to X and hyper.length_scales, and takes
-its own eigh otherwise. tune_hyperparams(X, targets) scores every (y,
+and length scales are bit-identical to X and hyper.length_scales, and builds
+its own otherwise. tune_hyperparams(X, targets) scores every (y,
 GridSpec) target in one loop over the length-scale tuples their grids share.
 Nothing is cached between calls.
+
+The kernel is a product over its axes, so on 2-D rows that are exactly the
+product of their distinct angles and thicknesses, each pair once (averaged
+bench data measured on a full grid), K1 is a row permutation of the
+Kronecker product of the two one-axis kernels, and _kernel_eigh builds the
+spectrum from one small eigh per axis (Saatci 2012, Scalable Inference for
+Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
+Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
+Extrapolation). All other rows (1-D, a ragged grid, repeated rows) take the
+dense n x n eigh. Fits, loads and tuning all go through _kernel_eigh, so a
+saved model reloads bit for bit either way.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -68,7 +79,15 @@ class KernelHyperParams:
     length_scales: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "length_scales", tuple(float(l) for l in self.length_scales))
+        length_scales = tuple(self.length_scales)
+        # float(True) is 1.0, so a bool would pass for a number below
+        if isinstance(self.signal_variance, (bool, np.bool_)):
+            raise ValueError(
+                f"signal_variance must be a number, not a bool, got {self.signal_variance}"
+            )
+        if any(isinstance(l, (bool, np.bool_)) for l in length_scales):
+            raise ValueError(f"length scales must be numbers, not bools, got {length_scales}")
+        object.__setattr__(self, "length_scales", tuple(float(l) for l in length_scales))
         if not 0 <= self.signal_variance < math.inf:
             raise ValueError(
                 f"signal_variance must be finite and >= 0, got {self.signal_variance}"
@@ -167,14 +186,49 @@ class KernelSpectrum:
         )
 
 
+def _product_grid(rows: np.ndarray):
+    """The distinct angles and thicknesses of 2-D rows, and each row's index
+    ia * nt + it into their product, when the rows are exactly that product
+    with every pair once; None otherwise."""
+    if rows.shape[1] != 2:
+        return None
+    (a, ia), (t, it) = (np.unique(rows[:, j], return_inverse=True) for j in range(2))
+    index = ia * t.size + it
+    if a.size * t.size != rows.shape[0] or np.unique(index).size != index.size:
+        return None
+    return (a, t), index
+
+
 def _kernel_eigh(rows: np.ndarray, length_scales) -> KernelSpectrum:
     """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on
     rows, which the spectrum keeps (the caller's own copy): the one
     factorization behind fit, archive loads and tuning, one per distinct
     (rows, length scales). A kernel with signal variance sf2 is sf2 K1, with
-    eigenvalues sf2 lam."""
+    eigenvalues sf2 lam.
+
+    The squared-exponential kernel is a product over its axes, so on 2-D rows
+    that are an exact product of their na angles and nt thicknesses, each
+    pair once (_product_grid), K1 = P (Ka kron Kt) P' with P the permutation
+    taking the kron order to the rows' order (Saatci 2012, Scalable Inference
+    for Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
+    Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
+    Extrapolation). Its spectrum then comes from an na x na and an nt x nt
+    eigh: lam = kron(lam_a, lam_t) and V = P kron(V_a, V_t), sorted ascending
+    (stable) as eigh sorts. Every other set of rows (1-D, a ragged grid, a
+    repeated row) takes the dense n x n eigh."""
     length_scales = tuple(length_scales)
-    lam, V = np.linalg.eigh(kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales)))
+    grid = _product_grid(rows)
+    if grid is None:
+        lam, V = np.linalg.eigh(kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales)))
+    else:
+        axes, index = grid
+        (lam_a, V_a), (lam_t, V_t) = (
+            np.linalg.eigh(kernel_matrix(v, v, KernelHyperParams(1.0, (l,))))
+            for v, l in zip(axes, length_scales)
+        )
+        lam = np.kron(lam_a, lam_t)
+        order = np.argsort(lam, kind="stable")
+        lam, V = lam[order], np.kron(V_a, V_t)[np.ix_(index, order)]
     return KernelSpectrum(rows, length_scales, lam, V)
 
 
@@ -283,8 +337,8 @@ def fit(
 
     spectrum: another model's FittedGP.spectrum, reused when its rows and
     length scales are bit-identical to X and hyper.length_scales (then the
-    model equals a lone fit bit for bit); otherwise, or when None, fit takes
-    its own eigh.
+    model equals a lone fit bit for bit); otherwise, or when None, fit builds
+    its own with _kernel_eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
     # the row scan only where the rule reads it

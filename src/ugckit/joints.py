@@ -356,9 +356,9 @@ def fit_family_model(
     column.
 
     Both targets share the rows and, in every untuned fit and every tuning
-    grid tuple, the length scales, so there is one eigh per distinct (rows,
-    length scales): an untuned fit fits force, then return on the force
-    model's spectrum, and a tuned fit tunes both targets in one
+    grid tuple, the length scales, so there is one spectrum per distinct
+    (rows, length scales): an untuned fit fits force, then return on the
+    force model's spectrum, and a tuned fit tunes both targets in one
     gpr.tune_hyperparams call. Each model equals its lone fit bit for bit.
     """
     if tune and noise_variance is not None:

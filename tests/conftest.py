@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ugckit import gpr
-from ugckit.data import JointDataset, parse_measurements
+from ugckit.data import JointDataset, average_runs, parse_measurements
 
 
 # -- independent GP oracle ----------------------------------------------------
@@ -198,10 +198,10 @@ def square_bench_csv(rng, runs=3, force_noise=0.05, return_noise=1.0):
     return "\n".join(lines) + "\n"
 
 
-def curve_bench_csv(rng, runs=3, force_noise=0.08, return_noise=1.0):
+def curve_bench_csv(rng, runs=3, force_noise=0.08, return_noise=1.0, angles=range(30, 151, 15)):
     lines = ["family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"]
     for thickness in (0.4, 0.8, 1.2, 1.6):
-        for theta in range(30, 151, 15):
+        for theta in angles:
             for run in range(1, runs + 1):
                 f = max(0.0, curve_force_true(theta, thickness) + rng.normal(0.0, force_noise))
                 r = min(180.0, max(0.0, curve_return_true(theta) + rng.normal(0.0, return_noise)))
@@ -240,3 +240,9 @@ def square_dataset() -> JointDataset:
 def curve_dataset() -> JointDataset:
     rng = np.random.default_rng(11)
     return parse_measurements(curve_bench_csv(rng))
+
+
+@pytest.fixture
+def averaged_curve_dataset(curve_dataset) -> JointDataset:
+    """The curve runs averaged: an exact 9 angles x 4 thicknesses grid."""
+    return average_runs(curve_dataset)

@@ -33,16 +33,23 @@ def test_round_trip_predictions_identical(tmp_path, fitted_model):
         assert b.tolist() == a.tolist()  # bit-identical, not merely close
 
 
-def test_tuned_model_round_trip_predictions_identical(tmp_path):
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_tuned_model_round_trip_predictions_identical(tmp_path, eigh_calls, shuffle):
     rng = np.random.default_rng(5)
     X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30.0, 150.0, 9)])
+    if shuffle:
+        X = X[rng.permutation(len(X))]
     y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
     v = float(np.var(y))
     grid = gpr.GridSpec((0.5 * v, v), ((10.0, 20.0, 40.0), (0.2, 0.4, 0.8)), (1e-3 * v, 1e-2 * v))
     (tuned,) = gpr.tune_hyperparams(X, [(y, grid)])
     path = tmp_path / "model.json"
     archive.save_model(tuned, path, family="curve")
+    eigh_calls.clear()
     loaded, _ = archive.load_archive(path)
+    # the archive's rows are a 9 x 4 product grid, so the load takes one eigh per axis
+    assert eigh_calls == [(9, 9), (4, 4)]
+    assert_same_model(loaded, tuned)
     queries = rng.uniform((0.0, 0.4), (180.0, 1.6), (10, 2))
     before = gpr.predict_many(tuned, queries)
     after = gpr.predict_many(loaded, queries)

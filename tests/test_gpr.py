@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ugckit import gpr
+from ugckit import gpr, joints
+from ugckit.data import FamilyKind
 from ugckit.errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -314,10 +315,11 @@ class TestLooResiduals:
             got = model_loo_residuals(gpr.fit(X, y, hp(sf2, ls), noise))
             assert _rel_gap(got, refit_loo_residuals_gp(X, y, hp(sf2, ls), noise)) < 1e-10
 
-    def test_rank_deficient_basis_at_one_thickness(self):
+    def test_rank_deficient_basis_at_one_thickness(self, eigh_calls):
         # the mean at every held-out row is still defined
         X, y, h, noise = _one_thickness_curve()
         model = gpr.fit(X, y, h, noise)
+        assert eigh_calls == [(41, 41), (1, 1)]  # a 41 x 1 product grid
         got, rank = gpr.loo_residuals(model.whitener, gpr.basis_matrix(X), y)
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
         assert rank == 3  # thickness and its square are multiples of the constant
@@ -351,6 +353,57 @@ class TestLooResiduals:
         y = np.array([2.1, 4.0, 3.2, 6.5, 2.9])
         assert np.linalg.matrix_rank(gpr.basis_matrix(X)) == 5
         assert np.isnan(model_loo_residuals(gpr.fit(X, y, hp(2.0, (20.0, 0.4)), 0.02))).all()
+
+
+def _shuffled_grid():
+    """An averaged curve grid, 9 angles x 4 thicknesses, rows in random order."""
+    rng = np.random.default_rng(12)
+    X = np.array([[a, t] for t in (0.4, 0.8, 1.2, 1.6) for a in np.linspace(30.0, 150.0, 9)])
+    X = X[rng.permutation(len(X))]
+    y = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
+    return X, y
+
+
+class TestKroneckerSpectrum:
+    """Rows that are exactly the product of their angles and thicknesses take
+    one eigh per axis; all other rows take the dense n x n eigh."""
+
+    def test_rebuilds_the_dense_kernel_on_shuffled_rows(self, eigh_calls):
+        X, _ = _shuffled_grid()
+        s = gpr._kernel_eigh(X, (20.0, 0.4))
+        assert eigh_calls == [(9, 9), (4, 4)]
+        K = gpr.kernel_matrix(X, X, hp(1.0, (20.0, 0.4)))
+        assert _rel_gap((s.V * s.lam) @ s.V.T, K) <= 1e-13
+        assert _rel_gap(s.V.T @ s.V, np.eye(len(X))) <= 1e-13
+        assert np.all(np.diff(s.lam) >= 0)  # ascending, as eigh returns it
+
+    def test_fit_matches_the_dense_inverse_oracle(self):
+        X, y = _shuffled_grid()
+        sf2, ls, noise = float(np.var(y)), (20.0, 0.4), 0.01 * float(np.var(y))
+        model = gpr.fit(X, y, hp(sf2, ls), noise)
+        oracle_beta, _ = oracle_gp(X, y, sf2, ls, noise)
+        assert np.max(np.abs(model.beta - oracle_beta)) < 1e-8  # C1's bound on the GLS beta
+        _, opredict = oracle_gp(X, y, sf2, ls, noise, beta=model.beta)
+        off_rows = np.random.default_rng(3).uniform((30.0, 0.4), (150.0, 1.6), (7, 2))
+        queries = np.vstack([X[:3], off_rows])
+        for q, mean, var in zip(queries, *gpr.predict_many(model, queries)):
+            omean, ovar = opredict(q)
+            assert abs(mean - omean) < 1e-10 and abs(var - ovar) < 1e-10
+
+    @pytest.mark.parametrize("rows", ["ragged", "repeated_pair", "repeated_runs", "one_dim"])
+    def test_other_rows_take_one_dense_eigh(self, eigh_calls, curve_dataset, rows):
+        X, _ = _shuffled_grid()
+        if rows == "ragged":
+            X = X[1:]  # one (angle, thickness) pair has no row
+        elif rows == "repeated_pair":
+            X[0] = X[1]  # 9 x 4 distinct values over 36 rows, but not each pair once
+        elif rows == "repeated_runs":
+            X, _, _ = joints.family_training_arrays(curve_dataset, FamilyKind.CURVE)
+        else:
+            X = np.linspace(10.0, 170.0, 17)[:, None]
+        y = np.sin(X[:, 0] / 30.0)
+        gpr.fit(X, y, hp(1.0, (20.0, 0.4)[: X.shape[1]]), 0.01)
+        assert eigh_calls == [(len(X), len(X))]
 
 
 class TestPredictMany:
@@ -564,6 +617,14 @@ class TestTuneHyperparams:
 
 
 class TestHyperParamValidation:
+    @pytest.mark.parametrize("bad", [True, np.True_])
+    def test_rejects_bools(self, bad):
+        # float(True) is 1.0: a bool would pass as a number
+        with pytest.raises(ValueError, match="signal_variance must be a number, not a bool"):
+            gpr.KernelHyperParams(bad, (1.0,))
+        with pytest.raises(ValueError, match="length scales must be numbers, not bools"):
+            gpr.KernelHyperParams(1.0, (20.0, bad))
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             gpr.KernelHyperParams(-1.0, (1.0,))

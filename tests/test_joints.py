@@ -279,18 +279,38 @@ class TestTuning:
         assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
         assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
 
-    @pytest.mark.parametrize("kind, dataset, tuples", [
-        (SQ, "square_dataset", 4),
-        (CURVE, "curve_dataset", 12),
+    @pytest.mark.parametrize("kind, dataset, tuples, shapes", [
+        (SQ, "square_dataset", 4, [(51, 51)]),
+        (CURVE, "curve_dataset", 12, [(108, 108)]),
+        # 9 angles x 4 thicknesses, each pair once: one eigh per axis
+        (CURVE, "averaged_curve_dataset", 12, [(9, 9), (4, 4)]),
     ])
     def test_one_eigendecomposition_per_length_scale_tuple(
-        self, request, eigh_calls, kind, dataset, tuples
+        self, request, eigh_calls, kind, dataset, tuples, shapes
     ):
         # the pick is built from the eigendecomposition it was scored with,
         # and both targets are scored on the same one
         ds = request.getfixturevalue(dataset)
         joints.fit_family_model(ds, kind, tune=True)
-        assert len(eigh_calls) == tuples
+        assert eigh_calls == shapes * tuples
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_product_grid_picks_equal_the_dense_eighs(self, monkeypatch, eigh_calls, seed):
+        # the benchmark's curve shape: 81 angles x 4 thicknesses after averaging
+        angles = np.linspace(30.0, 150.0, 81).tolist()
+        csv = curve_bench_csv(np.random.default_rng(seed), angles=angles)
+        ds = average_runs(parse_measurements(csv), 1.0)
+        grid = joints.fit_family_model(ds, CURVE, tune=True)
+        assert eigh_calls == [(81, 81), (4, 4)] * 12
+        eigh_calls.clear()
+        monkeypatch.setattr(gpr, "_product_grid", lambda rows: None)
+        dense = joints.fit_family_model(ds, CURVE, tune=True)
+        assert eigh_calls == [(324, 324)] * 12
+        for got, want in ((grid.force_model, dense.force_model),
+                          (grid.return_model, dense.return_model)):
+            assert (got.hyper, got.noise_variance) == (want.hyper, want.noise_variance)
+        assert grid.force_loo_rmse == pytest.approx(dense.force_loo_rmse, rel=1e-10)
+        assert grid.return_loo_rmse == pytest.approx(dense.return_loo_rmse, rel=1e-10)
 
     @pytest.mark.parametrize("kind, dataset", [(SQ, "square_dataset"), (CURVE, "curve_dataset")])
     def test_jointly_tuned_models_equal_lone_tunes(self, request, kind, dataset):
