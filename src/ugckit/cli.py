@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import archive, joints, mechanics
+from . import archive, gpr, joints, mechanics
 from .data import (
     DEFAULT_ANGLE_BIN,
     FamilyKind,
@@ -128,6 +128,12 @@ def cmd_fit(args):
         _save(model.return_model, args.return_out, kind, "return")
         written.append(str(args.return_out))
 
+    warnings = [
+        f"{column}: kernel matrix not positive definite at noise variance "
+        f"{gp.noise_variance:g}; factorized with +{gpr.JITTER:g} jitter"
+        for column, gp in (("force_n", model.force_model), ("return_angle_deg", model.return_model))
+        if gpr.took_jitter(gp)
+    ]
     doc = {
         "family": kind.value,
         "samples": len(forces),
@@ -135,6 +141,7 @@ def cmd_fit(args):
         "gpr_return_loo_rmse_deg": model.return_loo_rmse,
         f"poly{args.degree}_loo_rmse_n": poly_rmse,
         "outputs": written,
+        "warnings": warnings,
     }
     lines = [
         f"fitted {kind.value} on {len(forces)} samples",
@@ -143,7 +150,7 @@ def cmd_fit(args):
         f"poly{args.degree}        {_rmse_text(poly_rmse)}",
         "wrote " + ", ".join(written),
     ]
-    return doc, lines, ()
+    return doc, lines, warnings
 
 
 def _parse_sweep(spec_text: str):

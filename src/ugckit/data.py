@@ -22,6 +22,8 @@ import operator
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     BadNumberError,
     EmptyFileError,
@@ -77,6 +79,9 @@ class JointFamily:
     thickness: float | None = None  # mm
 
     def __post_init__(self):
+        # float(True) is 1.0, so a bool would pass the range rules below
+        if isinstance(self.thickness, (bool, np.bool_)):
+            raise ValueError(f"thickness must be a number, not a bool, got {self.thickness}")
         if self.kind is FamilyKind.CURVE:
             if self.thickness is None:
                 raise MissingThicknessError("curve family requires a thickness in mm")
@@ -116,6 +121,10 @@ class MeasurementSample:
     run_id: str
 
     def __post_init__(self):
+        for attr, *_ in _SAMPLE_RANGES:
+            value = getattr(self, attr)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{attr} must be a number, not a bool, got {value}")
         problem = _range_problem(**vars(self))
         if problem:
             attr, _, detail = problem

@@ -17,11 +17,11 @@ eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
 variance) they keep W = V diag(sf2 lam + noise)^-1/2, so every solve against
 K + noise*I = (W W')^-1 is a matrix product (a dense-inverse formulation
 exists only as an independent oracle in the test suite). Predictions at many
-points share one product with W per block of rows (predict_many), and
-leave-one-out residuals come in closed form from the same factor
-(loo_residuals) rather than from n refits. loo_residuals is the toolkit's one
-leave-one-out routine: with W = I it scores the polynomial baseline of joints
-too.
+points share one product with W per block of rows (predict_many; means
+alone skip it), and leave-one-out residuals come in closed form from the
+same factor (loo_residuals) rather than from n refits. loo_residuals is the
+toolkit's one leave-one-out routine: with W = I it scores the polynomial
+baseline of joints too.
 
 K1 depends only on the training rows and the length scales, so there is one
 spectrum per distinct (rows, length scales), shared by the targets and archive
@@ -31,8 +31,11 @@ keeps a read-only reference to the KernelSpectrum it was built from
 (FittedGP.spectrum), and fit(..., spectrum=s) reuses s only when its rows
 and length scales are bit-identical to X and hyper.length_scales, and builds
 its own otherwise. tune_hyperparams(X, targets) scores every (y,
-GridSpec) target in one loop over the length-scale tuples their grids share.
-Nothing is cached between calls.
+GridSpec) target in one loop over the length-scale tuples their grids share:
+per tuple it rotates [H | y_1 | y_2 ...] into K1's eigenbasis once, and
+scores all of a target's (signal variance, noise) candidates at once, one
+stacked SVD for their GLS and one likelihood per row. Nothing is cached
+between calls.
 
 The kernel is a product over its axes, so on 2-D rows that are exactly the
 product of their distinct angles and thicknesses, each pair once (averaged
@@ -42,8 +45,12 @@ spectrum from one small eigh per axis (Saatci 2012, Scalable Inference for
 Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
 Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
 Extrapolation). All other rows (1-D, a ragged grid, repeated rows) take the
-dense n x n eigh. Fits, loads and tuning all go through _kernel_eigh, so a
-saved model reloads bit for bit either way.
+dense n x n eigh. Fits, loads and tuning's picks all go through
+_kernel_eigh, so a saved model reloads bit for bit either way. Tuning on a
+product grid builds no n x n matrix while it scores: one eigh per distinct
+(axis, length scale), kept in a memo local to the call, and the rotation
+kron(V_a, V_t)' M as V_a' X V_t per column; only the picked length scales
+get a full spectrum, from the same per-axis factors.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -137,15 +144,17 @@ def basis_matrix(X) -> np.ndarray:
     return np.hstack([np.ones((pts.shape[0], 1)), pts, pts**2])
 
 
-def _shifted_spectrum(lam: np.ndarray, noise_variance: float) -> np.ndarray:
-    """Eigenvalues of A = K + noise*I from those of K, with a single +JITTER
-    retry when one is not positive."""
+def _shifted_spectrum(lam: np.ndarray, noise_variance):
+    """Eigenvalues d of A = K + noise*I from those of K, row-wise over stacked
+    candidates (one spectrum per row of the last axis), with a single +JITTER
+    retry on each row where one is not positive; also whether each row took
+    the retry. A row not positive even with jitter keeps d.min() <= 0: fit
+    refuses it and tuning skips it."""
     d = lam + noise_variance
-    if d.min() <= 0:
-        d = d + JITTER
-        if d.min() <= 0:
-            raise NotPositiveDefiniteError("kernel matrix not positive definite even with jitter")
-    return d
+    retried = d.min(axis=-1, keepdims=True) <= 0
+    if retried.any():
+        d = np.where(retried, d + JITTER, d)
+    return d, retried[..., 0]
 
 
 def _has_duplicate_rows(X: np.ndarray) -> bool:
@@ -199,7 +208,29 @@ def _product_grid(rows: np.ndarray):
     return (a, t), index
 
 
-def _kernel_eigh(rows: np.ndarray, length_scales) -> KernelSpectrum:
+def _axis_eigh(values: np.ndarray, length_scale: float):
+    """eigh of the unit-signal kernel on one axis's distinct values."""
+    return np.linalg.eigh(kernel_matrix(values, values, KernelHyperParams(1.0, (length_scale,))))
+
+
+def _kron_eigenvalues(lam_a: np.ndarray, lam_t: np.ndarray):
+    """kron(lam_a, lam_t) sorted ascending (stable) as eigh sorts, and the
+    sort order."""
+    lam = np.kron(lam_a, lam_t)
+    order = np.argsort(lam, kind="stable")
+    return lam[order], order
+
+
+def _kron_rotate(V_a: np.ndarray, V_t: np.ndarray, Mk: np.ndarray) -> np.ndarray:
+    """kron(V_a, V_t)' M for the columns of M in kron order, held as Mk of
+    shape (na, nt, m): V_a' X V_t for each column X, in O(m (na^2 nt +
+    na nt^2)) without forming the kron."""
+    na, nt, m = Mk.shape
+    Z = (V_a.T @ Mk.reshape(na, nt * m)).reshape(na, nt, m)
+    return (V_t.T @ Z).reshape(na * nt, m)
+
+
+def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectrum:
     """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on
     rows, which the spectrum keeps (the caller's own copy): the one
     factorization behind fit, archive loads and tuning, one per distinct
@@ -215,31 +246,39 @@ def _kernel_eigh(rows: np.ndarray, length_scales) -> KernelSpectrum:
     Extrapolation). Its spectrum then comes from an na x na and an nt x nt
     eigh: lam = kron(lam_a, lam_t) and V = P kron(V_a, V_t), sorted ascending
     (stable) as eigh sorts. Every other set of rows (1-D, a ragged grid, a
-    repeated row) takes the dense n x n eigh."""
+    repeated row) takes the dense n x n eigh.
+
+    factors: the two per-axis eighs (_axis_eigh) of a product grid at
+    length_scales, when the caller already holds them (tuning's memo)."""
     length_scales = tuple(length_scales)
     grid = _product_grid(rows)
     if grid is None:
         lam, V = np.linalg.eigh(kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales)))
     else:
         axes, index = grid
-        (lam_a, V_a), (lam_t, V_t) = (
-            np.linalg.eigh(kernel_matrix(v, v, KernelHyperParams(1.0, (l,))))
-            for v, l in zip(axes, length_scales)
-        )
-        lam = np.kron(lam_a, lam_t)
-        order = np.argsort(lam, kind="stable")
-        lam, V = lam[order], np.kron(V_a, V_t)[np.ix_(index, order)]
+        if factors is None:
+            factors = [_axis_eigh(v, l) for v, l in zip(axes, length_scales)]
+        (lam_a, V_a), (lam_t, V_t) = factors
+        lam, order = _kron_eigenvalues(lam_a, lam_t)
+        V = np.kron(V_a, V_t)[np.ix_(index, order)]
     return KernelSpectrum(rows, length_scales, lam, V)
+
+
+def _kept(s: np.ndarray, shape) -> np.ndarray:
+    """Which singular values s of a matrix (or stack of matrices) Hw of the
+    given shape are kept: those above numpy's matrix_rank tolerance. This is
+    the one rank rule for fits, tuning and leave-one-out scores; it cuts the
+    directions a basis rank-deficient on X (a curve fit at one thickness)
+    cannot identify."""
+    return s > s.max(axis=-1, keepdims=True) * max(shape[-2:]) * np.finfo(float).eps
 
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
     """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = W'H and
     yw = W'y (one or more columns), the whitened residual yw - Hw b, and the
-    rank kept. Singular directions of Hw at numpy's matrix_rank tolerance are
-    cut, as a basis rank-deficient on X (a curve fit at one thickness) needs;
-    this is the one rank rule for fits, tuning and leave-one-out scores."""
+    rank kept (_kept)."""
     U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
-    keep = s > s.max() * max(Hw.shape) * np.finfo(float).eps
+    keep = _kept(s, Hw.shape)
     U, s, Vt = U[:, keep], s[keep], Vt[keep]
     coef = U.T @ yw
     # the residual built in place: loo_residuals passes n columns
@@ -248,11 +287,24 @@ def _gls(Hw: np.ndarray, yw: np.ndarray):
     return (Vt.T / s) @ coef, r, int(s.size)
 
 
-def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> float:
+def _gls_residuals(Hw: np.ndarray, yw: np.ndarray) -> np.ndarray:
+    """_gls's whitened residuals yw - Hw b for stacked candidates, Hw of
+    shape (c, n, p) and yw (c, n): one stacked SVD, the directions _kept
+    drops masked to zero."""
+    U, s, _ = np.linalg.svd(Hw, full_matrices=False)
+    U = U * _kept(s, Hw.shape)[:, None, :]
+    coef = yw[:, None, :] @ U  # (c, 1, p)
+    return yw - (coef @ U.transpose(0, 2, 1))[:, 0, :]
+
+
+def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> np.ndarray:
     """-0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi from rw = W'r and A's
-    spectrum d."""
-    quad, logdet = float(rw @ rw), float(np.sum(np.log(d)))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * rw.shape[0] * math.log(2.0 * math.pi)
+    spectrum d, row-wise over stacked candidates. r' A^-1 r is a matmul, not
+    an einsum: an einsum would not raise on overflow under
+    np.errstate(over="raise")."""
+    quad = (rw[..., None, :] @ rw[..., :, None])[..., 0, 0]
+    logdet = np.sum(np.log(d), axis=-1)
+    return -0.5 * quad - 0.5 * logdet - 0.5 * rw.shape[-1] * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -300,7 +352,9 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     diag(lam) V': A = hyper.signal_variance K1 + noise*I has the spectrum
     d = _shifted_spectrum(sf2 lam, noise) and A^-1 = W W' with
     W = V diag(d)^-1/2."""
-    d = _shifted_spectrum(hyper.signal_variance * spectrum.lam, noise_variance)
+    d, _ = _shifted_spectrum(hyper.signal_variance * spectrum.lam, noise_variance)
+    if d.min() <= 0:
+        raise NotPositiveDefiniteError("kernel matrix not positive definite even with jitter")
     W = spectrum.V / np.sqrt(d)
     H = basis_matrix(spectrum.x)
 
@@ -348,6 +402,13 @@ def fit(
     return _fitted(yv, hyper, noise_variance, spectrum, beta)
 
 
+def took_jitter(model: FittedGP) -> bool:
+    """Whether the model's factorization took the +JITTER retry: sf2 K1 +
+    noise*I had an eigenvalue not positive at the fitted noise variance."""
+    lam = model.hyper.signal_variance * model.spectrum.lam
+    return bool(_shifted_spectrum(lam, model.noise_variance)[1])
+
+
 def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Leave-one-out residuals y_i - mu_(-i)(x_i) of generalized least squares
     on the basis H plus a GP with A^-1 = W W', and the rank of W'H kept, in
@@ -381,7 +442,7 @@ def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
     return residuals, rank
 
 
-def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
+def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     """Posterior means and variances at the rows of Xq (m x d, or m angles).
 
     mean = h(x)' beta + k_*' alpha
@@ -393,8 +454,10 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
     with the stored whitener per block. A row's mean does not depend on the
     rows queried with it (both mean products run row by row); its variance
     comes from a matrix product with the whitener and may differ in the last
-    bits between batches. Raises ValueError naming the first query point
-    whose mean or variance is not finite (overflow far from the data).
+    bits between batches. with_variances=False skips that product and
+    returns (means, None), the same means. Raises ValueError naming the first
+    query point whose mean or variance is not finite (overflow far from the
+    data).
     """
     Q = _as_points(Xq)
     if Q.shape[1] != model.input_dim:
@@ -404,7 +467,7 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(Q)):
         raise ValueError("query points must be finite")
     means = np.empty(Q.shape[0])
-    variances = np.empty(Q.shape[0])
+    variances = np.empty(Q.shape[0]) if with_variances else None
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,10 +478,14 @@ def predict_many(model: FittedGP, Xq) -> tuple[np.ndarray, np.ndarray]:
             means[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
                 "ij,j->i", k_star, model.alpha
             )
-            v = k_star @ model.whitener
-            variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
-    np.maximum(variances, 0.0, out=variances)
-    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(variances)))
+            if with_variances:
+                v = k_star @ model.whitener
+                variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
+    finite = np.isfinite(means)
+    if with_variances:
+        np.maximum(variances, 0.0, out=variances)
+        finite &= np.isfinite(variances)
+    bad = np.flatnonzero(~finite)
     if bad.size:
         raise ValueError(f"prediction at query point {Q[bad[0]].tolist()} is not finite")
     return means, variances
@@ -445,22 +512,52 @@ class GridSpec:
         object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
 
 
+def _scan(search: GridSpec, length_scales, duplicate_rows: bool):
+    """The candidates of one target's grid that fit() would take, in scan
+    order: their (i, k) indices, signal variances and noise variances. A
+    value fit() would refuse with ValueError raises here too; zero noise on
+    repeated rows is skipped."""
+    ik, sf2s, noises = [], [], []
+    for i, sf2 in enumerate(search.signal_variances):
+        KernelHyperParams(sf2, length_scales)  # refuses a bad signal variance
+        for k, noise in enumerate(search.noise_variances):
+            try:
+                _check_noise(noise, duplicate_rows)
+            except NotPositiveDefiniteError:
+                continue
+            ik.append((i, k))
+            sf2s.append(sf2)
+            noises.append(noise)
+    return ik, np.array(sf2s, dtype=float), np.array(noises, dtype=float)
+
+
 def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     """For each (y, GridSpec) pair of targets, in order, the model at its
     grid's candidate maximizing the log marginal likelihood on the rows X.
 
     The grids must have equal length_scale_grids; each keeps its own signal
     and noise variance axes. beta is re-estimated by GLS for every candidate
-    before scoring. A candidate's covariance is sf2 K1 + noise*I with K1 the
-    unit-signal kernel, so one eigendecomposition of K1 per length-scale
-    tuple scores every target's (sf2, noise) pairs from the shifted spectrum
-    sf2 lam + noise, and each pick is built from the spectrum it was scored
-    with, bit-identical to fit() there. A one-target call runs the same loop.
+    before scoring. A candidate's covariance is sf2 K1 + noise*I with K1 =
+    V diag(lam) V' the unit-signal kernel, so per length-scale tuple the
+    rotated [H | y_1 | y_2 ...] = V'[H | Y] and lam score every target's
+    (sf2, noise) pairs from the shifted spectrum sf2 lam + noise: all of a
+    target's pairs at once, in one stacked SVD for their GLS and one
+    likelihood per row.
+
+    On rows that form a product grid (_product_grid), no n x n matrix is
+    built while scoring: each distinct (axis, length scale) gets one eigh,
+    held in a memo for this call only, and V'[H | Y] comes through the
+    factors (_kron_rotate) in kron order, then sorted as _kernel_eigh sorts.
+    Other rows take _kernel_eigh's dense spectrum per tuple. Only the picks
+    get a materialized KernelSpectrum, from the same factors, and each is
+    built as fit() builds it there, bit for bit. A one-target call runs the
+    same loop.
+
     Ties keep the earlier candidate in the cartesian product of the axes
     (signal variance, length scales, noise variance), so repeated runs
     return the same answer. Candidates that fit() would reject as not
     positive definite (zero noise on repeated rows, or a spectrum not
-    positive even with jitter) are skipped.
+    positive even with jitter) are skipped. Nothing is cached between calls.
     """
     targets = tuple(targets)
     if not targets:
@@ -481,29 +578,58 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     rows = checked[0][0].copy()
     ys = [yv for _, yv in checked]
     duplicate_rows = _has_duplicate_rows(rows)
-    H = basis_matrix(rows)
-    # length-scale tuples outermost, so only each target's best spectrum is held
+    M = np.column_stack([basis_matrix(rows), *ys])  # [H | y_1 | y_2 ...]
+    p = M.shape[1] - len(ys)
+    grid = _product_grid(rows)
+    if grid is not None:
+        axes, index = grid
+        Mk = np.empty_like(M)
+        Mk[index] = M  # the rows in kron order
+        Mk = Mk.reshape(axes[0].size, axes[1].size, M.shape[1])
+        memo = {}  # (axis, length scale) -> that axis's eigh
+
+        def factors(ls):
+            for key in enumerate(ls):
+                if key not in memo:
+                    memo[key] = _axis_eigh(axes[key[0]], key[1])
+            return [memo[key] for key in enumerate(ls)]
+
+    scans = []
+    # length-scale tuples outermost, so only each target's best is held
     best = [((math.inf,), None)] * len(targets)
     for j, ls in enumerate(itertools.product(*grids)):
-        spectrum = _kernel_eigh(rows, ls)
-        Hv = spectrum.V.T @ H  # H in K1's eigenbasis
-        for t, (yv, (_, search)) in enumerate(zip(ys, targets)):
-            # one V'y per target, not one V'Y: gemv and gemm may round differently
-            yr = spectrum.V.T @ yv
-            for i, sf2 in enumerate(search.signal_variances):
-                hyper = KernelHyperParams(sf2, ls)
-                for k, noise in enumerate(search.noise_variances):
-                    try:
-                        _check_noise(noise, duplicate_rows)
-                        d = _shifted_spectrum(sf2 * spectrum.lam, noise)
-                    except NotPositiveDefiniteError:
-                        continue
-                    scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
-                    _, rw, _ = _gls(Hv * scale[:, None], yr * scale)
-                    # the scan-order index breaks ties; a NaN score never compares below
-                    key = (-_log_likelihood(rw, d), i, j, k)
-                    if key < best[t][0]:
-                        best[t] = (key, (hyper, noise, spectrum))
+        if grid is None:
+            spectrum = _kernel_eigh(rows, ls)
+            lam, rotated = spectrum.lam, spectrum.V.T @ M
+        else:
+            spectrum = None  # materialized for the picks only
+            (lam_a, V_a), (lam_t, V_t) = factors(ls)
+            lam, order = _kron_eigenvalues(lam_a, lam_t)
+            rotated = _kron_rotate(V_a, V_t, Mk)[order]
+        for t, (_, search) in enumerate(targets):
+            if j == 0:  # after the first spectrum, as a lone loop would check
+                scans.append(_scan(search, ls, duplicate_rows))
+            ik, sf2, noise = scans[t]
+            d, _ = _shifted_spectrum(sf2[:, None] * lam, noise[:, None])
+            usable = np.flatnonzero(d.min(axis=-1) > 0)
+            if not usable.size:
+                continue
+            d = d[usable]
+            scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
+            rw = _gls_residuals(rotated[:, :p] * scale[:, :, None], rotated[:, p + t] * scale)
+            for c, score in zip(usable.tolist(), _log_likelihood(rw, d).tolist()):
+                # the scan-order index breaks ties; a NaN score never compares below
+                key = (-score, ik[c][0], j, ik[c][1])
+                if key < best[t][0]:
+                    best[t] = (key, (ls, spectrum))
     if any(pick is None for _, pick in best):
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
-    return tuple(_fitted(yv, *pick) for yv, (_, pick) in zip(ys, best))
+    models, spectra = [], {}
+    for yv, ((_, i, _, k), (ls, spectrum)), (_, search) in zip(ys, best, targets):
+        if spectrum is None:
+            if ls not in spectra:
+                spectra[ls] = _kernel_eigh(rows, ls, factors(ls))
+            spectrum = spectra[ls]
+        hyper = KernelHyperParams(search.signal_variances[i], ls)
+        models.append(_fitted(yv, hyper, search.noise_variances[k], spectrum))
+    return tuple(models)

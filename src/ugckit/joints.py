@@ -222,7 +222,7 @@ def predict_many(
     bent = angles != 0.0
     returns = [None if b else 180.0 for b in bent.tolist()]
     if model.return_model is not None and bent.any():
-        back, _ = gpr.predict_many(model.return_model, X[bent])
+        back, _ = gpr.predict_many(model.return_model, X[bent], with_variances=False)
         for i, angle in zip(np.flatnonzero(bent), np.clip(back, 0.0, 180.0).tolist()):
             returns[i] = angle
     return means, np.sqrt(variances), returns, warnings

@@ -15,7 +15,7 @@ from ugckit.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from ugckit.data import CSV_COLUMNS, FamilyKind
 from ugckit.errors import InputError, NotPositiveDefiniteError
 
-from conftest import refit_loo_residuals_gp, square_bench_csv
+from conftest import curve_bench_csv, refit_loo_residuals_gp, square_bench_csv
 
 HEADER = ",".join(CSV_COLUMNS)
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -294,6 +294,41 @@ class TestFit:
         )
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == "error: force_n: values too large to fit, the fit overflows\n"
+
+    @staticmethod
+    def _fine_curve_csv(tmp_path):
+        # 81 angles x 4 thicknesses after averaging at 1 deg, the benchmark's
+        # curve shape: at zero noise both kernels round below zero
+        angles = np.linspace(30.0, 150.0, 81).tolist()
+        path = tmp_path / "fine.csv"
+        path.write_text(curve_bench_csv(np.random.default_rng(1), angles=angles))
+        return ["fit", "--data", str(path), "--family", "curve", "--angle-bin", "1.0",
+                "--out", str(tmp_path / "f.json"), "--return-out", str(tmp_path / "r.json")]
+
+    def test_jitter_retry_warns_naming_the_column(self, tmp_path, capsys):
+        argv = [*self._fine_curve_csv(tmp_path), "--noise-variance", "0"]
+        want = [
+            f"{column}: kernel matrix not positive definite at noise variance 0; "
+            f"factorized with +1e-08 jitter"
+            for column in ("force_n", "return_angle_deg")
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in want)
+        assert main([*argv, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert (strict_json(out)["warnings"], err) == (want, "")
+        # the warning changes no model: the archives equal a quiet fit's
+        saved = [(tmp_path / name).read_bytes() for name in ("f.json", "r.json")]
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert [(tmp_path / name).read_bytes() for name in ("f.json", "r.json")] == saved
+
+    def test_default_fit_warns_nothing(self, tmp_path, capsys):
+        argv = self._fine_curve_csv(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*argv, "--json"]) == 0
+        assert strict_json(capsys.readouterr().out)["warnings"] == []
 
     def test_baseline_past_the_float_range_reads_na_and_null(self, tmp_path, capsys):
         # the GP fits, but poly7's leave-one-out residuals square past the

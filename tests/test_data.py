@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ugckit import joints, mechanics
@@ -286,3 +287,18 @@ def test_parse_short_row_reports_first_empty_cell():
     with pytest.raises(BadNumberError) as err:
         parse_measurements(HEADER + "\nstraight,,90\n")
     assert (err.value.row, err.value.field) == (2, "direction")
+
+
+@pytest.mark.parametrize("bad", [True, np.True_])
+@pytest.mark.parametrize("kind", [FamilyKind.CURVE, FamilyKind.STRAIGHT])
+def test_joint_family_rejects_a_bool_thickness(kind, bad):
+    # float(True) is 1.0: a bool would pass for a thickness of 1 mm
+    with pytest.raises(ValueError, match="^thickness must be a number, not a bool, got True$"):
+        JointFamily(kind, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+@pytest.mark.parametrize("attr", [a for a, _, _ in SAMPLE_RANGES])
+def test_constructor_rejects_bools(attr, bad):
+    with pytest.raises(ValueError, match=f"^{attr} must be a number, not a bool, got {bad}$"):
+        _sample(**{attr: bad})

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ugckit import gpr, joints
-from ugckit.data import FamilyKind
+from ugckit.data import FamilyKind, average_runs, parse_measurements
 from ugckit.errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -27,6 +28,9 @@ from conftest import (
     random_gp_instance,
     refit_loo_residuals_gp,
 )
+
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def hp(sf2=1.0, ls=(1.0,)):
@@ -456,7 +460,87 @@ class TestPredictMany:
             gpr.predict_many(m, [[1.0], [1e200], [1e300]])
 
 
+    def test_means_only_skips_the_variances(self):
+        rng = np.random.default_rng(5)
+        X, y, sf2, ls, noise, _, _ = random_gp_instance(rng)
+        m = gpr.fit(X, y, hp(sf2, ls), noise)
+        Xq = rng.uniform(-1.0, 6.0, size=(300, X.shape[1]))
+        means, variances = gpr.predict_many(m, Xq, with_variances=False)
+        assert variances is None
+        assert np.array_equal(means, gpr.predict_many(m, Xq)[0])
+
+    def test_means_only_names_a_non_finite_mean(self):
+        m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0) ** 2, hp(), 0.1)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"\[1e\+200\]"):
+            warnings.simplefilter("error", RuntimeWarning)
+            gpr.predict_many(m, [[1.0], [1e200]], with_variances=False)
+
+
+class TestTookJitter:
+    def test_zero_noise_on_dense_rows_takes_the_retry(self):
+        # 81 angles 1.5 deg apart at a 20 deg length scale: the smallest
+        # eigenvalues of K round to zero or below
+        X = np.linspace(30.0, 150.0, 81)[:, None]
+        y = np.sin(X[:, 0] / 20.0)
+        h = hp(1.0, (20.0,))
+        jittered = gpr.fit(X, y, h, 0.0)
+        assert gpr.took_jitter(jittered)
+        assert not gpr.took_jitter(gpr.fit(X, y, h, 1e-2))
+        # the retry is the fit at noise JITTER, bit for bit
+        d = h.signal_variance * jittered.spectrum.lam + gpr.JITTER
+        assert np.array_equal(jittered.whitener, jittered.spectrum.V / np.sqrt(d))
+
+    def test_well_spread_rows_need_no_retry(self):
+        X = np.linspace(0.0, 10.0, 6)[:, None]
+        assert not gpr.took_jitter(gpr.fit(X, np.cos(X[:, 0]), hp(), 0.0))
+
+
+def _brute_force_pick(X, y, grid):
+    """The first candidate of grid in scan order (signal variance, length
+    scales, noise variance) with the highest log marginal likelihood, each
+    scored from the dense covariance with slogdet and a GLS solve; it shares
+    no code with the library. Returns ((hyper, noise), score)."""
+    X = np.asarray(X, dtype=float)
+    n = len(y)
+    H = np.hstack([np.ones((n, 1)), X, X**2])
+    sq = (X[:, None, :] - X[None, :, :]) ** 2
+    best, best_ll = None, -np.inf
+    for sf2 in grid.signal_variances:
+        for ls in itertools.product(*grid.length_scale_grids):
+            K = sf2 * np.exp(-0.5 * (sq / np.square(ls)).sum(axis=-1))
+            for noise in grid.noise_variances:
+                A = K + noise * np.eye(n)
+                sign, logdet = np.linalg.slogdet(A)
+                assert sign > 0
+                Ai_H, Ai_y = np.linalg.solve(A, H), np.linalg.solve(A, y)
+                beta = np.linalg.solve(H.T @ Ai_H, H.T @ Ai_y)
+                r = y - H @ beta
+                ll = -0.5 * (r @ np.linalg.solve(A, r) + logdet + n * math.log(2 * math.pi))
+                if ll > best_ll:
+                    best, best_ll = (hp(sf2, ls), noise), ll
+    return best, best_ll
+
+
 class TestTuneHyperparams:
+    @pytest.mark.parametrize("kind", [FamilyKind.SQUARE_SYM, FamilyKind.CURVE])
+    def test_picks_the_brute_force_argmax(self, request, kind):
+        # square: 17 angles x 3 runs, repeated rows (the dense spectrum);
+        # curve: the demo's runs averaged to a 9 x 4 product grid (the
+        # per-axis factors). Both targets are tuned in one call.
+        if kind is FamilyKind.CURVE:
+            ds = average_runs(parse_measurements((DEMO_DATA / "curve_bench.csv").read_text()))
+        else:
+            ds = request.getfixturevalue("square_dataset")
+        X, force, ret = joints.family_training_arrays(ds, kind)
+        if kind is FamilyKind.CURVE:
+            assert gpr._product_grid(X) is not None and X.shape == (36, 2)
+        targets = [(y, joints._default_tuning_grid(kind, float(np.var(y)))) for y in (force, ret)]
+        for model, (y, grid) in zip(gpr.tune_hyperparams(X, targets), targets):
+            (hyper, noise), score = _brute_force_pick(X, y, grid)
+            assert (model.hyper, model.noise_variance) == (hyper, noise)
+            assert oracle_lml(X, y, hyper.signal_variance, hyper.length_scales, noise,
+                              model.beta) == pytest.approx(score, rel=1e-9)
+
     def test_singleton_grid_returns_it(self):
         grid = gpr.GridSpec((2.0,), ((3.0,),), (0.01,))
         (m,) = gpr.tune_hyperparams([[0.0], [1.0]], [([0.0, 1.0], grid)])

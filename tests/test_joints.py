@@ -279,20 +279,21 @@ class TestTuning:
         assert big.hyper.signal_variance == pytest.approx(1e6 * base.hyper.signal_variance)
         assert big.noise_variance == pytest.approx(1e6 * base.noise_variance)
 
-    @pytest.mark.parametrize("kind, dataset, tuples, shapes", [
-        (SQ, "square_dataset", 4, [(51, 51)]),
-        (CURVE, "curve_dataset", 12, [(108, 108)]),
-        # 9 angles x 4 thicknesses, each pair once: one eigh per axis
-        (CURVE, "averaged_curve_dataset", 12, [(9, 9), (4, 4)]),
+    @pytest.mark.parametrize("kind, dataset, calls", [
+        (SQ, "square_dataset", [(51, 51)] * 4),
+        (CURVE, "curve_dataset", [(108, 108)] * 12),
+        # 9 angles x 4 thicknesses, each pair once: one eigh per distinct
+        # (axis, length scale), in the order the 12 tuples first need it
+        (CURVE, "averaged_curve_dataset", [(9, 9)] + [(4, 4)] * 3 + [(9, 9)] * 3),
     ])
     def test_one_eigendecomposition_per_length_scale_tuple(
-        self, request, eigh_calls, kind, dataset, tuples, shapes
+        self, request, eigh_calls, kind, dataset, calls
     ):
         # the pick is built from the eigendecomposition it was scored with,
         # and both targets are scored on the same one
         ds = request.getfixturevalue(dataset)
         joints.fit_family_model(ds, kind, tune=True)
-        assert eigh_calls == shapes * tuples
+        assert eigh_calls == calls
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_product_grid_picks_equal_the_dense_eighs(self, monkeypatch, eigh_calls, seed):
@@ -301,7 +302,8 @@ class TestTuning:
         csv = curve_bench_csv(np.random.default_rng(seed), angles=angles)
         ds = average_runs(parse_measurements(csv), 1.0)
         grid = joints.fit_family_model(ds, CURVE, tune=True)
-        assert eigh_calls == [(81, 81), (4, 4)] * 12
+        # 4 angle and 3 thickness length scales: one eigh each, none for the picks
+        assert eigh_calls == [(81, 81)] + [(4, 4)] * 3 + [(81, 81)] * 3
         eigh_calls.clear()
         monkeypatch.setattr(gpr, "_product_grid", lambda rows: None)
         dense = joints.fit_family_model(ds, CURVE, tune=True)
@@ -466,6 +468,25 @@ class TestVectorQueries:
         for theta, value in zip(thetas, many):
             _, _, (one,), _ = joints.predict_many(fitted_models[SQ], [theta])
             assert value == pytest.approx(one, abs=1e-12)
+
+    def test_return_angles_skip_the_variances(self, monkeypatch, fitted_models):
+        # the return model answers means only; its angles are the clipped
+        # means of a full prediction, bit for bit
+        model = fitted_models[SQ]
+        thetas = np.linspace(10.0, 170.0, 301)
+        want = np.clip(gpr.predict_many(model.return_model, thetas)[0], 0.0, 180.0).tolist()
+        calls = []
+        predict = gpr.predict_many
+
+        def spy(gp, X, **kwargs):
+            calls.append((gp, kwargs))
+            return predict(gp, X, **kwargs)
+
+        monkeypatch.setattr(gpr, "predict_many", spy)
+        _, _, returns, _ = joints.predict_many(model, thetas)
+        assert returns == want
+        assert calls == [(model.force_model, {}),
+                         (model.return_model, {"with_variances": False})]
 
     def test_every_angle_validated(self, fitted_models):
         with pytest.raises(InputError, match="theta must be a finite number"):
