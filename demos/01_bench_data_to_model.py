@@ -10,8 +10,6 @@ Run from the repository root:  python demos/01_bench_data_to_model.py
 
 from pathlib import Path
 
-import numpy as np
-
 from ugckit import (
     FamilyKind,
     average_runs,
@@ -38,9 +36,8 @@ model = fit_family_model(ds, FamilyKind.SQUARE_SYM)
 print(f"\nGP leave-one-out RMSE:   force {model.force_loo_rmse:.4f} N, "
       f"return {model.return_loo_rmse:.3f} deg")
 
-angles = np.array([s.deformation_angle for s in ds.samples])
-forces = np.array([s.force for s in ds.samples])
-poly_rmse = loo_rmse_poly(angles, forces, degree=7)
+# the dataset holds one array per CSV column
+poly_rmse = loo_rmse_poly(ds.deformation_angle, ds.force, degree=7)
 print(f"degree-7 poly LOO RMSE:  force {poly_rmse:.4f} N")
 
 # 3. query it -----------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Measurement domain types and CSV ingestion for compliant-joint bench data.
+"""Bench measurements: joint families, CSV ingestion and run averaging.
 
 The test bench records, per bend of a joint, the imposed deformation angle,
 the holding force at the free end, and the angle the joint recovers to after
-release (180 deg = flat, full recovery). A dataset is an immutable,
-non-empty tuple of such samples.
+release (180 deg = flat, full recovery). A JointDataset holds a non-empty
+set of such readings as columns, one array per CSV column; a
+MeasurementSample is one reading as an object, under the same rules.
 
 CSV wire format (exact header, comma separated):
 
@@ -20,7 +21,7 @@ import io
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,19 +132,64 @@ class MeasurementSample:
             raise ValueError(f"{attr} {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDataset:
-    samples: tuple[MeasurementSample, ...]
+    """Bench readings as read-only columns, one entry per reading: family,
+    direction and run_id hold str tokens (FamilyKind and Direction values),
+    the others floats, thickness NaN where the family takes none. The columns
+    follow the rules of JointFamily and MeasurementSample; samples builds the
+    rows as such objects on demand."""
+
+    family: np.ndarray
+    thickness: np.ndarray  # mm
+    deformation_angle: np.ndarray  # deg
+    direction: np.ndarray
+    force: np.ndarray  # N
+    return_angle: np.ndarray  # deg, 180 = full recovery
+    run_id: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
+        for name, value in vars(self).items():
+            if name in ("family", "direction", "run_id"):
+                column = np.array(value, dtype=object)  # a str array would drop trailing NULs
+            elif (column := np.array(value)).dtype.kind in "fiu":  # no bool, str or object
+                column = column.astype(float)
+            else:
+                raise ValueError(f"{name} must hold numbers, got dtype {column.dtype}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({c.shape for c in vars(self).values()}) > 1 or self.force.ndim != 1:
+            raise ValueError("dataset columns must be 1-D and of one length")
+        if not len(self):
             raise EmptyFileError("dataset has no samples")
+        if _bad_rows(**vars(self)).any():
+            self.samples  # raises the first bad row's error
+            raise AssertionError("a row breaks a column rule but no MeasurementSample rule")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.force)
 
-    def samples_for(self, kind: FamilyKind) -> tuple[MeasurementSample, ...]:
-        return tuple(s for s in self.samples if s.family.kind is kind)
+    @property
+    def samples(self) -> tuple[MeasurementSample, ...]:
+        """The rows as MeasurementSample objects, built on each access."""
+        rows = zip(*(column.tolist() for column in vars(self).values()))
+        return tuple(
+            MeasurementSample(JointFamily(FamilyKind(k), None if math.isnan(t) else t), a,
+                              Direction(d), f, r, run)
+            for k, t, a, d, f, r, run in rows
+        )
+
+
+def _bad_rows(family, thickness, direction, **values) -> np.ndarray:
+    """Mask of the rows that break a rule of JointFamily or MeasurementSample."""
+    kinds, directions = {k.value for k in FamilyKind}, {d.value for d in Direction}
+    bad = np.array([k not in kinds or d not in directions for k, d in zip(family, direction)],
+                   dtype=bool)
+    thin = ~((thickness > 0.0) & (thickness < math.inf))
+    bad |= np.where(family == FamilyKind.CURVE.value, thin, ~np.isnan(thickness))
+    for attr, _, low, high, _ in _SAMPLE_RANGES:
+        bad |= ~((values[attr] >= low) & (values[attr] <= high))
+    return bad
 
 
 def _parse_float(raw, row, fieldname):
@@ -161,44 +207,75 @@ def _parse_token(kind: type[enum.Enum], raw, row, fieldname):
         raise BadNumberError(row, fieldname, token) from None
 
 
+def _floats(cells) -> np.ndarray:
+    """The cells as floats, read as finite_float reads them; NaN for no number."""
+    try:
+        return np.array(list(map(float, cells)))
+    except (TypeError, ValueError):
+        return np.array([_float_or_nan(cell) for cell in cells])
+
+
+def _float_or_nan(cell) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def parse_measurements(csv_text: str) -> JointDataset:
     """Parse bench CSV text into a JointDataset.
 
     Rows are validated strictly: the first invalid row aborts the parse with
-    an error carrying the physical line number (header is line 1).
+    an error carrying the physical line number (header is line 1). The rules
+    run on whole columns; when a row breaks one, _parse_sample finds and
+    words the first bad row.
     """
     reader = csv.reader(io.StringIO(csv_text, newline=""))
+    rows, lines, stop = [], [], None
     try:
-        return _parse_records(reader)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError("no CSV content")
+        position = {name: i for i, name in enumerate(header)}
+        for col in CSV_COLUMNS:
+            if col not in position:
+                raise MissingColumnError(col)
+        width = len(header)
+        for cells in reader:
+            if len(cells) > width:
+                stop = InputError(f"row {reader.line_num}: {len(cells)} cells, header has {width}")
+                break
+            if not "".join(cells).strip():
+                continue  # blank line
+            if len(cells) < width:
+                cells += [None] * (width - len(cells))  # cells missing from a short row
+            rows.append(cells)
+            lines.append(reader.line_num)
     except csv.Error as exc:  # a line the csv module cannot split
-        raise InputError(f"after line {reader.line_num}: {exc}") from None
-
-
-def _parse_records(reader) -> JointDataset:
-    header = next(reader, None)
-    if header is None:
-        raise EmptyFileError("no CSV content")
-    position = {name: i for i, name in enumerate(header)}
-    for col in CSV_COLUMNS:
-        if col not in position:
-            raise MissingColumnError(col)
-    cells_of = operator.itemgetter(*(position[col] for col in CSV_COLUMNS))
-    width = len(header)
-
-    samples = []
-    for cells in reader:
-        row = reader.line_num
-        if len(cells) > width:
-            raise InputError(f"row {row}: {len(cells)} cells, header has {width}")
-        if not any(cell.strip() for cell in cells):
-            continue  # blank line
-        if len(cells) < width:
-            cells += [None] * (width - len(cells))  # cells missing from a short row
-        samples.append(_parse_sample(row, *cells_of(cells)))
-
-    if not samples:
+        stop = InputError(f"after line {reader.line_num}: {exc}")
+    if rows:
+        cells_of = operator.itemgetter(*(position[col] for col in CSV_COLUMNS))
+        family, thickness, angle, direction, force, ret, run_id = cells_of(list(zip(*rows)))
+        family, thickness, direction, run_id = (
+            np.array([(cell or "").strip() for cell in column], dtype=object)
+            for column in (family, thickness, direction, run_id)
+        )
+        values = _floats([t or "nan" for t in thickness])
+        # a given thickness cell must hold a finite number: +inf breaks every family's rule
+        values[np.array(list(map(bool, thickness))) & ~np.isfinite(values)] = math.inf
+        try:
+            dataset = JointDataset(
+                family, values, _floats(angle), direction, _floats(force), _floats(ret), run_id
+            )
+        except (ValueError, InputError) as exc:  # the row rules find and word the first bad row
+            for line, cells in zip(lines, rows):
+                _parse_sample(line, *cells_of(cells))
+            raise AssertionError("the column rules refuse a row the row rules pass") from exc
+    if stop is not None:  # a bad row above the line that stopped the reader fails first
+        raise stop
+    if not rows:
         raise EmptyFileError("CSV has a header but no data rows")
-    return JointDataset(tuple(samples))
+    return dataset
 
 
 def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
@@ -224,50 +301,39 @@ def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
         raise OutOfRangeError(row, column, detail) from None
 
 
-def _group_key(sample: MeasurementSample, angle_bin: float):
-    return (
-        sample.family.kind.value,
-        sample.family.thickness if sample.family.thickness is not None else -1.0,
-        sample.direction.value,
-        round(sample.deformation_angle / angle_bin),
-    )
-
-
 def check_angle_bin(angle_bin: float) -> None:
     """ValueError naming angle_bin unless it is a finite bin width in
-    (0, 180] deg: a wider bin would merge every angle of a family."""
-    if not 0.0 < angle_bin <= 180.0:
+    (0, 180] deg and 180 / angle_bin is finite: a wider bin would merge every
+    angle of a family, a narrower one every angle above 0."""
+    if not (0.0 < angle_bin <= 180.0 and 180.0 / angle_bin < math.inf):
         raise ValueError(f"angle_bin must be a finite number in (0, 180] deg, got {angle_bin!r}")
 
 
 def average_runs(ds: JointDataset, angle_bin: float = DEFAULT_ANGLE_BIN) -> JointDataset:
     """Collapse repeat runs into per-angle-bin means.
 
-    Samples are grouped by (family, thickness, direction, round(angle /
-    angle_bin)); angle, force, and return angle are replaced by the group
-    means. Averaging an already-averaged dataset with the same bin leaves
-    every sample intact. angle_bin must pass check_angle_bin.
+    Rows are grouped by (family, thickness, direction, round(angle /
+    angle_bin)) and the groups sorted by that key. A group's angle, force and
+    return angle are its means, summed in row order; its other columns are
+    those of its first row, and a group of one keeps its row exactly.
+    Averaging an already-averaged dataset with the same bin leaves every row
+    intact. angle_bin must pass check_angle_bin.
     """
     check_angle_bin(angle_bin)
+    thickness = np.nan_to_num(ds.thickness, nan=-1.0)
+    keys = (np.round(ds.deformation_angle / angle_bin), ds.direction, thickness, ds.family)
+    order = np.lexsort(keys)  # stable: a group's rows stay in row order
+    starts = np.r_[True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(starts) - 1
+    first, counts = order[starts], np.bincount(group)
+    single = counts == 1
 
-    groups: dict[tuple, list[MeasurementSample]] = {}
-    for s in ds.samples:
-        groups.setdefault(_group_key(s, angle_bin), []).append(s)
+    def mean(column):  # bincount adds each group's values in row order, as sum() does
+        return np.where(single, column[first], np.bincount(group, column) / counts)
 
-    merged = []
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        n = len(members)
-        merged.append(
-            replace(
-                members[0],
-                deformation_angle=sum(m.deformation_angle for m in members) / n,
-                force=sum(m.force for m in members) / n,
-                return_angle=sum(m.return_angle for m in members) / n,
-                run_id=f"avg-of-{n}",
-            )
-        )
-    return JointDataset(tuple(merged))
+    run_id = [ds.run_id[i] if n == 1 else f"avg-of-{n}" for i, n in zip(first, counts)]
+    return JointDataset(
+        ds.family[first], ds.thickness[first], mean(ds.deformation_angle),
+        ds.direction[first], mean(ds.force), mean(ds.return_angle), run_id,
+    )

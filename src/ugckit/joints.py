@@ -276,15 +276,12 @@ def _rmse(residuals: np.ndarray) -> float | None:
 def family_training_arrays(ds: JointDataset, kind: FamilyKind):
     """(X, force, return) training arrays for one family; X is (n, 1) angles
     or (n, 2) angle/thickness columns for the curve family."""
-    samples = ds.samples_for(kind)
-    if len(samples) < MIN_FAMILY_SAMPLES:
-        raise InsufficientDataError(
-            f"{kind.value}: {len(samples)} samples, need at least {MIN_FAMILY_SAMPLES}"
-        )
-    X = np.array([(s.deformation_angle, s.family.thickness)[: kind.input_dim] for s in samples])
-    force = np.array([s.force for s in samples])
-    ret = np.array([s.return_angle for s in samples])
-    return X, force, ret
+    rows = ds.family == kind.value
+    n = np.count_nonzero(rows)
+    if n < MIN_FAMILY_SAMPLES:
+        raise InsufficientDataError(f"{kind.value}: {n} samples, need at least {MIN_FAMILY_SAMPLES}")
+    X = np.stack([ds.deformation_angle, ds.thickness][: kind.input_dim], axis=1)[rows]
+    return X, ds.force[rows], ds.return_angle[rows]
 
 
 @contextlib.contextmanager

@@ -7,15 +7,24 @@ of the normal matrix), which the library must match on a rank-deficient basis
 too. The leave-one-out oracles refit once per held-out row, the
 definition the library's closed forms must reproduce; the polynomial one
 solves every fold with numpy.linalg.lstsq, not the library's projection.
+The bench-data oracles read a CSV one row at a time into MeasurementSample
+objects and average runs with a dict of groups, the columnar reader's
+row-by-row definition.
 """
 
+import csv
+import functools
+import io
 import math
+import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ugckit import gpr
-from ugckit.data import JointDataset, average_runs, parse_measurements
+from ugckit import data, gpr
+from ugckit.data import CSV_COLUMNS, JointDataset, average_runs, parse_measurements
+from ugckit.errors import EmptyFileError, InputError, MissingColumnError
 
 
 # -- independent GP oracle ----------------------------------------------------
@@ -168,6 +177,85 @@ def random_gp_instance(rng, n_max=50, noise_range=(0.05, 0.5)):
     return X, y, sf2, tuple(ls), noise, beta, queries
 
 
+# -- row-by-row bench data oracle ---------------------------------------------
+
+
+def oracle_parse(csv_text):
+    """The bench CSV read one row at a time: one MeasurementSample per row
+    through data._parse_sample, raising at the first bad row (physical line
+    numbers, header line 1). Returns the samples as a tuple."""
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError("no CSV content")
+        position = {name: i for i, name in enumerate(header)}
+        for col in CSV_COLUMNS:
+            if col not in position:
+                raise MissingColumnError(col)
+        cells_of = operator.itemgetter(*(position[col] for col in CSV_COLUMNS))
+        width = len(header)
+        samples = []
+        for cells in reader:
+            row = reader.line_num
+            if len(cells) > width:
+                raise InputError(f"row {row}: {len(cells)} cells, header has {width}")
+            if not any(cell.strip() for cell in cells):
+                continue  # blank line
+            if len(cells) < width:
+                cells += [None] * (width - len(cells))
+            samples.append(data._parse_sample(row, *cells_of(cells)))
+    except csv.Error as exc:
+        raise InputError(f"after line {reader.line_num}: {exc}") from None
+    if not samples:
+        raise EmptyFileError("CSV has a header but no data rows")
+    return tuple(samples)
+
+
+def _sum_in_row_order(values):
+    """sum() as Python 3.10 and 3.11 compute it, left to right from 0; the
+    sum() of 3.12 on compensates its rounding."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def oracle_average(samples, angle_bin):
+    """Repeat runs merged per (family, thickness, direction, round(angle /
+    angle_bin)) with a dict of groups, in sorted key order; a group of two or
+    more becomes its first sample with the means of its angle, force and
+    return angle and run id avg-of-<n>, a group of one its sample."""
+    groups = {}
+    for s in samples:
+        thickness = s.family.thickness if s.family.thickness is not None else -1.0
+        key = (s.family.kind.value, thickness, s.direction.value,
+               round(s.deformation_angle / angle_bin))
+        groups.setdefault(key, []).append(s)
+    merged = []
+    for key in sorted(groups):
+        members = groups[key]
+        n = len(members)
+        if n == 1:
+            merged.append(members[0])
+            continue
+        merged.append(replace(
+            members[0],
+            deformation_angle=_sum_in_row_order(m.deformation_angle for m in members) / n,
+            force=_sum_in_row_order(m.force for m in members) / n,
+            return_angle=_sum_in_row_order(m.return_angle for m in members) / n,
+            run_id=f"avg-of-{n}",
+        ))
+    return tuple(merged)
+
+
+def assert_same_rows(ds: JointDataset, samples) -> None:
+    """ds holds the rows of samples bit for bit, in order, run ids included."""
+    assert ds.samples == samples
+    for attr in ("deformation_angle", "force", "return_angle"):
+        want = np.array([getattr(s, attr) for s in samples])
+        assert getattr(ds, attr).tobytes() == want.tobytes(), attr
+    thickness = [math.nan if s.family.thickness is None else s.family.thickness for s in samples]
+    assert ds.thickness.tobytes() == np.array(thickness).tobytes()
+
+
 # -- synthetic bench data -------------------------------------------------------
 
 
@@ -188,9 +276,9 @@ def curve_return_true(theta):
     return 180.0 if theta <= 90.0 else 180.0 - 0.3 * (theta - 90.0)
 
 
-def square_bench_csv(rng, runs=3, force_noise=0.05, return_noise=1.0):
+def square_bench_csv(rng, runs=3, force_noise=0.05, return_noise=1.0, angles=range(10, 171, 10)):
     lines = ["family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"]
-    for theta in range(10, 171, 10):
+    for theta in angles:
         for run in range(1, runs + 1):
             f = max(0.0, square_force_true(theta) + rng.normal(0.0, force_noise))
             r = min(180.0, max(0.0, square_return_true(theta) + rng.normal(0.0, return_noise)))

@@ -224,6 +224,33 @@ class TestFit:
         assert "--angle-bin" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("width", ["1e-310", "5e-324"])
+    def test_angle_bin_too_narrow_to_divide_by_exits_2(self, tmp_path, bench_csv, capsys, width):
+        # 180 / width overflows; the rounding of angle / width used to raise
+        # OverflowError with a traceback
+        code = main([
+            "fit", "--data", str(bench_csv), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"), f"--angle-bin={width}",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --angle-bin: angle_bin must be a finite number in (0, 180] deg, got {width}\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_bad_cell_on_the_last_line_names_its_row(self, tmp_path, capsys):
+        text = (DEMO_DATA / "square_sym_bench.csv").read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text + "square_sym,,90,forward,heavy,172,r4\n")
+        code = main([
+            "fit", "--data", str(bad), "--family", "square_sym", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        row = text.count("\n") + 1
+        assert capsys.readouterr().err == (
+            f"error: row {row}: field 'force_n' has unparseable value 'heavy'\n"
+        )
+
     def test_undefined_gp_loo_reads_na_and_null(self, tmp_path, capsys):
         path = tmp_path / "five.csv"
         rows = [f"curve,{t},{a},forward,{f},170,r1" for a, t, f in

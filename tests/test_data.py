@@ -1,7 +1,11 @@
+import functools
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ugckit import joints, mechanics
+from ugckit import data, joints, mechanics
 from ugckit.data import (
     CSV_COLUMNS,
     Direction,
@@ -20,6 +24,14 @@ from ugckit.errors import (
     MissingColumnError,
     MissingThicknessError,
     OutOfRangeError,
+)
+
+from conftest import (
+    assert_same_rows,
+    curve_bench_csv,
+    oracle_average,
+    oracle_parse,
+    square_bench_csv,
 )
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -49,7 +61,7 @@ def test_parse_no_content_is_empty_file():
 
 def test_dataset_needs_a_sample():
     with pytest.raises(EmptyFileError, match="dataset has no samples"):
-        JointDataset(())
+        JointDataset(*[()] * 7)
 
 
 def test_parse_missing_column():
@@ -302,3 +314,133 @@ def test_joint_family_rejects_a_bool_thickness(kind, bad):
 def test_constructor_rejects_bools(attr, bad):
     with pytest.raises(ValueError, match=f"^{attr} must be a number, not a bool, got {bad}$"):
         _sample(**{attr: bad})
+
+
+# -- columns against the row-by-row oracle ---------------------------------------
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+# groups of one to four runs, both directions, three families and two curve
+# thicknesses, rows out of key order; the lone square_sym forward row at -0.0
+# deg is a group of one and keeps its sign, while the curve pair at -0.0 and
+# 0.0 averages to 0.0; the 1e16, 1, 1 forces sum to 1e16 only left to right
+EDGE_CSV = HEADER + """
+square_sym,,90,reverse,2.0,170,a
+curve,0.8,60,forward,1.5,175,b
+square_sym,,-0.0,forward,1.0,180,solo
+square_sym,,91,reverse,2.2,171,c
+straight,,30,forward,1e16,178,f
+curve,0.8,61,forward,1.6,174,d
+curve,0.4,60,forward,1.1,176,k
+straight,,31,forward,1.0,177,g
+curve,0.8,59,forward,1.4,176,e
+straight,,29.5,forward,1.0,179,h
+curve,0.8,-0.0,reverse,0.1,180,m
+straight,,30.5,forward,0.9,178.5,i
+square_sym,,90,forward,2.1,172,j
+curve,0.8,0.0,reverse,0.2,180,n
+straight,,30,reverse,0.7,178,p
+"""
+
+
+def _bench_like(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "square":
+        return square_bench_csv(rng, angles=[float(a) for a in np.linspace(10.0, 170.0, 340)])
+    return curve_bench_csv(rng, angles=[float(a) for a in np.linspace(30.0, 150.0, 81)])
+
+
+CSV_CASES = {
+    "demo-square": lambda: (DEMO_DATA / "square_sym_bench.csv").read_text(),
+    "demo-curve": lambda: (DEMO_DATA / "curve_bench.csv").read_text(),
+    "edge": lambda: EDGE_CSV,
+    **{f"{kind}-seed{seed}": functools.partial(_bench_like, kind, seed)
+       for kind in ("square", "curve") for seed in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_columns_equal_the_row_by_row_oracle(case):
+    text = CSV_CASES[case]()
+    ds = parse_measurements(text)
+    samples = oracle_parse(text)
+    assert_same_rows(ds, samples)
+    for angle_bin in (0.25, 1.0, 5.0, 180.0):
+        assert_same_rows(average_runs(ds, angle_bin), oracle_average(samples, angle_bin))
+
+
+def test_average_edge_fixture_by_hand():
+    out = average_runs(parse_measurements(EDGE_CSV), angle_bin=5.0)
+    rows = {(s.family.kind.value, s.family.thickness, s.direction.value, s.run_id): s
+            for s in out.samples}
+    solo = rows["square_sym", None, "forward", "solo"]
+    assert math.copysign(1.0, solo.deformation_angle) == -1.0
+    assert rows["curve", 0.8, "reverse", "avg-of-2"].deformation_angle == 0.0
+    assert rows["curve", 0.8, "reverse", "avg-of-2"].force == (0.1 + 0.2) / 2
+    assert rows["straight", None, "forward", "avg-of-4"].force == 1e16 / 4  # 1e16 + 1 == 1e16
+    assert rows["curve", 0.8, "forward", "avg-of-3"].deformation_angle == 60.0
+    assert rows["square_sym", None, "reverse", "avg-of-2"].force == 2.1
+    assert [s.run_id for s in out.samples] == [
+        "k", "avg-of-3", "avg-of-2", "solo", "j", "avg-of-2", "avg-of-4", "p",
+    ]
+
+
+@pytest.mark.parametrize("width", [1e-310, 5e-324])
+def test_average_rejects_a_bin_too_narrow_to_divide_by(square_dataset, width):
+    # 180 / width overflows: every angle above 0 would fall in one infinite bin
+    with pytest.raises(ValueError, match="angle_bin must be a finite number in"):
+        average_runs(square_dataset, angle_bin=width)
+
+
+def test_average_takes_the_narrowest_finite_bin(square_dataset):
+    out = average_runs(square_dataset, angle_bin=1e-300)
+    assert len(out) == len(set(square_dataset.deformation_angle.tolist()))
+
+
+def test_a_column_rule_without_a_row_rule_is_a_bug(monkeypatch):
+    # the masks find the first bad row and the row rules word its error; a row
+    # the masks flag and the rules pass must not parse silently
+    def flag_every_row(**columns):
+        return np.ones(len(columns["force"]), dtype=bool)
+
+    monkeypatch.setattr(data, "_bad_rows", flag_every_row)
+    with pytest.raises(AssertionError, match="breaks a column rule but no MeasurementSample rule"):
+        parse_measurements(HEADER + "\nsquare_sym,,90,forward,2.0,172,r1\n")
+
+
+# -- the dataset constructor -------------------------------------------------------
+
+
+def _columns(**overrides):
+    return {
+        "family": ["curve", "square_sym"], "thickness": [0.4, math.nan],
+        "deformation_angle": [90.0, 45.0], "direction": ["forward", "reverse"],
+        "force": [2.1, 1.0], "return_angle": [165.0, 178.0], "run_id": ["r1", "r2"],
+        **overrides,
+    }
+
+
+def test_dataset_columns_are_read_only_arrays():
+    ds = JointDataset(**_columns())
+    assert ds.force.dtype == float and ds.family.tolist() == ["curve", "square_sym"]
+    with pytest.raises(ValueError, match="read-only"):
+        ds.force[0] = 3.0
+
+
+def test_dataset_takes_enum_members_as_tokens():
+    ds = JointDataset(**_columns(family=[FamilyKind.CURVE, FamilyKind.SQUARE_SYM],
+                                 direction=[Direction.FORWARD, Direction.REVERSE]))
+    assert ds.samples == JointDataset(**_columns()).samples
+
+
+@pytest.mark.parametrize("overrides, error, message", [
+    ({"force": [2.1, -1.0]}, ValueError, "^force -1 is not a finite number >= 0$"),
+    ({"thickness": [math.nan, math.nan]}, MissingThicknessError, "requires a thickness"),
+    ({"thickness": [0.4, 0.8]}, ValueError, "^square_sym family takes no thickness$"),
+    ({"direction": ["forward", "sideways"]}, ValueError, "'sideways' is not a valid Direction"),
+    ({"force": [True, False]}, ValueError, "^force must hold numbers, got dtype bool$"),
+    ({"force": [2.1]}, ValueError, "^dataset columns must be 1-D and of one length$"),
+], ids=["range", "missing-thickness", "extra-thickness", "token", "bool", "length"])
+def test_dataset_rejects_a_bad_row_with_the_sample_rule(overrides, error, message):
+    with pytest.raises(error, match=message):
+        JointDataset(**_columns(**overrides))

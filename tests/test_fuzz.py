@@ -4,6 +4,8 @@ Whatever the input, a parser either returns a value or raises an InputError
 subclass, and `ugc validate` answers 0 or 2 without raising. The documents
 are arbitrary JSON values, plus mutations of a valid document that keep,
 drop or replace each key, so that the checks past the first one are reached.
+A valid bench CSV with one or two bad cells or rows injected fails exactly as
+the row-by-row oracle fails: same exception type and message.
 """
 
 import json
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 from ugckit import archive, cli, gpr, mechanics
 from ugckit.data import CSV_COLUMNS, FamilyKind, parse_measurements
 from ugckit.errors import InputError
+
+from conftest import assert_same_rows, oracle_parse
 
 FUZZ = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -125,3 +129,82 @@ def test_archive_loader(scratch, doc):
     except InputError:
         return
     assert np.all(np.isfinite(model.alpha))
+
+
+# A valid CSV of both directions and three families, with a blank line; the
+# injections below each make one row bad in one way.
+VALID_ROWS = [
+    ["curve", "0.4", "30", "forward", "1.5", "179.9", "r1"],
+    ["square_sym", "", "90", "reverse", "2.0", "172", "r1"],
+    ["curve", " 1.2 ", "1_20", "forward", "2.5", "160", "r2"],
+    [],
+    ["straight", "", "45.5", "forward", "0", "180", ""],
+    ["curve", "0.8", "150", "reverse", "3.0", "0", "r3"],
+    ["square_nonsym", "", "0", "forward", "1e3", "175", "r1"],
+]
+NUMBER_COLUMNS = [1, 2, 4, 5]  # thickness, angle, force, return angle
+
+
+def _set(cells, col, value):
+    if col < len(cells):  # an earlier injection may have cut the row short
+        cells[col] = value
+
+
+INJECTIONS = {
+    "not a number": lambda cells, col: _set(cells, NUMBER_COLUMNS[col % 4], "x1"),
+    "nan": lambda cells, col: _set(cells, NUMBER_COLUMNS[col % 4], "nan"),
+    "inf": lambda cells, col: _set(cells, NUMBER_COLUMNS[col % 4], "-inf"),
+    "out of range": lambda cells, col: _set(
+        cells, NUMBER_COLUMNS[col % 4], ["-0.4", "180.5", "-1", "200"][col % 4]),
+    "bad token": lambda cells, col: _set(cells, [0, 3][col % 2], "sideways"),
+    "thickness missing or extra": lambda cells, col: _set(
+        cells, 1, "" if cells[:1] == ["curve"] else "0.8"),
+    "short row": lambda cells, col: cells.__delitem__(slice(col % 7, None)),
+    "wide row": lambda cells, col: cells.append("extra"),
+}
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except Exception as exc:  # the type and message are what is compared
+        return "raised", type(exc), str(exc)
+
+
+def _assert_parses_as_the_oracle(text):
+    got, want = _outcome(parse_measurements, text), _outcome(oracle_parse, text)
+    if want[0] == "raised":
+        assert got == want
+    else:
+        assert_same_rows(got[1], want[1])
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, len(VALID_ROWS) - 1), st.sampled_from(sorted(INJECTIONS)),
+            st.integers(0, 6),
+        ),
+        min_size=1, max_size=2,
+    )
+)
+def test_csv_first_error_matches_the_row_by_row_oracle(edits):
+    rows = [list(cells) for cells in VALID_ROWS]
+    for row, injection, col in edits:
+        INJECTIONS[injection](rows[row], col)
+    _assert_parses_as_the_oracle(
+        ",".join(CSV_COLUMNS) + "\n" + "\n".join(map(",".join, rows)) + "\n"
+    )
+
+
+@FUZZ
+@given(text=csv_texts)
+def test_csv_reader_matches_the_row_by_row_oracle(text):
+    _assert_parses_as_the_oracle(text)
+
+
+def test_the_injection_base_parses():
+    base = ",".join(CSV_COLUMNS) + "\n" + "\n".join(map(",".join, VALID_ROWS)) + "\n"
+    assert len(parse_measurements(base)) == len(VALID_ROWS) - 1  # one blank line
+    _assert_parses_as_the_oracle(base)
