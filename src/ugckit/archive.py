@@ -27,11 +27,11 @@ import numpy as np
 from . import gpr
 from .errors import (
     CorruptArchiveError,
-    IoFailureError,
+    InputError,
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
-    VersionMismatchError,
 )
+from .units import is_number
 
 FORMAT_VERSION = "1"
 
@@ -75,20 +75,7 @@ def save_model(model: gpr.FittedGP, path, family=None, model_id=None) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise IoFailureError(f"cannot write archive {path}: {exc}") from exc
-
-
-def _holds_only_numbers(value) -> bool:
-    """Whether value is a JSON number or nested lists of them; a bool or a
-    numeric string is not a number, though float() would take it."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, list):
-            stack.extend(v)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            return False
-    return True
+        raise InputError(f"cannot write archive {path}: {exc}") from exc
 
 
 def _read_number_field(doc: dict, path, ndim: int):
@@ -100,8 +87,13 @@ def _read_number_field(doc: dict, path, ndim: int):
         if not isinstance(value, dict) or key not in value:
             raise CorruptArchiveError(f"field {name} is missing")
         value = value[key]
-    if not _holds_only_numbers(value):
-        raise CorruptArchiveError(f"field {name} must hold JSON numbers")
+    stack = [value]  # each leaf must be a number (units.is_number), not a bool or a string
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(leaf)
+        elif not is_number(leaf):
+            raise CorruptArchiveError(f"field {name} must hold JSON numbers")
     try:
         array = np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:
@@ -144,7 +136,7 @@ def _model_from_document(doc, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]
     if missing:
         raise CorruptArchiveError(f"missing fields: {missing}")
     if str(doc["version"]) != FORMAT_VERSION:
-        raise VersionMismatchError(f"field version: {doc['version']!r}, want {FORMAT_VERSION!r}")
+        raise CorruptArchiveError(f"field version: {doc['version']!r}, want {FORMAT_VERSION!r}")
     beta, noise, signal_variance, length_scales, train_x, train_y = (
         _read_number_field(doc, key_path, ndim) for key_path, ndim, _ in _NUMERIC_FIELDS
     )
@@ -161,9 +153,9 @@ def _model_from_document(doc, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]
 
 
 def load_archive(path, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]:
-    """Load a model plus its family/id metadata. Every CorruptArchiveError,
-    VersionMismatchError included, reads "archive <path>: ..." and names the
-    field at fault. A leading UTF-8 byte-order mark is dropped.
+    """Load a model plus its family/id metadata. Every CorruptArchiveError
+    reads "archive <path>: ..." and names the field at fault. A leading
+    UTF-8 byte-order mark is dropped.
 
     spectrum: another model's FittedGP.spectrum, which the refit reuses when
     the archive's train_x and length scales match it bit for bit (a force and
@@ -171,10 +163,10 @@ def load_archive(path, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise IoFailureError(f"cannot read archive {path}: {exc}") from exc
+        raise InputError(f"cannot read archive {path}: {exc}") from exc
     try:
         return _model_from_document(json.loads(text), spectrum)
     except json.JSONDecodeError as exc:
         raise CorruptArchiveError(f"archive {path}: not valid JSON: {exc}") from exc
-    except CorruptArchiveError as exc:  # VersionMismatchError keeps its type
-        raise type(exc)(f"archive {path}: {exc}") from exc
+    except CorruptArchiveError as exc:
+        raise CorruptArchiveError(f"archive {path}: {exc}") from exc

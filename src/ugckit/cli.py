@@ -107,11 +107,10 @@ def cmd_fit(args):
     kind = _family_kind(args.family)
     if args.degree < 1:
         raise InputError(f"--degree must be >= 1, got {args.degree}")
-    if not args.no_average:
-        try:
-            check_angle_bin(args.angle_bin)
-        except ValueError as exc:
-            raise InputError(f"--angle-bin: {exc}") from None
+    try:
+        check_angle_bin(args.angle_bin)
+    except ValueError as exc:
+        raise InputError(f"--angle-bin: {exc}") from None
     ds = parse_measurements(_read_text(args.data))
     if not args.no_average:
         ds = average_runs(ds, args.angle_bin)

@@ -27,13 +27,12 @@ import numpy as np
 
 from .errors import (
     BadNumberError,
-    EmptyFileError,
     InputError,
     MissingColumnError,
     MissingThicknessError,
     OutOfRangeError,
 )
-from .units import finite_float
+from .units import _ANY, checked, finite_float
 
 CSV_COLUMNS = (
     "family",
@@ -80,13 +79,12 @@ class JointFamily:
     thickness: float | None = None  # mm
 
     def __post_init__(self):
-        # float(True) is 1.0, so a bool would pass the range rules below
-        if isinstance(self.thickness, (bool, np.bool_)):
-            raise ValueError(f"thickness must be a number, not a bool, got {self.thickness}")
+        if self.thickness is not None:
+            object.__setattr__(self, "thickness", checked("thickness", self.thickness, _ANY))
         if self.kind is FamilyKind.CURVE:
             if self.thickness is None:
                 raise MissingThicknessError("curve family requires a thickness in mm")
-            if not 0 < self.thickness < math.inf:
+            if self.thickness <= 0:
                 raise ValueError(f"thickness must be a finite number > 0, got {self.thickness}")
         elif self.thickness is not None:
             raise ValueError(f"{self.kind.value} family takes no thickness")
@@ -123,9 +121,7 @@ class MeasurementSample:
 
     def __post_init__(self):
         for attr, *_ in _SAMPLE_RANGES:
-            value = getattr(self, attr)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{attr} must be a number, not a bool, got {value}")
+            object.__setattr__(self, attr, checked(attr, getattr(self, attr), _ANY))
         problem = _range_problem(**vars(self))
         if problem:
             attr, _, detail = problem
@@ -161,7 +157,7 @@ class JointDataset:
         if len({c.shape for c in vars(self).values()}) > 1 or self.force.ndim != 1:
             raise ValueError("dataset columns must be 1-D and of one length")
         if not len(self):
-            raise EmptyFileError("dataset has no samples")
+            raise InputError("dataset has no samples")
         if _bad_rows(**vars(self)).any():
             self.samples  # raises the first bad row's error
             raise AssertionError("a row breaks a column rule but no MeasurementSample rule")
@@ -235,7 +231,7 @@ def parse_measurements(csv_text: str) -> JointDataset:
     try:
         header = next(reader, None)
         if header is None:
-            raise EmptyFileError("no CSV content")
+            raise InputError("no CSV content")
         position = {name: i for i, name in enumerate(header)}
         for col in CSV_COLUMNS:
             if col not in position:
@@ -274,7 +270,7 @@ def parse_measurements(csv_text: str) -> JointDataset:
     if stop is not None:  # a bad row above the line that stopped the reader fails first
         raise stop
     if not rows:
-        raise EmptyFileError("CSV has a header but no data rows")
+        raise InputError("CSV has a header but no data rows")
     return dataset
 
 
@@ -301,12 +297,14 @@ def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
         raise OutOfRangeError(row, column, detail) from None
 
 
-def check_angle_bin(angle_bin: float) -> None:
-    """ValueError naming angle_bin unless it is a finite bin width in
-    (0, 180] deg and 180 / angle_bin is finite: a wider bin would merge every
-    angle of a family, a narrower one every angle above 0."""
+def check_angle_bin(angle_bin: float) -> float:
+    """angle_bin as a float; ValueError naming it unless it is a finite bin
+    width in (0, 180] deg and 180 / angle_bin is finite: a wider bin would
+    merge every angle of a family, a narrower one every angle above 0."""
+    angle_bin = checked("angle_bin", angle_bin, _ANY)
     if not (0.0 < angle_bin <= 180.0 and 180.0 / angle_bin < math.inf):
         raise ValueError(f"angle_bin must be a finite number in (0, 180] deg, got {angle_bin!r}")
+    return angle_bin
 
 
 def average_runs(ds: JointDataset, angle_bin: float = DEFAULT_ANGLE_BIN) -> JointDataset:
@@ -319,7 +317,7 @@ def average_runs(ds: JointDataset, angle_bin: float = DEFAULT_ANGLE_BIN) -> Join
     Averaging an already-averaged dataset with the same bin leaves every row
     intact. angle_bin must pass check_angle_bin.
     """
-    check_angle_bin(angle_bin)
+    angle_bin = check_angle_bin(angle_bin)
     thickness = np.nan_to_num(ds.thickness, nan=-1.0)
     keys = (np.round(ds.deformation_angle / angle_bin), ds.direction, thickness, ds.family)
     order = np.lexsort(keys)  # stable: a group's rows stay in row order

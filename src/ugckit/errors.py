@@ -19,10 +19,6 @@ class ComputationError(UgcError):
 
 # -- measurement CSV ingestion ------------------------------------------------
 
-class EmptyFileError(InputError):
-    """CSV contained a header but no data rows, or nothing at all."""
-
-
 class MissingColumnError(InputError):
     def __init__(self, column):
         self.column = column
@@ -48,22 +44,11 @@ class BadNumberError(InputError):
 # -- model archives ------------------------------------------------------------
 
 class CorruptArchiveError(InputError):
-    """Archive file is not valid JSON, or a field is missing or malformed."""
-
-
-class VersionMismatchError(CorruptArchiveError):
-    """Archive field version names a format this loader does not read."""
-
-
-class IoFailureError(InputError):
-    """Underlying file read/write failed."""
+    """Archive file is not valid JSON, names another format version, or a
+    field is missing or malformed."""
 
 
 # -- GP regression engine -------------------------------------------------------
-
-class DimensionMismatchError(InputError):
-    """Input point dimension disagrees with the model or hyperparameters."""
-
 
 class UnsupportedDimensionError(InputError):
     """The polynomial basis only covers 1- and 2-dimensional inputs."""
@@ -73,17 +58,7 @@ class NotPositiveDefiniteError(ComputationError):
     """Kernel matrix plus noise could not be factorized, even with jitter."""
 
 
-class EmptyGridError(InputError):
-    """Hyperparameter grid has no candidates on at least one axis."""
-
-
 # -- joint models ----------------------------------------------------------------
-
-class NoBuiltinModelError(InputError):
-    def __init__(self, family):
-        self.family = family
-        super().__init__(f"no built-in force coefficients for family {family!r}")
-
 
 class OutOfValidatedRangeError(InputError):
     def __init__(self, angle, low, high):
@@ -96,10 +71,6 @@ class OutOfValidatedRangeError(InputError):
 
 class MissingThicknessError(InputError):
     """Curve-family query or data row without a thickness value."""
-
-
-class InsufficientDataError(InputError):
-    """Too few samples to fit the requested model."""
 
 
 # -- ring mechanics ----------------------------------------------------------------

@@ -63,12 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyGridError,
-    NotPositiveDefiniteError,
-    UnsupportedDimensionError,
-)
+from .errors import InputError, NotPositiveDefiniteError, UnsupportedDimensionError
+from .units import _ANY, checked
 
 JITTER = 1e-8
 _PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
@@ -86,21 +82,14 @@ class KernelHyperParams:
     length_scales: tuple[float, ...]
 
     def __post_init__(self):
-        length_scales = tuple(self.length_scales)
-        # float(True) is 1.0, so a bool would pass for a number below
-        if isinstance(self.signal_variance, (bool, np.bool_)):
-            raise ValueError(
-                f"signal_variance must be a number, not a bool, got {self.signal_variance}"
-            )
-        if any(isinstance(l, (bool, np.bool_)) for l in length_scales):
-            raise ValueError(f"length scales must be numbers, not bools, got {length_scales}")
-        object.__setattr__(self, "length_scales", tuple(float(l) for l in length_scales))
-        if not 0 <= self.signal_variance < math.inf:
-            raise ValueError(
-                f"signal_variance must be finite and >= 0, got {self.signal_variance}"
-            )
-        if not self.length_scales or not all(0 < l < math.inf for l in self.length_scales):
-            raise ValueError(f"length scales must all be finite and > 0, got {self.length_scales}")
+        sf2 = checked("signal_variance", self.signal_variance, _ANY)
+        ls = tuple(checked("length scales", l, _ANY) for l in self.length_scales)
+        object.__setattr__(self, "signal_variance", sf2)
+        object.__setattr__(self, "length_scales", ls)
+        if sf2 < 0:
+            raise ValueError(f"signal_variance must be finite and >= 0, got {sf2}")
+        if not ls or min(ls) <= 0:
+            raise ValueError(f"length scales must all be finite and > 0, got {ls}")
 
     @property
     def dim(self) -> int:
@@ -113,7 +102,7 @@ def _as_points(x) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected 1-D or 2-D input array, got shape {arr.shape}")
+        raise InputError(f"expected 1-D or 2-D input array, got shape {arr.shape}")
     return arr
 
 
@@ -121,9 +110,7 @@ def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(xa_i, xb_j)."""
     A, B = _as_points(xa), _as_points(xb)
     if A.shape[1] != hyper.dim or B.shape[1] != hyper.dim:
-        raise DimensionMismatchError(
-            f"points of dim {A.shape[1]}/{B.shape[1]} vs {hyper.dim} length scales"
-        )
+        raise InputError(f"points of dim {A.shape[1]}/{B.shape[1]} vs {hyper.dim} length scales")
     ls = np.asarray(hyper.length_scales)
     sq = np.zeros((A.shape[0], B.shape[0]))
     for j in range(A.shape[1]):
@@ -161,13 +148,16 @@ def _has_duplicate_rows(X: np.ndarray) -> bool:
     return np.unique(X, axis=0).shape[0] < X.shape[0]
 
 
-def _check_noise(noise_variance: float, duplicate_rows: bool) -> None:
-    """The rule for a noise variance: finite and >= 0, and 0 only on distinct
-    rows (with a repeated row and no noise, K is singular)."""
-    if not 0 <= noise_variance < math.inf:
-        raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
-    if noise_variance == 0.0 and duplicate_rows:
+def _check_noise(noise_variance: float, duplicate_rows: bool) -> float:
+    """noise_variance as a float, by the rule for a noise variance: finite
+    and >= 0, and 0 only on distinct rows (with a repeated row and no noise,
+    K is singular)."""
+    noise = checked("noise_variance", noise_variance, _ANY)
+    if noise < 0:
+        raise ValueError(f"noise_variance must be finite and >= 0, got {noise}")
+    if noise == 0.0 and duplicate_rows:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
+    return noise
 
 
 @dataclass(frozen=True)
@@ -338,9 +328,9 @@ def _training_data(X, y, dim: int):
     yv = np.asarray(y, dtype=float).ravel()
     n, d = Xm.shape
     if n < 1 or yv.shape[0] != n:
-        raise DimensionMismatchError(f"X has {n} rows but y has {yv.shape[0]} entries")
+        raise InputError(f"X has {n} rows but y has {yv.shape[0]} entries")
     if d != dim:
-        raise DimensionMismatchError(f"X dim {d} vs {dim} length scales")
+        raise InputError(f"X dim {d} vs {dim} length scales")
     if not (np.all(np.isfinite(Xm)) and np.all(np.isfinite(yv))):
         raise ValueError("training inputs and targets must be finite")
     return Xm, yv
@@ -363,7 +353,7 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     else:
         beta_vec = np.asarray(beta, dtype=float).ravel()
         if beta_vec.shape[0] != H.shape[1]:
-            raise DimensionMismatchError(
+            raise InputError(
                 f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}"
             )
 
@@ -396,10 +386,10 @@ def fit(
     """
     Xm, yv = _training_data(X, y, hyper.dim)
     # the row scan only where the rule reads it
-    _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(Xm))
+    noise = _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(Xm))
     if spectrum is None or not spectrum.matches(Xm, hyper.length_scales):
         spectrum = _kernel_eigh(Xm.copy(), hyper.length_scales)
-    return _fitted(yv, hyper, noise_variance, spectrum, beta)
+    return _fitted(yv, hyper, noise, spectrum, beta)
 
 
 def took_jitter(model: FittedGP) -> bool:
@@ -461,9 +451,7 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     """
     Q = _as_points(Xq)
     if Q.shape[1] != model.input_dim:
-        raise DimensionMismatchError(
-            f"query dim {Q.shape[1]} vs training dim {model.input_dim}"
-        )
+        raise InputError(f"query dim {Q.shape[1]} vs training dim {model.input_dim}")
     if not np.all(np.isfinite(Q)):
         raise ValueError("query points must be finite")
     means = np.empty(Q.shape[0])
@@ -570,7 +558,7 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
             or not search.length_scale_grids
             or any(not g for g in search.length_scale_grids)
         ):
-            raise EmptyGridError("every grid axis needs at least one candidate")
+            raise InputError("every grid axis needs at least one candidate")
         if search.length_scale_grids != grids:
             raise ValueError("every target's grid needs the same length_scale_grids")
 

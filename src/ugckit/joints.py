@@ -14,8 +14,9 @@ from gpr.loo_residuals.
 
 predict_many is the one query, for one angle or many: it answers force and
 return angle, and a bent angle's return angle is None where the model has no
-return-angle component. Its angles and thickness must be finite real
-numbers; a string, bytes or a bool is refused. Predictions for the curve
+return-angle component. Its angles and thickness pass units.checked, the
+typed-number rule, and a value it refuses (a string, bytes, a bool, NaN or
+±inf) raises InputError naming theta or thickness. Predictions for the curve
 family are refused outside the validated window of 30 to 150 deg, where the
 regression has no supporting data; other families only get an extrapolation
 warning there.
@@ -23,20 +24,14 @@ warning there.
 
 import contextlib
 import itertools
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import gpr
 from .data import FamilyKind, JointDataset, JointFamily
-from .errors import (
-    InputError,
-    InsufficientDataError,
-    NoBuiltinModelError,
-    OutOfValidatedRangeError,
-)
-from .units import finite_float
+from .errors import InputError, OutOfValidatedRangeError
+from .units import _ANY, checked
 
 VALIDATED_ANGLE_RANGE = (30.0, 150.0)  # deg
 TESTED_THICKNESS_RANGE = (0.4, 1.6)  # mm
@@ -163,17 +158,6 @@ class JointFamilyModel:
                 )
 
 
-def _finite_query(value, name: str) -> float:
-    """value as a float; InputError unless it is a finite real number (a bool,
-    a string or bytes is not one)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return finite_float(value)
-        except ValueError:
-            pass
-    raise InputError(f"{name} must be a finite number, got {value!r}")
-
-
 def predict_many(
     model: JointFamilyModel,
     thetas,
@@ -195,10 +179,8 @@ def predict_many(
     the flat reference of 180 deg exactly, and a bent angle gives None when
     the model has no return-angle component.
     """
-    angles = np.array([_finite_query(theta, "theta") for theta in thetas], dtype=float)
-    if thickness is not None:
-        thickness = _finite_query(thickness, "thickness")
     try:
+        angles = np.array([checked("theta", theta, _ANY) for theta in thetas], dtype=float)
         family = JointFamily(model.kind, thickness)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -208,7 +190,7 @@ def predict_many(
         if extrapolated.any() and not allow_extrapolation:
             raise OutOfValidatedRangeError(float(angles[extrapolated.argmax()]), low, high)
         tlo, thi = TESTED_THICKNESS_RANGE
-        extrapolated |= not tlo <= thickness <= thi
+        extrapolated |= not tlo <= family.thickness <= thi
     X = angles[:, None]
     if model.kind.input_dim == 2:
         X = np.column_stack([angles, np.full_like(angles, family.thickness)])
@@ -236,7 +218,7 @@ def builtin_model(kind: FamilyKind) -> JointFamilyModel:
     quadratic prior mean everywhere; there is no return-angle component.
     """
     if kind not in BUILTIN_FORCE_BETA:
-        raise NoBuiltinModelError(kind.value)
+        raise InputError(f"no built-in force coefficients for family {kind.value!r}")
     beta = np.array(BUILTIN_FORCE_BETA[kind])
     X = np.array(list(itertools.product(*BUILTIN_ANCHOR_AXES[: kind.input_dim])))
     y = gpr.basis_matrix(X) @ beta
@@ -279,7 +261,7 @@ def family_training_arrays(ds: JointDataset, kind: FamilyKind):
     rows = ds.family == kind.value
     n = np.count_nonzero(rows)
     if n < MIN_FAMILY_SAMPLES:
-        raise InsufficientDataError(f"{kind.value}: {n} samples, need at least {MIN_FAMILY_SAMPLES}")
+        raise InputError(f"{kind.value}: {n} samples, need at least {MIN_FAMILY_SAMPLES}")
     X = np.stack([ds.deformation_angle, ds.thickness][: kind.input_dim], axis=1)[rows]
     return X, ds.force[rows], ds.return_angle[rows]
 

@@ -30,7 +30,6 @@ r in meters.
 
 import functools
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args, get_type_hints
 
@@ -42,6 +41,7 @@ from .errors import (
     MissingThicknessError,
     OutOfValidatedRangeError,
 )
+from .units import _ANY, _POSITIVE, _RATIO, _at_least, checked
 
 DEFAULT_SAFETY_FACTOR = 1.5
 SPINDLE_GRID_MM = 0.1  # manufacturable spindle radius resolution
@@ -56,34 +56,6 @@ FLAG_OVERDRIVE = "overdrive"
 # walk _spec_fields. A field's default sets its key's presence in JSON: with no
 # default the key is required, with None it may be null or absent, and with any
 # other default it may be absent and then takes that value.
-
-
-def _at_least(low):
-    return (lambda v: v >= low), f"must be >= {low}"
-
-
-_ANY = (lambda v: True), ""
-_POSITIVE = (lambda v: v > 0), "must be > 0"
-_RATIO = (lambda v: 0 < v <= 1), "must be in (0, 1]"
-
-
-def _enforce(label: str, value, rule) -> None:
-    if not rule[0](value):
-        raise ValueError(f"{label}: {rule[1]}")
-
-
-def _checked(label: str, value, rule, kind=float):
-    """value as kind, int or float (bools are neither); ValueError starting
-    with label if it is not one, is not finite, or breaks rule."""
-    wanted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ValueError(f"{label}: expected {kind.__name__}")
-    try:
-        value = int(value) if kind is int else units.finite_float(value)
-    except ValueError:
-        raise ValueError(f"{label}: must be a finite number") from None
-    _enforce(label, value, rule)
-    return value
 
 
 def _spec(key=None, rule=_ANY, default=MISSING):
@@ -113,7 +85,7 @@ def _check_attributes(obj) -> None:
             if not isinstance(value, kind):
                 raise ValueError(f"{name}={value!r}: expected {kind.__name__}")
         elif not (value is None and default is None):
-            object.__setattr__(obj, name, _checked(f"{name}={value!r}", value, rule, kind))
+            object.__setattr__(obj, name, checked(f"{name}={value!r}", value, rule, kind))
 
 
 @dataclass(frozen=True)
@@ -167,15 +139,16 @@ def ring_geometry(outer_radius: float, n_sections: int) -> tuple[float, float]:
     Mirror symmetry splits every section into two identical halves, so the
     half-section arc is the unit all bend analysis runs on.
     """
-    _enforce(f"outer_radius={outer_radius!r}", outer_radius, _POSITIVE)
-    _enforce(f"n_sections={n_sections!r}", n_sections, _at_least(1))
+    outer_radius = checked(f"outer_radius={outer_radius!r}", outer_radius, _POSITIVE)
+    n_sections = checked(f"n_sections={n_sections!r}", n_sections, _at_least(1), int)
     section_arc = 2.0 * math.pi * outer_radius / n_sections
     return section_arc, section_arc / 2.0
 
 
 def target_arc(half_section_arc: float, target_ratio: float) -> tuple[float, float]:
     """Shortened half-section arc and the reduction delta, in mm."""
-    _enforce(f"target_ratio={target_ratio!r}", target_ratio, _RATIO)
+    half_section_arc = checked(f"half_section_arc={half_section_arc!r}", half_section_arc, _ANY)
+    target_ratio = checked(f"target_ratio={target_ratio!r}", target_ratio, _RATIO)
     new_arc = half_section_arc * target_ratio
     return new_arc, half_section_arc - new_arc
 
@@ -187,6 +160,8 @@ def required_bend_angle(half_section_arc: float, delta: float) -> float:
     adjacent = (half_section_arc - delta) / 2. The cosine ratio must land in
     [0, 1]; outside it no such triangle exists.
     """
+    half_section_arc = checked(f"half_section_arc={half_section_arc!r}", half_section_arc, _ANY)
+    delta = checked(f"delta={delta!r}", delta, _ANY)
     if delta >= half_section_arc:
         raise GeometryInfeasibleError(
             f"arc reduction {delta:g} mm >= half-section arc {half_section_arc:g} mm"
@@ -223,8 +198,8 @@ def motor_requirements(
     the actuator's overdrive tolerance). ValueError where the total force or
     the torque is past the float range.
     """
-    total_joints = _checked(f"total_joints={total_joints!r}", total_joints, _at_least(0), int)
-    per_joint_force = _checked(
+    total_joints = checked(f"total_joints={total_joints!r}", total_joints, _at_least(0), int)
+    per_joint_force = checked(
         f"per_joint_force={per_joint_force!r}", per_joint_force, _at_least(0)
     )
     total_force = total_joints * per_joint_force
@@ -371,7 +346,7 @@ def design_module(
     not fitting inside the contracted ring), out-of-range curve queries and
     a total force or torque past the float range abort.
     """
-    safety_factor = _checked(f"safety_factor={safety_factor!r}", safety_factor, _POSITIVE)
+    safety_factor = checked(f"safety_factor={safety_factor!r}", safety_factor, _POSITIVE)
     if joint_model.kind is not spec.joint.kind:
         raise ValueError(
             f"model covers {joint_model.kind.value}, design uses {spec.joint.kind.value}"
@@ -481,9 +456,8 @@ def _joint_from_json(doc: dict, problems: list[str]) -> JointFamily | None:
     except ValueError:
         problems.append(f"field joint.family: unknown family {doc.get('family')!r}")
         return None
-    thick = doc.get("thickness_mm")
     try:
-        return JointFamily(kind, None if thick is None else _checked("thickness", thick, _ANY))
+        return JointFamily(kind, doc.get("thickness_mm"))
     except (ValueError, MissingThicknessError) as exc:
         problems.append(f"field joint.thickness_mm: {exc}")
     return None
@@ -512,7 +486,7 @@ def _read_fields(doc: dict, cls, problems: list[str], prefix: str = "") -> dict:
                 problems.append(f"missing field: {path}")
         elif raw is not None or default is not None:
             try:
-                values[name] = _checked(f"field {path}", raw, rule, kind)
+                values[name] = checked(f"field {path}", raw, rule, kind)
             except ValueError as exc:
                 problems.append(str(exc))
     _unknown_keys(doc, {key for _, key, *_ in _spec_fields(cls)}, prefix, problems)

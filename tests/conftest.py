@@ -24,7 +24,7 @@ import pytest
 
 from ugckit import data, gpr
 from ugckit.data import CSV_COLUMNS, JointDataset, average_runs, parse_measurements
-from ugckit.errors import EmptyFileError, InputError, MissingColumnError
+from ugckit.errors import InputError, MissingColumnError
 
 
 # -- independent GP oracle ----------------------------------------------------
@@ -188,7 +188,7 @@ def oracle_parse(csv_text):
     try:
         header = next(reader, None)
         if header is None:
-            raise EmptyFileError("no CSV content")
+            raise InputError("no CSV content")
         position = {name: i for i, name in enumerate(header)}
         for col in CSV_COLUMNS:
             if col not in position:
@@ -208,7 +208,7 @@ def oracle_parse(csv_text):
     except csv.Error as exc:
         raise InputError(f"after line {reader.line_num}: {exc}") from None
     if not samples:
-        raise EmptyFileError("CSV has a header but no data rows")
+        raise InputError("CSV has a header but no data rows")
     return tuple(samples)
 
 

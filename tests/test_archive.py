@@ -6,7 +6,7 @@ import pytest
 from ugckit import archive, gpr, joints
 from ugckit.cli import main
 from ugckit.data import FamilyKind
-from ugckit.errors import CorruptArchiveError, IoFailureError, VersionMismatchError
+from ugckit.errors import CorruptArchiveError, InputError
 
 from conftest import assert_same_model
 
@@ -105,7 +105,7 @@ def test_version_mismatch(tmp_path, fitted_model):
     doc = json.loads(path.read_text())
     doc["version"] = "0"
     path.write_text(json.dumps(doc))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(CorruptArchiveError, match="field version: '0', want '1'$"):
         archive.load_archive(path)
 
 
@@ -129,7 +129,7 @@ def test_missing_field_is_corrupt(tmp_path, fitted_model):
 
 
 def test_missing_file_is_io_failure(tmp_path):
-    with pytest.raises(IoFailureError):
+    with pytest.raises(InputError, match="^cannot read archive "):
         archive.load_archive(tmp_path / "nope.json")
 
 

@@ -238,6 +238,19 @@ class TestFit:
         )
         assert not (tmp_path / "m.json").exists()
 
+    def test_angle_bin_checked_without_averaging(self, tmp_path, capsys):
+        # --no-average used to skip the check and ignore the flag, exiting 0;
+        # the bin is refused before the CSV is read
+        code = main([
+            "fit", "--data", str(tmp_path / "missing.csv"), "--family", "square_sym",
+            "--out", str(tmp_path / "m.json"), "--no-average", "--angle-bin", "-5",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --angle-bin: angle_bin must be a finite number in (0, 180] deg, got -5.0\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_cell_on_the_last_line_names_its_row(self, tmp_path, capsys):
         text = (DEMO_DATA / "square_sym_bench.csv").read_text()
         bad = tmp_path / "bad.csv"

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from ugckit import gpr, joints
 from ugckit.data import FamilyKind, average_runs, parse_measurements
-from ugckit.errors import (
-    DimensionMismatchError,
-    EmptyGridError,
-    NotPositiveDefiniteError,
-    UnsupportedDimensionError,
-)
+from ugckit.errors import InputError, NotPositiveDefiniteError, UnsupportedDimensionError
 
 from conftest import (
     assert_same_model,
@@ -57,9 +52,9 @@ class TestKernel:
         assert K[0, 0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^points of dim 2/1 vs 1 length scales$"):
             gpr.kernel_matrix([[0.0, 1.0]], [[0.0]], hp())
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^points of dim 2/2 vs 1 length scales$"):
             gpr.kernel_matrix([[0.0, 1.0]], [[0.0, 1.0]], hp())
 
     @given(
@@ -133,14 +128,14 @@ class TestFitPredict:
         assert mean == pytest.approx(1.5, abs=0.2)
 
     def test_beta_length_checked(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^beta has 2 terms, basis needs 3$"):
             gpr.fit([[1.0]], [1.0], hp(), 0.1, beta=[1.0, 2.0])
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
     def test_non_finite_noise_rejected(self, noise):
         # inf fitted beta = 0 and saved an archive no loader accepts; nan
         # escaped as numpy's LinAlgError
-        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^noise_variance: must be a finite number$"):
             gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), noise)
 
     def test_matches_oracle_fixed_and_gls_beta(self):
@@ -224,7 +219,7 @@ class TestFitPredict:
 
     def test_query_dimension_checked(self):
         m = gpr.fit([[1.0]], [1.0], hp(), 0.1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^query dim 2 vs training dim 1$"):
             gpr.predict_many(m, [[1.0, 2.0]])
 
     def test_fitted_model_is_immutable(self):
@@ -444,12 +439,12 @@ class TestPredictMany:
 
     def test_query_dimension_checked(self):
         m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="^query dim 2 vs training dim 1$"):
             gpr.predict_many(m, [[1.0, 2.0]])
 
     def test_rejects_three_dimensional_queries(self):
         m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0), hp(), 0.1)
-        with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 1, 1\)"):
+        with pytest.raises(InputError, match=r"got shape \(2, 1, 1\)"):
             gpr.predict_many(m, np.zeros((2, 1, 1)))
 
     def test_non_finite_prediction_names_the_point(self):
@@ -548,7 +543,7 @@ class TestTuneHyperparams:
         assert m.noise_variance == 0.01
 
     def test_empty_grid(self):
-        with pytest.raises(EmptyGridError):
+        with pytest.raises(InputError, match="^every grid axis needs at least one candidate$"):
             gpr.tune_hyperparams([[0.0]], [([0.0], gpr.GridSpec((), ((1.0,),), (0.1,)))])
 
     def test_recovers_generating_hyperparams(self):
@@ -569,7 +564,7 @@ class TestTuneHyperparams:
     @pytest.mark.parametrize("y, error, match", [
         ([1.0, float("nan"), 2.0], ValueError, "must be finite"),
         ([1.0, float("inf"), 2.0], ValueError, "must be finite"),
-        ([1.0, 2.0], DimensionMismatchError, "3 rows but y has 2"),
+        ([1.0, 2.0], InputError, "3 rows but y has 2"),
     ])
     def test_rejects_unusable_targets(self, y, error, match):
         grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1,))
@@ -599,19 +594,23 @@ class TestTuneHyperparams:
     def test_rejects_infinite_noise_candidate(self):
         # rejected, not skipped: an infinite noise would make an all-zero beta the pick
         grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1, math.inf))
-        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
+        with pytest.raises(ValueError, match="^noise_variance: must be a finite number$"):
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
-    @pytest.mark.parametrize("sf2", [float("nan"), -1.0])
-    def test_rejects_bad_signal_variance_candidate(self, sf2):
+    @pytest.mark.parametrize(
+        "sf2, problem",
+        [(float("nan"), ": must be a finite number$"),
+         (-1.0, " must be finite and >= 0, got -1.0$")],
+    )
+    def test_rejects_bad_signal_variance_candidate(self, sf2, problem):
         # rejected, not skipped, though large noise keeps the spectrum positive
         grid = gpr.GridSpec((1.0, sf2), ((1.0,),), (10.0,))
-        with pytest.raises(ValueError, match="signal_variance must be finite and >= 0"):
+        with pytest.raises(ValueError, match=f"^signal_variance{problem}"):
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     def test_rejects_grid_of_other_dimension(self):
         grid = gpr.GridSpec((1.0,), ((1.0,), (1.0,)), (0.1,))
-        with pytest.raises(DimensionMismatchError, match="X dim 1 vs 2"):
+        with pytest.raises(InputError, match="X dim 1 vs 2"):
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -704,9 +703,9 @@ class TestHyperParamValidation:
     @pytest.mark.parametrize("bad", [True, np.True_])
     def test_rejects_bools(self, bad):
         # float(True) is 1.0: a bool would pass as a number
-        with pytest.raises(ValueError, match="signal_variance must be a number, not a bool"):
+        with pytest.raises(ValueError, match="^signal_variance: expected float$"):
             gpr.KernelHyperParams(bad, (1.0,))
-        with pytest.raises(ValueError, match="length scales must be numbers, not bools"):
+        with pytest.raises(ValueError, match="^length scales: expected float$"):
             gpr.KernelHyperParams(1.0, (20.0, bad))
 
     def test_rejects_bad_values(self):

@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +5,7 @@ import pytest
 
 from ugckit import gpr, joints
 from ugckit.data import FamilyKind, JointFamily, average_runs, parse_measurements
-from ugckit.errors import (
-    InputError,
-    InsufficientDataError,
-    MissingThicknessError,
-    NoBuiltinModelError,
-    OutOfValidatedRangeError,
-)
+from ugckit.errors import InputError, MissingThicknessError, OutOfValidatedRangeError
 
 from conftest import (
     UndefinedFold,
@@ -77,7 +70,8 @@ class TestBuiltinModels:
 
     def test_unavailable_families(self):
         for kind in (FamilyKind.STRAIGHT, FamilyKind.DOUBLE_CURVE, FamilyKind.SQUARE_NONSYM):
-            with pytest.raises(NoBuiltinModelError):
+            message = f"^no built-in force coefficients for family '{kind.value}'$"
+            with pytest.raises(InputError, match=message):
                 joints.builtin_model(kind)
 
     def test_builtin_has_no_return_model(self):
@@ -180,7 +174,7 @@ class TestFitFamilyModel:
         header = "family,thickness_mm,deformation_angle_deg,direction,force_n,return_angle_deg,run_id"
         rows = [f"square_sym,,{t},forward,1.0,170,r1" for t in (30, 60, 90, 120)]
         ds = parse_measurements(header + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InputError, match="^square_sym: 4 samples, need at least 5$"):
             joints.fit_family_model(ds, SQ)
 
     def test_noiseless_quadratic_recovered(self):
@@ -327,7 +321,7 @@ class TestTuning:
         assert not eigh_calls  # refused before any fit
 
     def test_infinite_configured_noise_rejected(self, square_dataset):
-        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0, got inf"):
+        with pytest.raises(ValueError, match="^noise_variance: must be a finite number$"):
             joints.fit_family_model(square_dataset, SQ, noise_variance=np.inf)
 
 
@@ -486,7 +480,7 @@ class TestVectorQueries:
                          (model.return_model, {"with_variances": False})]
 
     def test_every_angle_validated(self, fitted_models):
-        with pytest.raises(InputError, match="theta must be a finite number"):
+        with pytest.raises(InputError, match="^theta: must be a finite number$"):
             joints.predict_many(fitted_models[SQ], [30.0, float("nan"), 60.0])
         with pytest.raises(OutOfValidatedRangeError):
             joints.predict_many(fitted_models[CURVE], [30.0, 151.0], 0.8)
@@ -503,11 +497,15 @@ class TestVectorQueries:
             (joints.WARN_EXTRAPOLATION, joints.WARN_REST_FORCE), (), (joints.WARN_EXTRAPOLATION,)
         ]
 
-    @pytest.mark.parametrize("bad", ["abc", None, [1.0], 10**400])
-    def test_message_names_the_first_bad_angle(self, bad):
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [("abc", "expected float"), (None, "expected float"), ([1.0], "expected float"),
+         (10**400, "must be a finite number")],
+    )
+    def test_message_names_the_first_bad_angle(self, bad, problem):
+        # the NaN after the bad angle would read "must be a finite number"
         model = joints.builtin_model(SQ)
-        message = f"theta must be a finite number, got {re.escape(repr(bad))}$"
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=f"^theta: {problem}$"):
             joints.predict_many(model, [30.0, bad, float("nan")])
 
     @pytest.mark.parametrize(
@@ -516,15 +514,13 @@ class TestVectorQueries:
     def test_non_numbers_rejected(self, bad):
         # float() would read each of these; a query takes real numbers only
         model = joints.builtin_model(SQ)
-        message = f"theta must be a finite number, got {re.escape(repr(bad))}$"
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match="^theta: expected float$"):
             joints.predict_many(model, [bad])
 
     @pytest.mark.parametrize("bad", ["0.8", True])
     def test_non_number_thickness_rejected(self, bad):
         model = joints.builtin_model(CURVE)
-        message = f"thickness must be a finite number, got {re.escape(repr(bad))}$"
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match="^thickness: expected float$"):
             joints.predict_many(model, [90.0], bad)
 
     def test_numpy_scalars_accepted(self):
@@ -556,7 +552,7 @@ class TestNonFiniteQueries:
         query = {"theta": 90.0, "thickness": 0.8 if kind is CURVE else None}
         query[name] = float(bad)
         thetas = [*lead, query["theta"]]
-        with pytest.raises(InputError, match=f"{name} must be a finite number"):
+        with pytest.raises(InputError, match=f"^{name}: must be a finite number$"):
             joints.predict_many(
                 fitted_models[kind], thetas, query["thickness"], allow_extrapolation=True
             )

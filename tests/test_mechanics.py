@@ -54,7 +54,7 @@ class TestRingGeometry:
         [
             (0.0, 5, "outer_radius=0.0: must be > 0"),
             (-10.0, 5, "outer_radius=-10.0: must be > 0"),
-            (math.nan, 5, "outer_radius=nan: must be > 0"),
+            (math.nan, 5, "outer_radius=nan: must be a finite number"),
             (100.0, 0, "n_sections=0: must be >= 1"),
         ],
         ids=["radius-zero", "radius-neg", "radius-nan", "sections-zero"],
@@ -80,11 +80,15 @@ class TestTargetArc:
         new_arc, _ = mechanics.target_arc(62.83185307179586, 0.5)
         assert new_arc == pytest.approx(31.42, abs=0.005)
 
-    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0000001, math.nan])
-    def test_rejects_a_ratio_outside_the_unit_interval(self, ratio):
+    @pytest.mark.parametrize(
+        "ratio, problem",
+        [(0.0, "must be in (0, 1]"), (-0.5, "must be in (0, 1]"),
+         (1.0000001, "must be in (0, 1]"), (math.nan, "must be a finite number")],
+    )
+    def test_rejects_a_ratio_outside_the_unit_interval(self, ratio, problem):
         with pytest.raises(ValueError) as err:
             mechanics.target_arc(62.83, ratio)
-        assert str(err.value) == f"target_ratio={ratio!r}: must be in (0, 1]"
+        assert str(err.value) == f"target_ratio={ratio!r}: {problem}"
 
 
 class TestRequiredBendAngle:

@@ -1,7 +1,9 @@
 """The package's public names, pinned: adding or removing one edits this list."""
 
+import inspect
+
 import ugckit
-from ugckit import joints
+from ugckit import errors, joints
 
 PUBLIC_NAMES = [
     "ActuatorSpec",
@@ -50,3 +52,26 @@ def test_every_public_name_resolves():
 
 def test_predict_many_is_the_joint_query():
     assert ugckit.predict_many is joints.predict_many
+
+
+ERROR_CLASSES = [
+    "BadNumberError",
+    "ComputationError",
+    "CorruptArchiveError",
+    "DesignSpecError",
+    "GeometryInfeasibleError",
+    "InputError",
+    "MissingColumnError",
+    "MissingThicknessError",
+    "NotPositiveDefiniteError",
+    "OutOfRangeError",
+    "OutOfValidatedRangeError",
+    "UgcError",
+    "UnsupportedDimensionError",
+]
+
+
+def test_errors_defines_the_pinned_classes():
+    # a new error class needs a caller that tells it from its base
+    defined = [name for name, obj in vars(errors).items() if inspect.isclass(obj)]
+    assert sorted(defined) == ERROR_CLASSES

@@ -1,10 +1,14 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ugckit import units
+from ugckit import gpr, joints, mechanics, units
+from ugckit.data import Direction, FamilyKind, JointFamily, MeasurementSample, check_angle_bin
+from ugckit.errors import InputError
 
 
 def test_deg_rad_known_values():
@@ -27,3 +31,77 @@ def test_angle_round_trip(angle):
 def test_length_round_trip(length):
     back = units.m_to_mm(units.mm_to_m(length))
     assert math.isclose(back, length, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# -- the typed-number rule at every input boundary -------------------------------
+
+SQ_MODEL = joints.builtin_model(FamilyKind.SQUARE_SYM)
+CURVE_MODEL = joints.builtin_model(FamilyKind.CURVE)
+HYPER = gpr.KernelHyperParams(1.0, (1.0,))
+ROWS, TARGETS = [[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0]
+
+
+def _sample(**numbers):
+    values = {"deformation_angle": 90.0, "force": 1.0, "return_angle": 170.0} | numbers
+    return MeasurementSample(
+        JointFamily(FamilyKind.SQUARE_SYM), values["deformation_angle"], Direction.FORWARD,
+        values["force"], values["return_angle"], "r1",
+    )
+
+
+# (field the message starts with, a call that passes the value to that boundary)
+BOUNDARIES = {
+    "signal_variance": lambda v: gpr.KernelHyperParams(v, (1.0,)),
+    "length scales": lambda v: gpr.KernelHyperParams(1.0, (20.0, v)),
+    "noise_variance": lambda v: gpr.fit(ROWS, TARGETS, HYPER, v),
+    "noise_variance (grid)": lambda v: gpr.tune_hyperparams(
+        ROWS, [(TARGETS, gpr.GridSpec((1.0,), ((1.0,),), (0.1, v)))]
+    ),
+    "thickness": lambda v: JointFamily(FamilyKind.CURVE, v),
+    "deformation_angle": lambda v: _sample(deformation_angle=v),
+    "force": lambda v: _sample(force=v),
+    "return_angle": lambda v: _sample(return_angle=v),
+    "angle_bin": check_angle_bin,
+    "theta": lambda v: joints.predict_many(SQ_MODEL, [60.0, v]),
+    "thickness (query)": lambda v: joints.predict_many(CURVE_MODEL, [60.0], v),
+    "outer_radius": lambda v: mechanics.ring_geometry(v, 5),
+    "n_sections": lambda v: mechanics.ring_geometry(100.0, v),
+    "half_section_arc": lambda v: mechanics.target_arc(v, 0.5),
+    "target_ratio": lambda v: mechanics.target_arc(62.8, v),
+    "half_section_arc (bend)": lambda v: mechanics.required_bend_angle(v, 1.0),
+    "delta": lambda v: mechanics.required_bend_angle(62.8, v),
+}
+
+NOT_NUMBERS = [True, np.True_, "1.0", b"1", math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_every_boundary_refuses_a_non_number_naming_the_field(boundary, bad):
+    # float() reads a bool, a numeric string and bytes: each used to pass for
+    # a number at some of these boundaries, or to raise TypeError
+    field = boundary.split(" (")[0]
+    with pytest.raises((ValueError, InputError)) as err:
+        BOUNDARIES[boundary](bad)
+    problem = "(expected (float|int)|must be a finite number)"
+    assert re.fullmatch(rf"{field}(=\S+)?: {problem}", str(err.value)), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value, kind, want",
+    [(2, float, 2.0), (np.float32(0.5), float, 0.5), (np.int64(3), int, 3), (7, int, 7)],
+)
+def test_checked_takes_numbers_of_its_kind(value, kind, want):
+    got = units.checked("x", value, units._ANY, kind)
+    assert got == want and type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [(2.5, int, "x: expected int"), (None, float, "x: expected float"),
+     (10**400, float, "x: must be a finite number"), (-1.0, float, "x: must be > 0")],
+)
+def test_checked_messages(value, kind, message):
+    with pytest.raises(ValueError) as err:
+        units.checked("x", value, units._POSITIVE, kind)
+    assert str(err.value) == message
