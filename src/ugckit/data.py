@@ -4,7 +4,9 @@ The test bench records, per bend of a joint, the imposed deformation angle,
 the holding force at the free end, and the angle the joint recovers to after
 release (180 deg = flat, full recovery). A JointDataset holds a non-empty
 set of such readings as columns, one array per CSV column; a
-MeasurementSample is one reading as an object, under the same rules.
+MeasurementSample is one reading as an object. One ordered table, _RULES,
+states each row rule once, as a column mask and an error builder: the CSV
+reader, JointDataset, JointFamily and MeasurementSample all check through it.
 
 CSV wire format (exact header, comma separated):
 
@@ -20,7 +22,6 @@ import enum
 import io
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     MissingThicknessError,
     OutOfRangeError,
 )
-from .units import _ANY, checked, finite_float
+from .units import _ANY, checked
 
 CSV_COLUMNS = (
     "family",
@@ -67,6 +68,81 @@ class Direction(str, enum.Enum):
     REVERSE = "reverse"
 
 
+# A sample's range rules: attribute, CSV column, bounds, and what a value outside them is.
+_SAMPLE_RANGES = (
+    ("deformation_angle", "deformation_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+    ("force", "force_n", 0.0, math.inf, "is not a finite number >= 0"),
+    ("return_angle", "return_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+)
+
+
+def _rule(column, bad, kind, detail, name=""):
+    """A row rule: the CSV column its error names, the mask bad(columns) of the
+    rows that break it, and the error builder error(line, cell, row). On a CSV
+    line that is kind naming line and column: BadNumberError quotes the raw
+    cell, OutOfRangeError and MissingThicknessError give detail(row). For a
+    library call (line None) it is ValueError(name + detail(row)), or
+    MissingThicknessError(detail(row))."""
+    def error(line, cell, row):
+        text = detail(row)
+        if kind is MissingThicknessError:
+            return kind(text if line is None else f"row {line}: field {column!r} empty ({text})")
+        if line is None:
+            return ValueError(name + text)
+        return kind(line, column, cell if kind is BadNumberError else text)
+    return column, bad, error
+
+
+def _token_rule(kind: type[enum.Enum], attr: str):
+    tokens = frozenset(member.value for member in kind)
+    return _rule(attr, lambda c: np.array([t not in tokens for t in c[attr]], dtype=bool),
+                 BadNumberError, lambda r: f"{r[attr]!r} is not a valid {kind.__name__}")
+
+
+# The row rules, in the order a row is checked: the family token; the thickness (a given
+# one, not NaN, is finite; curve rows have one and it is > 0; other families have none);
+# the direction token; each number finite; each number in its range. A mask reads the
+# columns by attribute, one 1-D array each.
+_CURVE = FamilyKind.CURVE.value
+_THICKNESS_RULES = (
+    _rule("thickness_mm", lambda c: np.isinf(c["thickness"]), BadNumberError,
+          lambda r: "thickness: must be a finite number"),
+    _rule("thickness_mm", lambda c: (c["family"] == _CURVE) & np.isnan(c["thickness"]),
+          MissingThicknessError, lambda r: "curve family requires a thickness in mm"),
+    _rule("thickness_mm", lambda c: (c["family"] == _CURVE) & (c["thickness"] <= 0.0),
+          OutOfRangeError,
+          lambda r: f"thickness must be a finite number > 0, got {r['thickness']}"),
+    _rule("thickness_mm", lambda c: (c["family"] != _CURVE) & ~np.isnan(c["thickness"]),
+          OutOfRangeError, lambda r: f"{FamilyKind(r['family']).value} family takes no thickness"),
+)
+_NUMBER_RULES = (
+    *(_rule(column, lambda c, a=attr: ~np.isfinite(c[a]), BadNumberError,
+            lambda r, a=attr: f"{a}: must be a finite number")
+      for attr, column, *_ in _SAMPLE_RANGES),
+    *(_rule(column, lambda c, a=attr, lo=low, hi=high: (c[a] < lo) | (c[a] > hi),
+            OutOfRangeError, lambda r, a=attr, t=text: f"{r[a]:g} {t}", f"{attr} ")
+      for attr, column, low, high, text in _SAMPLE_RANGES),
+)
+_RULES = (
+    _token_rule(FamilyKind, "family"), *_THICKNESS_RULES,
+    _token_rule(Direction, "direction"), *_NUMBER_RULES,
+)
+
+
+def _check(columns: dict, rules=_RULES, lines=None, cells=None) -> None:
+    """Raise the error of the first broken rule, rows in order and each row's
+    rules in table order. columns map attribute to 1-D array. With lines, the
+    error names CSV line lines[i] and quotes its cell in cells; without, it is
+    the library's."""
+    bad = np.array([mask(columns) for _, mask, _ in rules]).T  # rows x rules
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(rules))
+        column, _, error = rules[j]
+        row = {name: value[[i]].item() for name, value in columns.items()}
+        line, cell = (None, None) if lines is None else (lines[i], cells[column][i])
+        raise error(line, cell, row) from None
+
+
 @dataclass(frozen=True)
 class JointFamily:
     """A joint geometry, with wall thickness for the curve family only.
@@ -81,31 +157,9 @@ class JointFamily:
     def __post_init__(self):
         if self.thickness is not None:
             object.__setattr__(self, "thickness", checked("thickness", self.thickness, _ANY))
-        if self.kind is FamilyKind.CURVE:
-            if self.thickness is None:
-                raise MissingThicknessError("curve family requires a thickness in mm")
-            if self.thickness <= 0:
-                raise ValueError(f"thickness must be a finite number > 0, got {self.thickness}")
-        elif self.thickness is not None:
-            raise ValueError(f"{self.kind.value} family takes no thickness")
-
-
-# A sample's range rules, stated once for MeasurementSample and the CSV reader:
-# attribute, CSV column, bounds, and what a value outside them is.
-_SAMPLE_RANGES = (
-    ("deformation_angle", "deformation_angle_deg", 0.0, 180.0, "not in [0, 180]"),
-    ("force", "force_n", 0.0, sys.float_info.max, "is not a finite number >= 0"),
-    ("return_angle", "return_angle_deg", 0.0, 180.0, "not in [0, 180]"),
-)
-
-
-def _range_problem(**values) -> tuple[str, str, str] | None:
-    """(attribute, CSV column, detail) of the first value, by attribute, out of range."""
-    for attr, column, low, high, text in _SAMPLE_RANGES:
-        value = values[attr]
-        if not low <= value <= high:
-            return attr, column, f"{value:g} {text}"
-    return None
+        thickness = math.nan if self.thickness is None else self.thickness
+        _check({"family": np.array([self.kind.value]), "thickness": np.array([thickness])},
+               _THICKNESS_RULES)
 
 
 @dataclass(frozen=True)
@@ -122,19 +176,17 @@ class MeasurementSample:
     def __post_init__(self):
         for attr, *_ in _SAMPLE_RANGES:
             object.__setattr__(self, attr, checked(attr, getattr(self, attr), _ANY))
-        problem = _range_problem(**vars(self))
-        if problem:
-            attr, _, detail = problem
-            raise ValueError(f"{attr} {detail}")
+        _check({attr: np.array([getattr(self, attr)]) for attr, *_ in _SAMPLE_RANGES},
+               _NUMBER_RULES)
 
 
 @dataclass(frozen=True, eq=False)
 class JointDataset:
     """Bench readings as read-only columns, one entry per reading: family,
     direction and run_id hold str tokens (FamilyKind and Direction values),
-    the others floats, thickness NaN where the family takes none. The columns
-    follow the rules of JointFamily and MeasurementSample; samples builds the
-    rows as such objects on demand."""
+    the others floats, thickness NaN where the family takes none. Every row
+    keeps every rule of _RULES; samples builds the rows as JointFamily and
+    MeasurementSample objects on demand."""
 
     family: np.ndarray
     thickness: np.ndarray  # mm
@@ -158,9 +210,7 @@ class JointDataset:
             raise ValueError("dataset columns must be 1-D and of one length")
         if not len(self):
             raise InputError("dataset has no samples")
-        if _bad_rows(**vars(self)).any():
-            self.samples  # raises the first bad row's error
-            raise AssertionError("a row breaks a column rule but no MeasurementSample rule")
+        _check(vars(self))
 
     def __len__(self) -> int:
         return len(self.force)
@@ -174,33 +224,6 @@ class JointDataset:
                               Direction(d), f, r, run)
             for k, t, a, d, f, r, run in rows
         )
-
-
-def _bad_rows(family, thickness, direction, **values) -> np.ndarray:
-    """Mask of the rows that break a rule of JointFamily or MeasurementSample."""
-    kinds, directions = {k.value for k in FamilyKind}, {d.value for d in Direction}
-    bad = np.array([k not in kinds or d not in directions for k, d in zip(family, direction)],
-                   dtype=bool)
-    thin = ~((thickness > 0.0) & (thickness < math.inf))
-    bad |= np.where(family == FamilyKind.CURVE.value, thin, ~np.isnan(thickness))
-    for attr, _, low, high, _ in _SAMPLE_RANGES:
-        bad |= ~((values[attr] >= low) & (values[attr] <= high))
-    return bad
-
-
-def _parse_float(raw, row, fieldname):
-    try:
-        return finite_float(raw)
-    except (TypeError, ValueError):
-        raise BadNumberError(row, fieldname, raw) from None
-
-
-def _parse_token(kind: type[enum.Enum], raw, row, fieldname):
-    token = (raw or "").strip()
-    try:
-        return kind(token)
-    except ValueError:
-        raise BadNumberError(row, fieldname, token) from None
 
 
 def _floats(cells) -> np.ndarray:
@@ -222,9 +245,9 @@ def parse_measurements(csv_text: str) -> JointDataset:
     """Parse bench CSV text into a JointDataset.
 
     Rows are validated strictly: the first invalid row aborts the parse with
-    an error carrying the physical line number (header is line 1). The rules
-    run on whole columns; when a row breaks one, _parse_sample finds and
-    words the first bad row.
+    an error carrying the physical line number (header is line 1). The rule
+    table runs once on whole columns, as JointDataset checks them; the first
+    broken (row, rule), row by row, words the error from its line and cell.
     """
     reader = csv.reader(io.StringIO(csv_text, newline=""))
     rows, lines, stop = [], [], None
@@ -251,50 +274,26 @@ def parse_measurements(csv_text: str) -> JointDataset:
         stop = InputError(f"after line {reader.line_num}: {exc}")
     if rows:
         cells_of = operator.itemgetter(*(position[col] for col in CSV_COLUMNS))
-        family, thickness, angle, direction, force, ret, run_id = cells_of(list(zip(*rows)))
-        family, thickness, direction, run_id = (
-            np.array([(cell or "").strip() for cell in column], dtype=object)
-            for column in (family, thickness, direction, run_id)
-        )
-        values = _floats([t or "nan" for t in thickness])
-        # a given thickness cell must hold a finite number: +inf breaks every family's rule
-        values[np.array(list(map(bool, thickness))) & ~np.isfinite(values)] = math.inf
+        cells = dict(zip(CSV_COLUMNS, cells_of(list(zip(*rows)))))
+        for col in ("family", "thickness_mm", "direction", "run_id"):  # read stripped
+            cells[col] = np.array([(cell or "").strip() for cell in cells[col]], dtype=object)
+        thickness = _floats([t or "nan" for t in cells["thickness_mm"]])
+        # a given thickness cell must hold a finite number: +inf breaks that rule
+        thickness[cells["thickness_mm"].astype(bool) & ~np.isfinite(thickness)] = math.inf
+        columns = {
+            "family": cells["family"], "thickness": thickness, "direction": cells["direction"],
+            "run_id": cells["run_id"], **{a: _floats(cells[c]) for a, c, *_ in _SAMPLE_RANGES},
+        }
         try:
-            dataset = JointDataset(
-                family, values, _floats(angle), direction, _floats(force), _floats(ret), run_id
-            )
-        except (ValueError, InputError) as exc:  # the row rules find and word the first bad row
-            for line, cells in zip(lines, rows):
-                _parse_sample(line, *cells_of(cells))
-            raise AssertionError("the column rules refuse a row the row rules pass") from exc
+            dataset = JointDataset(**columns)
+        except (ValueError, InputError):  # word the first broken rule for its CSV row
+            _check(columns, lines=lines, cells=cells)
+            raise
     if stop is not None:  # a bad row above the line that stopped the reader fails first
         raise stop
     if not rows:
         raise InputError("CSV has a header but no data rows")
     return dataset
-
-
-def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
-    """The sample of one CSV row, its cells in CSV_COLUMNS order. The
-    constructors apply the rules; errors gain the row and the column."""
-    kind = _parse_token(FamilyKind, family, row, "family")
-    thickness = (thickness or "").strip()
-    thickness = _parse_float(thickness, row, "thickness_mm") if thickness else None
-    try:
-        family = JointFamily(kind, thickness)
-    except MissingThicknessError as exc:
-        raise MissingThicknessError(f"row {row}: field 'thickness_mm' empty ({exc})") from None
-    except ValueError as exc:
-        raise OutOfRangeError(row, "thickness_mm", str(exc)) from None
-    direction = _parse_token(Direction, direction, row, "direction")
-    angle = _parse_float(angle, row, "deformation_angle_deg")
-    force = _parse_float(force, row, "force_n")
-    ret = _parse_float(ret, row, "return_angle_deg")
-    try:
-        return MeasurementSample(family, angle, direction, force, ret, (run_id or "").strip())
-    except ValueError:
-        _, column, detail = _range_problem(deformation_angle=angle, force=force, return_angle=ret)
-        raise OutOfRangeError(row, column, detail) from None
 
 
 def check_angle_bin(angle_bin: float) -> float:

@@ -385,8 +385,9 @@ def fit(
     its own with _kernel_eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
-    # the row scan only where the rule reads it
-    noise = _check_noise(noise_variance, noise_variance == 0.0 and _has_duplicate_rows(Xm))
+    # typed first, so that == compares a number; the row scan only where the rule reads it
+    noise = checked("noise_variance", noise_variance, _ANY)
+    noise = _check_noise(noise, noise == 0.0 and _has_duplicate_rows(Xm))
     if spectrum is None or not spectrum.matches(Xm, hyper.length_scales):
         spectrum = _kernel_eigh(Xm.copy(), hyper.length_scales)
     return _fitted(yv, hyper, noise, spectrum, beta)

@@ -137,12 +137,20 @@ def ring_geometry(outer_radius: float, n_sections: int) -> tuple[float, float]:
     """(section arc, half-section arc) in mm for a ring of n mirrored sections.
 
     Mirror symmetry splits every section into two identical halves, so the
-    half-section arc is the unit all bend analysis runs on.
+    half-section arc is the unit all bend analysis runs on. The section arc
+    must be finite, and half the half-section arc, the hypotenuse of
+    required_bend_angle, must not round to 0.
     """
     outer_radius = checked(f"outer_radius={outer_radius!r}", outer_radius, _POSITIVE)
     n_sections = checked(f"n_sections={n_sections!r}", n_sections, _at_least(1), int)
     section_arc = 2.0 * math.pi * outer_radius / n_sections
-    return section_arc, section_arc / 2.0
+    half = section_arc / 2.0
+    if not (section_arc < math.inf and half / 2.0 > 0.0):
+        raise ValueError(
+            f"outer_radius={outer_radius!r}: the section arc over {n_sections} sections, "
+            f"{section_arc!r} mm, must be finite and its quarter > 0 mm"
+        )
+    return section_arc, half
 
 
 def target_arc(half_section_arc: float, target_ratio: float) -> tuple[float, float]:
@@ -158,7 +166,7 @@ def required_bend_angle(half_section_arc: float, delta: float) -> float:
 
     Right triangle: hypotenuse = half_section_arc / 2 (half the folding arc),
     adjacent = (half_section_arc - delta) / 2. The cosine ratio must land in
-    [0, 1]; outside it no such triangle exists.
+    [0, 1], and the hypotenuse must not be 0; otherwise no such triangle exists.
     """
     half_section_arc = checked(f"half_section_arc={half_section_arc!r}", half_section_arc, _ANY)
     delta = checked(f"delta={delta!r}", delta, _ANY)
@@ -167,6 +175,8 @@ def required_bend_angle(half_section_arc: float, delta: float) -> float:
             f"arc reduction {delta:g} mm >= half-section arc {half_section_arc:g} mm"
         )
     hypotenuse = half_section_arc / 2.0
+    if hypotenuse == 0.0:
+        raise GeometryInfeasibleError(f"half-section arc {half_section_arc:g} mm halves to 0")
     adjacent = (half_section_arc - delta) / 2.0
     ratio = adjacent / hypotenuse
     if not 0.0 <= ratio <= 1.0:

@@ -9,7 +9,10 @@ definition the library's closed forms must reproduce; the polynomial one
 solves every fold with numpy.linalg.lstsq, not the library's projection.
 The bench-data oracles read a CSV one row at a time into MeasurementSample
 objects and average runs with a dict of groups, the columnar reader's
-row-by-row definition.
+row-by-row definition. The row reader is the oracle's own copy of the
+reader the library's rule table replaced: it parses each cell itself, builds
+the row through the public JointFamily and MeasurementSample constructors,
+and words their errors with the row and the column.
 """
 
 import csv
@@ -17,14 +20,31 @@ import functools
 import io
 import math
 import operator
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ugckit import data, gpr
-from ugckit.data import CSV_COLUMNS, JointDataset, average_runs, parse_measurements
-from ugckit.errors import InputError, MissingColumnError
+from ugckit import gpr
+from ugckit.data import (
+    CSV_COLUMNS,
+    Direction,
+    FamilyKind,
+    JointDataset,
+    JointFamily,
+    MeasurementSample,
+    average_runs,
+    parse_measurements,
+)
+from ugckit.errors import (
+    BadNumberError,
+    InputError,
+    MissingColumnError,
+    MissingThicknessError,
+    OutOfRangeError,
+)
+from ugckit.units import finite_float
 
 
 # -- independent GP oracle ----------------------------------------------------
@@ -180,9 +200,65 @@ def random_gp_instance(rng, n_max=50, noise_range=(0.05, 0.5)):
 # -- row-by-row bench data oracle ---------------------------------------------
 
 
+# A sample's range rules: attribute, CSV column, bounds, and what a value
+# outside them is.
+_SAMPLE_RANGES = (
+    ("deformation_angle", "deformation_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+    ("force", "force_n", 0.0, sys.float_info.max, "is not a finite number >= 0"),
+    ("return_angle", "return_angle_deg", 0.0, 180.0, "not in [0, 180]"),
+)
+
+
+def _range_problem(**values):
+    """(attribute, CSV column, detail) of the first value, by attribute, out of range."""
+    for attr, column, low, high, text in _SAMPLE_RANGES:
+        value = values[attr]
+        if not low <= value <= high:
+            return attr, column, f"{value:g} {text}"
+    return None
+
+
+def _parse_float(raw, row, fieldname):
+    try:
+        return finite_float(raw)
+    except (TypeError, ValueError):
+        raise BadNumberError(row, fieldname, raw) from None
+
+
+def _parse_token(kind, raw, row, fieldname):
+    token = (raw or "").strip()
+    try:
+        return kind(token)
+    except ValueError:
+        raise BadNumberError(row, fieldname, token) from None
+
+
+def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
+    """The sample of one CSV row, its cells in CSV_COLUMNS order. The
+    constructors apply the rules; errors gain the row and the column."""
+    kind = _parse_token(FamilyKind, family, row, "family")
+    thickness = (thickness or "").strip()
+    thickness = _parse_float(thickness, row, "thickness_mm") if thickness else None
+    try:
+        family = JointFamily(kind, thickness)
+    except MissingThicknessError as exc:
+        raise MissingThicknessError(f"row {row}: field 'thickness_mm' empty ({exc})") from None
+    except ValueError as exc:
+        raise OutOfRangeError(row, "thickness_mm", str(exc)) from None
+    direction = _parse_token(Direction, direction, row, "direction")
+    angle = _parse_float(angle, row, "deformation_angle_deg")
+    force = _parse_float(force, row, "force_n")
+    ret = _parse_float(ret, row, "return_angle_deg")
+    try:
+        return MeasurementSample(family, angle, direction, force, ret, (run_id or "").strip())
+    except ValueError:
+        _, column, detail = _range_problem(deformation_angle=angle, force=force, return_angle=ret)
+        raise OutOfRangeError(row, column, detail) from None
+
+
 def oracle_parse(csv_text):
     """The bench CSV read one row at a time: one MeasurementSample per row
-    through data._parse_sample, raising at the first bad row (physical line
+    through _parse_sample, raising at the first bad row (physical line
     numbers, header line 1). Returns the samples as a tuple."""
     reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
@@ -204,7 +280,7 @@ def oracle_parse(csv_text):
                 continue  # blank line
             if len(cells) < width:
                 cells += [None] * (width - len(cells))
-            samples.append(data._parse_sample(row, *cells_of(cells)))
+            samples.append(_parse_sample(row, *cells_of(cells)))
     except csv.Error as exc:
         raise InputError(f"after line {reader.line_num}: {exc}") from None
     if not samples:

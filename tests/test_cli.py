@@ -836,6 +836,25 @@ class TestDesign:
         assert report["per_joint_force_source"] == "model"
         assert "force model warning: extrapolation" in report["diagnostics"]
 
+    @pytest.mark.parametrize("radius, sections, joints", [
+        (5e-324, 4, 40), (5e-324, 3, 24), (1e308, 5, 40),
+    ], ids=["tiny-4", "tiny-3", "huge"])
+    def test_unusable_radius_exits_2_naming_it(
+        self, tmp_path, square_archive, capsys, radius, sections, joints,
+    ):
+        # the tiny radii raised ZeroDivisionError in required_bend_angle (exit
+        # 1 with a traceback); the huge one named the derived half_section_arc=inf
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, "outer_radius_mm": radius,
+                                    "n_sections": sections, "joints_per_ring": joints}))
+        out = tmp_path / "r.json"
+        assert main([
+            "design", "--spec", str(spec), "--model", str(square_archive), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outer_radius=") and "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reports(self, tmp_path, square_archive, spec_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ugckit import data, joints, mechanics
+from ugckit import joints, mechanics
 from ugckit.data import (
     CSV_COLUMNS,
     Direction,
@@ -401,15 +401,25 @@ def test_average_takes_the_narrowest_finite_bin(square_dataset):
     assert len(out) == len(set(square_dataset.deformation_angle.tolist()))
 
 
-def test_a_column_rule_without_a_row_rule_is_a_bug(monkeypatch):
-    # the masks find the first bad row and the row rules word its error; a row
-    # the masks flag and the rules pass must not parse silently
-    def flag_every_row(**columns):
-        return np.ones(len(columns["force"]), dtype=bool)
+def test_a_row_breaking_two_rules_is_worded_by_the_first_in_table_order():
+    # the family token comes before the angle's range
+    with pytest.raises(BadNumberError) as err:
+        parse_measurements(HEADER + "\nmystery,,200,forward,1.0,170,r1\n")
+    assert (err.value.row, err.value.field) == (2, "family")
 
-    monkeypatch.setattr(data, "_bad_rows", flag_every_row)
-    with pytest.raises(AssertionError, match="breaks a column rule but no MeasurementSample rule"):
-        parse_measurements(HEADER + "\nsquare_sym,,90,forward,2.0,172,r1\n")
+
+def test_the_first_bad_row_fails_before_an_earlier_rule_on_a_later_row():
+    # line 3 breaks the angle's range, line 4 the family token: rows come first
+    text = (HEADER + "\nstraight,,90,forward,1.0,170,r1\nstraight,,200,forward,1.0,170,r1"
+            "\nmystery,,90,forward,1.0,170,r1\n")
+    with pytest.raises(OutOfRangeError) as err:
+        parse_measurements(text)
+    assert (err.value.row, err.value.field) == (3, "deformation_angle_deg")
+    assert str(err.value) == (
+        "row 3: field 'deformation_angle_deg' out of range (200 not in [0, 180])"
+    )
+    with pytest.raises(ValueError, match=r"^deformation_angle 200 not in \[0, 180\]$"):
+        JointDataset(**_columns(deformation_angle=[200.0, 45.0], family=["curve", "mystery"]))
 
 
 # -- the dataset constructor -------------------------------------------------------

@@ -138,6 +138,12 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="^noise_variance: must be a finite number$"):
             gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), noise)
 
+    def test_array_noise_rejected_as_a_non_number(self):
+        # == 0.0 on the array ran before the typed-number rule and raised
+        # numpy's "truth value ... is ambiguous"
+        with pytest.raises(ValueError, match="^noise_variance: expected float$"):
+            gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), np.zeros(2))
+
     def test_matches_oracle_fixed_and_gls_beta(self):
         rng = np.random.default_rng(123)
         worst = 0.0

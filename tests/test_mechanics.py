@@ -56,8 +56,14 @@ class TestRingGeometry:
             (-10.0, 5, "outer_radius=-10.0: must be > 0"),
             (math.nan, 5, "outer_radius=nan: must be a finite number"),
             (100.0, 0, "n_sections=0: must be >= 1"),
+            # the section arc overflowed to inf, or the bend's hypotenuse
+            # rounded to 0 and required_bend_angle divided by it
+            (1e308, 5, "outer_radius=1e+308: the section arc over 5 sections, inf mm, "
+                       "must be finite and its quarter > 0 mm"),
+            (5e-324, 4, "outer_radius=5e-324: the section arc over 4 sections, 1e-323 mm, "
+                        "must be finite and its quarter > 0 mm"),
         ],
-        ids=["radius-zero", "radius-neg", "radius-nan", "sections-zero"],
+        ids=["radius-zero", "radius-neg", "radius-nan", "sections-zero", "arc-inf", "arc-tiny"],
     )
     def test_rejects_bad_values(self, radius, n, message):
         with pytest.raises(ValueError) as err:
@@ -113,6 +119,12 @@ class TestRequiredBendAngle:
     def test_negative_delta_infeasible(self):
         with pytest.raises(GeometryInfeasibleError):
             mechanics.required_bend_angle(60.0, -5.0)
+
+    @pytest.mark.parametrize("half, delta", [(0.0, -1.0), (5e-324, 0.0)])
+    def test_arc_that_halves_to_zero_infeasible(self, half, delta):
+        # the hypotenuse half / 2 is 0: the cosine ratio divided by zero
+        with pytest.raises(GeometryInfeasibleError, match="halves to 0$"):
+            mechanics.required_bend_angle(half, delta)
 
     @given(st.floats(min_value=0.001, max_value=0.998))
     def test_monotone_in_delta(self, frac):
