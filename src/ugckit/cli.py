@@ -12,10 +12,16 @@ in doc. Otherwise the lines go to stdout and each warning to stderr as
 "warning: ...", and --quiet prints neither. Errors print only to stderr.
 A predict sweep builds only what its mode prints: its doc is None in text
 mode, and it has no lines with --json.
+
+run is the process entry: the `ugc` script and `python -m ugckit.cli`.
+It freezes the import-time heap (gc.freeze) before calling main, so the
+cyclic collector stops rescanning the objects every import made, which live
+until exit. main is the in-process API and never touches gc.
 """
 
 import argparse
 import collections
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -341,5 +347,11 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry: main() on sys.argv, its code as the exit status."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -73,11 +73,13 @@ def is_number(value, kind=float) -> bool:
 
 def checked(label: str, value, rule, kind=float):
     """value as kind, int or float; ValueError starting with label if it is
-    not a number of that kind (is_number), is not finite, or breaks rule."""
+    not a number of that kind (is_number), is not finite, or breaks rule.
+    An int too large for a float is not finite: the geometry divides by it."""
     if not is_number(value, kind):
         raise ValueError(f"{label}: expected {kind.__name__}")
     try:
-        value = int(value) if kind is int else finite_float(value)
+        x = finite_float(value)
+        value = int(value) if kind is int else x
     except ValueError:
         raise ValueError(f"{label}: must be a finite number") from None
     if not rule[0](value):

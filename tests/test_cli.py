@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -855,6 +857,21 @@ class TestDesign:
         assert err.startswith("error: outer_radius=") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "design"])
+    def test_integer_too_large_for_a_float_exits_2_naming_it(
+        self, tmp_path, square_archive, capsys, command,
+    ):
+        # validate passed this spec and design raised OverflowError in ring_geometry
+        spec = tmp_path / "ring.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, "n_sections": 10**400,
+                                    "joints_per_ring": 10**400}))
+        out = tmp_path / "r.json"
+        extra = ["--model", str(square_archive), "--out", str(out)] if command == "design" else []
+        assert main([command, "--spec", str(spec), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "error: field n_sections: must be a finite number\n" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_byte_identical_reports(self, tmp_path, square_archive, spec_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -1316,3 +1333,51 @@ def test_import_loads_no_scipy():
     result = _run_cli("-c", "import sys, ugckit.cli; print('scipy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# Runs one `builtin` call through a process entry in a fresh interpreter and
+# prints, for each gc.freeze call and for main's parse_args, whether the heap
+# was already frozen, then the exit code.
+ENTRY_PROBE = """
+import argparse, gc, runpy, sys
+events = []
+freeze = gc.freeze
+def probe_freeze():
+    events.append(("freeze", gc.get_freeze_count() > 0))
+    freeze()
+gc.freeze = probe_freeze
+parse_args = argparse.ArgumentParser.parse_args
+def probe_parse_args(self, *args, **kwargs):
+    events.append(("main", gc.get_freeze_count() > 0))
+    return parse_args(self, *args, **kwargs)
+argparse.ArgumentParser.parse_args = probe_parse_args
+sys.argv = ["ugc", "builtin", "--family", "square_sym", "--out", sys.argv[1], "--quiet"]
+try:
+    {start}
+except SystemExit as exc:
+    print(events, exc.code)
+"""
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("start", [
+        'runpy.run_module("ugckit.cli", run_name="__main__")',
+        "import ugckit.cli; ugckit.cli.run()",
+    ], ids=["python-m", "run"])
+    def test_entry_freezes_once_before_main(self, tmp_path, start):
+        out = tmp_path / "sq.json"
+        result = _run_cli("-c", ENTRY_PROBE.replace("{start}", start), str(out))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[('freeze', False), ('main', True)] 0\n"
+        assert result.stderr == "" and out.exists()
+
+    def test_ugc_script_names_run(self):
+        # a text check: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^\[project\.scripts\]\nugc = "ugckit\.cli:run"$', text, re.M)
+
+    def test_main_leaves_gc_alone(self, tmp_path, bench_csv):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["fit", "--data", str(bench_csv), "--family", "square_sym",
+                     "--out", str(tmp_path / "f.json"), "--quiet"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before

@@ -99,7 +99,8 @@ def test_checked_takes_numbers_of_its_kind(value, kind, want):
 @pytest.mark.parametrize(
     "value, kind, message",
     [(2.5, int, "x: expected int"), (None, float, "x: expected float"),
-     (10**400, float, "x: must be a finite number"), (-1.0, float, "x: must be > 0")],
+     (10**400, float, "x: must be a finite number"), (10**400, int, "x: must be a finite number"),
+     (-1.0, float, "x: must be > 0")],
 )
 def test_checked_messages(value, kind, message):
     with pytest.raises(ValueError) as err:
