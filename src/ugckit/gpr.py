@@ -15,13 +15,38 @@ squares (minimum-norm where the basis is rank-deficient). fit, archive loads
 eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
 (_kernel_eigh, held as a KernelSpectrum): with K = sf2 K1 (sf2 the signal
 variance) they keep W = V diag(sf2 lam + noise)^-1/2, so every solve against
-K + noise*I = (W W')^-1 is a matrix product (a dense-inverse formulation
-exists only as an independent oracle in the test suite). Predictions at many
-points share one product with W per block of rows (predict_many; means
-alone skip it), and leave-one-out residuals come in closed form from the
-same factor (loo_residuals) rather than from n refits. loo_residuals is the
-toolkit's one leave-one-out routine: with W = I it scores the polynomial
-baseline of joints too.
+A = K + noise*I = (F F')^-1 is a matrix product with one whitening factor F
+(a dense-inverse formulation exists only as an independent oracle in the
+test suite). Predictions at many points share one product with W per block
+of rows (predict_many; means alone skip it), and leave-one-out residuals
+come in closed form from F (loo_residuals) rather than from n refits.
+loo_residuals is the toolkit's one leave-one-out routine: with F = I it
+scores the polynomial baseline of joints too.
+
+The spectrum takes one of two forms. The dense form keeps all n eigenpairs,
+and F = W. The low-rank form keeps r < n (Harbrecht, Peters and Schneider
+2012, On the low-rank approximation by the pivoted Cholesky decomposition;
+Halko, Martinsson and Tropp 2011, Finding Structure with Randomness):
+pivoted Cholesky K1 ~ L L', pivoting on the largest residual diagonal (the
+lowest index on a tie), stops once the residual's trace, kept as
+KernelSpectrum.tail, is at most n eps times the first pivot column's squared
+norm (a lower bound on lam_max); the thin SVD of L then gives V (n x r) and
+lam. The trace bounds |K1 - L L'|_2 up to the rounding of its running
+update, about n r eps: the order of the stopping tolerance itself and of the
+dense eigh's own error. The rest of R^n has eigenvalue 0, so
+
+    A^-1 = V diag(1/d) V' + (I - V V')/noise,   F = [W | (I - V V')/sqrt(noise)],
+
+and predict_many adds the complement's |k - V V'k|^2 / noise to each
+variance, from the explicit complement, not as a difference of squares.
+The low-rank form is tried on 1-D rows from LOW_RANK_MIN_ROWS (256) up, the
+crossover measured on them, and given up past a rank of n/2, where a failed
+attempt has cost no more than the dense eigh it falls back to. A model takes
+it only where sf2 * tail <= LOW_RANK_DELTA (1e-9) * noise: zero noise, a
+noise too small for the certificate, and a rank past the cap all take the
+dense eigh, and so do 1-D rows below the crossover, 2-D rows (ragged grids
+and repeated rows, whose crossover is not measured) and product grids,
+whose arithmetic the low-rank form leaves as it is, bit for bit.
 
 K1 depends only on the training rows and the length scales, so there is one
 spectrum per distinct (rows, length scales), shared by the targets and archive
@@ -45,12 +70,14 @@ spectrum from one small eigh per axis (Saatci 2012, Scalable Inference for
 Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
 Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
 Extrapolation). All other rows (1-D, a ragged grid, repeated rows) take the
-dense n x n eigh. Fits, loads and tuning's picks all go through
-_kernel_eigh, so a saved model reloads bit for bit either way. Tuning on a
-product grid builds no n x n matrix while it scores: one eigh per distinct
-(axis, length scale), kept in a memo local to the call, and the rotation
-kron(V_a, V_t)' M as V_a' X V_t per column; only the picked length scales
-get a full spectrum, from the same per-axis factors.
+low-rank spectrum where it is tried and certified, and the dense n x n eigh
+otherwise. Fits, loads and tuning's picks all go through _kernel_eigh, so a
+saved model reloads bit for bit whatever its form. Tuning on a product grid
+builds no n x n matrix while it scores: one eigh per distinct (axis, length
+scale), kept in a memo local to the call, and the rotation kron(V_a, V_t)' M
+as V_a' X V_t per column; only the picked length scales get a full
+spectrum, from the same per-axis factors. Tuning on other rows scores on
+the dense eigh, and builds its picks as fit() builds them.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -68,6 +95,15 @@ from .units import _ANY, checked
 
 JITTER = 1e-8
 _PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
+# The low-rank spectrum (_low_rank): tried on 1-D rows from this many up, where
+# it is built faster than the dense eigh at every tuning length scale on rows
+# over 10-170 deg, and given up past a rank of half the rows, where a failed
+# attempt has cost no more than that eigh.
+LOW_RANK_MIN_ROWS = 256
+# A model takes the low-rank form only where sf2 * tail <= LOW_RANK_DELTA *
+# noise: the dropped part of sf2 K1 is then a relative perturbation of at
+# most LOW_RANK_DELTA of A = sf2 K1 + noise*I, up to the trace's rounding.
+LOW_RANK_DELTA = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,16 +200,31 @@ def _check_noise(noise_variance: float, duplicate_rows: bool) -> float:
 class KernelSpectrum:
     """K1 = V diag(lam) V', the unit-signal kernel on the rows x at
     length_scales (see _kernel_eigh). Its arrays are read-only, so models of
-    several targets on the same rows share one."""
+    several targets on the same rows share one.
+
+    The dense form keeps all n eigenpairs. The low-rank form (truncated)
+    keeps r < n (_low_rank): K1 - V diag(lam) V' is positive semidefinite
+    with trace tail, which bounds its 2-norm up to rounding, and the rest of
+    R^n counts as eigenvalue 0. A dense spectrum may carry the low-rank one
+    on the same rows as low_rank: a model whose noise fails the low-rank
+    form's check takes the dense one (_fitted), and another target fitted
+    on it still takes the low-rank one where its own noise passes."""
 
     x: np.ndarray  # (n, d)
     length_scales: tuple[float, ...]
-    lam: np.ndarray  # (n,)
-    V: np.ndarray  # (n, n)
+    lam: np.ndarray  # (r,)
+    V: np.ndarray  # (n, r)
+    tail: float = 0.0
+    low_rank: "KernelSpectrum | None" = None
 
     def __post_init__(self):
         for name in ("x", "lam", "V"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def truncated(self) -> bool:
+        """Whether this is the low-rank form: fewer eigenpairs than rows."""
+        return self.lam.size < self.x.shape[0]
 
     def matches(self, X: np.ndarray, length_scales) -> bool:
         """Whether this is K1's spectrum on X at length_scales: the rows and
@@ -220,12 +271,69 @@ def _kron_rotate(V_a: np.ndarray, V_t: np.ndarray, Mk: np.ndarray) -> np.ndarray
     return (V_t.T @ Z).reshape(na * nt, m)
 
 
+def _pivoted_cholesky(K1: np.ndarray, cap: int):
+    """L' (rows of L) with K1 - L L' positive semidefinite, and that
+    residual's trace, once the trace is at most n eps times a lower bound on
+    K1's largest eigenvalue (the first column's squared norm); None past cap
+    columns. The trace is that of the running diagonal d, whose updates
+    round by about k eps per entry after k steps (clamped at 0), so it bounds
+    the residual up to about n k eps, the tolerance's own order. Each step
+    pivots on the largest residual diagonal, the lowest index on a tie
+    (Harbrecht, Peters and Schneider 2012, On the low-rank approximation by
+    the pivoted Cholesky decomposition)."""
+    n = K1.shape[0]
+    d = K1.diagonal().copy()  # the residual's diagonal
+    Lt = np.empty((cap, n))
+    for k in range(cap):
+        p = int(np.argmax(d))
+        row = K1[p] - Lt[:k, p] @ Lt[:k]
+        row /= math.sqrt(d[p])
+        Lt[k] = row
+        d -= row * row
+        d[p] = 0.0
+        np.maximum(d, 0.0, out=d)
+        if k == 0:
+            tol = n * np.finfo(float).eps * (row @ row)
+        tail = float(d.sum())
+        if tail <= tol:
+            return Lt[: k + 1], tail
+    return None
+
+
+def _low_rank(rows: np.ndarray, length_scales, K1: np.ndarray) -> KernelSpectrum | None:
+    """The low-rank spectrum of K1, the unit-signal kernel on 1-D rows of
+    at least LOW_RANK_MIN_ROWS: pivoted Cholesky K1 ~ L L' to rounding level
+    (_pivoted_cholesky), then the thin SVD L = V diag(s) U' gives lam = s^2
+    (Halko, Martinsson and Tropp 2011). None on 2-D or fewer rows, or past a
+    rank of half the rows. The crossover and the cap are measured on 1-D
+    rows only; on a ragged curve grid the attempt fails at short angle
+    length scales, so 2-D rows keep the dense eigh."""
+    n = rows.shape[0]
+    if n < LOW_RANK_MIN_ROWS or rows.shape[1] != 1:
+        return None
+    factor = _pivoted_cholesky(K1, n // 2)
+    if factor is None:
+        return None
+    Lt, tail = factor
+    _, s, Vt = np.linalg.svd(Lt, full_matrices=False)
+    return KernelSpectrum(rows, tuple(length_scales), s * s, Vt.T, tail)
+
+
+def _dense(rows: np.ndarray, length_scales, K1=None, low_rank=None) -> KernelSpectrum:
+    """The dense spectrum: the n x n eigh of K1 on rows (K1 when the caller
+    holds it)."""
+    if K1 is None:
+        K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales))
+    lam, V = np.linalg.eigh(K1)
+    return KernelSpectrum(rows, tuple(length_scales), lam, V, low_rank=low_rank)
+
+
 def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectrum:
     """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on
     rows, which the spectrum keeps (the caller's own copy): the one
-    factorization behind fit, archive loads and tuning, one per distinct
-    (rows, length scales). A kernel with signal variance sf2 is sf2 K1, with
-    eigenvalues sf2 lam.
+    factorization behind fit, archive loads and tuning's picks, one per
+    distinct (rows, length scales). A kernel with signal variance sf2 is
+    sf2 K1, with eigenvalues sf2 lam.
 
     The squared-exponential kernel is a product over its axes, so on 2-D rows
     that are an exact product of their na angles and nt thicknesses, each
@@ -236,21 +344,22 @@ def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectru
     Extrapolation). Its spectrum then comes from an na x na and an nt x nt
     eigh: lam = kron(lam_a, lam_t) and V = P kron(V_a, V_t), sorted ascending
     (stable) as eigh sorts. Every other set of rows (1-D, a ragged grid, a
-    repeated row) takes the dense n x n eigh.
+    repeated row) takes the low-rank spectrum where _low_rank gives one (1-D
+    rows only), and the dense n x n eigh otherwise.
 
     factors: the two per-axis eighs (_axis_eigh) of a product grid at
     length_scales, when the caller already holds them (tuning's memo)."""
     length_scales = tuple(length_scales)
     grid = _product_grid(rows)
     if grid is None:
-        lam, V = np.linalg.eigh(kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales)))
-    else:
-        axes, index = grid
-        if factors is None:
-            factors = [_axis_eigh(v, l) for v, l in zip(axes, length_scales)]
-        (lam_a, V_a), (lam_t, V_t) = factors
-        lam, order = _kron_eigenvalues(lam_a, lam_t)
-        V = np.kron(V_a, V_t)[np.ix_(index, order)]
+        K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales))
+        return _low_rank(rows, length_scales, K1) or _dense(rows, length_scales, K1)
+    axes, index = grid
+    if factors is None:
+        factors = [_axis_eigh(v, l) for v, l in zip(axes, length_scales)]
+    (lam_a, V_a), (lam_t, V_t) = factors
+    lam, order = _kron_eigenvalues(lam_a, lam_t)
+    V = np.kron(V_a, V_t)[np.ix_(index, order)]
     return KernelSpectrum(rows, length_scales, lam, V)
 
 
@@ -305,7 +414,7 @@ class FittedGP:
     noise_variance: float
     hyper: KernelHyperParams
     train_y: np.ndarray  # (n,)
-    whitener: np.ndarray  # W with W W' = (K + noise*I)^-1
+    whitener: np.ndarray  # W = V diag(d)^-1/2, (n, r): A^-1 on the range of V
     alpha: np.ndarray  # (K + noise*I)^-1 (y - H beta)
     spectrum: KernelSpectrum  # K1 on train_x at hyper.length_scales, maybe shared
 
@@ -316,6 +425,16 @@ class FittedGP:
     @property
     def train_x(self) -> np.ndarray:  # (n, d)
         return self.spectrum.x
+
+    @property
+    def factor(self) -> np.ndarray:
+        """F with F F' = (K + noise*I)^-1: the whitener for the dense form,
+        and [W | (I - V V')/sqrt(noise)], n x (r + n), for the low-rank form
+        (_whiten)."""
+        W = self.whitener
+        if not self.spectrum.truncated:
+            return W
+        return _whiten(self.spectrum, W, self.noise_variance, np.eye(W.shape[0])).T
 
     @property
     def input_dim(self) -> int:
@@ -336,20 +455,46 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
+def _whiten(spectrum: KernelSpectrum, W: np.ndarray, noise_variance: float,
+            M: np.ndarray) -> np.ndarray:
+    """F'M for the whitening factor F with F F' = A^-1, from a model's
+    spectrum and whitener W = V diag(d)^-1/2: W'M for the dense form, and
+    for the low-rank form, whose A is noise*I off the range of V, also the
+    explicit complement (M - V V'M)/sqrt(noise) below it."""
+    WtM = W.T @ M
+    if not spectrum.truncated:
+        return WtM
+    V = spectrum.V
+    return np.concatenate([WtM, (M - V @ (V.T @ M)) / math.sqrt(noise_variance)])
+
+
 def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
             beta=None):
     """The model on checked targets yv at the rows of spectrum, K1 = V
     diag(lam) V': A = hyper.signal_variance K1 + noise*I has the spectrum
-    d = _shifted_spectrum(sf2 lam, noise) and A^-1 = W W' with
-    W = V diag(d)^-1/2."""
+    d = _shifted_spectrum(sf2 lam, noise) on the range of V, W = V
+    diag(d)^-1/2, and A^-1 = F F' (_whiten).
+
+    A low-rank spectrum serves only a positive noise with sf2 * tail <=
+    LOW_RANK_DELTA * noise; otherwise the model takes the dense spectrum on
+    the same rows, its own, or the one spectrum.low_rank came with."""
+    low_rank = spectrum.low_rank or spectrum
+    if low_rank.truncated:
+        if noise_variance > 0 and (
+            hyper.signal_variance * low_rank.tail <= LOW_RANK_DELTA * noise_variance
+        ):
+            spectrum = low_rank
+        elif spectrum is low_rank:
+            spectrum = _dense(low_rank.x, low_rank.length_scales, low_rank=low_rank)
     d, _ = _shifted_spectrum(hyper.signal_variance * spectrum.lam, noise_variance)
     if d.min() <= 0:
         raise NotPositiveDefiniteError("kernel matrix not positive definite even with jitter")
-    W = spectrum.V / np.sqrt(d)
+    V = spectrum.V
+    W = V / np.sqrt(d)
     H = basis_matrix(spectrum.x)
 
     if beta is None:
-        beta_vec, _, _ = _gls(W.T @ H, W.T @ yv)
+        beta_vec, _, _ = _gls(*(_whiten(spectrum, W, noise_variance, M) for M in (H, yv)))
     else:
         beta_vec = np.asarray(beta, dtype=float).ravel()
         if beta_vec.shape[0] != H.shape[1]:
@@ -357,14 +502,18 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
                 f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}"
             )
 
-    # alpha from beta alone, so a reload with beta held fixed is bit-identical
+    # alpha = F F' r from beta alone, so a reload with beta held fixed is bit-identical
+    r = yv - H @ beta_vec
+    alpha = W @ (W.T @ r)
+    if spectrum.truncated:
+        alpha += (r - V @ (V.T @ r)) / noise_variance
     return FittedGP(
         beta=beta_vec,
         noise_variance=float(noise_variance),
         hyper=hyper,
         train_y=yv.copy(),
         whitener=W,
-        alpha=W @ (W.T @ (yv - H @ beta_vec)),
+        alpha=alpha,
         spectrum=spectrum,
     )
 
@@ -381,8 +530,9 @@ def fit(
 
     spectrum: another model's FittedGP.spectrum, reused when its rows and
     length scales are bit-identical to X and hyper.length_scales (then the
-    model equals a lone fit bit for bit); otherwise, or when None, fit builds
-    its own with _kernel_eigh.
+    model equals a lone fit bit for bit, in the form its own noise takes:
+    see _fitted); otherwise, or when None, fit builds its own with
+    _kernel_eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
     # typed first, so that == compares a number; the row scan only where the rule reads it
@@ -413,10 +563,11 @@ def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
     thickness) gives what the refits' minimum-norm GLS gives. Neither P nor
     A^-1 is formed; only diag(P) and P y.
 
-    The one leave-one-out routine: a fitted GP passes its whitener,
-    basis_matrix(train_x) and train_y (beta re-estimated in every fold, also
-    for a model fitted with beta held fixed), and W = I gives the PRESS
-    residuals r_i / (1 - h_ii) of ordinary least squares on H (Allen 1974).
+    The one leave-one-out routine: a fitted GP passes its factor
+    (FittedGP.factor), basis_matrix(train_x) and train_y (beta re-estimated
+    in every fold, also for a model fitted with beta held fixed), and W = I
+    gives the PRESS residuals r_i / (1 - h_ii) of ordinary least squares on
+    H (Allen 1974).
 
     Where the other rows cannot identify the mean at row i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
@@ -440,6 +591,8 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     var  = k(x, x) - |W' k_*|^2   (clamped to 0 from below; the clamp only
     absorbs rounding on the order of 1e-10)
 
+    and, for the low-rank form, also - |k_* - V V' k_*|^2 / noise.
+
     k(x, x) is the signal variance for the squared-exponential kernel. Rows
     go through in blocks of _PREDICT_BLOCK: one cross-kernel and one product
     with the stored whitener per block. A row's mean does not depend on the
@@ -457,6 +610,8 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
         raise ValueError("query points must be finite")
     means = np.empty(Q.shape[0])
     variances = np.empty(Q.shape[0]) if with_variances else None
+    V = model.spectrum.V
+    low_rank = model.spectrum.truncated
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -470,6 +625,9 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
             if with_variances:
                 v = k_star @ model.whitener
                 variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
+                if low_rank:  # k_* off the range of V, where A is noise*I
+                    tail = k_star - (k_star @ V) @ V.T
+                    variances[rows] -= np.einsum("ij,ij->i", tail, tail) / model.noise_variance
     finite = np.isfinite(means)
     if with_variances:
         np.maximum(variances, 0.0, out=variances)
@@ -537,10 +695,11 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     built while scoring: each distinct (axis, length scale) gets one eigh,
     held in a memo for this call only, and V'[H | Y] comes through the
     factors (_kron_rotate) in kron order, then sorted as _kernel_eigh sorts.
-    Other rows take _kernel_eigh's dense spectrum per tuple. Only the picks
-    get a materialized KernelSpectrum, from the same factors, and each is
-    built as fit() builds it there, bit for bit. A one-target call runs the
-    same loop.
+    Other rows score on the dense eigh of K1 per tuple (_dense). Each pick is
+    built as fit() builds it there (_kernel_eigh), bit for bit: on a product
+    grid from the same factors, and on other rows from the K1 it was scored
+    on, low-rank where _low_rank gives a spectrum and the scored dense one
+    otherwise. A one-target call runs the same loop.
 
     Ties keep the earlier candidate in the cartesian product of the axes
     (signal variance, length scales, noise variance), so repeated runs
@@ -588,10 +747,11 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     best = [((math.inf,), None)] * len(targets)
     for j, ls in enumerate(itertools.product(*grids)):
         if grid is None:
-            spectrum = _kernel_eigh(rows, ls)
+            K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, ls))
+            spectrum = _dense(rows, ls, K1)
             lam, rotated = spectrum.lam, spectrum.V.T @ M
         else:
-            spectrum = None  # materialized for the picks only
+            K1 = spectrum = None  # materialized for the picks only
             (lam_a, V_a), (lam_t, V_t) = factors(ls)
             lam, order = _kron_eigenvalues(lam_a, lam_t)
             rotated = _kron_rotate(V_a, V_t, Mk)[order]
@@ -610,15 +770,17 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
                 # the scan-order index breaks ties; a NaN score never compares below
                 key = (-score, ik[c][0], j, ik[c][1])
                 if key < best[t][0]:
-                    best[t] = (key, (ls, spectrum))
+                    best[t] = (key, (ls, spectrum, K1))
     if any(pick is None for _, pick in best):
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
     models, spectra = [], {}
-    for yv, ((_, i, _, k), (ls, spectrum)), (_, search) in zip(ys, best, targets):
-        if spectrum is None:
-            if ls not in spectra:
+    for yv, ((_, i, _, k), (ls, spectrum, K1)), (_, search) in zip(ys, best, targets):
+        if ls not in spectra:  # as _kernel_eigh builds it
+            if spectrum is None:
                 spectra[ls] = _kernel_eigh(rows, ls, factors(ls))
-            spectrum = spectra[ls]
+            else:
+                spectra[ls] = _low_rank(rows, ls, K1) or spectrum
+        spectrum = spectra[ls]
         hyper = KernelHyperParams(search.signal_variances[i], ls)
         models.append(_fitted(yv, hyper, search.noise_variances[k], spectrum))
     return tuple(models)

@@ -313,7 +313,7 @@ def _fit_targets(X, targets, kind: FamilyKind, noise_variance, tune: bool):
 def _loo_rmse(model: gpr.FittedGP, column: str) -> float | None:
     with _overflow_names(column):
         H = gpr.basis_matrix(model.train_x)
-        residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+        residuals, _ = gpr.loo_residuals(model.factor, H, model.train_y)
         return _rmse(residuals)
 
 

@@ -130,7 +130,7 @@ def refit_loo_residuals_gp(X, y, hyper, noise):
 def model_loo_residuals(model):
     """Closed-form LOO residuals of a fitted GP, as joints scores it."""
     H = gpr.basis_matrix(model.train_x)
-    residuals, _ = gpr.loo_residuals(model.whitener, H, model.train_y)
+    residuals, _ = gpr.loo_residuals(model.factor, H, model.train_y)
     return residuals
 
 
@@ -371,6 +371,14 @@ def curve_bench_csv(rng, runs=3, force_noise=0.08, return_noise=1.0, angles=rang
                 r = min(180.0, max(0.0, curve_return_true(theta) + rng.normal(0.0, return_noise)))
                 lines.append(f"curve,{thickness},{theta},forward,{f!r},{r!r},r{run}")
     return "\n".join(lines) + "\n"
+
+
+def bench_square_dataset(seed: int) -> JointDataset:
+    """The benchmark's square shape: 340 angles 0.47 deg apart, three runs
+    each, averaged in 0.25-deg bins to n = 340 rows."""
+    angles = np.linspace(10.0, 170.0, 340).tolist()
+    csv = square_bench_csv(np.random.default_rng(seed), angles=angles)
+    return average_runs(parse_measurements(csv), 0.25)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from ugckit.cli import main
 from ugckit.data import FamilyKind
 from ugckit.errors import CorruptArchiveError, InputError
 
-from conftest import assert_same_model
+from conftest import assert_same_model, bench_square_dataset
 
 
 @pytest.fixture
@@ -78,6 +78,42 @@ def test_return_archive_on_force_spectrum_equals_lone_load(
     lone, _ = archive.load_archive(return_path)
     assert_same_model(shared, lone)
     assert shared.train_x.tolist() == lone.train_x.tolist()
+
+
+def _assert_same_predictions(got, want, queries):
+    for g, w in zip(gpr.predict_many(got, queries), gpr.predict_many(want, queries)):
+        assert g.tolist() == w.tolist()  # bit-identical, not merely close
+
+
+def test_low_rank_pair_round_trip_at_n_340(tmp_path, eigh_calls):
+    model = joints.fit_family_model(bench_square_dataset(1), FamilyKind.SQUARE_SYM)
+    force, back = model.force_model, model.return_model
+    assert force.spectrum.truncated and back.spectrum is force.spectrum
+    force_path, return_path = tmp_path / "f.json", tmp_path / "r.json"
+    archive.save_model(force, force_path)
+    archive.save_model(back, return_path)
+    loaded_force, _ = archive.load_archive(force_path)
+    loaded_back, _ = archive.load_archive(return_path, spectrum=loaded_force.spectrum)
+    assert loaded_back.spectrum is loaded_force.spectrum
+    assert loaded_force.spectrum.truncated
+    assert not eigh_calls  # neither the fit nor the loads took the dense eigh
+    thetas = np.linspace(10.0, 170.0, 1601)
+    _assert_same_predictions(loaded_force, force, thetas)
+    _assert_same_predictions(loaded_back, back, thetas)
+
+
+def test_tuned_low_rank_fit_equals_a_plain_fit_and_reloads(tmp_path):
+    model = joints.fit_family_model(bench_square_dataset(2), FamilyKind.SQUARE_SYM, tune=True)
+    thetas = np.linspace(10.0, 170.0, 321)
+    for tuned in (model.force_model, model.return_model):
+        assert tuned.spectrum.truncated
+        plain = gpr.fit(tuned.train_x, tuned.train_y, tuned.hyper, tuned.noise_variance)
+        assert_same_model(tuned, plain)
+        path = tmp_path / "tuned.json"
+        archive.save_model(tuned, path)
+        loaded, _ = archive.load_archive(path)
+        assert_same_model(loaded, tuned)
+        _assert_same_predictions(loaded, tuned, thetas)
 
 
 def test_round_trip_preserves_gls_beta(tmp_path, fitted_model):

@@ -411,6 +411,178 @@ class TestKroneckerSpectrum:
         assert eigh_calls == [(len(X), len(X))]
 
 
+def _low_rank_instance(rng, n, dim, ratio, rough=False):
+    """A C1-style problem on n rows at noise = ratio * sf2, with targets the
+    model describes: a quadratic, a smooth sf2-sized signal and noise of the
+    noise variance; rough targets are the quadratic plus white noise of
+    variance sf2, as in random_gp_instance. The rows are 1-D with a tenth of
+    them repeated, or n of the cells of an angle x thickness grid (a ragged
+    grid), 20 rows per unit along the angle."""
+    span = n / 20.0
+    if dim == 1:
+        X = rng.uniform(0.0, span, (n, 1))
+        X[: n // 10] = X[n // 10 : 2 * (n // 10)]
+    else:
+        cells = [(a, t) for a in np.linspace(0.0, span, n // 4 + 3) for t in (0.0, 0.5, 1.0, 1.5)]
+        X = np.array(cells)[np.sort(rng.choice(len(cells), n, replace=False))]
+    assert gpr._product_grid(X) is None
+    sf2 = float(rng.uniform(0.5, 1.5))
+    ls = rng.uniform(0.7, 2.5, dim)
+    beta = rng.uniform(-1.0, 1.0, 2 * dim + 1) / np.r_[1.0, [span] * dim, [span**2] * dim]
+    signal = math.sqrt(sf2) * np.sin(X / ls + rng.uniform(0.0, 2.0 * np.pi, dim)).sum(axis=1)
+    y = gpr.basis_matrix(X) @ beta + signal + rng.normal(0.0, math.sqrt(ratio * sf2), n)
+    if rough:
+        y = gpr.basis_matrix(X) @ beta + rng.normal(0.0, math.sqrt(sf2), n)
+    queries = rng.uniform(0.0, span, (6, dim))
+    return X, y, hp(sf2, tuple(ls.tolist())), ratio * sf2, beta, queries
+
+
+def _dense_whitener(X, h, noise):
+    """The whitener of the dense n x n eigh of K1, with the jitter retry:
+    the dense form's arithmetic, written out."""
+    lam, V = np.linalg.eigh(gpr.kernel_matrix(X, X, hp(1.0, h.length_scales)))
+    d = h.signal_variance * lam + noise
+    return V / np.sqrt(d + gpr.JITTER if d.min() <= 0 else d)
+
+
+class TestLowRankSpectrum:
+    """1-D rows from LOW_RANK_MIN_ROWS up: pivoted Cholesky and a thin SVD
+    in place of the n x n eigh, where the noise check lets a model take it.
+    Ragged 2-D rows keep the dense eigh."""
+
+    # rough targets at noise/sf2 = 1e-3 are what set LOW_RANK_DELTA: without
+    # the noise check two of them take the low-rank form and miss the oracle
+    # by 8e-10
+    @pytest.mark.parametrize("ratio, rough", [
+        *((r, False) for r in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)),
+        *((r, True) for r in (1e-3, 1e-2, 1e-1, 1.0)),
+    ])
+    def test_matches_the_dense_inverse_oracle(self, ratio, rough):
+        rng = np.random.default_rng(0 if rough else int(-math.log10(ratio)))
+        worst, forms = 0.0, []
+        shapes = [(128, 1), (256, 2), (340, 1), (400, 2), (256, 1), (400, 1)]
+        for trial, (n, dim) in enumerate(shapes):
+            X, y, h, noise, beta, queries = _low_rank_instance(rng, n, dim, ratio, rough)
+            use_gls = trial % 2 == 0
+            m = gpr.fit(X, y, h, noise, beta=None if use_gls else beta)
+            K1 = gpr.kernel_matrix(X, X, hp(1.0, h.length_scales))
+            low = gpr._low_rank(X, h.length_scales, K1)
+            certified = low is not None and (
+                h.signal_variance * low.tail <= gpr.LOW_RANK_DELTA * noise
+            )
+            assert m.spectrum.truncated == (m.spectrum.lam.size < n) == certified
+            forms.append(certified)
+            if ratio <= 1e-5:
+                # the dense form's own rounding misses 1e-10 against the
+                # oracle here (cond(A) ~ lam_max / ratio), so the check is
+                # that the model is the dense eigh's, bit for bit
+                assert np.array_equal(m.whitener, _dense_whitener(X, h, noise))
+                continue
+            if use_gls:
+                want_beta, _ = oracle_gp(X, y, h.signal_variance, h.length_scales, noise)
+                assert m.beta == pytest.approx(want_beta, abs=1e-8)
+            _, opredict = oracle_gp(X, y, h.signal_variance, h.length_scales, noise, beta=m.beta)
+            for q, mean, var in zip(queries, *gpr.predict_many(m, queries)):
+                omean, ovar = opredict(q)
+                worst = max(worst, abs(mean - omean), abs(var - ovar))
+        assert worst < 1e-10
+        # n = 128 stays below the crossover and 2-D rows are not tried; on
+        # the 1-D rows from 256 up the noise check sends 1e-4 and below to the
+        # dense form and keeps 1e-2 and up on the low-rank one
+        assert not forms[0] and not forms[1] and not forms[3]
+        if not rough and (ratio <= 1e-4 or ratio >= 1e-2):
+            assert [forms[2], *forms[4:]] == [ratio >= 1e-2] * 3
+
+    def test_zero_noise_takes_the_dense_form(self):
+        X = np.linspace(10.0, 170.0, 300)[:, None]
+        y = np.sin(X[:, 0] / 30.0)
+        h = hp(1.0, (20.0,))
+        assert gpr.fit(X, y, h, 1e-2).spectrum.truncated
+        m = gpr.fit(X, y, h, 0.0)
+        assert not m.spectrum.truncated
+        assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.0))
+
+    def test_rank_past_the_cap_takes_the_dense_form(self):
+        X = np.linspace(0.0, 300.0, 300)[:, None]
+        y = np.sin(X[:, 0] / 7.0)
+        h = hp(1.0, (0.3,))  # nearly the identity: the rank never falls below n / 2
+        K1 = gpr.kernel_matrix(X, X, hp(1.0, h.length_scales))
+        assert gpr._pivoted_cholesky(K1, 150) is None
+        assert gpr._pivoted_cholesky(K1, 300) is not None
+        m = gpr.fit(X, y, h, 1e-2)
+        assert not m.spectrum.truncated and m.spectrum.low_rank is None
+        assert np.array_equal(m.whitener, _dense_whitener(X, h, 1e-2))
+
+    @pytest.mark.parametrize("n", [255, 256])  # either side of LOW_RANK_MIN_ROWS
+    def test_rows_below_the_crossover_take_the_dense_form(self, eigh_calls, n):
+        X = np.linspace(10.0, 170.0, n)[:, None]
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(3).normal(0.0, 0.05, n)
+        h = hp(float(np.var(y)), (20.0,))
+        m = gpr.fit(X, y, h, 0.01 * h.signal_variance)
+        low_rank = n >= gpr.LOW_RANK_MIN_ROWS
+        assert m.spectrum.truncated == low_rank
+        assert eigh_calls == ([] if low_rank else [(n, n)])
+        if not low_rank:
+            assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.01 * h.signal_variance))
+
+    def test_ragged_two_dim_rows_take_the_dense_form(self, eigh_calls):
+        # the benchmark's curve grid, 81 angles x 4 thicknesses, one cell short
+        cells = [(a, t) for a in np.linspace(30.0, 150.0, 81) for t in (0.6, 0.8, 1.0, 1.2)]
+        X = np.array(cells[1:])
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(6).normal(0.0, 0.05, len(X))
+        h = hp(float(np.var(y)), (20.0, 0.4))
+        # pivoted Cholesky would meet the certificate well inside the cap here
+        K1 = gpr.kernel_matrix(X, X, hp(1.0, h.length_scales))
+        assert gpr._pivoted_cholesky(K1, len(X) // 2) is not None
+        m = gpr.fit(X, y, h, 0.01 * h.signal_variance)
+        assert not m.spectrum.truncated and eigh_calls == [(323, 323)]
+        assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.01 * h.signal_variance))
+
+    def test_tuning_builds_its_picks_from_the_kernels_it_scored(self, monkeypatch, eigh_calls):
+        X = np.linspace(10.0, 170.0, 340)[:, None]
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(5).normal(0.0, 0.05, 340)
+        v = float(np.var(y))
+        search = gpr.GridSpec((0.5 * v, v), ((10.0, 20.0, 40.0),), (0.003 * v, 0.01 * v))
+        builds, kernel_matrix = [], gpr.kernel_matrix
+        monkeypatch.setattr(gpr, "kernel_matrix", lambda *a: builds.append(1) or kernel_matrix(*a))
+        (m,) = gpr.tune_hyperparams(X, [(y, search)])
+        # one K1 and one dense eigh per length scale scored, none for the pick
+        assert len(builds) == 3 and eigh_calls == [(340, 340)] * 3
+        assert m.spectrum.truncated
+        assert_same_model(m, gpr.fit(X, y, m.hyper, m.noise_variance))
+
+    @pytest.mark.parametrize("first_fails", [False, True])
+    def test_a_target_failing_the_noise_check_takes_its_own_dense_spectrum(
+        self, eigh_calls, first_fails
+    ):
+        X = np.linspace(10.0, 170.0, 340)[:, None]
+        rng = np.random.default_rng(8)
+        y1, y2 = np.sin(X[:, 0] / 30.0), 180.0 - 0.1 * X[:, 0] + rng.normal(0.0, 1.0, 340)
+        h1, h2 = hp(1.0, (20.0,)), hp(100.0, (20.0,))
+        passes, fails = 1e-2, 1e-5  # noise over signal variance
+        n1, n2 = (fails, 100.0 * passes) if first_fails else (passes, 100.0 * fails)
+        first = gpr.fit(X, y1, h1, n1)
+        second = gpr.fit(X, y2, h2, n2, spectrum=first.spectrum)
+        dense, low = (first, second) if first_fails else (second, first)
+        assert low.spectrum.truncated and not dense.spectrum.truncated
+        assert dense.spectrum.low_rank is low.spectrum  # one pivoted Cholesky for both
+        assert eigh_calls == [(340, 340)]
+        assert_same_model(first, gpr.fit(X, y1, h1, n1))
+        assert_same_model(second, gpr.fit(X, y2, h2, n2))
+
+    def test_loo_residuals_match_the_dense_form(self):
+        X = np.linspace(10.0, 170.0, 340)[:, None]
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(4).normal(0.0, 0.05, 340)
+        h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
+        m = gpr.fit(X, y, h, noise)
+        assert m.spectrum.truncated and m.factor.shape == (340, 340 + m.spectrum.lam.size)
+        H = gpr.basis_matrix(X)
+        got, rank = gpr.loo_residuals(m.factor, H, y)
+        want, want_rank = gpr.loo_residuals(_dense_whitener(X, h, noise), H, y)
+        assert rank == want_rank == 3
+        assert _rel_gap(got, want) < 1e-10
+
+
 class TestPredictMany:
     def test_matches_per_point_predict_and_dense_oracle(self):
         rng = np.random.default_rng(12)

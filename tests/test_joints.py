@@ -10,6 +10,7 @@ from ugckit.errors import InputError, MissingThicknessError, OutOfValidatedRange
 from conftest import (
     UndefinedFold,
     assert_same_model,
+    bench_square_dataset,
     curve_bench_csv,
     gp_loo_rmse,
     refit_loo_residuals_gp,
@@ -304,6 +305,25 @@ class TestTuning:
             assert (got.hyper, got.noise_variance) == (want.hyper, want.noise_variance)
         assert grid.force_loo_rmse == pytest.approx(dense.force_loo_rmse, rel=1e-10)
         assert grid.return_loo_rmse == pytest.approx(dense.return_loo_rmse, rel=1e-10)
+
+    # (signal variance / var(y), angle length scale, noise / var(y)) of the
+    # force and return picks: scoring runs on the dense eigh, so the
+    # low-rank form the picks take changes no pick
+    @pytest.mark.parametrize("seed, picks", [
+        (1, [(0.5, 40.0, 0.003), (0.5, 20.0, 0.003)]),
+        (2, [(0.5, 40.0, 0.003), (0.5, 20.0, 0.003)]),
+        (3, [(0.5, 40.0, 0.003), (0.5, 40.0, 0.003)]),
+        (4, [(0.5, 40.0, 0.003), (1.0, 40.0, 0.003)]),
+        (5, [(0.5, 40.0, 0.001), (0.5, 40.0, 0.003)]),
+    ])
+    def test_low_rank_picks_at_n_340_are_the_dense_ones(self, seed, picks):
+        model = joints.fit_family_model(bench_square_dataset(seed), SQ, tune=True)
+        for gp, (sf2, ls, noise) in zip((model.force_model, model.return_model), picks):
+            assert gp.spectrum.truncated
+            v = float(np.var(gp.train_y))
+            assert gp.hyper.signal_variance == sf2 * v
+            assert gp.hyper.length_scales == (ls,)
+            assert gp.noise_variance == noise * v
 
     @pytest.mark.parametrize("kind, dataset", [(SQ, "square_dataset"), (CURVE, "curve_dataset")])
     def test_jointly_tuned_models_equal_lone_tunes(self, request, kind, dataset):
