@@ -14,26 +14,26 @@ squares (minimum-norm where the basis is rank-deficient). fit, archive loads
 (fit with beta held fixed) and tune_hyperparams build every model from one
 eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
 (_kernel_eigh, held as a KernelSpectrum): with K = sf2 K1 (sf2 the signal
-variance) they keep W = V diag(sf2 lam + noise)^-1/2, so every solve against
+variance) a model keeps d = sf2 lam + noise, so every solve against
 A = K + noise*I = (F F')^-1 is a matrix product with one whitening factor F
-(a dense-inverse formulation exists only as an independent oracle in the
-test suite). Predictions at many points share one product with W per block
-of rows (predict_many; means alone skip it), and leave-one-out residuals
-come in closed form from F (loo_residuals) rather than from n refits.
-loo_residuals is the toolkit's one leave-one-out routine: with F = I it
-scores the polynomial baseline of joints too.
+built on W = V diag(d)^-1/2 (a dense-inverse formulation exists only as an
+independent oracle in the test suite). _whiten is the one path to F'M, for
+GLS, and to F', from which leave-one-out residuals come in closed form
+(loo_residuals, the toolkit's one LOO routine: with F = I it scores the
+polynomial baseline of joints too) rather than from n refits. Predictions
+at many points share one W per call (predict_many; means alone skip it).
 
-The spectrum takes one of two forms. The dense form keeps all n eigenpairs,
-and F = W. The low-rank form keeps r < n (Harbrecht, Peters and Schneider
-2012, On the low-rank approximation by the pivoted Cholesky decomposition;
-Halko, Martinsson and Tropp 2011, Finding Structure with Randomness):
-pivoted Cholesky K1 ~ L L', pivoting on the largest residual diagonal (the
-lowest index on a tie), stops once the residual's trace, kept as
-KernelSpectrum.tail, is at most n eps times the first pivot column's squared
-norm (a lower bound on lam_max); the thin SVD of L then gives V (n x r) and
-lam. The trace bounds |K1 - L L'|_2 up to the rounding of its running
-update, about n r eps: the order of the stopping tolerance itself and of the
-dense eigh's own error. The rest of R^n has eigenvalue 0, so
+The spectrum takes one of three forms. The dense and Kronecker forms keep
+all n eigenpairs, and F = W. The low-rank form keeps r < n (Harbrecht,
+Peters and Schneider 2012, On the low-rank approximation by the pivoted
+Cholesky decomposition; Halko, Martinsson and Tropp 2011, Finding Structure
+with Randomness): pivoted Cholesky K1 ~ L L', pivoting on the largest
+residual diagonal (the lowest index on a tie), stops once the residual's
+trace, kept as KernelSpectrum.tail, is at most n eps times the first pivot
+column's squared norm (a lower bound on lam_max); the thin SVD of L then
+gives V (n x r) and lam. The trace bounds |K1 - L L'|_2 up to the rounding
+of its running update, about n r eps: the order of the stopping tolerance
+itself and of the dense eigh's own error. Off the range of V, A = noise*I:
 
     A^-1 = V diag(1/d) V' + (I - V V')/noise,   F = [W | (I - V V')/sqrt(noise)],
 
@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotPositiveDefiniteError, UnsupportedDimensionError
-from .units import _ANY, checked
+from .units import _ANY, checked, is_number
 
 JITTER = 1e-8
 _PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
@@ -132,9 +132,21 @@ class KernelHyperParams:
         return len(self.length_scales)
 
 
-def _as_points(x) -> np.ndarray:
-    """Coerce input points to an (n, d) float array."""
-    arr = np.asarray(x, dtype=float)
+def _floats(label: str, value) -> np.ndarray:
+    """value as a float array by JointDataset's typed-number rule for arrays:
+    ValueError "<label>: expected float" unless every entry is a number
+    (is_number), so no bool, str or bytes, nor a bool a list of numbers hides."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "fiu" or not (
+        isinstance(value, np.ndarray) or all(map(is_number, np.ravel(np.array(value, object))))
+    ):
+        raise ValueError(f"{label}: expected float")
+    return arr.astype(float, copy=False)
+
+
+def _as_points(x, label: str = "X") -> np.ndarray:
+    """Coerce input points to an (n, d) float array (_floats)."""
+    arr = _floats(label, x)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -373,27 +385,23 @@ def _kept(s: np.ndarray, shape) -> np.ndarray:
 
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
-    """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = W'H and
-    yw = W'y (one or more columns), the whitened residual yw - Hw b, and the
-    rank kept (_kept)."""
+    """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = F'H and
+    yw = F'y (_whiten), the whitened residual yw - Hw b, and the rank kept;
+    for one Hw (n x p) and yw of one or more columns, or for stacked
+    candidates, Hw (c, n, p) and yw (c, n, k), with one stacked SVD. The
+    directions _kept drops are masked to zero."""
     U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
     keep = _kept(s, Hw.shape)
-    U, s, Vt = U[:, keep], s[keep], Vt[keep]
-    coef = U.T @ yw
+    U *= keep[..., None, :]  # in place: a stack of candidates is large
+    # one matrix: U' row-major, as slicing its columns gave; the layout sets the
+    # rounding that archived fits pin
+    Ut = U.swapaxes(-1, -2) if U.ndim == 3 else np.ascontiguousarray(U.T)
+    coef = Ut @ yw
     # the residual built in place: loo_residuals passes n columns
-    r = U @ coef
+    r = Ut.swapaxes(-1, -2) @ coef
     np.subtract(yw, r, out=r)
-    return (Vt.T / s) @ coef, r, int(s.size)
-
-
-def _gls_residuals(Hw: np.ndarray, yw: np.ndarray) -> np.ndarray:
-    """_gls's whitened residuals yw - Hw b for stacked candidates, Hw of
-    shape (c, n, p) and yw (c, n): one stacked SVD, the directions _kept
-    drops masked to zero."""
-    U, s, _ = np.linalg.svd(Hw, full_matrices=False)
-    U = U * _kept(s, Hw.shape)[:, None, :]
-    coef = yw[:, None, :] @ U  # (c, 1, p)
-    return yw - (coef @ U.transpose(0, 2, 1))[:, 0, :]
+    beta = (Vt.swapaxes(-1, -2) / np.where(keep, s, np.inf)[..., None, :]) @ coef
+    return beta, r, keep.sum(axis=-1)
 
 
 def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -408,33 +416,24 @@ def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedGP:
-    """A trained model; immutable, so safe to share across threads."""
+    """A trained model; immutable, so safe to share across threads. It keeps
+    d and its spectrum, not W = V diag(d)^-1/2, which is formed where used."""
 
     beta: np.ndarray
     noise_variance: float
     hyper: KernelHyperParams
     train_y: np.ndarray  # (n,)
-    whitener: np.ndarray  # W = V diag(d)^-1/2, (n, r): A^-1 on the range of V
+    d: np.ndarray  # (r,) the spectrum of K + noise*I on the range of spectrum.V
     alpha: np.ndarray  # (K + noise*I)^-1 (y - H beta)
     spectrum: KernelSpectrum  # K1 on train_x at hyper.length_scales, maybe shared
 
     def __post_init__(self):
-        for name in ("beta", "train_y", "whitener", "alpha"):
+        for name in ("beta", "train_y", "d", "alpha"):
             getattr(self, name).setflags(write=False)
 
     @property
     def train_x(self) -> np.ndarray:  # (n, d)
         return self.spectrum.x
-
-    @property
-    def factor(self) -> np.ndarray:
-        """F with F F' = (K + noise*I)^-1: the whitener for the dense form,
-        and [W | (I - V V')/sqrt(noise)], n x (r + n), for the low-rank form
-        (_whiten)."""
-        W = self.whitener
-        if not self.spectrum.truncated:
-            return W
-        return _whiten(self.spectrum, W, self.noise_variance, np.eye(W.shape[0])).T
 
     @property
     def input_dim(self) -> int:
@@ -444,7 +443,7 @@ class FittedGP:
 def _training_data(X, y, dim: int):
     """Coerce training data to (X, y) arrays and reject what cannot be fitted."""
     Xm = _as_points(X)
-    yv = np.asarray(y, dtype=float).ravel()
+    yv = _floats("y", y).ravel()
     n, d = Xm.shape
     if n < 1 or yv.shape[0] != n:
         raise InputError(f"X has {n} rows but y has {yv.shape[0]} entries")
@@ -455,25 +454,29 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
-def _whiten(spectrum: KernelSpectrum, W: np.ndarray, noise_variance: float,
-            M: np.ndarray) -> np.ndarray:
-    """F'M for the whitening factor F with F F' = A^-1, from a model's
-    spectrum and whitener W = V diag(d)^-1/2: W'M for the dense form, and
-    for the low-rank form, whose A is noise*I off the range of V, also the
-    explicit complement (M - V V'M)/sqrt(noise) below it."""
-    WtM = W.T @ M
+def _whiten(spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float, M=None, W=None):
+    """F'M for the whitening factor F, F F' = A^-1, of a model on spectrum
+    with A's spectrum d on the range of V; F' itself when M is None (for
+    loo_residuals). W = V diag(d)^-1/2 is the caller's or formed here. F'M
+    is W'M for the dense and Kronecker forms; the low-rank form, whose A is
+    noise*I off the range of V, adds the explicit complement (M - V V'M) /
+    sqrt(noise) below it, and (I - V V') / sqrt(noise) below W' in F'."""
+    V = spectrum.V
+    if W is None:
+        W = V / np.sqrt(d)
+    WtM = W.T if M is None else W.T @ M
     if not spectrum.truncated:
         return WtM
-    V = spectrum.V
-    return np.concatenate([WtM, (M - V @ (V.T @ M)) / math.sqrt(noise_variance)])
+    rest = np.eye(V.shape[0]) - V @ V.T if M is None else M - V @ (V.T @ M)
+    return np.concatenate([WtM, rest / math.sqrt(noise_variance)])
 
 
 def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
             beta=None):
     """The model on checked targets yv at the rows of spectrum, K1 = V
     diag(lam) V': A = hyper.signal_variance K1 + noise*I has the spectrum
-    d = _shifted_spectrum(sf2 lam, noise) on the range of V, W = V
-    diag(d)^-1/2, and A^-1 = F F' (_whiten).
+    d = _shifted_spectrum(sf2 lam, noise) on the range of V, which the model
+    keeps, and A^-1 = F F' (_whiten) with W = V diag(d)^-1/2.
 
     A low-rank spectrum serves only a positive noise with sf2 * tail <=
     LOW_RANK_DELTA * noise; otherwise the model takes the dense spectrum on
@@ -494,28 +497,21 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     H = basis_matrix(spectrum.x)
 
     if beta is None:
-        beta_vec, _, _ = _gls(*(_whiten(spectrum, W, noise_variance, M) for M in (H, yv)))
+        beta_vec, _, _ = _gls(*(_whiten(spectrum, d, noise_variance, M, W) for M in (H, yv)))
     else:
-        beta_vec = np.asarray(beta, dtype=float).ravel()
+        beta_vec = _floats("beta", beta).ravel()
         if beta_vec.shape[0] != H.shape[1]:
-            raise InputError(
-                f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}"
-            )
+            raise InputError(f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}")
+        if not np.all(np.isfinite(beta_vec)):
+            raise ValueError("beta: must be a finite number")
 
     # alpha = F F' r from beta alone, so a reload with beta held fixed is bit-identical
     r = yv - H @ beta_vec
     alpha = W @ (W.T @ r)
     if spectrum.truncated:
         alpha += (r - V @ (V.T @ r)) / noise_variance
-    return FittedGP(
-        beta=beta_vec,
-        noise_variance=float(noise_variance),
-        hyper=hyper,
-        train_y=yv.copy(),
-        whitener=W,
-        alpha=alpha,
-        spectrum=spectrum,
-    )
+    return FittedGP(beta=beta_vec, noise_variance=float(noise_variance), hyper=hyper,
+                    train_y=yv.copy(), d=d, alpha=alpha, spectrum=spectrum)
 
 
 def fit(
@@ -550,38 +546,38 @@ def took_jitter(model: FittedGP) -> bool:
     return bool(_shifted_spectrum(lam, model.noise_variance)[1])
 
 
-def loo_residuals(W: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+def loo_residuals(Ft: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Leave-one-out residuals y_i - mu_(-i)(x_i) of generalized least squares
-    on the basis H plus a GP with A^-1 = W W', and the rank of W'H kept, in
-    closed form (GPML section 5.4.2; Sundararajan and Keerthi 2001):
+    on the basis H plus a GP with A^-1 = F F', given Ft = F', and the rank
+    of F'H kept, in closed form (GPML 5.4.2; Sundararajan and Keerthi 2001):
 
         e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
-                               = W (I - Q Q') W',
+                               = F (I - Q Q') F',
 
-    with Q the orthonormal basis of the range of W'H that _gls projects out,
+    with Q the orthonormal basis of the range of F'H that _gls projects out,
     so a basis that is rank-deficient on the rows (a curve fit at one
     thickness) gives what the refits' minimum-norm GLS gives. Neither P nor
     A^-1 is formed; only diag(P) and P y.
 
-    The one leave-one-out routine: a fitted GP passes its factor
-    (FittedGP.factor), basis_matrix(train_x) and train_y (beta re-estimated
-    in every fold, also for a model fitted with beta held fixed), and W = I
-    gives the PRESS residuals r_i / (1 - h_ii) of ordinary least squares on
-    H (Allen 1974).
+    The one leave-one-out routine: a fitted GP passes its F' (_whiten with
+    M None), basis_matrix(train_x) and train_y (beta re-estimated in every
+    fold, also for a model fitted with beta held fixed), and F = I gives the
+    PRESS residuals r_i / (1 - h_ii) of ordinary least squares on H (Allen
+    1974).
 
     Where the other rows cannot identify the mean at row i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
     residual is undefined and comes back as NaN.
     """
-    n = W.shape[0]
-    _, R, rank = _gls(W.T @ H, W.T)  # R = (I - Q Q') W', P = R' R
+    n = Ft.shape[1]
+    _, R, rank = _gls(Ft @ H, Ft)  # R = (I - Q Q') F', P = R' R
     diag_p = np.einsum("ij,ij->j", R, R)
     p_y = R.T @ (R @ y)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
-    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->i", W, W)
+    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->j", Ft, Ft)
     residuals = np.full(n, np.nan)
     residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
-    return residuals, rank
+    return residuals, int(rank)
 
 
 def predict_many(model: FittedGP, Xq, with_variances: bool = True):
@@ -593,17 +589,17 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
 
     and, for the low-rank form, also - |k_* - V V' k_*|^2 / noise.
 
-    k(x, x) is the signal variance for the squared-exponential kernel. Rows
-    go through in blocks of _PREDICT_BLOCK: one cross-kernel and one product
-    with the stored whitener per block. A row's mean does not depend on the
-    rows queried with it (both mean products run row by row); its variance
-    comes from a matrix product with the whitener and may differ in the last
-    bits between batches. with_variances=False skips that product and
-    returns (means, None), the same means. Raises ValueError naming the first
-    query point whose mean or variance is not finite (overflow far from the
-    data).
+    k(x, x) is the signal variance for the squared-exponential kernel. W =
+    V diag(d)^-1/2 is formed once per call, and rows go through in blocks of
+    _PREDICT_BLOCK: one cross-kernel and one product with W per block. A
+    row's mean does not depend on the rows queried with it (both mean
+    products run row by row); its variance comes from a matrix product with
+    W and may differ in the last bits between batches. with_variances=False
+    skips W and returns (means, None), the same means. Raises ValueError
+    naming the first query point whose mean or variance is not finite
+    (overflow far from the data).
     """
-    Q = _as_points(Xq)
+    Q = _as_points(Xq, "Xq")
     if Q.shape[1] != model.input_dim:
         raise InputError(f"query dim {Q.shape[1]} vs training dim {model.input_dim}")
     if not np.all(np.isfinite(Q)):
@@ -612,6 +608,7 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     variances = np.empty(Q.shape[0]) if with_variances else None
     V = model.spectrum.V
     low_rank = model.spectrum.truncated
+    W = V / np.sqrt(model.d) if with_variances else None
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -623,7 +620,7 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
                 "ij,j->i", k_star, model.alpha
             )
             if with_variances:
-                v = k_star @ model.whitener
+                v = k_star @ W
                 variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
                 if low_rank:  # k_* off the range of V, where A is noise*I
                     tail = k_star - (k_star @ V) @ V.T
@@ -764,9 +761,9 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
             if not usable.size:
                 continue
             d = d[usable]
-            scale = 1.0 / np.sqrt(d)  # W' = diag(scale) V'
-            rw = _gls_residuals(rotated[:, :p] * scale[:, :, None], rotated[:, p + t] * scale)
-            for c, score in zip(usable.tolist(), _log_likelihood(rw, d).tolist()):
+            scale = 1.0 / np.sqrt(d)[:, :, None]  # W' = diag(scale) V'
+            _, rw, _ = _gls(rotated[:, :p] * scale, rotated[:, p + t, None] * scale)
+            for c, score in zip(usable.tolist(), _log_likelihood(rw[..., 0], d).tolist()):
                 # the scan-order index breaks ties; a NaN score never compares below
                 key = (-score, ik[c][0], j, ik[c][1])
                 if key < best[t][0]:

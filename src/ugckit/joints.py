@@ -313,7 +313,8 @@ def _fit_targets(X, targets, kind: FamilyKind, noise_variance, tune: bool):
 def _loo_rmse(model: gpr.FittedGP, column: str) -> float | None:
     with _overflow_names(column):
         H = gpr.basis_matrix(model.train_x)
-        residuals, _ = gpr.loo_residuals(model.factor, H, model.train_y)
+        Ft = gpr._whiten(model.spectrum, model.d, model.noise_variance)
+        residuals, _ = gpr.loo_residuals(Ft, H, model.train_y)
         return _rmse(residuals)
 
 
@@ -362,7 +363,7 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
     thickness, and the score pools every thickness's folds. Angles are mapped
     affinely onto [-1, 1]; the map does not change a fit, so each fold's own
     map gives the same one. The residuals are the PRESS residuals of one fit
-    to all the data (Allen 1974), from gpr.loo_residuals with W = I.
+    to all the data (Allen 1974), from gpr.loo_residuals with F = I.
 
     None when a fold has fewer than degree + 1 rows (checked before any
     matrix is built), all angles are equal, the Vandermonde matrix has rank

@@ -144,6 +144,45 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="^noise_variance: expected float$"):
             gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), np.zeros(2))
 
+    @pytest.mark.parametrize("X, y, beta, field", [
+        ([[0.0], [1.0], [2.0]], ["1.0", "0.0", "2.0"], None, "y"),
+        ([[0.0], [1.0], [2.0]], [True, False, True], None, "y"),
+        ([[False], [True], [True]], [1.0, 0.0, 2.0], None, "X"),
+        ([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], ["1", 0, 0], "beta"),
+        # a bool among ints or floats: numpy's array of the list hides it
+        ([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], [True, 0, 0], "beta"),
+        ([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], [1.0, True, 0.0], "beta"),
+    ])
+    def test_array_inputs_take_the_typed_number_rule(self, X, y, beta, field):
+        # float() reads each of these, so fit took them as 1.0 and 0.0
+        with pytest.raises(ValueError, match=f"^{field}: expected float$"):
+            gpr.fit(X, y, hp(1.0, (2.0,)), 0.1, beta=beta)
+
+    def test_non_finite_fixed_beta_rejected(self):
+        # fit took it, warning in the alpha product, and only predict failed
+        with pytest.raises(ValueError, match="^beta: must be a finite number$"):
+            gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), 0.1,
+                    beta=[math.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("Xq", [["1.0"], [True], [b"1"], [[1.0], [True]]])
+    def test_query_points_take_the_typed_number_rule(self, Xq):
+        m = gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), 0.1)
+        with pytest.raises(ValueError, match="^Xq: expected float$"):
+            gpr.predict_many(m, Xq)
+
+    @pytest.mark.parametrize("form", ["dense", "kronecker", "low_rank"])
+    def test_model_holds_linear_arrays_outside_its_spectrum(self, form):
+        # the n x r factor W = V diag(d)^-1/2 is formed where it is used, not kept
+        if form == "kronecker":
+            X, y = _shuffled_grid()
+        else:
+            X = np.linspace(10.0, 170.0, 100 if form == "dense" else 340)[:, None]
+            y = np.sin(X[:, 0] / 30.0)
+        m = gpr.fit(X, y, hp(1.0, (20.0, 0.4)[: X.shape[1]]), 0.01)
+        assert m.spectrum.truncated == (form == "low_rank")
+        held = sum(v.nbytes for v in vars(m).values() if isinstance(v, np.ndarray))
+        assert held <= 4 * len(X) * 8
+
     def test_matches_oracle_fixed_and_gls_beta(self):
         rng = np.random.default_rng(123)
         worst = 0.0
@@ -325,7 +364,8 @@ class TestLooResiduals:
         X, y, h, noise = _one_thickness_curve()
         model = gpr.fit(X, y, h, noise)
         assert eigh_calls == [(41, 41), (1, 1)]  # a 41 x 1 product grid
-        got, rank = gpr.loo_residuals(model.whitener, gpr.basis_matrix(X), y)
+        Ft = gpr._whiten(model.spectrum, model.d, model.noise_variance)
+        got, rank = gpr.loo_residuals(Ft, gpr.basis_matrix(X), y)
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
         assert rank == 3  # thickness and its square are multiples of the constant
 
@@ -476,7 +516,7 @@ class TestLowRankSpectrum:
                 # the dense form's own rounding misses 1e-10 against the
                 # oracle here (cond(A) ~ lam_max / ratio), so the check is
                 # that the model is the dense eigh's, bit for bit
-                assert np.array_equal(m.whitener, _dense_whitener(X, h, noise))
+                assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, noise))
                 continue
             if use_gls:
                 want_beta, _ = oracle_gp(X, y, h.signal_variance, h.length_scales, noise)
@@ -500,7 +540,7 @@ class TestLowRankSpectrum:
         assert gpr.fit(X, y, h, 1e-2).spectrum.truncated
         m = gpr.fit(X, y, h, 0.0)
         assert not m.spectrum.truncated
-        assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.0))
+        assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, 0.0))
 
     def test_rank_past_the_cap_takes_the_dense_form(self):
         X = np.linspace(0.0, 300.0, 300)[:, None]
@@ -511,7 +551,7 @@ class TestLowRankSpectrum:
         assert gpr._pivoted_cholesky(K1, 300) is not None
         m = gpr.fit(X, y, h, 1e-2)
         assert not m.spectrum.truncated and m.spectrum.low_rank is None
-        assert np.array_equal(m.whitener, _dense_whitener(X, h, 1e-2))
+        assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, 1e-2))
 
     @pytest.mark.parametrize("n", [255, 256])  # either side of LOW_RANK_MIN_ROWS
     def test_rows_below_the_crossover_take_the_dense_form(self, eigh_calls, n):
@@ -523,7 +563,7 @@ class TestLowRankSpectrum:
         assert m.spectrum.truncated == low_rank
         assert eigh_calls == ([] if low_rank else [(n, n)])
         if not low_rank:
-            assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.01 * h.signal_variance))
+            assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, 0.01 * h.signal_variance))
 
     def test_ragged_two_dim_rows_take_the_dense_form(self, eigh_calls):
         # the benchmark's curve grid, 81 angles x 4 thicknesses, one cell short
@@ -536,7 +576,7 @@ class TestLowRankSpectrum:
         assert gpr._pivoted_cholesky(K1, len(X) // 2) is not None
         m = gpr.fit(X, y, h, 0.01 * h.signal_variance)
         assert not m.spectrum.truncated and eigh_calls == [(323, 323)]
-        assert np.array_equal(m.whitener, _dense_whitener(X, h, 0.01 * h.signal_variance))
+        assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, 0.01 * h.signal_variance))
 
     def test_tuning_builds_its_picks_from_the_kernels_it_scored(self, monkeypatch, eigh_calls):
         X = np.linspace(10.0, 170.0, 340)[:, None]
@@ -575,10 +615,11 @@ class TestLowRankSpectrum:
         y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(4).normal(0.0, 0.05, 340)
         h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
         m = gpr.fit(X, y, h, noise)
-        assert m.spectrum.truncated and m.factor.shape == (340, 340 + m.spectrum.lam.size)
+        Ft = gpr._whiten(m.spectrum, m.d, m.noise_variance)
+        assert m.spectrum.truncated and Ft.shape == (340 + m.spectrum.lam.size, 340)
         H = gpr.basis_matrix(X)
-        got, rank = gpr.loo_residuals(m.factor, H, y)
-        want, want_rank = gpr.loo_residuals(_dense_whitener(X, h, noise), H, y)
+        got, rank = gpr.loo_residuals(Ft, H, y)
+        want, want_rank = gpr.loo_residuals(_dense_whitener(X, h, noise).T, H, y)
         assert rank == want_rank == 3
         assert _rel_gap(got, want) < 1e-10
 
@@ -661,7 +702,7 @@ class TestTookJitter:
         assert not gpr.took_jitter(gpr.fit(X, y, h, 1e-2))
         # the retry is the fit at noise JITTER, bit for bit
         d = h.signal_variance * jittered.spectrum.lam + gpr.JITTER
-        assert np.array_equal(jittered.whitener, jittered.spectrum.V / np.sqrt(d))
+        assert np.array_equal(jittered.d, d)
 
     def test_well_spread_rows_need_no_retry(self):
         X = np.linspace(0.0, 10.0, 6)[:, None]
@@ -799,7 +840,7 @@ class TestTuneHyperparams:
         grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),) * dim, (1e-3, 1e-2, 1e-1))
         (m,) = gpr.tune_hyperparams(X, [(y, grid)])
         ref = gpr.fit(X, y, m.hyper, m.noise_variance)
-        for name in ("beta", "whitener", "alpha"):
+        for name in ("beta", "d", "alpha"):
             assert np.array_equal(getattr(m, name), getattr(ref, name)), name
 
     @staticmethod
@@ -830,6 +871,23 @@ class TestTuneHyperparams:
             (0.5 * v, v, 2.0 * v), ((5.0, 10.0, 20.0, 40.0),), (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
         )
         self._check_against_dense_oracle(theta[:, None], y, grid)
+
+    @pytest.mark.parametrize("repeated_row", [False, True])
+    def test_rank_deficient_basis_pick_is_the_dense_oracles_first_argmax(self, repeated_row):
+        # H has rank 3 of 5 at one thickness, so the stacked GLS masks two
+        # directions of every candidate; the 41 rows are a 41 x 1 product
+        # grid, and a repeated row sends tuning down the dense path
+        X, y, _, _ = _one_thickness_curve()
+        if repeated_row:
+            X, y = np.vstack([X, X[20]]), np.append(y, y[20] + 0.05)
+        assert (gpr._product_grid(X) is None) == repeated_row
+        v = float(np.var(y))
+        grid = gpr.GridSpec(
+            signal_variances=(0.5 * v, v, 2.0 * v),
+            length_scale_grids=((10.0, 20.0, 40.0), (0.4,)),
+            noise_variances=(1e-3 * v, 1e-2 * v, 1e-1 * v),
+        )
+        self._check_against_dense_oracle(X, y, grid)
 
     def test_two_dim_pick_is_the_dense_oracles_first_argmax(self):
         rng = np.random.default_rng(9)
@@ -873,7 +931,7 @@ class TestTuneHyperparams:
         grid = gpr.GridSpec((0.5, 1.0), ((0.5, 1.0, 2.0),), (0.01, 0.1))
         (a,), (b,) = gpr.tune_hyperparams(X, [(y, grid)]), gpr.tune_hyperparams(X, [(y, grid)])
         assert (a.hyper, a.noise_variance) == (b.hyper, b.noise_variance)
-        for name in ("beta", "whitener", "alpha"):
+        for name in ("beta", "d", "alpha"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
