@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-from .units import is_number
+from .units import floats
 
 FORMAT_VERSION = "1"
 
@@ -79,25 +79,15 @@ def save_model(model: gpr.FittedGP, path, family=None, model_id=None) -> None:
 
 
 def _read_number_field(doc: dict, path, ndim: int):
-    """The field at path as a float (ndim 0) or a float array; CorruptArchiveError
-    naming the field unless it holds finite JSON numbers nested ndim lists deep."""
+    """The field at path as a float (ndim 0) or a float array; an error naming
+    the field unless it holds finite JSON numbers nested ndim lists deep."""
     name = ".".join(path)
     value = doc
     for key in path:
         if not isinstance(value, dict) or key not in value:
             raise CorruptArchiveError(f"field {name} is missing")
         value = value[key]
-    stack = [value]  # each leaf must be a number (units.is_number), not a bool or a string
-    while stack:
-        leaf = stack.pop()
-        if isinstance(leaf, list):
-            stack.extend(leaf)
-        elif not is_number(leaf):
-            raise CorruptArchiveError(f"field {name} must hold JSON numbers")
-    try:
-        array = np.asarray(value, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise CorruptArchiveError(f"field {name}: {exc}") from exc
+    array = floats(f"field {name}", value)
     if array.ndim != ndim:
         raise CorruptArchiveError(f"field {name} must be {_SHAPES[ndim]}")
     if not np.all(np.isfinite(array)):
@@ -168,5 +158,5 @@ def load_archive(path, spectrum=None) -> tuple[gpr.FittedGP, ArchiveInfo]:
         return _model_from_document(json.loads(text), spectrum)
     except json.JSONDecodeError as exc:
         raise CorruptArchiveError(f"archive {path}: not valid JSON: {exc}") from exc
-    except CorruptArchiveError as exc:
+    except (CorruptArchiveError, ValueError) as exc:  # ValueError: a field's typed numbers
         raise CorruptArchiveError(f"archive {path}: {exc}") from exc

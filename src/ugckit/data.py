@@ -33,7 +33,7 @@ from .errors import (
     MissingThicknessError,
     OutOfRangeError,
 )
-from .units import _ANY, checked
+from .units import _ANY, checked, floats
 
 CSV_COLUMNS = (
     "family",
@@ -200,10 +200,8 @@ class JointDataset:
         for name, value in vars(self).items():
             if name in ("family", "direction", "run_id"):
                 column = np.array(value, dtype=object)  # a str array would drop trailing NULs
-            elif (column := np.array(value)).dtype.kind in "fiu":  # no bool, str or object
-                column = column.astype(float)
-            else:
-                raise ValueError(f"{name} must hold numbers, got dtype {column.dtype}")
+            else:  # a copy of its own, which it freezes
+                column = np.array(floats(name, value))
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if len({c.shape for c in vars(self).values()}) > 1 or self.force.ndim != 1:

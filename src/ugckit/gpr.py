@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotPositiveDefiniteError, UnsupportedDimensionError
-from .units import _ANY, checked, is_number
+from .units import _ANY, checked, floats
 
 JITTER = 1e-8
 _PREDICT_BLOCK = 256  # query rows per cross-kernel block; bounds predict_many's memory
@@ -132,21 +132,9 @@ class KernelHyperParams:
         return len(self.length_scales)
 
 
-def _floats(label: str, value) -> np.ndarray:
-    """value as a float array by JointDataset's typed-number rule for arrays:
-    ValueError "<label>: expected float" unless every entry is a number
-    (is_number), so no bool, str or bytes, nor a bool a list of numbers hides."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "fiu" or not (
-        isinstance(value, np.ndarray) or all(map(is_number, np.ravel(np.array(value, object))))
-    ):
-        raise ValueError(f"{label}: expected float")
-    return arr.astype(float, copy=False)
-
-
 def _as_points(x, label: str = "X") -> np.ndarray:
-    """Coerce input points to an (n, d) float array (_floats)."""
-    arr = _floats(label, x)
+    """Coerce input points to an (n, d) float array (units.floats)."""
+    arr = floats(label, x)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -192,18 +180,27 @@ def _shifted_spectrum(lam: np.ndarray, noise_variance):
     return d, retried[..., 0]
 
 
-def _has_duplicate_rows(X: np.ndarray) -> bool:
-    return np.unique(X, axis=0).shape[0] < X.shape[0]
+def _row_cells(rows: np.ndarray):
+    """Each column's distinct values, and each row's rank among the distinct
+    rows, row-major (-0.0 == 0.0); np.unique is asked for an index, as a bare
+    call imports numpy.ma (numpy 2.4)."""
+    axes, cell = [], np.zeros(rows.shape[0], dtype=np.intp)
+    for column in rows.T:
+        values, index = np.unique(column, return_inverse=True)
+        axes.append(values)
+        _, cell = np.unique(cell * values.size + index, return_inverse=True)
+    return axes, cell
 
 
-def _check_noise(noise_variance: float, duplicate_rows: bool) -> float:
-    """noise_variance as a float, by the rule for a noise variance: finite
-    and >= 0, and 0 only on distinct rows (with a repeated row and no noise,
-    K is singular)."""
+def _check_noise(noise_variance: float, rows: np.ndarray) -> float:
+    """noise_variance as a float, by the rule for a noise variance on rows:
+    finite and >= 0, and 0 only on distinct rows (with a repeated row and no
+    noise, K is singular). Typed first, so that == compares a number; the
+    rows are scanned only at zero noise."""
     noise = checked("noise_variance", noise_variance, _ANY)
     if noise < 0:
         raise ValueError(f"noise_variance must be finite and >= 0, got {noise}")
-    if noise == 0.0 and duplicate_rows:
+    if noise == 0.0 and _row_cells(rows)[1].max() + 1 < rows.shape[0]:
         raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
     return noise
 
@@ -250,13 +247,12 @@ class KernelSpectrum:
 
 def _product_grid(rows: np.ndarray):
     """The distinct angles and thicknesses of 2-D rows, and each row's index
-    ia * nt + it into their product, when the rows are exactly that product
-    with every pair once; None otherwise."""
+    ia * nt + it into their product (its rank), when the rows are exactly
+    that product with every pair once; None otherwise."""
     if rows.shape[1] != 2:
         return None
-    (a, ia), (t, it) = (np.unique(rows[:, j], return_inverse=True) for j in range(2))
-    index = ia * t.size + it
-    if a.size * t.size != rows.shape[0] or np.unique(index).size != index.size:
+    (a, t), index = _row_cells(rows)
+    if a.size * t.size != rows.shape[0] or index.max() + 1 != index.size:
         return None
     return (a, t), index
 
@@ -443,14 +439,15 @@ class FittedGP:
 def _training_data(X, y, dim: int):
     """Coerce training data to (X, y) arrays and reject what cannot be fitted."""
     Xm = _as_points(X)
-    yv = _floats("y", y).ravel()
+    yv = floats("y", y).ravel()
     n, d = Xm.shape
     if n < 1 or yv.shape[0] != n:
         raise InputError(f"X has {n} rows but y has {yv.shape[0]} entries")
     if d != dim:
         raise InputError(f"X dim {d} vs {dim} length scales")
-    if not (np.all(np.isfinite(Xm)) and np.all(np.isfinite(yv))):
-        raise ValueError("training inputs and targets must be finite")
+    for label, values in (("X", Xm), ("y", yv)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{label}: must be a finite number")
     return Xm, yv
 
 
@@ -499,7 +496,7 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     if beta is None:
         beta_vec, _, _ = _gls(*(_whiten(spectrum, d, noise_variance, M, W) for M in (H, yv)))
     else:
-        beta_vec = _floats("beta", beta).ravel()
+        beta_vec = floats("beta", beta).ravel()
         if beta_vec.shape[0] != H.shape[1]:
             raise InputError(f"beta has {beta_vec.shape[0]} terms, basis needs {H.shape[1]}")
         if not np.all(np.isfinite(beta_vec)):
@@ -531,9 +528,7 @@ def fit(
     _kernel_eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
-    # typed first, so that == compares a number; the row scan only where the rule reads it
-    noise = checked("noise_variance", noise_variance, _ANY)
-    noise = _check_noise(noise, noise == 0.0 and _has_duplicate_rows(Xm))
+    noise = _check_noise(noise_variance, Xm)
     if spectrum is None or not spectrum.matches(Xm, hyper.length_scales):
         spectrum = _kernel_eigh(Xm.copy(), hyper.length_scales)
     return _fitted(yv, hyper, noise, spectrum, beta)
@@ -603,7 +598,7 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     if Q.shape[1] != model.input_dim:
         raise InputError(f"query dim {Q.shape[1]} vs training dim {model.input_dim}")
     if not np.all(np.isfinite(Q)):
-        raise ValueError("query points must be finite")
+        raise ValueError("Xq: must be a finite number")
     means = np.empty(Q.shape[0])
     variances = np.empty(Q.shape[0]) if with_variances else None
     V = model.spectrum.V
@@ -656,17 +651,17 @@ class GridSpec:
         object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
 
 
-def _scan(search: GridSpec, length_scales, duplicate_rows: bool):
-    """The candidates of one target's grid that fit() would take, in scan
-    order: their (i, k) indices, signal variances and noise variances. A
-    value fit() would refuse with ValueError raises here too; zero noise on
-    repeated rows is skipped."""
+def _scan(search: GridSpec, length_scales, rows: np.ndarray):
+    """The candidates of one target's grid that fit() would take on rows, in
+    scan order: their (i, k) indices, signal variances and noise variances.
+    A value fit() would refuse with ValueError raises here too; zero noise
+    on repeated rows is skipped."""
     ik, sf2s, noises = [], [], []
     for i, sf2 in enumerate(search.signal_variances):
         KernelHyperParams(sf2, length_scales)  # refuses a bad signal variance
         for k, noise in enumerate(search.noise_variances):
             try:
-                _check_noise(noise, duplicate_rows)
+                _check_noise(noise, rows)
             except NotPositiveDefiniteError:
                 continue
             ik.append((i, k))
@@ -722,7 +717,6 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     checked = [_training_data(X, y, len(grids)) for y, _ in targets]
     rows = checked[0][0].copy()
     ys = [yv for _, yv in checked]
-    duplicate_rows = _has_duplicate_rows(rows)
     M = np.column_stack([basis_matrix(rows), *ys])  # [H | y_1 | y_2 ...]
     p = M.shape[1] - len(ys)
     grid = _product_grid(rows)
@@ -754,7 +748,7 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
             rotated = _kron_rotate(V_a, V_t, Mk)[order]
         for t, (_, search) in enumerate(targets):
             if j == 0:  # after the first spectrum, as a lone loop would check
-                scans.append(_scan(search, ls, duplicate_rows))
+                scans.append(_scan(search, ls, rows))
             ik, sf2, noise = scans[t]
             d, _ = _shifted_spectrum(sf2[:, None] * lam, noise[:, None])
             usable = np.flatnonzero(d.min(axis=-1) > 0)

@@ -31,7 +31,7 @@ import numpy as np
 from . import gpr
 from .data import FamilyKind, JointDataset, JointFamily
 from .errors import InputError, OutOfValidatedRangeError
-from .units import _ANY, checked
+from .units import _ANY, checked, floats
 
 VALIDATED_ANGLE_RANGE = (30.0, 150.0)  # deg
 TESTED_THICKNESS_RANGE = (0.4, 1.6)  # mm
@@ -370,10 +370,8 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
     below its column count, some fold leaves the polynomial undetermined, or
     the RMSE is past the float range.
     """
-    X = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float)
+    X = gpr._as_points(x, "x")
+    y = floats("y", y)
     _, group, counts = np.unique(X[:, 1:], axis=0, return_inverse=True, return_counts=True)
     if min(counts, default=0) - 1 < degree + 1:
         return None

@@ -7,13 +7,15 @@ Keeping the conversions in one place makes that boundary testable.
 checked is the one typed-number rule of every library input: design-spec
 fields, kernel hyperparameters and noise, joint thickness, bench samples,
 the averaging bin, ring geometry and joint-model queries. A bool, a string
-or bytes is refused there, though float() reads each. Archive loads apply
-its type test, is_number, to each leaf. finite_float reads CSV cells and
-CLI flags, which are text.
+or bytes is refused there, though float() reads each. floats states it for
+every array input, entry by entry; both test the type with is_number.
+finite_float reads CSV cells and CLI flags, which are text.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 DEG_PER_RAD = 180.0 / math.pi
 
@@ -85,3 +87,20 @@ def checked(label: str, value, rule, kind=float):
     if not rule[0](value):
         raise ValueError(f"{label}: {rule[1]}")
     return value
+
+
+def floats(label: str, value) -> np.ndarray:
+    """value as a float array; ValueError "<label>: expected float" unless each
+    entry is a number (is_number), or "<label>: must be a finite number" for an
+    int too large for a float. NaN and inf pass. An ndarray of ints or floats
+    skips the scan, which finds the bool that numpy's array of a list hides."""
+    try:  # numpy refuses some ragged nests of arrays even as objects
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+            value = np.array(value, dtype=object)
+            if not all(map(is_number, value.flat)):
+                raise ValueError
+        return value.astype(float, copy=False)
+    except ValueError:
+        raise ValueError(f"{label}: expected float") from None
+    except OverflowError:
+        raise ValueError(f"{label}: must be a finite number") from None

@@ -218,7 +218,7 @@ def test_non_number_field_exits_2_naming_it(tmp_path, fitted_model, capsys, path
     _write_with_literal(fitted_model, path, literal, model_path)
     assert main(["predict", "--model", str(model_path), "--theta", "60"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: archive {model_path}: field {'.'.join(path)} must hold JSON numbers\n"
+    assert err == f"error: archive {model_path}: field {'.'.join(path)}: expected float\n"
 
 
 def test_missing_fields_are_all_listed(tmp_path, fitted_model):
@@ -302,7 +302,7 @@ def test_size_mismatch_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, 
          "field kernel.signal_variance is missing"),
         (lambda doc: doc.update(kernel=[1.0, 20.0]), "field kernel.signal_variance is missing"),
         (lambda doc: doc.update(beta=[10**400, 0.0, 0.0, 0.0, 0.0]),
-         "field beta: int too large to convert to float"),
+         "field beta: must be a finite number"),
     ],
     ids=["length_scales", "noise_variance", "signal_variance", "key-missing", "kernel-list",
          "beta-overflow"],

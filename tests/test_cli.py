@@ -1376,6 +1376,25 @@ class TestProcessEntry:
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert re.search(r'^\[project\.scripts\]\nugc = "ugckit\.cli:run"$', text, re.M)
 
+    def test_fits_leave_numpy_ma_unimported(self, tmp_path):
+        # a bare np.unique imports numpy.ma, about 5 ms of a call; the row
+        # index behind the duplicate-row and product-grid tests asks for an index
+        probe = (
+            "import sys\n"
+            "from ugckit.cli import main\n"
+            "out, curve, square = sys.argv[1:]\n"
+            "for argv in ([curve, 'curve'], ['--tune', curve, 'curve'],\n"
+            "             ['--tune', square, 'square_sym']):\n"
+            "    *tune, data, family = argv\n"
+            "    assert main(['fit', *tune, '--data', data, '--family', family,\n"
+            "                 '--out', out, '--quiet']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = _run_cli("-c", probe, str(tmp_path / "m.json"),
+                          str(DEMO_DATA / "curve_bench.csv"), str(DEMO_DATA / "square_sym_bench.csv"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     def test_main_leaves_gc_alone(self, tmp_path, bench_csv):
         before = gc.get_freeze_count(), gc.isenabled()
         assert main(["fit", "--data", str(bench_csv), "--family", "square_sym",

@@ -441,6 +441,13 @@ def test_dataset_columns_are_read_only_arrays():
         ds.force[0] = 3.0
 
 
+def test_dataset_freezes_its_own_copy_of_a_float_column():
+    force = np.array([2.1, 1.0])
+    ds = JointDataset(**_columns(force=force))
+    force[0] = 3.0  # the caller's array stays writeable, and the dataset's apart from it
+    assert ds.force.tolist() == [2.1, 1.0] and not ds.force.flags.writeable
+
+
 def test_dataset_takes_enum_members_as_tokens():
     ds = JointDataset(**_columns(family=[FamilyKind.CURVE, FamilyKind.SQUARE_SYM],
                                  direction=[Direction.FORWARD, Direction.REVERSE]))
@@ -452,7 +459,7 @@ def test_dataset_takes_enum_members_as_tokens():
     ({"thickness": [math.nan, math.nan]}, MissingThicknessError, "requires a thickness"),
     ({"thickness": [0.4, 0.8]}, ValueError, "^square_sym family takes no thickness$"),
     ({"direction": ["forward", "sideways"]}, ValueError, "'sideways' is not a valid Direction"),
-    ({"force": [True, False]}, ValueError, "^force must hold numbers, got dtype bool$"),
+    ({"force": [True, False]}, ValueError, "^force: expected float$"),
     ({"force": [2.1]}, ValueError, "^dataset columns must be 1-D and of one length$"),
 ], ids=["range", "missing-thickness", "extra-thickness", "token", "bool", "length"])
 def test_dataset_rejects_a_bad_row_with_the_sample_rule(overrides, error, message):

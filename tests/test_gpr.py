@@ -388,7 +388,7 @@ class TestLooResiduals:
         # model that loo_residuals reads comes from, rejects it
         X, y = np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0)
         y[3] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="^y: must be a finite number$"):
             gpr.fit(X, y, hp(), 0.1)
 
     def test_undefined_folds_are_nan(self):
@@ -412,6 +412,19 @@ def _shuffled_grid():
 class TestKroneckerSpectrum:
     """Rows that are exactly the product of their angles and thicknesses take
     one eigh per axis; all other rows take the dense n x n eigh."""
+
+    def test_grid_index_is_each_rows_product_cell(self):
+        X, _ = _shuffled_grid()
+        (a, t), index = gpr._product_grid(X)
+        cells = np.searchsorted(a, X[:, 0]) * t.size + np.searchsorted(t, X[:, 1])
+        assert index.tolist() == cells.tolist()
+
+    def test_signed_zeros_are_one_value(self):
+        # as np.unique(X, axis=0) counts them
+        _, cells = gpr._row_cells(np.array([[0.0, 0.4], [-0.0, 0.4], [1.0, 0.4]]))
+        assert cells.tolist() == [0, 0, 1]
+        grid = gpr._product_grid(np.array([[0.0, 0.4], [-0.0, 0.8], [1.0, 0.4], [1.0, 0.8]]))
+        assert grid is not None and grid[1].tolist() == [0, 1, 2, 3]
 
     def test_rebuilds_the_dense_kernel_on_shuffled_rows(self, eigh_calls):
         X, _ = _shuffled_grid()
@@ -781,8 +794,8 @@ class TestTuneHyperparams:
         assert m.noise_variance == 0.01
 
     @pytest.mark.parametrize("y, error, match", [
-        ([1.0, float("nan"), 2.0], ValueError, "must be finite"),
-        ([1.0, float("inf"), 2.0], ValueError, "must be finite"),
+        ([1.0, float("nan"), 2.0], ValueError, "^y: must be a finite number$"),
+        ([1.0, float("inf"), 2.0], ValueError, "^y: must be a finite number$"),
         ([1.0, 2.0], InputError, "3 rows but y has 2"),
     ])
     def test_rejects_unusable_targets(self, y, error, match):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ugckit import gpr, joints, mechanics, units
-from ugckit.data import Direction, FamilyKind, JointFamily, MeasurementSample, check_angle_bin
+from ugckit import archive, gpr, joints, mechanics, units
+from ugckit.cli import main
+from ugckit.data import (
+    Direction,
+    FamilyKind,
+    JointDataset,
+    JointFamily,
+    MeasurementSample,
+    check_angle_bin,
+)
 from ugckit.errors import InputError
 
 
@@ -106,3 +115,78 @@ def test_checked_messages(value, kind, message):
     with pytest.raises(ValueError) as err:
         units.checked("x", value, units._POSITIVE, kind)
     assert str(err.value) == message
+
+
+# -- the typed-number rule for arrays (units.floats) at every array boundary ----
+
+ANGLES = [10.0, 20.0, 30.0]
+
+
+def _with(good, entry):
+    """good with its middle entry replaced by entry."""
+    return [good[0], entry, *good[2:]]
+
+
+def _dataset(angles):
+    return JointDataset(["square_sym"] * 3, [math.nan] * 3, angles, ["forward"] * 3,
+                        [1.0] * 3, [170.0] * 3, ["r1", "r2", "r3"])
+
+
+def _archived_beta(beta, tmp_path, capsys):
+    """ugc predict on an archive whose beta is beta: its exit 2 message as a
+    ValueError, without the archive's path."""
+    doc = archive.archive_document(gpr.fit(ANGLES, TARGETS, HYPER, 0.1))
+    doc["beta"] = beta
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(path), "--theta", "20"]) == 2
+    prefix = f"error: archive {path}: "
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.endswith("\n"), err
+    raise ValueError(err[len(prefix):-1])
+
+
+# (label the message starts with, a call that passes an array with the entry
+# at that boundary, also given tmp_path and capsys)
+ARRAY_BOUNDARIES = {
+    "deformation_angle": lambda e, *_: _dataset(_with(ANGLES, e)),
+    "X": lambda e, *_: gpr.fit(_with(ANGLES, e), TARGETS, HYPER, 0.1),
+    "y": lambda e, *_: gpr.fit(ANGLES, _with(TARGETS, e), HYPER, 0.1),
+    "beta": lambda e, *_: gpr.fit(ANGLES, TARGETS, HYPER, 0.1, beta=_with([0.0] * 3, e)),
+    "Xq": lambda e, *_: gpr.predict_many(gpr.fit(ANGLES, TARGETS, HYPER, 0.1), _with(ANGLES, e)),
+    "field beta": lambda e, *fixtures: _archived_beta(_with([0.0] * 3, e), *fixtures),
+    "x": lambda e, *_: joints.loo_rmse_poly(_with(ANGLES, e), TARGETS, 1),
+    "y (poly)": lambda e, *_: joints.loo_rmse_poly(ANGLES, _with(TARGETS, e), 1),
+}
+
+# (id, bad entry, what the message says of it); numpy's array of the list
+# hides the bool as 1.0, and float() reads the str and the bytes
+BAD_ENTRIES = [
+    ("bool", True, "expected float"), ("str", "20.0", "expected float"),
+    ("bytes", b"20", "expected float"), ("None", None, "expected float"),
+    ("ragged", [20.0, 21.0], "expected float"), ("huge-int", 10**400, "must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("boundary, entry, problem", [
+    pytest.param(boundary, entry, problem, id=f"{boundary}-{name}")
+    for boundary in ARRAY_BOUNDARIES
+    for name, entry, problem in BAD_ENTRIES
+    if not (boundary == "field beta" and name == "bytes")  # JSON has no bytes
+])
+def test_every_array_boundary_refuses_a_bad_entry_naming_the_field(
+    boundary, entry, problem, tmp_path, capsys
+):
+    with pytest.raises(ValueError) as err:
+        ARRAY_BOUNDARIES[boundary](entry, tmp_path, capsys)
+    assert str(err.value) == f"{boundary.split(' (')[0]}: {problem}"
+
+
+def test_floats_takes_a_number_array_without_a_copy():
+    values = np.array(ANGLES)
+    assert units.floats("v", values) is values
+    ints = units.floats("v", np.arange(3))
+    assert ints.dtype == float and ints.tolist() == [0.0, 1.0, 2.0]
+    assert units.floats("v", [1, np.float32(0.5), math.nan])[1] == 0.5
+    with pytest.raises(ValueError, match="^v: expected float$"):
+        units.floats("v", np.array([True, False]))
