@@ -12,7 +12,6 @@ from .data import (
     FamilyKind,
     JointDataset,
     JointFamily,
-    MeasurementSample,
     average_runs,
     parse_measurements,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "JointFamily",
     "JointFamilyModel",
     "KernelHyperParams",
-    "MeasurementSample",
     "RingDesignSpec",
     "average_runs",
     "builtin_model",

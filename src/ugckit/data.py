@@ -3,10 +3,9 @@
 The test bench records, per bend of a joint, the imposed deformation angle,
 the holding force at the free end, and the angle the joint recovers to after
 release (180 deg = flat, full recovery). A JointDataset holds a non-empty
-set of such readings as columns, one array per CSV column; a
-MeasurementSample is one reading as an object. One ordered table, _RULES,
-states each row rule once, as a column mask and an error builder: the CSV
-reader, JointDataset, JointFamily and MeasurementSample all check through it.
+set of such readings as columns, one array per CSV column. One ordered
+table, _RULES, states each row rule once, as a column mask and an error
+builder: the CSV reader, JointDataset and JointFamily all check through it.
 
 CSV wire format (exact header, comma separated):
 
@@ -101,8 +100,8 @@ def _token_rule(kind: type[enum.Enum], attr: str):
 
 # The row rules, in the order a row is checked: the family token; the thickness (a given
 # one, not NaN, is finite; curve rows have one and it is > 0; other families have none);
-# the direction token; each number finite; each number in its range. A mask reads the
-# columns by attribute, one 1-D array each.
+# the direction token; each number finite; each number in its range; the run id a str.
+# A mask reads the columns by attribute, one 1-D array each.
 _CURVE = FamilyKind.CURVE.value
 _THICKNESS_RULES = (
     _rule("thickness_mm", lambda c: np.isinf(c["thickness"]), BadNumberError,
@@ -115,17 +114,17 @@ _THICKNESS_RULES = (
     _rule("thickness_mm", lambda c: (c["family"] != _CURVE) & ~np.isnan(c["thickness"]),
           OutOfRangeError, lambda r: f"{FamilyKind(r['family']).value} family takes no thickness"),
 )
-_NUMBER_RULES = (
+_RULES = (
+    _token_rule(FamilyKind, "family"), *_THICKNESS_RULES,
+    _token_rule(Direction, "direction"),
     *(_rule(column, lambda c, a=attr: ~np.isfinite(c[a]), BadNumberError,
             lambda r, a=attr: f"{a}: must be a finite number")
       for attr, column, *_ in _SAMPLE_RANGES),
     *(_rule(column, lambda c, a=attr, lo=low, hi=high: (c[a] < lo) | (c[a] > hi),
             OutOfRangeError, lambda r, a=attr, t=text: f"{r[a]:g} {t}", f"{attr} ")
       for attr, column, low, high, text in _SAMPLE_RANGES),
-)
-_RULES = (
-    _token_rule(FamilyKind, "family"), *_THICKNESS_RULES,
-    _token_rule(Direction, "direction"), *_NUMBER_RULES,
+    _rule("run_id", lambda c: np.array([not isinstance(t, str) for t in c["run_id"]], dtype=bool),
+          BadNumberError, lambda r: "run_id: expected str"),
 )
 
 
@@ -162,31 +161,12 @@ class JointFamily:
                _THICKNESS_RULES)
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    """One bench reading: bend a joint to an angle, record force and recovery."""
-
-    family: JointFamily
-    deformation_angle: float  # deg
-    direction: Direction
-    force: float  # N
-    return_angle: float  # deg, 180 = full recovery
-    run_id: str
-
-    def __post_init__(self):
-        for attr, *_ in _SAMPLE_RANGES:
-            object.__setattr__(self, attr, checked(attr, getattr(self, attr), _ANY))
-        _check({attr: np.array([getattr(self, attr)]) for attr, *_ in _SAMPLE_RANGES},
-               _NUMBER_RULES)
-
-
 @dataclass(frozen=True, eq=False)
 class JointDataset:
     """Bench readings as read-only columns, one entry per reading: family,
     direction and run_id hold str tokens (FamilyKind and Direction values),
     the others floats, thickness NaN where the family takes none. Every row
-    keeps every rule of _RULES; samples builds the rows as JointFamily and
-    MeasurementSample objects on demand."""
+    keeps every rule of _RULES."""
 
     family: np.ndarray
     thickness: np.ndarray  # mm
@@ -212,16 +192,6 @@ class JointDataset:
 
     def __len__(self) -> int:
         return len(self.force)
-
-    @property
-    def samples(self) -> tuple[MeasurementSample, ...]:
-        """The rows as MeasurementSample objects, built on each access."""
-        rows = zip(*(column.tolist() for column in vars(self).values()))
-        return tuple(
-            MeasurementSample(JointFamily(FamilyKind(k), None if math.isnan(t) else t), a,
-                              Direction(d), f, r, run)
-            for k, t, a, d, f, r, run in rows
-        )
 
 
 def _floats(cells) -> np.ndarray:

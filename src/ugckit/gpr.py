@@ -144,7 +144,7 @@ def _as_points(x, label: str = "X") -> np.ndarray:
 
 def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(xa_i, xb_j)."""
-    A, B = _as_points(xa), _as_points(xb)
+    A, B = _as_points(xa, "xa"), _as_points(xb, "xb")
     if A.shape[1] != hyper.dim or B.shape[1] != hyper.dim:
         raise InputError(f"points of dim {A.shape[1]}/{B.shape[1]} vs {hyper.dim} length scales")
     ls = np.asarray(hyper.length_scales)

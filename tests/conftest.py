@@ -7,12 +7,12 @@ of the normal matrix), which the library must match on a rank-deficient basis
 too. The leave-one-out oracles refit once per held-out row, the
 definition the library's closed forms must reproduce; the polynomial one
 solves every fold with numpy.linalg.lstsq, not the library's projection.
-The bench-data oracles read a CSV one row at a time into MeasurementSample
-objects and average runs with a dict of groups, the columnar reader's
-row-by-row definition. The row reader is the oracle's own copy of the
-reader the library's rule table replaced: it parses each cell itself, builds
-the row through the public JointFamily and MeasurementSample constructors,
-and words their errors with the row and the column.
+The bench-data oracles read a CSV one row at a time into Row records and
+average runs with a dict of groups, the columnar reader's row-by-row
+definition. The row reader is the oracle's own copy of the reader the
+library's rule table replaced: it parses each cell itself, builds the family
+through the public JointFamily constructor, checks the ranges against its own
+table, and words each error with the row and the column.
 """
 
 import csv
@@ -21,7 +21,7 @@ import io
 import math
 import operator
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from ugckit.data import (
     FamilyKind,
     JointDataset,
     JointFamily,
-    MeasurementSample,
     average_runs,
     parse_measurements,
 )
@@ -210,6 +209,17 @@ _SAMPLE_RANGES = (
 )
 
 
+class Row(NamedTuple):
+    """One bench reading as the row-by-row oracle reads it."""
+
+    family: JointFamily
+    deformation_angle: float  # deg
+    direction: Direction
+    force: float  # N
+    return_angle: float  # deg, 180 = full recovery
+    run_id: str
+
+
 def _range_problem(**values):
     """(attribute, CSV column, detail) of the first value, by attribute, out of range."""
     for attr, column, low, high, text in _SAMPLE_RANGES:
@@ -235,8 +245,9 @@ def _parse_token(kind, raw, row, fieldname):
 
 
 def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
-    """The sample of one CSV row, its cells in CSV_COLUMNS order. The
-    constructors apply the rules; errors gain the row and the column."""
+    """The Row of one CSV row, its cells in CSV_COLUMNS order. JointFamily
+    applies the thickness rules and _range_problem the ranges; errors gain
+    the row and the column."""
     kind = _parse_token(FamilyKind, family, row, "family")
     thickness = (thickness or "").strip()
     thickness = _parse_float(thickness, row, "thickness_mm") if thickness else None
@@ -250,17 +261,17 @@ def _parse_sample(row, family, thickness, angle, direction, force, ret, run_id):
     angle = _parse_float(angle, row, "deformation_angle_deg")
     force = _parse_float(force, row, "force_n")
     ret = _parse_float(ret, row, "return_angle_deg")
-    try:
-        return MeasurementSample(family, angle, direction, force, ret, (run_id or "").strip())
-    except ValueError:
-        _, column, detail = _range_problem(deformation_angle=angle, force=force, return_angle=ret)
-        raise OutOfRangeError(row, column, detail) from None
+    problem = _range_problem(deformation_angle=angle, force=force, return_angle=ret)
+    if problem is not None:
+        _, column, detail = problem
+        raise OutOfRangeError(row, column, detail)
+    return Row(family, angle, direction, force, ret, (run_id or "").strip())
 
 
 def oracle_parse(csv_text):
-    """The bench CSV read one row at a time: one MeasurementSample per row
-    through _parse_sample, raising at the first bad row (physical line
-    numbers, header line 1). Returns the samples as a tuple."""
+    """The bench CSV read one row at a time: one Row per CSV row through
+    _parse_sample, raising at the first bad row (physical line numbers,
+    header line 1). Returns the rows as a tuple."""
     reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
         header = next(reader, None)
@@ -313,8 +324,7 @@ def oracle_average(samples, angle_bin):
         if n == 1:
             merged.append(members[0])
             continue
-        merged.append(replace(
-            members[0],
+        merged.append(members[0]._replace(
             deformation_angle=_sum_in_row_order(m.deformation_angle for m in members) / n,
             force=_sum_in_row_order(m.force for m in members) / n,
             return_angle=_sum_in_row_order(m.return_angle for m in members) / n,
@@ -325,7 +335,9 @@ def oracle_average(samples, angle_bin):
 
 def assert_same_rows(ds: JointDataset, samples) -> None:
     """ds holds the rows of samples bit for bit, in order, run ids included."""
-    assert ds.samples == samples
+    assert ds.family.tolist() == [s.family.kind.value for s in samples]
+    assert ds.direction.tolist() == [s.direction.value for s in samples]
+    assert ds.run_id.tolist() == [s.run_id for s in samples]
     for attr in ("deformation_angle", "force", "return_angle"):
         want = np.array([getattr(s, attr) for s in samples])
         assert getattr(ds, attr).tobytes() == want.tobytes(), attr

@@ -5,14 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ugckit import joints, mechanics
+from ugckit import data, joints, mechanics
 from ugckit.data import (
     CSV_COLUMNS,
     Direction,
     FamilyKind,
     JointDataset,
     JointFamily,
-    MeasurementSample,
     average_runs,
     parse_measurements,
 )
@@ -36,16 +35,23 @@ from conftest import (
 HEADER = ",".join(CSV_COLUMNS)
 
 
+def _column_values(ds):
+    """Each column of ds as a comparable value: token columns as lists, float
+    columns as their bytes, so NaN thicknesses compare equal."""
+    return {name: column.tolist() if column.dtype == object else column.tobytes()
+            for name, column in vars(ds).items()}
+
+
 def test_parse_single_curve_row():
     ds = parse_measurements(HEADER + "\ncurve,0.4,90,forward,2.1,165,r1\n")
     assert len(ds) == 1
-    s = ds.samples[0]
-    assert s.family == JointFamily(FamilyKind.CURVE, 0.4)
-    assert s.deformation_angle == 90.0
-    assert s.direction is Direction.FORWARD
-    assert s.force == 2.1
-    assert s.return_angle == 165.0
-    assert s.run_id == "r1"
+    assert ds.family.tolist() == ["curve"]
+    assert ds.thickness.tolist() == [0.4]
+    assert ds.deformation_angle.tolist() == [90.0]
+    assert ds.direction.tolist() == ["forward"]
+    assert ds.force.tolist() == [2.1]
+    assert ds.return_angle.tolist() == [165.0]
+    assert ds.run_id.tolist() == ["r1"]
 
 
 def test_parse_header_only_is_empty_file():
@@ -133,17 +139,16 @@ def test_average_two_runs_takes_mean():
     )
     out = average_runs(parse_measurements(text), angle_bin=5.0)
     assert len(out) == 1
-    s = out.samples[0]
-    assert s.force == pytest.approx(2.1, abs=1e-12)
-    assert s.return_angle == pytest.approx(171.0, abs=1e-12)
-    assert s.deformation_angle == 90.0
+    assert out.force[0] == pytest.approx(2.1, abs=1e-12)
+    assert out.return_angle[0] == pytest.approx(171.0, abs=1e-12)
+    assert out.deformation_angle[0] == 90.0
 
 
 def test_average_singleton_group_unchanged():
     text = HEADER + "\nsquare_sym,,90,forward,2.0,170,r1\n"
     ds = parse_measurements(text)
     out = average_runs(ds, angle_bin=5.0)
-    assert out.samples == ds.samples
+    assert _column_values(out) == _column_values(ds)
 
 
 def test_average_bins_nearby_angles():
@@ -158,19 +163,15 @@ def test_average_bins_nearby_angles():
     )
     out = average_runs(parse_measurements(text), angle_bin=5.0)
     assert len(out) == 2
-    first, second = out.samples
-    assert first.deformation_angle == pytest.approx(90.0, abs=1e-12)
-    assert first.force == pytest.approx(2.1, abs=1e-12)
-    assert first.return_angle == pytest.approx(171.0, abs=1e-12)
-    assert second.deformation_angle == pytest.approx(120.0, abs=1e-12)
-    assert second.force == pytest.approx(3.1, abs=1e-12)
-    assert second.return_angle == pytest.approx(149.0, abs=1e-12)
+    assert out.deformation_angle.tolist() == pytest.approx([90.0, 120.0], abs=1e-12)
+    assert out.force.tolist() == pytest.approx([2.1, 3.1], abs=1e-12)
+    assert out.return_angle.tolist() == pytest.approx([171.0, 149.0], abs=1e-12)
 
 
 def test_average_is_idempotent(square_dataset):
     once = average_runs(square_dataset, angle_bin=5.0)
     twice = average_runs(once, angle_bin=5.0)
-    assert twice.samples == once.samples
+    assert _column_values(twice) == _column_values(once)
 
 
 def test_average_rejects_nonpositive_bin(square_dataset):
@@ -248,10 +249,10 @@ def test_every_boundary_applies_the_thickness_rule(boundary, family, thickness):
 
 
 def _sample(**overrides):
+    """A one-row dataset of a straight joint, its numbers overridden."""
     values = {"deformation_angle": 90.0, "force": 1.0, "return_angle": 170.0, **overrides}
-    return MeasurementSample(
-        JointFamily(FamilyKind.STRAIGHT), direction=Direction.FORWARD, run_id="r1", **values
-    )
+    return JointDataset(family=["straight"], thickness=[math.nan], direction=["forward"],
+                        run_id=["r1"], **{attr: [value] for attr, value in values.items()})
 
 
 # (attribute, CSV column, out-of-range value) for each range rule of a sample
@@ -275,6 +276,19 @@ def test_constructor_and_reader_share_the_range_rules(attr, column, value):
     assert (err.value.row, err.value.field) == (2, column)
 
 
+@pytest.mark.parametrize(
+    "column, value", [(c, v) for _, c, v in SAMPLE_RANGES], ids=[c for _, c, _ in SAMPLE_RANGES]
+)
+def test_the_row_oracle_checks_ranges_without_the_library_table(monkeypatch, column, value):
+    # with the library's rule table switched off, the oracle still refuses the row
+    monkeypatch.setattr(data, "_check", lambda *args, **kwargs: None)
+    cells = dict(zip(CSV_COLUMNS, ["straight", "", "90", "forward", "1.0", "170", "r1"]))
+    cells[column] = repr(value)
+    with pytest.raises(OutOfRangeError) as err:
+        oracle_parse(HEADER + "\n" + ",".join(cells.values()) + "\n")
+    assert (err.value.row, err.value.field) == (2, column)
+
+
 @pytest.mark.parametrize("attr", [a for a, _, _ in SAMPLE_RANGES])
 def test_constructor_rejects_nan(attr):
     with pytest.raises(ValueError, match=f"^{attr}: must be a finite number$"):
@@ -294,9 +308,8 @@ def test_parse_reads_columns_by_name_and_strips_cells():
         "deformation_angle_deg,note\n"
         " r1 , 2.1 , curve ,forward, 0.4 ,165, 90 ,x\n"
     )
-    (s,) = parse_measurements(text).samples
-    assert s == MeasurementSample(JointFamily(FamilyKind.CURVE, 0.4), 90.0, Direction.FORWARD,
-                                  2.1, 165.0, "r1")
+    want = JointDataset(["curve"], [0.4], [90.0], ["forward"], [2.1], [165.0], ["r1"])
+    assert _column_values(parse_measurements(text)) == _column_values(want)
 
 
 def test_parse_short_row_reports_first_empty_cell():
@@ -375,16 +388,17 @@ def test_columns_equal_the_row_by_row_oracle(case):
 
 def test_average_edge_fixture_by_hand():
     out = average_runs(parse_measurements(EDGE_CSV), angle_bin=5.0)
-    rows = {(s.family.kind.value, s.family.thickness, s.direction.value, s.run_id): s
-            for s in out.samples}
-    solo = rows["square_sym", None, "forward", "solo"]
-    assert math.copysign(1.0, solo.deformation_angle) == -1.0
-    assert rows["curve", 0.8, "reverse", "avg-of-2"].deformation_angle == 0.0
-    assert rows["curve", 0.8, "reverse", "avg-of-2"].force == (0.1 + 0.2) / 2
-    assert rows["straight", None, "forward", "avg-of-4"].force == 1e16 / 4  # 1e16 + 1 == 1e16
-    assert rows["curve", 0.8, "forward", "avg-of-3"].deformation_angle == 60.0
-    assert rows["square_sym", None, "reverse", "avg-of-2"].force == 2.1
-    assert [s.run_id for s in out.samples] == [
+    thickness = [None if math.isnan(t) else t for t in out.thickness.tolist()]
+    keys = zip(out.family.tolist(), thickness, out.direction.tolist(), out.run_id.tolist())
+    row = {key: i for i, key in enumerate(keys)}
+    solo = row["square_sym", None, "forward", "solo"]
+    assert math.copysign(1.0, out.deformation_angle[solo]) == -1.0
+    assert out.deformation_angle[row["curve", 0.8, "reverse", "avg-of-2"]] == 0.0
+    assert out.force[row["curve", 0.8, "reverse", "avg-of-2"]] == (0.1 + 0.2) / 2
+    assert out.force[row["straight", None, "forward", "avg-of-4"]] == 1e16 / 4  # 1e16 + 1 == 1e16
+    assert out.deformation_angle[row["curve", 0.8, "forward", "avg-of-3"]] == 60.0
+    assert out.force[row["square_sym", None, "reverse", "avg-of-2"]] == 2.1
+    assert out.run_id.tolist() == [
         "k", "avg-of-3", "avg-of-2", "solo", "j", "avg-of-2", "avg-of-4", "p",
     ]
 
@@ -451,7 +465,7 @@ def test_dataset_freezes_its_own_copy_of_a_float_column():
 def test_dataset_takes_enum_members_as_tokens():
     ds = JointDataset(**_columns(family=[FamilyKind.CURVE, FamilyKind.SQUARE_SYM],
                                  direction=[Direction.FORWARD, Direction.REVERSE]))
-    assert ds.samples == JointDataset(**_columns()).samples
+    assert _column_values(ds) == _column_values(JointDataset(**_columns()))
 
 
 @pytest.mark.parametrize("overrides, error, message", [
@@ -461,7 +475,10 @@ def test_dataset_takes_enum_members_as_tokens():
     ({"direction": ["forward", "sideways"]}, ValueError, "'sideways' is not a valid Direction"),
     ({"force": [True, False]}, ValueError, "^force: expected float$"),
     ({"force": [2.1]}, ValueError, "^dataset columns must be 1-D and of one length$"),
-], ids=["range", "missing-thickness", "extra-thickness", "token", "bool", "length"])
+    *(({"run_id": ["r1", bad]}, ValueError, "^run_id: expected str$")
+      for bad in (None, 1.5, b"r2")),
+], ids=["range", "missing-thickness", "extra-thickness", "token", "bool", "length",
+        "run-id-none", "run-id-float", "run-id-bytes"])
 def test_dataset_rejects_a_bad_row_with_the_sample_rule(overrides, error, message):
     with pytest.raises(error, match=message):
         JointDataset(**_columns(**overrides))

@@ -193,12 +193,10 @@ class TestFitFamilyModel:
 
         ds = average_runs(square_dataset)
         model = joints.fit_family_model(ds, SQ)
-        for s in ds.samples:
-            (mean,), (std,), *_ = joints.predict_many(
-                model, [s.deformation_angle], allow_extrapolation=True
-            )
+        for theta, force in zip(ds.deformation_angle.tolist(), ds.force.tolist()):
+            (mean,), (std,), *_ = joints.predict_many(model, [theta], allow_extrapolation=True)
             noise = model.force_model.noise_variance
-            assert abs(mean - s.force) <= 2.0 * np.sqrt(std**2 + noise)
+            assert abs(mean - force) <= 2.0 * np.sqrt(std**2 + noise)
 
     def test_monotone_fixture_gives_monotone_window(self, square_dataset):
         model = joints.fit_family_model(square_dataset, SQ)

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "JointFamily",
     "JointFamilyModel",
     "KernelHyperParams",
-    "MeasurementSample",
     "RingDesignSpec",
     "average_runs",
     "builtin_model",

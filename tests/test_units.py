@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from ugckit import archive, gpr, joints, mechanics, units
 from ugckit.cli import main
 from ugckit.data import (
-    Direction,
     FamilyKind,
     JointDataset,
     JointFamily,
-    MeasurementSample,
     check_angle_bin,
 )
 from ugckit.errors import InputError
@@ -51,11 +49,10 @@ ROWS, TARGETS = [[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0]
 
 
 def _sample(**numbers):
+    """A one-row dataset of a square_sym joint, its numbers overridden."""
     values = {"deformation_angle": 90.0, "force": 1.0, "return_angle": 170.0} | numbers
-    return MeasurementSample(
-        JointFamily(FamilyKind.SQUARE_SYM), values["deformation_angle"], Direction.FORWARD,
-        values["force"], values["return_angle"], "r1",
-    )
+    return JointDataset(family=["square_sym"], thickness=[math.nan], direction=["forward"],
+                        run_id=["r1"], **{attr: [value] for attr, value in values.items()})
 
 
 # (field the message starts with, a call that passes the value to that boundary)
@@ -154,6 +151,8 @@ ARRAY_BOUNDARIES = {
     "y": lambda e, *_: gpr.fit(ANGLES, _with(TARGETS, e), HYPER, 0.1),
     "beta": lambda e, *_: gpr.fit(ANGLES, TARGETS, HYPER, 0.1, beta=_with([0.0] * 3, e)),
     "Xq": lambda e, *_: gpr.predict_many(gpr.fit(ANGLES, TARGETS, HYPER, 0.1), _with(ANGLES, e)),
+    "xa": lambda e, *_: gpr.kernel_matrix(_with(ANGLES, e), ANGLES, HYPER),
+    "xb": lambda e, *_: gpr.kernel_matrix(ANGLES, _with(ANGLES, e), HYPER),
     "field beta": lambda e, *fixtures: _archived_beta(_with([0.0] * 3, e), *fixtures),
     "x": lambda e, *_: joints.loo_rmse_poly(_with(ANGLES, e), TARGETS, 1),
     "y (poly)": lambda e, *_: joints.loo_rmse_poly(ANGLES, _with(TARGETS, e), 1),
