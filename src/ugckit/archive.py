@@ -96,17 +96,20 @@ def _read_number_field(doc: dict, path, ndim: int):
 
 
 def _check_sizes(beta, length_scales, train_x, train_y) -> None:
-    """CorruptArchiveError naming the first field whose size does not fit
-    train_x: its columns, its rows or the basis terms they give."""
+    """CorruptArchiveError naming train_x if its basis overflows, or the first
+    field whose size does not fit it: its columns, rows or basis terms."""
     try:
-        terms = gpr.basis_matrix(train_x).shape[1]
+        with np.errstate(over="ignore"):  # refused below, naming the field
+            basis = gpr.basis_matrix(train_x)
     except UnsupportedDimensionError as exc:
         raise CorruptArchiveError(f"field train_x: {exc}") from exc
+    if not np.all(np.isfinite(basis)):
+        raise CorruptArchiveError("field train_x: values too large for the quadratic basis")
     rows, columns = train_x.shape
     for name, size, want, per in (
         ("kernel.length_scales", len(length_scales), columns, "train_x column"),
         ("train_y", len(train_y), rows, "train_x row"),
-        ("beta", len(beta), terms, "basis term"),
+        ("beta", len(beta), basis.shape[1], "basis term"),
     ):
         if size != want:
             raise CorruptArchiveError(

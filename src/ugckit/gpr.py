@@ -60,7 +60,8 @@ GridSpec) target in one loop over the length-scale tuples their grids share:
 per tuple it rotates [H | y_1 | y_2 ...] into K1's eigenbasis once, and
 scores all of a target's (signal variance, noise) candidates at once, one
 stacked SVD for their GLS and one likelihood per row. Nothing is cached
-between calls.
+between calls. A GridSpec refuses an empty axis or a value fit() would
+refuse when it is built, so the search itself checks no candidate.
 
 The kernel is a product over its axes, so on 2-D rows that are exactly the
 product of their distinct angles and thicknesses, each pair once (averaged
@@ -149,8 +150,11 @@ def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
         raise InputError(f"points of dim {A.shape[1]}/{B.shape[1]} vs {hyper.dim} length scales")
     ls = np.asarray(hyper.length_scales)
     sq = np.zeros((A.shape[0], B.shape[0]))
-    for j in range(A.shape[1]):
-        sq += ((A[:, j : j + 1] - B[:, j : j + 1].T) / ls[j]) ** 2
+    # a squared distance past the float range gives exp(-inf) = 0, the exact
+    # limit, so numpy's overflow warning would only add noise
+    with np.errstate(over="ignore"):
+        for j in range(A.shape[1]):
+            sq += ((A[:, j : j + 1] - B[:, j : j + 1].T) / ls[j]) ** 2
     return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
@@ -192,17 +196,19 @@ def _row_cells(rows: np.ndarray):
     return axes, cell
 
 
-def _check_noise(noise_variance: float, rows: np.ndarray) -> float:
-    """noise_variance as a float, by the rule for a noise variance on rows:
-    finite and >= 0, and 0 only on distinct rows (with a repeated row and no
-    noise, K is singular). Typed first, so that == compares a number; the
-    rows are scanned only at zero noise."""
+def _noise(noise_variance) -> float:
+    """noise_variance as a float, by the rule for a noise variance, fit()'s
+    and GridSpec's: finite and >= 0. Typed first, so that < compares a
+    number. Zero noise is refused only on repeated rows (_repeats)."""
     noise = checked("noise_variance", noise_variance, _ANY)
     if noise < 0:
         raise ValueError(f"noise_variance must be finite and >= 0, got {noise}")
-    if noise == 0.0 and _row_cells(rows)[1].max() + 1 < rows.shape[0]:
-        raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
     return noise
+
+
+def _repeats(rows: np.ndarray) -> bool:
+    """Whether a row repeats: with no noise K is singular there."""
+    return _row_cells(rows)[1].max() + 1 < rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -528,7 +534,9 @@ def fit(
     _kernel_eigh.
     """
     Xm, yv = _training_data(X, y, hyper.dim)
-    noise = _check_noise(noise_variance, Xm)
+    noise = _noise(noise_variance)
+    if noise == 0.0 and _repeats(Xm):
+        raise NotPositiveDefiniteError("duplicate training rows with zero noise variance")
     if spectrum is None or not spectrum.matches(Xm, hyper.length_scales):
         spectrum = _kernel_eigh(Xm.copy(), hyper.length_scales)
     return _fitted(yv, hyper, noise, spectrum, beta)
@@ -635,8 +643,12 @@ class GridSpec:
     """Finite hyperparameter grid: candidates per axis, searched exhaustively.
 
     length_scale_grids holds one candidate sequence per input dimension.
-    Candidates are usually log-spaced (np.geomspace); any finite positive
-    values are accepted.
+    Candidates are usually log-spaced (np.geomspace). A grid is checked when
+    built and stores floats: an empty axis raises InputError, and a value
+    fit() would refuse raises fit()'s ValueError, by its rule and in its
+    words (KernelHyperParams words a bad length scale for the first tuple in
+    scan order that holds one). fit() refuses zero noise only on repeated
+    rows, where tune_hyperparams skips it.
     """
 
     signal_variances: tuple[float, ...]
@@ -644,30 +656,16 @@ class GridSpec:
     noise_variances: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "signal_variances", tuple(self.signal_variances))
-        object.__setattr__(
-            self, "length_scale_grids", tuple(tuple(g) for g in self.length_scale_grids)
-        )
-        object.__setattr__(self, "noise_variances", tuple(self.noise_variances))
-
-
-def _scan(search: GridSpec, length_scales, rows: np.ndarray):
-    """The candidates of one target's grid that fit() would take on rows, in
-    scan order: their (i, k) indices, signal variances and noise variances.
-    A value fit() would refuse with ValueError raises here too; zero noise
-    on repeated rows is skipped."""
-    ik, sf2s, noises = [], [], []
-    for i, sf2 in enumerate(search.signal_variances):
-        KernelHyperParams(sf2, length_scales)  # refuses a bad signal variance
-        for k, noise in enumerate(search.noise_variances):
-            try:
-                _check_noise(noise, rows)
-            except NotPositiveDefiniteError:
-                continue
-            ik.append((i, k))
-            sf2s.append(sf2)
-            noises.append(noise)
-    return ik, np.array(sf2s, dtype=float), np.array(noises, dtype=float)
+        sf2s, noises = tuple(self.signal_variances), tuple(self.noise_variances)
+        grids = tuple(tuple(g) for g in self.length_scale_grids)
+        if not (sf2s and noises and grids and all(grids)):
+            raise InputError("every grid axis needs at least one candidate")
+        sf2s = tuple(KernelHyperParams(sf2, (1.0,)).signal_variance for sf2 in sf2s)
+        for ls in itertools.product(*grids):
+            KernelHyperParams(1.0, ls)
+        object.__setattr__(self, "signal_variances", sf2s)
+        object.__setattr__(self, "length_scale_grids", tuple(tuple(map(float, g)) for g in grids))
+        object.__setattr__(self, "noise_variances", tuple(map(_noise, noises)))
 
 
 def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
@@ -695,28 +693,22 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
 
     Ties keep the earlier candidate in the cartesian product of the axes
     (signal variance, length scales, noise variance), so repeated runs
-    return the same answer. Candidates that fit() would reject as not
-    positive definite (zero noise on repeated rows, or a spectrum not
-    positive even with jitter) are skipped. Nothing is cached between calls.
+    return the same answer. Each GridSpec refused a bad value when it was
+    built, so the search checks no candidate. Candidates that fit() would
+    reject as not positive definite (zero noise on repeated rows, or a
+    spectrum not positive even with jitter) are skipped. Nothing is cached
+    between calls.
     """
     targets = tuple(targets)
     if not targets:
         raise ValueError("tune_hyperparams needs at least one (y, GridSpec) target")
     grids = targets[0][1].length_scale_grids
-    for _, search in targets:
-        if (
-            not search.signal_variances
-            or not search.noise_variances
-            or not search.length_scale_grids
-            or any(not g for g in search.length_scale_grids)
-        ):
-            raise InputError("every grid axis needs at least one candidate")
-        if search.length_scale_grids != grids:
-            raise ValueError("every target's grid needs the same length_scale_grids")
+    if any(search.length_scale_grids != grids for _, search in targets):
+        raise ValueError("every target's grid needs the same length_scale_grids")
 
-    checked = [_training_data(X, y, len(grids)) for y, _ in targets]
-    rows = checked[0][0].copy()
-    ys = [yv for _, yv in checked]
+    data = [_training_data(X, y, len(grids)) for y, _ in targets]
+    rows = data[0][0].copy()
+    ys = [yv for _, yv in data]
     M = np.column_stack([basis_matrix(rows), *ys])  # [H | y_1 | y_2 ...]
     p = M.shape[1] - len(ys)
     grid = _product_grid(rows)
@@ -733,7 +725,14 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
                     memo[key] = _axis_eigh(axes[key[0]], key[1])
             return [memo[key] for key in enumerate(ls)]
 
+    # each target's (i, k) candidates in scan order, with their signal and
+    # noise variances; zero noise is skipped on repeated rows
+    repeats = any(0.0 in search.noise_variances for _, search in targets) and _repeats(rows)
     scans = []
+    for _, search in targets:
+        sf2, noise = np.meshgrid(search.signal_variances, search.noise_variances, indexing="ij")
+        keep = (noise > 0) | (not repeats)
+        scans.append((np.argwhere(keep).tolist(), sf2[keep], noise[keep]))
     # length-scale tuples outermost, so only each target's best is held
     best = [((math.inf,), None)] * len(targets)
     for j, ls in enumerate(itertools.product(*grids)):
@@ -746,10 +745,7 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
             (lam_a, V_a), (lam_t, V_t) = factors(ls)
             lam, order = _kron_eigenvalues(lam_a, lam_t)
             rotated = _kron_rotate(V_a, V_t, Mk)[order]
-        for t, (_, search) in enumerate(targets):
-            if j == 0:  # after the first spectrum, as a lone loop would check
-                scans.append(_scan(search, ls, rows))
-            ik, sf2, noise = scans[t]
+        for t, (ik, sf2, noise) in enumerate(scans):
             d, _ = _shifted_spectrum(sf2[:, None] * lam, noise[:, None])
             usable = np.flatnonzero(d.min(axis=-1) > 0)
             if not usable.size:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,38 @@ def test_bad_value_exits_2_naming_field_and_file(tmp_path, capsys, corrupt, mess
     argv = ["predict", "--model", str(path), "--theta", "90", "--thickness", "0.8"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: archive {path}: {message}\n"
+
+
+def _builtin_square_archive(tmp_path, corrupt):
+    model = joints.builtin_model(FamilyKind.SQUARE_SYM).force_model
+    doc = archive.archive_document(model, family="square_sym")
+    corrupt(doc)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_train_x_whose_basis_overflows_exits_2_naming_the_field(tmp_path, capsys):
+    path = _builtin_square_archive(tmp_path, lambda doc: doc["train_x"][0].__setitem__(0, 1e300))
+    with pytest.raises(CorruptArchiveError, match="field train_x: values too large"):
+        archive.load_archive(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing but the one error line
+        assert main(["predict", "--model", str(path), "--theta", "90"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: archive {path}: field train_x: values too large for the quadratic basis\n"
+    )
+
+
+def test_length_scale_whose_kernel_overflows_answers_without_a_warning(tmp_path, capsys):
+    # every off-diagonal distance overflows to exp(-inf) = 0, the exact limit
+    path = _builtin_square_archive(
+        tmp_path, lambda doc: doc["kernel"].update(length_scales=[5e-324])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--model", str(path), "--theta", "90"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -87,6 +88,15 @@ class TestKernel:
             X = rng.uniform(0, 3, (n, 1))
             K = gpr.kernel_matrix(X, X, hp(2.0, (0.5,))) + 1e-8 * np.eye(n)
             np.linalg.cholesky(K)  # raises if not PD
+
+    @pytest.mark.parametrize("X, ls", [([[0.0], [1.0]], 5e-324), ([[-1e308], [1e308]], 1.0)],
+                             ids=["subnormal-length-scale", "huge-rows"])
+    def test_distance_past_the_float_range_is_a_silent_zero(self, X, ls):
+        # exp(-inf) = 0 is the exact limit, so the overflow raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = gpr.kernel_matrix(X, X, hp(2.0, (ls,)))
+        assert K.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
 
 class TestBasis:
@@ -819,14 +829,14 @@ class TestTuneHyperparams:
         gpr.fit(X[1:], y[1:], m.hyper, m.noise_variance)
 
     def test_rejects_negative_noise_candidate(self):
-        grid = gpr.GridSpec((1.0,), ((1.0,),), (-0.1,))
         with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
+            grid = gpr.GridSpec((1.0,), ((1.0,),), (-0.1,))
             gpr.tune_hyperparams([[0.0], [1.0]], [([0.0, 1.0], grid)])
 
     def test_rejects_infinite_noise_candidate(self):
         # rejected, not skipped: an infinite noise would make an all-zero beta the pick
-        grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1, math.inf))
         with pytest.raises(ValueError, match="^noise_variance: must be a finite number$"):
+            grid = gpr.GridSpec((1.0,), ((1.0,),), (0.1, math.inf))
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     @pytest.mark.parametrize(
@@ -836,8 +846,8 @@ class TestTuneHyperparams:
     )
     def test_rejects_bad_signal_variance_candidate(self, sf2, problem):
         # rejected, not skipped, though large noise keeps the spectrum positive
-        grid = gpr.GridSpec((1.0, sf2), ((1.0,),), (10.0,))
         with pytest.raises(ValueError, match=f"^signal_variance{problem}"):
+            grid = gpr.GridSpec((1.0, sf2), ((1.0,),), (10.0,))
             gpr.tune_hyperparams([[0.0], [1.0], [2.0]], [([1.0, 0.0, 2.0], grid)])
 
     def test_rejects_grid_of_other_dimension(self):
@@ -946,6 +956,71 @@ class TestTuneHyperparams:
         assert (a.hyper, a.noise_variance) == (b.hyper, b.noise_variance)
         for name in ("beta", "d", "alpha"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _grid(axis, value):
+    """A grid of good candidates, with value second on axis."""
+    axes = {"signal_variances": (1.0,), "length_scale_grids": ((1.0,),), "noise_variances": (0.1,)}
+    axes[axis] = ((2.0, value),) if axis == "length_scale_grids" else (2.0, value)
+    return gpr.GridSpec(**axes)
+
+
+# fit() with the same value on its own, which must fail in the grid's words
+_FIT_WITH = {
+    "signal_variances": lambda v: gpr.fit([[0.0]], [0.0], hp(v), 0.1),
+    "length_scale_grids": lambda v: gpr.fit([[0.0]], [0.0], hp(1.0, (v,)), 0.1),
+    "noise_variances": lambda v: gpr.fit([[0.0]], [0.0], hp(), v),
+}
+
+
+def _value_cases(axis, label, out_of_range):
+    cases = [(True, f"{label}: expected float")]
+    cases += [(v, f"{label}: must be a finite number") for v in (math.nan, math.inf, -math.inf)]
+    return [pytest.param(axis, v, m, id=f"{axis}-{v}") for v, m in cases + out_of_range]
+
+
+GRID_VALUE_CASES = [
+    *_value_cases("signal_variances", "signal_variance",
+                  [(-1.0, "signal_variance must be finite and >= 0, got -1.0")]),
+    *_value_cases("length_scale_grids", "length scales",
+                  [(-1.0, "length scales must all be finite and > 0, got (-1.0,)"),
+                   (0.0, "length scales must all be finite and > 0, got (0.0,)")]),
+    *_value_cases("noise_variances", "noise_variance",
+                  [(-1.0, "noise_variance must be finite and >= 0, got -1.0")]),
+]
+
+
+class TestGridSpec:
+    """Each grid rule is checked when the grid is built, by fit()'s rule."""
+
+    @pytest.mark.parametrize("axes", [
+        ((), ((1.0,),), (0.1,)),
+        ((1.0,), (), (0.1,)),
+        ((1.0,), ((),), (0.1,)),
+        ((1.0,), ((1.0,), ()), (0.1,)),
+        ((1.0,), ((1.0,),), ()),
+    ], ids=["signal", "no-length-scale-axis", "length-scale", "second-length-scale", "noise"])
+    def test_refuses_an_empty_axis(self, axes):
+        with pytest.raises(InputError, match="^every grid axis needs at least one candidate$"):
+            gpr.GridSpec(*axes)
+
+    @pytest.mark.parametrize("axis, bad, message", GRID_VALUE_CASES)
+    def test_refuses_a_value_fit_refuses_in_its_words(self, axis, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _grid(axis, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _FIT_WITH[axis](bad)
+
+    def test_words_a_bad_length_scale_for_the_first_bad_tuple_in_scan_order(self):
+        # scan order: (1.0, 0.5), then (1.0, -1.0), before -2.0 comes up
+        with pytest.raises(ValueError, match=re.escape("got (1.0, -1.0)") + "$"):
+            gpr.GridSpec((1.0,), ((1.0, -2.0), (0.5, -1.0)), (0.1,))
+
+    def test_stores_floats(self):
+        grid = gpr.GridSpec(np.array([1, 2]), [np.geomspace(1, 4, 3)], [np.float64(0.1), 0])
+        assert grid == gpr.GridSpec((1.0, 2.0), ((1.0, 2.0, 4.0),), (0.1, 0.0))
+        values = (*grid.signal_variances, *grid.length_scale_grids[0], *grid.noise_variances)
+        assert {type(v) for v in values} == {float}
 
 
 class TestHyperParamValidation:
