@@ -17,11 +17,13 @@ eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
 variance) a model keeps d = sf2 lam + noise, so every solve against
 A = K + noise*I = (F F')^-1 is a matrix product with one whitening factor F
 built on W = V diag(d)^-1/2 (a dense-inverse formulation exists only as an
-independent oracle in the test suite). _whiten is the one path to F'M, for
-GLS, and to F', from which leave-one-out residuals come in closed form
-(loo_residuals, the toolkit's one LOO routine: with F = I it scores the
-polynomial baseline of joints too) rather than from n refits. Predictions
-at many points share one W per call (predict_many; means alone skip it).
+independent oracle in the test suite). _whiten is the one path to F'M and
+_gls the one GLS solver on it, for fits and for leave-one-out residuals in
+closed form rather than from n refits (loo_residuals, the toolkit's one LOO
+routine: it applies F to the rank + 1 columns of _gls's residual and basis
+Q and forms no n x n matrix, and with no model, F = I, it scores the
+polynomial baseline of joints too). Predictions at many points share one W
+per call (predict_many; means alone skip it).
 
 The spectrum takes one of three forms. The dense and Kronecker forms keep
 all n eigenpairs, and F = W. The low-rank form keeps r < n (Harbrecht,
@@ -58,10 +60,12 @@ and length scales are bit-identical to X and hyper.length_scales, and builds
 its own otherwise. tune_hyperparams(X, targets) scores every (y,
 GridSpec) target in one loop over the length-scale tuples their grids share:
 per tuple it rotates [H | y_1 | y_2 ...] into K1's eigenbasis once, and
-scores all of a target's (signal variance, noise) candidates at once, one
-stacked SVD for their GLS and one likelihood per row. Nothing is cached
-between calls. A GridSpec refuses an empty axis or a value fit() would
-refuse when it is built, so the search itself checks no candidate.
+scores all of a target's (signal variance, noise) candidates at once: one
+stacked QR of their whitened [H | y], whose triangular factor alone gives
+each GLS residual's norm (_qr_residual), and one likelihood per row. Nothing
+is cached between calls. A GridSpec refuses an axis that is not a sequence,
+an empty one or a value fit() would refuse when it is built, so the search
+itself checks no candidate.
 
 The kernel is a product over its axes, so on 2-D rows that are exactly the
 product of their distinct angles and thicknesses, each pair once (averaged
@@ -387,33 +391,45 @@ def _kept(s: np.ndarray, shape) -> np.ndarray:
 
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
-    """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = F'H and
-    yw = F'y (_whiten), the whitened residual yw - Hw b, and the rank kept;
-    for one Hw (n x p) and yw of one or more columns, or for stacked
-    candidates, Hw (c, n, p) and yw (c, n, k), with one stacked SVD. The
-    directions _kept drops are masked to zero."""
+    """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = F'H (m x p)
+    and yw = F'y (_whiten), for fits and leave-one-out residuals; also the
+    whitened residual z = yw - Hw b = (I - Q Q') yw and Q, the left singular
+    vectors of Hw that _kept keeps."""
     U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
     keep = _kept(s, Hw.shape)
-    U *= keep[..., None, :]  # in place: a stack of candidates is large
-    # one matrix: U' row-major, as slicing its columns gave; the layout sets the
-    # rounding that archived fits pin
-    Ut = U.swapaxes(-1, -2) if U.ndim == 3 else np.ascontiguousarray(U.T)
+    U *= keep
+    # U' row-major, as slicing its columns gave; the layout sets the rounding
+    # that archived fits pin
+    Ut = np.ascontiguousarray(U.T)
     coef = Ut @ yw
-    # the residual built in place: loo_residuals passes n columns
-    r = Ut.swapaxes(-1, -2) @ coef
-    np.subtract(yw, r, out=r)
-    beta = (Vt.swapaxes(-1, -2) / np.where(keep, s, np.inf)[..., None, :]) @ coef
-    return beta, r, keep.sum(axis=-1)
+    beta = (Vt.T / np.where(keep, s, np.inf)) @ coef
+    return beta, yw - Ut.T @ coef, U[:, keep]
+
+
+def _qr_residual(Mw: np.ndarray, p: int) -> np.ndarray:
+    """For stacked whitened [Hw | yw] (c, n, p + 1), a vector per candidate
+    whose squared norm is _gls's |z|^2 = r' A^-1 r, from the R of a QR alone
+    (Golub and Van Loan, Matrix Computations, 5.3): R[p:, p] (empty for
+    n <= p) and the share of R[:p, p] on the directions of R[:p, :p] that
+    _kept drops on Hw's shape, whose singular vectors are computed only then."""
+    n = Mw.shape[-2]
+    R = np.linalg.qr(Mw, mode="r")
+    dropped = ~_kept(np.linalg.svd(R[:, :p, :p], compute_uv=False), (n, p))
+    if not dropped.any():
+        return R[:, p:, p]
+    U = np.linalg.svd(R[:, :p, :p])[0]
+    share = (U.swapaxes(-1, -2) @ R[:, :p, p, None])[..., 0]
+    return np.concatenate([R[:, p:, p], np.where(dropped, share, 0.0)], axis=-1)
 
 
 def _log_likelihood(rw: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """-0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi from rw = W'r and A's
-    spectrum d, row-wise over stacked candidates. r' A^-1 r is a matmul, not
-    an einsum: an einsum would not raise on overflow under
-    np.errstate(over="raise")."""
+    """-0.5 r' A^-1 r - 0.5 log det A - (n/2) log 2 pi from rw, with |rw|^2 =
+    r' A^-1 r (_qr_residual), and A's n eigenvalues d, row-wise over stacked
+    candidates. |rw|^2 is a matmul, not an einsum: an einsum would not raise
+    on overflow under np.errstate(over="raise")."""
     quad = (rw[..., None, :] @ rw[..., :, None])[..., 0, 0]
     logdet = np.sum(np.log(d), axis=-1)
-    return -0.5 * quad - 0.5 * logdet - 0.5 * rw.shape[-1] * math.log(2.0 * math.pi)
+    return -0.5 * quad - 0.5 * logdet - 0.5 * d.shape[-1] * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -443,7 +459,9 @@ class FittedGP:
 
 
 def _training_data(X, y, dim: int):
-    """Coerce training data to (X, y) arrays and reject what cannot be fitted."""
+    """Coerce training data to (X, y) arrays and reject what cannot be fitted,
+    fit()'s rules and tune_hyperparams()': a non-finite entry, and an X whose
+    quadratic basis overflows."""
     Xm = _as_points(X)
     yv = floats("y", y).ravel()
     n, d = Xm.shape
@@ -454,24 +472,23 @@ def _training_data(X, y, dim: int):
     for label, values in (("X", Xm), ("y", yv)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{label}: must be a finite number")
+    with np.errstate(over="ignore"):  # refused here, naming X
+        if not np.all(np.isfinite(np.square(Xm))):
+            raise ValueError("X: values too large for the quadratic basis")
     return Xm, yv
 
 
-def _whiten(spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float, M=None, W=None):
+def _whiten(spectrum: KernelSpectrum, W: np.ndarray, noise_variance: float, M):
     """F'M for the whitening factor F, F F' = A^-1, of a model on spectrum
-    with A's spectrum d on the range of V; F' itself when M is None (for
-    loo_residuals). W = V diag(d)^-1/2 is the caller's or formed here. F'M
-    is W'M for the dense and Kronecker forms; the low-rank form, whose A is
+    with A's spectrum d on the range of V and W = V diag(d)^-1/2. F'M is
+    W'M for the dense and Kronecker forms; the low-rank form, whose A is
     noise*I off the range of V, adds the explicit complement (M - V V'M) /
-    sqrt(noise) below it, and (I - V V') / sqrt(noise) below W' in F'."""
-    V = spectrum.V
-    if W is None:
-        W = V / np.sqrt(d)
-    WtM = W.T if M is None else W.T @ M
+    sqrt(noise) below it."""
+    WtM = W.T @ M
     if not spectrum.truncated:
         return WtM
-    rest = np.eye(V.shape[0]) - V @ V.T if M is None else M - V @ (V.T @ M)
-    return np.concatenate([WtM, rest / math.sqrt(noise_variance)])
+    V = spectrum.V
+    return np.concatenate([WtM, (M - V @ (V.T @ M)) / math.sqrt(noise_variance)])
 
 
 def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
@@ -500,7 +517,7 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     H = basis_matrix(spectrum.x)
 
     if beta is None:
-        beta_vec, _, _ = _gls(*(_whiten(spectrum, d, noise_variance, M, W) for M in (H, yv)))
+        beta_vec, _, _ = _gls(*(_whiten(spectrum, W, noise_variance, M) for M in (H, yv)))
     else:
         beta_vec = floats("beta", beta).ravel()
         if beta_vec.shape[0] != H.shape[1]:
@@ -549,38 +566,52 @@ def took_jitter(model: FittedGP) -> bool:
     return bool(_shifted_spectrum(lam, model.noise_variance)[1])
 
 
-def loo_residuals(Ft: np.ndarray, H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+def loo_residuals(
+    H: np.ndarray, y: np.ndarray, model: FittedGP | None = None
+) -> tuple[np.ndarray, int]:
     """Leave-one-out residuals y_i - mu_(-i)(x_i) of generalized least squares
-    on the basis H plus a GP with A^-1 = F F', given Ft = F', and the rank
-    of F'H kept, in closed form (GPML 5.4.2; Sundararajan and Keerthi 2001):
+    on the basis H (n x p) plus a GP with A^-1 = F F', and the rank of F'H
+    kept, in closed form (GPML 5.4.2; Sundararajan and Keerthi 2001):
 
         e = P y / diag(P),   P = A^-1 - A^-1 H (H' A^-1 H)^+ H' A^-1
                                = F (I - Q Q') F',
 
     with Q the orthonormal basis of the range of F'H that _gls projects out,
     so a basis that is rank-deficient on the rows (a curve fit at one
-    thickness) gives what the refits' minimum-norm GLS gives. Neither P nor
-    A^-1 is formed; only diag(P) and P y.
+    thickness) gives what the refits' minimum-norm GLS gives. From the one
+    _gls(F'H, F'y), P y = F z with z = (I - Q Q') F'y and diag(P) =
+    diag(A^-1) - rowsum((F Q)^2), so F, the model's whitening factor
+    (_whiten), meets rank + 1 columns only and no n x n matrix is formed.
 
-    The one leave-one-out routine: a fitted GP passes its F' (_whiten with
-    M None), basis_matrix(train_x) and train_y (beta re-estimated in every
-    fold, also for a model fitted with beta held fixed), and F = I gives the
-    PRESS residuals r_i / (1 - h_ii) of ordinary least squares on H (Allen
-    1974).
+    The one leave-one-out routine: a fitted GP passes basis_matrix(train_x),
+    train_y and itself (beta re-estimated in every fold, also for a model
+    fitted with beta held fixed); no model means F = I, the PRESS residuals
+    r_i / (1 - h_ii) of ordinary least squares on H (Allen 1974).
 
     Where the other rows cannot identify the mean at row i (diag(P)_i within
     rounding of 0, e.g. five rows for a five-term 2-D basis), the fold's
     residual is undefined and comes back as NaN.
     """
-    n = Ft.shape[1]
-    _, R, rank = _gls(Ft @ H, Ft)  # R = (I - Q Q') F', P = R' R
-    diag_p = np.einsum("ij,ij->j", R, R)
-    p_y = R.T @ (R @ y)
+    n = H.shape[0]
+    if model is None:
+        _, z, Q = _gls(H, y)
+        FzQ, diag_inv = np.column_stack([z, Q]), np.ones(n)
+    else:
+        spectrum, noise, r = model.spectrum, model.noise_variance, model.d.size
+        V, W = spectrum.V, spectrum.V / np.sqrt(model.d)
+        _, z, Q = _gls(*(_whiten(spectrum, W, noise, M) for M in (H, y)))
+        zQ = np.column_stack([z, Q])
+        FzQ, diag_inv = W @ zQ[:r], np.einsum("ij,ij->i", W, W)
+        if spectrum.truncated:  # the complement rows of F'
+            FzQ += (zQ[r:] - V @ (V.T @ zQ[r:])) / math.sqrt(noise)
+            diag_inv += (1.0 - np.einsum("ij,ij->i", V, V)) / noise
+    FQ = FzQ[:, 1:]
+    diag_p = diag_inv - np.einsum("ij,ij->i", FQ, FQ)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
-    undefined = diag_p <= n * np.finfo(float).eps * np.einsum("ij,ij->j", Ft, Ft)
+    undefined = diag_p <= n * np.finfo(float).eps * diag_inv
     residuals = np.full(n, np.nan)
-    residuals[~undefined] = p_y[~undefined] / diag_p[~undefined]
-    return residuals, int(rank)
+    residuals[~undefined] = FzQ[~undefined, 0] / diag_p[~undefined]
+    return residuals, Q.shape[1]
 
 
 def predict_many(model: FittedGP, Xq, with_variances: bool = True):
@@ -638,17 +669,28 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
     return means, variances
 
 
+def _axis(name: str, candidates) -> tuple:
+    """A grid axis's candidates as a tuple; InputError naming the axis when
+    it is not a sequence (a bare number, say)."""
+    try:
+        return tuple(candidates)
+    except TypeError:
+        raise InputError(f"{name}: expected a sequence of candidates") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Finite hyperparameter grid: candidates per axis, searched exhaustively.
 
     length_scale_grids holds one candidate sequence per input dimension.
     Candidates are usually log-spaced (np.geomspace). A grid is checked when
-    built and stores floats: an empty axis raises InputError, and a value
-    fit() would refuse raises fit()'s ValueError, by its rule and in its
-    words (KernelHyperParams words a bad length scale for the first tuple in
-    scan order that holds one). fit() refuses zero noise only on repeated
-    rows, where tune_hyperparams skips it.
+    built and stores floats: an axis that is not a sequence (a bare number,
+    or a number in length_scale_grids) raises InputError naming the axis, an
+    empty axis raises InputError, and a value fit() would refuse raises
+    fit()'s ValueError, by its rule and in its words (KernelHyperParams
+    words a bad length scale for the first tuple in scan order that holds
+    one). fit() refuses zero noise only on repeated rows, where
+    tune_hyperparams skips it.
     """
 
     signal_variances: tuple[float, ...]
@@ -656,8 +698,10 @@ class GridSpec:
     noise_variances: tuple[float, ...]
 
     def __post_init__(self):
-        sf2s, noises = tuple(self.signal_variances), tuple(self.noise_variances)
-        grids = tuple(tuple(g) for g in self.length_scale_grids)
+        sf2s = _axis("signal_variances", self.signal_variances)
+        noises = _axis("noise_variances", self.noise_variances)
+        grids = _axis("length_scale_grids", self.length_scale_grids)
+        grids = tuple(_axis(f"length_scale_grids[{i}]", g) for i, g in enumerate(grids))
         if not (sf2s and noises and grids and all(grids)):
             raise InputError("every grid axis needs at least one candidate")
         sf2s = tuple(KernelHyperParams(sf2, (1.0,)).signal_variance for sf2 in sf2s)
@@ -678,8 +722,9 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     V diag(lam) V' the unit-signal kernel, so per length-scale tuple the
     rotated [H | y_1 | y_2 ...] = V'[H | Y] and lam score every target's
     (sf2, noise) pairs from the shifted spectrum sf2 lam + noise: all of a
-    target's pairs at once, in one stacked SVD for their GLS and one
-    likelihood per row.
+    target's pairs at once, in one stacked QR of their whitened [H | y_t],
+    whose R alone gives r' A^-1 r of each pair's minimum-norm GLS
+    (_qr_residual, ranked by _gls's rule), and one likelihood per row.
 
     On rows that form a product grid (_product_grid), no n x n matrix is
     built while scoring: each distinct (axis, length scale) gets one eigh,
@@ -752,8 +797,8 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
                 continue
             d = d[usable]
             scale = 1.0 / np.sqrt(d)[:, :, None]  # W' = diag(scale) V'
-            _, rw, _ = _gls(rotated[:, :p] * scale, rotated[:, p + t, None] * scale)
-            for c, score in zip(usable.tolist(), _log_likelihood(rw[..., 0], d).tolist()):
+            rw = _qr_residual(rotated[:, [*range(p), p + t]] * scale, p)
+            for c, score in zip(usable.tolist(), _log_likelihood(rw, d).tolist()):
                 # the scan-order index breaks ties; a NaN score never compares below
                 key = (-score, ik[c][0], j, ik[c][1])
                 if key < best[t][0]:

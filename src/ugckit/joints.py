@@ -313,8 +313,7 @@ def _fit_targets(X, targets, kind: FamilyKind, noise_variance, tune: bool):
 def _loo_rmse(model: gpr.FittedGP, column: str) -> float | None:
     with _overflow_names(column):
         H = gpr.basis_matrix(model.train_x)
-        Ft = gpr._whiten(model.spectrum, model.d, model.noise_variance)
-        residuals, _ = gpr.loo_residuals(Ft, H, model.train_y)
+        residuals, _ = gpr.loo_residuals(H, model.train_y, model)
         return _rmse(residuals)
 
 
@@ -363,7 +362,8 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
     thickness, and the score pools every thickness's folds. Angles are mapped
     affinely onto [-1, 1]; the map does not change a fit, so each fold's own
     map gives the same one. The residuals are the PRESS residuals of one fit
-    to all the data (Allen 1974), from gpr.loo_residuals with F = I.
+    to all the data (Allen 1974), from gpr.loo_residuals with no model
+    (F = I): O(n p^2) for the n x p Vandermonde matrix, no n x n matrix.
 
     None when a fold has fewer than degree + 1 rows (checked before any
     matrix is built), all angles are equal, the Vandermonde matrix has rank
@@ -381,5 +381,5 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
         return None
     V = np.vander((2.0 * angles - (lo + hi)) / (hi - lo), degree + 1, increasing=True)
     H = np.hstack([V * (group.ravel() == g)[:, None] for g in range(counts.size)])
-    residuals, rank = gpr.loo_residuals(np.eye(len(y)), H, y)
+    residuals, rank = gpr.loo_residuals(H, y)
     return None if rank < H.shape[1] else _rmse(residuals)

@@ -129,8 +129,7 @@ def refit_loo_residuals_gp(X, y, hyper, noise):
 def model_loo_residuals(model):
     """Closed-form LOO residuals of a fitted GP, as joints scores it."""
     H = gpr.basis_matrix(model.train_x)
-    Ft = gpr._whiten(model.spectrum, model.d, model.noise_variance)
-    residuals, _ = gpr.loo_residuals(Ft, H, model.train_y)
+    residuals, _ = gpr.loo_residuals(H, model.train_y, model)
     return residuals
 
 

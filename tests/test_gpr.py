@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -173,6 +174,23 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="^beta: must be a finite number$"):
             gpr.fit([[0.0], [1.0], [2.0]], [1.0, 0.0, 2.0], hp(1.0, (2.0,)), 0.1,
                     beta=[math.nan, 0.0, 0.0])
+
+    @pytest.mark.parametrize("X", [
+        [[0.0], [1e300], [2.0]],
+        [[30.0, 0.4], [60.0, -1e200], [90.0, 1.2]],
+    ], ids=["1-D", "2-D"])
+    def test_x_whose_basis_overflows_rejected_naming_x(self, X):
+        # x^2 past the float range: numpy warned in the basis, and the fit
+        # went on with inf
+        dim, y = len(X[0]), [1.0, 0.0, 2.0]
+        grid = gpr.GridSpec((1.0,), ((2.0,),) * dim, (0.1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: gpr.fit(X, y, hp(1.0, (2.0,) * dim), 0.1),
+                         lambda: gpr.tune_hyperparams(X, [(y, grid)])):
+                message = "^X: values too large for the quadratic basis$"
+                with pytest.raises(ValueError, match=message):
+                    call()
 
     @pytest.mark.parametrize("Xq", [["1.0"], [True], [b"1"], [[1.0], [True]]])
     def test_query_points_take_the_typed_number_rule(self, Xq):
@@ -374,8 +392,7 @@ class TestLooResiduals:
         X, y, h, noise = _one_thickness_curve()
         model = gpr.fit(X, y, h, noise)
         assert eigh_calls == [(41, 41), (1, 1)]  # a 41 x 1 product grid
-        Ft = gpr._whiten(model.spectrum, model.d, model.noise_variance)
-        got, rank = gpr.loo_residuals(Ft, gpr.basis_matrix(X), y)
+        got, rank = gpr.loo_residuals(gpr.basis_matrix(X), y, model)
         assert _rel_gap(got, refit_loo_residuals_gp(X, y, h, noise)) < 1e-10
         assert rank == 3  # thickness and its square are multiples of the constant
 
@@ -400,6 +417,24 @@ class TestLooResiduals:
         y[3] = bad
         with pytest.raises(ValueError, match="^y: must be a finite number$"):
             gpr.fit(X, y, hp(), 0.1)
+
+    def test_allocates_less_than_one_n_by_n_array(self):
+        # n = 1000: a low-rank model, and the polynomial baseline (F = I)
+        X = np.linspace(10.0, 170.0, 1000)[:, None]
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(9).normal(0.0, 0.05, 1000)
+        v = float(np.var(y))
+        model = gpr.fit(X, y, hp(v, (20.0,)), 0.01 * v)
+        assert model.spectrum.truncated
+        H = gpr.basis_matrix(X)
+        for call in (lambda: gpr.loo_residuals(H, y, model),
+                     lambda: joints.loo_rmse_poly(X, y, 7)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1000 * 1000 * np.dtype(float).itemsize
 
     def test_undefined_folds_are_nan(self):
         # five rows for the five-term 2-D basis: without its row, no fold
@@ -638,11 +673,12 @@ class TestLowRankSpectrum:
         y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(4).normal(0.0, 0.05, 340)
         h, noise = hp(float(np.var(y)), (20.0,)), 0.01 * float(np.var(y))
         m = gpr.fit(X, y, h, noise)
-        Ft = gpr._whiten(m.spectrum, m.d, m.noise_variance)
-        assert m.spectrum.truncated and Ft.shape == (340 + m.spectrum.lam.size, 340)
+        assert m.spectrum.truncated
         H = gpr.basis_matrix(X)
-        got, rank = gpr.loo_residuals(Ft, H, y)
-        want, want_rank = gpr.loo_residuals(_dense_whitener(X, h, noise).T, H, y)
+        got, rank = gpr.loo_residuals(H, y, m)
+        dense = gpr.fit(X, y, h, noise, spectrum=gpr._dense(X, h.length_scales))
+        assert np.array_equal(dense.spectrum.V / np.sqrt(dense.d), _dense_whitener(X, h, noise))
+        want, want_rank = gpr.loo_residuals(H, y, dense)
         assert rank == want_rank == 3
         assert _rel_gap(got, want) < 1e-10
 
@@ -756,6 +792,66 @@ def _brute_force_pick(X, y, grid):
                 if ll > best_ll:
                     best, best_ll = (hp(sf2, ls), noise), ll
     return best, best_ll
+
+
+def _scores(Hw, yw, d):
+    """Tuning's score of stacked candidates Hw (c, n, p) and yw (c, n) from
+    the R of one QR (_qr_residual), and the same score from _gls's residual,
+    one SVD per candidate."""
+    rw = gpr._qr_residual(np.concatenate([Hw, yw[..., None]], axis=-1), Hw.shape[-1])
+    z = np.array([gpr._gls(h, y)[1] for h, y in zip(Hw, yw)])
+    return gpr._log_likelihood(rw, d), gpr._log_likelihood(z, d)
+
+
+def _whitened_stack(X, y, ls, sf2s, noises):
+    """[H | y] whitened for each (sf2, noise) pair on the dense eigh of K1,
+    as tuning whitens it: (Hw, yw, d)."""
+    lam, V = np.linalg.eigh(gpr.kernel_matrix(X, X, hp(1.0, ls)))
+    d = np.array(sf2s)[:, None] * lam + np.array(noises)[:, None]
+    Mw = (V.T @ np.column_stack([gpr.basis_matrix(X), y])) / np.sqrt(d)[:, :, None]
+    return Mw[..., :-1], Mw[..., -1], d
+
+
+class TestTriangularScore:
+    """Tuning's score from the R of a QR of [Hw | yw] against the score from
+    _gls's SVD residual, to 1e-12 relative."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(33)
+        for c, n, p in [(7, 30, 5), (4, 12, 3), (3, 100, 5)]:
+            Hw = rng.normal(size=(c, n, p)) * rng.uniform(0.1, 10.0, p)  # uneven columns
+            yw = rng.normal(size=(c, n))
+            got, want = _scores(Hw, yw, rng.uniform(0.1, 5.0, (c, n)))
+            assert _rel_gap(got, want) < 1e-12
+
+    def test_rank_deficient_basis_at_one_thickness(self):
+        X, y, h, noise = _one_thickness_curve()
+        v = h.signal_variance
+        sf2s, noises = (0.5 * v, v, 2.0 * v, v), (noise, noise, noise, 1e-3 * v)
+        Hw, yw, d = _whitened_stack(X, y, h.length_scales, sf2s, noises)
+        assert {gpr._gls(h_c, y_c)[2].shape[1] for h_c, y_c in zip(Hw, yw)} == {3}
+        got, want = _scores(Hw, yw, d)
+        assert _rel_gap(got, want) < 1e-12
+
+    @pytest.mark.parametrize("dim, n", [
+        (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, 5), (2, 6),
+    ])
+    def test_at_most_one_row_more_than_basis_terms(self, dim, n):
+        rng = np.random.default_rng(n)
+        X = rng.uniform([10.0, 0.4][:dim], [170.0, 1.6][:dim], (n, dim))
+        y = rng.normal(2.0, 1.0, n)
+        Hw, yw, d = _whitened_stack(X, y, (20.0, 0.4)[:dim], (1.0, 2.0), (0.01, 0.1))
+        got, want = _scores(Hw, yw, d)
+        assert _rel_gap(got, want) < 1e-12
+
+    def test_tunes_as_few_rows_as_basis_terms(self):
+        # n = p = 5: R has no row below its p x p block
+        X = [[30.0, 0.4], [60.0, 1.2], [90.0, 0.8], [120.0, 1.6], [150.0, 0.4]]
+        y = np.array([2.1, 4.0, 3.2, 6.5, 2.9])
+        grid = joints._default_tuning_grid(FamilyKind.CURVE, float(np.var(y)))
+        (m,) = gpr.tune_hyperparams(X, [(y, grid)])
+        (hyper, noise), _ = _brute_force_pick(X, y, grid)
+        assert (m.hyper, m.noise_variance) == (hyper, noise)
 
 
 class TestTuneHyperparams:
@@ -1002,6 +1098,18 @@ class TestGridSpec:
     ], ids=["signal", "no-length-scale-axis", "length-scale", "second-length-scale", "noise"])
     def test_refuses_an_empty_axis(self, axes):
         with pytest.raises(InputError, match="^every grid axis needs at least one candidate$"):
+            gpr.GridSpec(*axes)
+
+    @pytest.mark.parametrize("axes, name", [
+        ((1.0, ((1.0,),), (0.1,)), "signal_variances"),
+        (((1.0,), 1.0, (0.1,)), "length_scale_grids"),
+        (((1.0,), (1.0, 2.0), (0.1,)), "length_scale_grids[0]"),
+        (((1.0,), ((1.0,),), 0.1), "noise_variances"),
+    ], ids=["signal", "length-scales", "flat-length-scales", "noise"])
+    def test_refuses_an_axis_that_is_not_a_sequence(self, axes, name):
+        # tuple() of a number raised Python's own TypeError, naming no axis
+        message = f"^{re.escape(name)}: expected a sequence of candidates$"
+        with pytest.raises(InputError, match=message):
             gpr.GridSpec(*axes)
 
     @pytest.mark.parametrize("axis, bad, message", GRID_VALUE_CASES)
