@@ -22,15 +22,21 @@ _gls the one GLS solver on it, for fits and for leave-one-out residuals in
 closed form rather than from n refits (loo_residuals, the toolkit's one LOO
 routine: it applies F to the rank + 1 columns of _gls's residual and basis
 Q and forms no n x n matrix, and with no model, F = I, it scores the
-polynomial baseline of joints too). Predictions at many points share one W
-per call (predict_many; means alone skip it).
+polynomial baseline of joints too). Predictions run in blocks of query rows,
+with one unit-signal cross-kernel per block for every target on the same
+rows and length scales (predict_targets; predict_many is its one-model
+call): each target scales it by its signal variance for its means, and the
+first target alone gets variances, from one product per block with W, or
+with V on the low-rank form.
 
 The spectrum takes one of three forms. The dense and Kronecker forms keep
 all n eigenpairs, and F = W. The low-rank form keeps r < n (Harbrecht,
 Peters and Schneider 2012, On the low-rank approximation by the pivoted
 Cholesky decomposition; Halko, Martinsson and Tropp 2011, Finding Structure
-with Randomness): pivoted Cholesky K1 ~ L L', pivoting on the largest
-residual diagonal (the lowest index on a tie), stops once the residual's
+with Randomness): pivoted Cholesky K1 ~ L L', which reads K1's unit
+diagonal and its pivot rows only, so that no n x n matrix is formed,
+pivoting on the largest residual diagonal (the lowest index on a tie),
+stops once the residual's
 trace, kept as KernelSpectrum.tail, is at most n eps times the first pivot
 column's squared norm (a lower bound on lam_max); the thin SVD of L then
 gives V (n x r) and lam. The trace bounds |K1 - L L'|_2 up to the rounding
@@ -39,11 +45,13 @@ itself and of the dense eigh's own error. Off the range of V, A = noise*I:
 
     A^-1 = V diag(1/d) V' + (I - V V')/noise,   F = [W | (I - V V')/sqrt(noise)],
 
-and predict_many adds the complement's |k - V V'k|^2 / noise to each
-variance, from the explicit complement, not as a difference of squares.
+and a prediction subtracts the complement's |k - V V'k|^2 / noise from each
+variance, from the explicit complement, not as a difference of squares;
+|W'k|^2 = |(V'k) d^-1/2|^2 and the complement share the one product V'k.
 The low-rank form is tried on 1-D rows from LOW_RANK_MIN_ROWS (256) up, the
 crossover measured on them, and given up past a rank of n/2, where a failed
-attempt has cost no more than the dense eigh it falls back to. A model takes
+attempt has cost about as much as the K1 and dense eigh it falls back to,
+which are formed only then. A model takes
 it only where sf2 * tail <= LOW_RANK_DELTA (1e-9) * noise: zero noise, a
 noise too small for the certificate, and a rank past the cap all take the
 dense eigh, and so do 1-D rows below the crossover, 2-D rows (ragged grids
@@ -152,14 +160,23 @@ def kernel_matrix(xa, xb, hyper: KernelHyperParams) -> np.ndarray:
     A, B = _as_points(xa, "xa"), _as_points(xb, "xb")
     if A.shape[1] != hyper.dim or B.shape[1] != hyper.dim:
         raise InputError(f"points of dim {A.shape[1]}/{B.shape[1]} vs {hyper.dim} length scales")
-    ls = np.asarray(hyper.length_scales)
-    sq = np.zeros((A.shape[0], B.shape[0]))
-    # a squared distance past the float range gives exp(-inf) = 0, the exact
-    # limit, so numpy's overflow warning would only add noise
+    # sf2 exp(-0.5 sum_j ((a_j - b_j) / l_j)^2), formed in place in the first
+    # axis's array. A squared distance past the float range gives exp(-inf)
+    # = 0, the exact limit, so numpy's overflow warning would only add noise
     with np.errstate(over="ignore"):
-        for j in range(A.shape[1]):
-            sq += ((A[:, j : j + 1] - B[:, j : j + 1].T) / ls[j]) ** 2
-    return hyper.signal_variance * np.exp(-0.5 * sq)
+        for j, length_scale in enumerate(hyper.length_scales):
+            sq = A[:, j : j + 1] - B[:, j : j + 1].T
+            sq /= length_scale
+            np.square(sq, out=sq)
+            if j:
+                K += sq
+            else:
+                K = sq
+    K *= -0.5
+    np.exp(K, out=K)
+    if hyper.signal_variance != 1.0:  # a unit kernel is exp(...) itself
+        K *= hyper.signal_variance
+    return K
 
 
 def basis_matrix(X) -> np.ndarray:
@@ -289,20 +306,41 @@ def _kron_rotate(V_a: np.ndarray, V_t: np.ndarray, Mk: np.ndarray) -> np.ndarray
     return (V_t.T @ Z).reshape(na * nt, m)
 
 
-def _pivoted_cholesky(K1: np.ndarray, cap: int):
+class _KernelRows:
+    """The unit-signal kernel K1 on rows, one row at a time: K1[p] is
+    kernel_matrix(rows[p:p+1], rows), the bits of the full matrix's row p,
+    and no n x n matrix is formed. A plain class, not a dataclass, whose
+    generated methods would add about 0.5 ms to every import."""
+
+    def __init__(self, rows: np.ndarray, length_scales):
+        self.rows, self.unit = rows, KernelHyperParams(1.0, length_scales)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        return kernel_matrix(self.rows[p : p + 1], self.rows, self.unit)[0]
+
+
+def _pivoted_cholesky(K1, cap: int):
     """L' (rows of L) with K1 - L L' positive semidefinite, and that
     residual's trace, once the trace is at most n eps times a lower bound on
     K1's largest eigenvalue (the first column's squared norm); None past cap
-    columns. The trace is that of the running diagonal d, whose updates
-    round by about k eps per entry after k steps (clamped at 0), so it bounds
-    the residual up to about n k eps, the tolerance's own order. Each step
-    pivots on the largest residual diagonal, the lowest index on a tie
-    (Harbrecht, Peters and Schneider 2012, On the low-rank approximation by
-    the pivoted Cholesky decomposition)."""
-    n = K1.shape[0]
-    d = K1.diagonal().copy()  # the residual's diagonal
-    Lt = np.empty((cap, n))
+    columns. K1 is a unit-signal kernel, whose diagonal is ones, held whole
+    or as _KernelRows: each step reads its pivot row K1[p] alone, and L'
+    grows by doubling, so the attempt forms no n x n matrix of its own. The
+    trace is that of the running diagonal d, whose updates round by about
+    k eps per entry after k steps (clamped at 0), so it bounds the residual
+    up to about n k eps, the tolerance's own order. Each step pivots on the
+    largest residual diagonal, the lowest index on a tie (Harbrecht, Peters
+    and Schneider 2012, On the low-rank approximation by the pivoted
+    Cholesky decomposition)."""
+    n = len(K1)
+    d = np.ones(n)  # the residual's diagonal
+    Lt = np.empty((min(cap, 16), n))
     for k in range(cap):
+        if k == Lt.shape[0]:
+            Lt = np.concatenate([Lt, np.empty((min(k, cap - k), n))])
         p = int(np.argmax(d))
         row = K1[p] - Lt[:k, p] @ Lt[:k]
         row /= math.sqrt(d[p])
@@ -318,17 +356,21 @@ def _pivoted_cholesky(K1: np.ndarray, cap: int):
     return None
 
 
-def _low_rank(rows: np.ndarray, length_scales, K1: np.ndarray) -> KernelSpectrum | None:
+def _low_rank(rows: np.ndarray, length_scales, K1=None) -> KernelSpectrum | None:
     """The low-rank spectrum of K1, the unit-signal kernel on 1-D rows of
     at least LOW_RANK_MIN_ROWS: pivoted Cholesky K1 ~ L L' to rounding level
-    (_pivoted_cholesky), then the thin SVD L = V diag(s) U' gives lam = s^2
-    (Halko, Martinsson and Tropp 2011). None on 2-D or fewer rows, or past a
-    rank of half the rows. The crossover and the cap are measured on 1-D
-    rows only; on a ragged curve grid the attempt fails at short angle
-    length scales, so 2-D rows keep the dense eigh."""
+    from K1's pivot rows alone (_pivoted_cholesky, reading K1 when the
+    caller holds it and _KernelRows otherwise), then the thin SVD L =
+    V diag(s) U' gives lam = s^2 (Halko, Martinsson and Tropp 2011). None on
+    2-D or fewer rows, or past a rank of half the rows. The crossover and
+    the cap are measured on 1-D rows only; on a ragged curve grid the
+    attempt fails at short angle length scales, so 2-D rows keep the dense
+    eigh."""
     n = rows.shape[0]
     if n < LOW_RANK_MIN_ROWS or rows.shape[1] != 1:
         return None
+    if K1 is None:
+        K1 = _KernelRows(rows, length_scales)
     factor = _pivoted_cholesky(K1, n // 2)
     if factor is None:
         return None
@@ -363,15 +405,15 @@ def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectru
     eigh: lam = kron(lam_a, lam_t) and V = P kron(V_a, V_t), sorted ascending
     (stable) as eigh sorts. Every other set of rows (1-D, a ragged grid, a
     repeated row) takes the low-rank spectrum where _low_rank gives one (1-D
-    rows only), and the dense n x n eigh otherwise.
+    rows only, from K1's pivot rows), and the dense n x n eigh otherwise,
+    the only case that forms the n x n K1.
 
     factors: the two per-axis eighs (_axis_eigh) of a product grid at
     length_scales, when the caller already holds them (tuning's memo)."""
     length_scales = tuple(length_scales)
     grid = _product_grid(rows)
     if grid is None:
-        K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales))
-        return _low_rank(rows, length_scales, K1) or _dense(rows, length_scales, K1)
+        return _low_rank(rows, length_scales) or _dense(rows, length_scales)
     axes, index = grid
     if factors is None:
         factors = [_axis_eigh(v, l) for v, l in zip(axes, length_scales)]
@@ -623,50 +665,90 @@ def predict_many(model: FittedGP, Xq, with_variances: bool = True):
 
     and, for the low-rank form, also - |k_* - V V' k_*|^2 / noise.
 
-    k(x, x) is the signal variance for the squared-exponential kernel. W =
-    V diag(d)^-1/2 is formed once per call, and rows go through in blocks of
-    _PREDICT_BLOCK: one cross-kernel and one product with W per block. A
-    row's mean does not depend on the rows queried with it (both mean
-    products run row by row); its variance comes from a matrix product with
-    W and may differ in the last bits between batches. with_variances=False
-    skips W and returns (means, None), the same means. Raises ValueError
-    naming the first query point whose mean or variance is not finite
-    (overflow far from the data).
+    k(x, x) is the signal variance for the squared-exponential kernel. The
+    one-model call of predict_targets, which runs the blocks: a row's mean
+    does not depend on the rows queried with it, and its variance may
+    differ in the last bits between batches. with_variances=False returns
+    (means, None), the same means. Raises ValueError naming the first query
+    point whose mean or variance is not finite (overflow far from the data).
     """
+    (means,), variances = predict_targets((model,), Xq, with_variances)
+    return means, variances
+
+
+def predict_targets(models, Xq, with_variances: bool = True):
+    """Posterior means of every model of models at the rows of Xq, and the
+    first model's variances (None when with_variances is False), as
+    ((means_1, means_2 ...), variances): the targets on one set of training
+    rows and length scales (KernelSpectrum.matches; GPML section 2.2, where
+    the mean and the variance share k_*) share each cross-kernel.
+
+    Rows go through in blocks of _PREDICT_BLOCK, one unit-signal
+    cross-kernel K1_* per block for all the models, scaled by each model's
+    signal variance to its k_* = sf2 K1_* (the bits kernel_matrix gives at
+    sf2). Both mean products run row by row, so each model's means equal
+    those of a lone predict_many. The first model's variances come from one
+    matrix product per block: k_* W with W = V diag(d)^-1/2 on the dense and
+    Kronecker forms, and on the low-rank form k_* V, which gives both
+    W'k_* = (V'k_*) d^-1/2 and the complement k_* - V V'k_*. Raises
+    ValueError naming the first query point whose mean or variance is not
+    finite, model by model in order, the first model's variances with its
+    means.
+    """
+    first = models[0]
+    train_x, length_scales = first.train_x, first.hyper.length_scales
+    if not all(m.spectrum.matches(train_x, length_scales) for m in models):
+        raise ValueError("predict_targets needs models on the same rows and length scales")
     Q = _as_points(Xq, "Xq")
-    if Q.shape[1] != model.input_dim:
-        raise InputError(f"query dim {Q.shape[1]} vs training dim {model.input_dim}")
+    if Q.shape[1] != first.input_dim:
+        raise InputError(f"query dim {Q.shape[1]} vs training dim {first.input_dim}")
     if not np.all(np.isfinite(Q)):
         raise ValueError("Xq: must be a finite number")
-    means = np.empty(Q.shape[0])
+    means = [np.empty(Q.shape[0]) for _ in models]
     variances = np.empty(Q.shape[0]) if with_variances else None
-    V = model.spectrum.V
-    low_rank = model.spectrum.truncated
-    W = V / np.sqrt(model.d) if with_variances else None
+    unit = KernelHyperParams(1.0, length_scales)
+    sf2, V = first.hyper.signal_variance, first.spectrum.V
+    low_rank = first.spectrum.truncated
+    if with_variances:
+        root_d = np.sqrt(first.d)
+        W = V if low_rank else V / root_d  # the low-rank form scales k_* V itself
+    # k_* and the complement reuse one block-sized array each: a fresh array
+    # of that size per block costs more than the arithmetic on it
+    scaled = np.empty((min(Q.shape[0], _PREDICT_BLOCK), train_x.shape[0]))
+    tails = np.empty_like(scaled) if with_variances and low_rank else None
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, Q.shape[0], _PREDICT_BLOCK):
             rows = slice(start, start + _PREDICT_BLOCK)
-            k_star = kernel_matrix(Q[rows], model.train_x, model.hyper)
+            K1 = kernel_matrix(Q[rows], train_x, unit)
             H = basis_matrix(Q[rows])
-            means[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
-                "ij,j->i", k_star, model.alpha
-            )
-            if with_variances:
+            k_star = scaled[: K1.shape[0]]
+            for i, (model, out) in enumerate(zip(models, means)):
+                np.multiply(model.hyper.signal_variance, K1, out=k_star)
+                out[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
+                    "ij,j->i", k_star, model.alpha
+                )
+                if i or not with_variances:
+                    continue
                 v = k_star @ W
-                variances[rows] = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
                 if low_rank:  # k_* off the range of V, where A is noise*I
-                    tail = k_star - (k_star @ V) @ V.T
-                    variances[rows] -= np.einsum("ij,ij->i", tail, tail) / model.noise_variance
-    finite = np.isfinite(means)
+                    tail = np.matmul(v, V.T, out=tails[: K1.shape[0]])
+                    np.subtract(k_star, tail, out=tail)
+                    v /= root_d
+                variances[rows] = sf2 - np.einsum("ij,ij->i", v, v)
+                if low_rank:
+                    variances[rows] -= np.einsum("ij,ij->i", tail, tail) / first.noise_variance
     if with_variances:
         np.maximum(variances, 0.0, out=variances)
-        finite &= np.isfinite(variances)
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise ValueError(f"prediction at query point {Q[bad[0]].tolist()} is not finite")
-    return means, variances
+    for i, out in enumerate(means):
+        finite = np.isfinite(out)
+        if i == 0 and with_variances:
+            finite &= np.isfinite(variances)
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            raise ValueError(f"prediction at query point {Q[bad[0]].tolist()} is not finite")
+    return tuple(means), variances
 
 
 def _axis(name: str, candidates) -> tuple:

@@ -16,7 +16,8 @@ predict_many is the one query, for one angle or many: it answers force and
 return angle, and a bent angle's return angle is None where the model has no
 return-angle component. Its angles and thickness pass units.checked, the
 typed-number rule, and a value it refuses (a string, bytes, a bool, NaN or
-±inf) raises InputError naming theta or thickness. Predictions for the curve
+±inf) raises InputError naming theta or thickness, as does a thickness
+whose square overflows. Predictions for the curve
 family are refused outside the validated window of 30 to 150 deg, where the
 regression has no supporting data; other families only get an extrapolation
 warning there.
@@ -24,6 +25,7 @@ warning there.
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -165,7 +167,10 @@ def predict_many(
     allow_extrapolation: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float | None], list[tuple[str, ...]]]:
     """Holding force (N) and return angle (deg) at each angle of thetas, at
-    one thickness: one batched GP prediction per model component.
+    one thickness: one batched GP prediction for both model components
+    (gpr.predict_targets, one cross-kernel per block, the return model
+    answering means only) where they share their training rows and length
+    scales and every angle is bent, and one per component otherwise.
 
     Returns (means, stds, returns, warnings): the force means and standard
     deviations as float arrays, the return angles, and one tuple of warning
@@ -193,18 +198,29 @@ def predict_many(
         extrapolated |= not tlo <= family.thickness <= thi
     X = angles[:, None]
     if model.kind.input_dim == 2:
+        if math.isinf(family.thickness * family.thickness):
+            # gpr.fit's rule for X, naming the query's own field
+            raise InputError("thickness: values too large for the quadratic basis")
         X = np.column_stack([angles, np.full_like(angles, family.thickness)])
 
-    means, variances = gpr.predict_many(model.force_model, X)
+    force, ret = model.force_model, model.return_model
+    bent = angles != 0.0
+    back = None
+    if ret is not None and bent.all() and ret.spectrum.matches(
+        force.train_x, force.hyper.length_scales
+    ):
+        (means, back), variances = gpr.predict_targets((force, ret), X)
+    else:
+        means, variances = gpr.predict_many(force, X)
+        if ret is not None and bent.any():
+            back, _ = gpr.predict_many(ret, X[bent], with_variances=False)
     rest_force = (angles < 1e-9) & (means > 0.0)
     warnings = [
         (WARN_EXTRAPOLATION,) * e + (WARN_REST_FORCE,) * r
         for e, r in zip(extrapolated.tolist(), rest_force.tolist())
     ]
-    bent = angles != 0.0
     returns = [None if b else 180.0 for b in bent.tolist()]
-    if model.return_model is not None and bent.any():
-        back, _ = gpr.predict_many(model.return_model, X[bent], with_variances=False)
+    if back is not None:
         for i, angle in zip(np.flatnonzero(bent), np.clip(back, 0.0, 180.0).tolist()):
             returns[i] = angle
     return means, np.sqrt(variances), returns, warnings

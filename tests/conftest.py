@@ -407,6 +407,20 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_shapes(monkeypatch):
+    """(rows of xa, rows of xb) of each gpr.kernel_matrix call during the test."""
+    shapes = []
+    kernel_matrix = gpr.kernel_matrix
+
+    def counting(xa, xb, hyper):
+        shapes.append((len(xa), len(xb)))
+        return kernel_matrix(xa, xb, hyper)
+
+    monkeypatch.setattr(gpr, "kernel_matrix", counting)
+    return shapes
+
+
 def assert_same_model(got: gpr.FittedGP, want: gpr.FittedGP) -> None:
     """got equals want bit for bit in every fitted value."""
     assert (got.hyper, got.noise_variance) == (want.hyper, want.noise_variance)

@@ -586,6 +586,19 @@ class TestPredict:
         assert captured.err == f"error: prediction at query point [{point}] is not finite\n"
         assert captured.out == ""  # no inf or NaN row, and no header either
 
+    @pytest.mark.parametrize("extra", [[], ["--allow-extrapolation"]])
+    def test_thickness_whose_basis_overflows_exit_2(self, tmp_path, capsys, extra):
+        path = tmp_path / "curve.json"
+        assert main(["builtin", "--family", "curve", "--out", str(path), "--quiet"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow noise
+            code = main(["predict", "--model", str(path), "--theta", "90",
+                         "--thickness", "1e300", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: thickness: values too large for the quadratic basis\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("family, thickness", [
         ("curve", "0"), ("curve", "-5"), ("square_sym", "0.8"),
     ])
@@ -810,6 +823,24 @@ class TestDesign:
         ]) == 2
         assert "deformation angle 25.8419 deg outside the validated window" in (
             capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_curve_thickness_whose_basis_overflows_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "curve.json"
+        assert main(["builtin", "--family", "curve", "--out", str(model)]) == 0
+        spec = tmp_path / "ring.json"
+        doc = {**GOOD_SPEC, "per_joint_force_n": None,
+               "joint": {"family": "curve", "thickness_mm": 1e300}}
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["design", "--spec", str(spec), "--model", str(model), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: thickness: values too large for the quadratic basis\n"
         )
         assert not out.exists()
 

@@ -82,6 +82,20 @@ class TestKernel:
             for j in range(8):
                 assert K[i, j] == pytest.approx(se_formula(X[i], X[j], h), rel=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_in_place_result_keeps_the_bits_of_the_formula(self, dim):
+        rng = np.random.default_rng(9)
+        A, B = rng.uniform(0.0, 150.0, (40, dim)), rng.uniform(0.0, 150.0, (30, dim))
+        h = hp(1.7, (20.0, 0.4)[:dim])
+        sq = np.zeros((40, 30))
+        for j in range(dim):
+            sq += ((A[:, j : j + 1] - B[:, j : j + 1].T) / h.length_scales[j]) ** 2
+        assert np.array_equal(gpr.kernel_matrix(A, B, h), h.signal_variance * np.exp(-0.5 * sq))
+        # a model's k_* is its signal variance times the unit-signal kernel, bit for bit
+        assert np.array_equal(
+            gpr.kernel_matrix(A, B, h), 1.7 * gpr.kernel_matrix(A, B, hp(1.0, h.length_scales))
+        )
+
     def test_random_kernel_matrices_positive_definite(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -535,6 +549,30 @@ def _low_rank_instance(rng, n, dim, ratio, rough=False):
     return X, y, hp(sf2, tuple(ls.tolist())), ratio * sf2, beta, queries
 
 
+def _whole_kernel_low_rank(X, ls):
+    """The low-rank spectrum (lam, V, tail) from the whole n x n K1: its
+    diagonal and pivot rows read from the matrix, L' allocated to the cap."""
+    K1 = gpr.kernel_matrix(X, X, hp(1.0, ls))
+    n = len(X)
+    d = K1.diagonal().copy()
+    Lt = np.empty((n // 2, n))
+    for k in range(n // 2):
+        p = int(np.argmax(d))
+        row = K1[p] - Lt[:k, p] @ Lt[:k]
+        row /= math.sqrt(d[p])
+        Lt[k] = row
+        d -= row * row
+        d[p] = 0.0
+        np.maximum(d, 0.0, out=d)
+        if k == 0:
+            tol = n * np.finfo(float).eps * (row @ row)
+        tail = float(d.sum())
+        if tail <= tol:
+            _, s, Vt = np.linalg.svd(Lt[: k + 1], full_matrices=False)
+            return s * s, Vt.T, tail
+    raise AssertionError("rank past n / 2")
+
+
 def _dense_whitener(X, h, noise):
     """The whitener of the dense n x n eigh of K1, with the jitter retry:
     the dense form's arithmetic, written out."""
@@ -610,6 +648,48 @@ class TestLowRankSpectrum:
         m = gpr.fit(X, y, h, 1e-2)
         assert not m.spectrum.truncated and m.spectrum.low_rank is None
         assert np.array_equal(m.spectrum.V / np.sqrt(m.d), _dense_whitener(X, h, 1e-2))
+
+    @pytest.mark.parametrize("n", [340, 1000])
+    def test_spectrum_from_pivot_rows_equals_the_whole_kernel_one(
+        self, eigh_calls, kernel_shapes, n
+    ):
+        X = np.linspace(10.0, 170.0, n)[:, None]
+        lam, V, tail = _whole_kernel_low_rank(X, (20.0,))
+        kernel_shapes.clear()
+        s = gpr._kernel_eigh(X, (20.0,))
+        # one kernel row per pivot, and no n x n K1 or eigh
+        assert s.truncated and kernel_shapes == [(1, n)] * lam.size and eigh_calls == []
+        assert np.array_equal(s.lam, lam) and np.array_equal(s.V, V) and s.tail == tail
+
+    def test_fit_allocates_a_tenth_of_one_n_by_n_array(self):
+        n = 1000
+        X = np.linspace(10.0, 170.0, n)[:, None]
+        y = 2.0 + 0.02 * X[:, 0] + np.random.default_rng(2).normal(0.0, 0.05, n)
+        h = hp(float(np.var(y)), (20.0,))
+        tracemalloc.start()
+        try:
+            m = gpr.fit(X, y, h, 0.01 * h.signal_variance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.spectrum.truncated
+        assert peak < 0.1 * n * n * np.dtype(float).itemsize
+
+    def test_an_attempt_past_the_cap_falls_back_to_the_dense_eigh(
+        self, eigh_calls, kernel_shapes
+    ):
+        n = 300
+        X = np.linspace(0.0, n - 1.0, n)[:, None]  # rows 1 apart
+        y = np.sin(X[:, 0] / 7.0)
+        h = hp(1.0, (0.5,))  # below the row spacing: the rank never falls below n / 2
+        m = gpr.fit(X, y, h, 1e-2)
+        # n / 2 pivot rows, then the whole K1 for the dense eigh
+        assert kernel_shapes == [(1, n)] * (n // 2) + [(n, n)]
+        assert eigh_calls == [(n, n)]
+        assert not m.spectrum.truncated and m.spectrum.low_rank is None
+        want = gpr.fit(X, y, h, 1e-2, spectrum=gpr._dense(X, h.length_scales))
+        assert_same_model(m, want)
+        assert np.array_equal(m.spectrum.V, want.spectrum.V)
 
     @pytest.mark.parametrize("n", [255, 256])  # either side of LOW_RANK_MIN_ROWS
     def test_rows_below_the_crossover_take_the_dense_form(self, eigh_calls, n):
@@ -741,6 +821,44 @@ class TestPredictMany:
         means, variances = gpr.predict_many(m, Xq, with_variances=False)
         assert variances is None
         assert np.array_equal(means, gpr.predict_many(m, Xq)[0])
+
+    @pytest.mark.parametrize("n", [60, 340])  # the dense and the low-rank form
+    def test_targets_share_the_cross_kernel(self, kernel_shapes, n):
+        X = np.linspace(10.0, 170.0, n)[:, None]
+        rng = np.random.default_rng(n)
+        y1, y2 = np.sin(X[:, 0] / 30.0), 180.0 - 0.1 * X[:, 0] + rng.normal(0.0, 1.0, n)
+        first = gpr.fit(X, y1, hp(1.0, (20.0,)), 1e-2)
+        second = gpr.fit(X, y2, hp(100.0, (20.0,)), 1.0, spectrum=first.spectrum)
+        assert first.spectrum.truncated == (n >= gpr.LOW_RANK_MIN_ROWS)
+        Xq = np.linspace(0.0, 180.0, 600)
+        kernel_shapes.clear()
+        (m1, m2), variances = gpr.predict_targets((first, second), Xq)
+        assert kernel_shapes == [(256, n), (256, n), (88, n)]
+        want1, want_var = gpr.predict_many(first, Xq)
+        assert np.array_equal(m1, want1) and np.array_equal(variances, want_var)
+        assert np.array_equal(m2, gpr.predict_many(second, Xq, with_variances=False)[0])
+        (m1, m2), variances = gpr.predict_targets((first, second), Xq, with_variances=False)
+        assert variances is None and np.array_equal(m1, want1)
+
+    def test_targets_on_other_rows_or_length_scales_refused(self):
+        X = np.linspace(0.0, 5.0, 8)[:, None]
+        m = gpr.fit(X, np.arange(8.0), hp(), 0.1)
+        for other in (gpr.fit(X + 1.0, np.arange(8.0), hp(), 0.1),
+                      gpr.fit(X, np.arange(8.0), hp(1.0, (2.0,)), 0.1)):
+            with pytest.raises(ValueError, match="same rows and length scales"):
+                gpr.predict_targets((m, other), [1.0])
+
+    def test_targets_name_the_first_bad_point_model_by_model(self):
+        X = np.linspace(0.0, 5.0, 8)[:, None]
+        # one model's mean overflows at 1e150 only, the other's from 1e100 on
+        late = gpr.fit(X, np.arange(8.0), hp(), 0.1, beta=[0.0, 0.0, 1e10])
+        early = gpr.fit(X, np.arange(8.0), hp(), 0.1, beta=[0.0, 1e220, 0.0])
+        query = [[1.0], [1e100], [1e150]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for models, point in (((late, early), r"\[1e\+150\]"), ((early, late), r"\[1e\+100\]")):
+                with pytest.raises(ValueError, match=point):
+                    gpr.predict_targets(models, query)
 
     def test_means_only_names_a_non_finite_mean(self):
         m = gpr.fit(np.linspace(0.0, 5.0, 8)[:, None], np.arange(8.0) ** 2, hp(), 0.1)

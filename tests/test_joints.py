@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -484,18 +485,11 @@ class TestVectorQueries:
         model = fitted_models[SQ]
         thetas = np.linspace(10.0, 170.0, 301)
         want = np.clip(gpr.predict_many(model.return_model, thetas)[0], 0.0, 180.0).tolist()
-        calls = []
-        predict = gpr.predict_many
-
-        def spy(gp, X, **kwargs):
-            calls.append((gp, kwargs))
-            return predict(gp, X, **kwargs)
-
-        monkeypatch.setattr(gpr, "predict_many", spy)
+        calls = _spy_predictions(monkeypatch)
         _, _, returns, _ = joints.predict_many(model, thetas)
         assert returns == want
-        assert calls == [(model.force_model, {}),
-                         (model.return_model, {"with_variances": False})]
+        # one call for the pair, which gives variances for its first model only
+        assert calls == [("predict_targets", (model.force_model, model.return_model), {})]
 
     def test_every_angle_validated(self, fitted_models):
         with pytest.raises(InputError, match="^theta: must be a finite number$"):
@@ -553,6 +547,146 @@ class TestVectorQueries:
         assert joints.predict_many(model, [30.0])[2] == [None]
 
 
+def _spy_predictions(monkeypatch):
+    """(function, model or models, keyword arguments) of each gpr prediction
+    call joints makes during the test; not the calls those make in turn."""
+    calls, depth = [], [0]
+    for name in ("predict_many", "predict_targets"):
+        predict = getattr(gpr, name)
+
+        def spy(gp, X, *args, _name=name, _predict=predict, **kwargs):
+            if not depth[0]:
+                calls.append((_name, tuple(gp) if _name == "predict_targets" else gp, kwargs))
+            depth[0] += 1
+            try:
+                return _predict(gp, X, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(gpr, name, spy)
+    return calls
+
+
+def _unshared_predict(model: gpr.FittedGP, X):
+    """Means and variances as predictions were made before the cross-kernel
+    was shared: per block, k_* at the model's own signal variance, |W'k_*|^2
+    from k_* W with W = V d^-1/2 and, on the low-rank form, the complement
+    from a second product k_* V."""
+    Q = np.asarray(X, dtype=float).reshape(len(X), -1)
+    V = model.spectrum.V
+    W = V / np.sqrt(model.d)
+    means, variances = [], []
+    for start in range(0, len(Q), 256):
+        q = Q[start : start + 256]
+        k = gpr.kernel_matrix(q, model.train_x, model.hyper)
+        means.append(np.einsum("ij,j->i", gpr.basis_matrix(q), model.beta)
+                     + np.einsum("ij,j->i", k, model.alpha))
+        v = k @ W
+        var = model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)
+        if model.spectrum.truncated:
+            tail = k - (k @ V) @ V.T
+            var -= np.einsum("ij,ij->i", tail, tail) / model.noise_variance
+        variances.append(var)
+    return np.concatenate(means), np.maximum(np.concatenate(variances), 0.0)
+
+
+def _assert_unshared_answers(model, thetas, thickness, got):
+    """got, joints.predict_many's answer, against _unshared_predict: the
+    force means and return angles bit for bit, and the stds to 1e-12
+    relative (on the low-rank form, against a lone gpr.predict_many, whose
+    |W'k_*|^2 comes from k_* V)."""
+    means, stds, returns, _ = got
+    X = np.asarray(thetas, dtype=float)[:, None]
+    if thickness is not None:
+        X = np.column_stack([X, np.full(len(X), thickness)])
+    want_means, want_var = _unshared_predict(model.force_model, X)
+    if model.force_model.spectrum.truncated:
+        want_var = gpr.predict_many(model.force_model, X)[1]
+    assert np.array_equal(means, want_means)
+    np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-12, atol=0.0)
+    bent = X[:, 0] != 0.0
+    back = np.clip(_unshared_predict(model.return_model, X[bent])[0], 0.0, 180.0).tolist()
+    assert [r for r, b in zip(returns, bent) if b] == back
+    assert [r for r, b in zip(returns, bent) if not b] == [180.0] * int((~bent).sum())
+
+
+@pytest.fixture(scope="module")
+def bench_pair():
+    """The benchmark's untuned square pair, n = 340: both targets on one
+    low-rank spectrum."""
+    return joints.fit_family_model(bench_square_dataset(1), SQ)
+
+
+class TestSharedCrossKernel:
+    """joints.predict_many answers force and return from one cross-kernel
+    per query block where the pair shares rows and length scales and every
+    angle is bent, and from one call per component otherwise."""
+
+    def test_sweep_of_the_bench_pair_makes_one_kernel_per_block(self, kernel_shapes, bench_pair):
+        force, back = bench_pair.force_model, bench_pair.return_model
+        assert force.spectrum.truncated and back.spectrum is force.spectrum
+        thetas = np.linspace(10.0, 170.0, 1601)  # ugc predict --sweep 10:170:0.1
+        X = thetas[:, None]
+        want_means, want_var = gpr.predict_many(force, X)
+        want_back = np.clip(gpr.predict_many(back, X, with_variances=False)[0], 0.0, 180.0)
+        kernel_shapes.clear()
+        means, stds, returns, _ = joints.predict_many(bench_pair, thetas)
+        # 1,601 = 6 x 256 + 65: 7 blocks, one kernel each, not one per target
+        assert kernel_shapes == [(256, 340)] * 6 + [(65, 340)]
+        assert np.array_equal(means, want_means)
+        assert returns == want_back.tolist()
+        np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-12, atol=0.0)
+        # the variance's one k_* V product moves the stds by rounding only
+        np.testing.assert_allclose(stds, np.sqrt(_unshared_predict(force, X)[1]), rtol=1e-10)
+        _assert_unshared_answers(bench_pair, thetas, None, (means, stds, returns, None))
+
+    def test_tuned_curve_pair_on_two_length_scales_takes_two_calls(self, monkeypatch):
+        # the benchmark's seed-1 curve rows: 81 angles x 4 thicknesses, averaged
+        rng = np.random.default_rng(1)
+        square_bench_csv(rng, angles=np.linspace(10.0, 170.0, 340).tolist())
+        csv = curve_bench_csv(rng, angles=np.linspace(30.0, 150.0, 81).tolist())
+        rows = average_runs(parse_measurements(csv), 1.0)
+        model = joints.fit_family_model(rows, CURVE, tune=True)
+        force, back = model.force_model, model.return_model
+        assert force.hyper.length_scales == (40.0, 0.8)
+        assert back.hyper.length_scales == (20.0, 0.8)
+        thetas = np.linspace(30.0, 150.0, 601)
+        calls = _spy_predictions(monkeypatch)
+        got = joints.predict_many(model, thetas, 0.8)
+        assert [(name, kwargs) for name, _, kwargs in calls] == [
+            ("predict_many", {}), ("predict_many", {"with_variances": False})]
+        _assert_unshared_answers(model, thetas, 0.8, got)
+
+    def test_a_batch_holding_zero_takes_two_calls(self, monkeypatch, fitted_models):
+        model = fitted_models[SQ]
+        thetas = [0.0, *np.linspace(10.0, 170.0, 300)]
+        calls = _spy_predictions(monkeypatch)
+        got = joints.predict_many(model, thetas)
+        assert calls == [("predict_many", model.force_model, {}),
+                         ("predict_many", model.return_model, {"with_variances": False})]
+        assert got[2][0] == 180.0
+        _assert_unshared_answers(model, thetas, None, got)
+
+    @pytest.mark.parametrize("dense_target", ["force", "return"])
+    def test_targets_in_different_forms_share_the_kernel(self, kernel_shapes, dense_target):
+        # one target's noise fails the low-rank check and takes the dense eigh
+        X, force_y, back_y = joints.family_training_arrays(bench_square_dataset(1), SQ)
+        hf = gpr.KernelHyperParams(float(np.var(force_y)), (20.0,))
+        hb = gpr.KernelHyperParams(float(np.var(back_y)), (20.0,))
+        ratio = {"force": 0.01, "return": 0.01, dense_target: 1e-7}  # noise / signal variance
+        force = gpr.fit(X, force_y, hf, ratio["force"] * hf.signal_variance)
+        back = gpr.fit(X, back_y, hb, ratio["return"] * hb.signal_variance, spectrum=force.spectrum)
+        dense, low = (force, back) if dense_target == "force" else (back, force)
+        assert not dense.spectrum.truncated and low.spectrum.truncated
+        model = joints.JointFamilyModel(kind=SQ, force_model=force, return_model=back)
+        thetas = np.linspace(10.0, 170.0, 1601)
+        kernel_shapes.clear()
+        got = joints.predict_many(model, thetas)
+        assert kernel_shapes == [(256, 340)] * 6 + [(65, 340)]
+        # the force variances come from the force model's own V
+        _assert_unshared_answers(model, thetas, None, got)
+
+
 @pytest.fixture(scope="module")
 def fitted_models():
     square = parse_measurements(square_bench_csv(np.random.default_rng(7)))
@@ -561,6 +695,21 @@ def fitted_models():
 
 
 class TestNonFiniteQueries:
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_thickness_whose_basis_overflows_refused(self, fitted_models, allow):
+        # gpr.fit's rule for X: the query's quadratic basis must be finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InputError, match="^thickness: values too large for the quadratic basis$"
+            ):
+                joints.predict_many(fitted_models[CURVE], [90.0], 1e300, allow_extrapolation=allow)
+            # 1e150 squared is still a float, and the query answers
+            means, _, _, _ = joints.predict_many(
+                fitted_models[CURVE], [90.0], 1e150, allow_extrapolation=True
+            )
+        assert np.isfinite(means).all()
+
     @pytest.mark.parametrize("lead", [[], [60.0]], ids=["one-angle", "second-angle"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
