@@ -19,7 +19,6 @@ every prediction exactly.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-from .units import floats
+from .units import _Record, floats
 
 FORMAT_VERSION = "1"
 
@@ -52,8 +51,10 @@ _REQUIRED_KEYS = ("version", "family", *dict.fromkeys(path[0] for path, _, _ in 
 _SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 
 
-@dataclass(frozen=True)
-class ArchiveInfo:
+class ArchiveInfo(_Record):
+    """An archive's labels besides its model: family and model id, each None
+    where the archive has none."""
+
     family: str | None
     model_id: str | None
 

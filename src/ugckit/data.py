@@ -21,7 +21,6 @@ import enum
 import io
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import (
     MissingThicknessError,
     OutOfRangeError,
 )
-from .units import _ANY, checked, floats
+from .units import _ANY, _Record, checked, floats
 
 CSV_COLUMNS = (
     "family",
@@ -142,8 +141,7 @@ def _check(columns: dict, rules=_RULES, lines=None, cells=None) -> None:
         raise error(line, cell, row) from None
 
 
-@dataclass(frozen=True)
-class JointFamily:
+class JointFamily(_Record):
     """A joint geometry, with wall thickness for the curve family only.
 
     Tested curve thicknesses span 0.4 to 1.6 mm in 0.4 mm steps; values in
@@ -161,8 +159,7 @@ class JointFamily:
                _THICKNESS_RULES)
 
 
-@dataclass(frozen=True, eq=False)
-class JointDataset:
+class JointDataset(_Record):
     """Bench readings as read-only columns, one entry per reading: family,
     direction and run_id hold str tokens (FamilyKind and Direction values),
     the others floats, thickness NaN where the family takes none. Every row
@@ -175,6 +172,8 @@ class JointDataset:
     force: np.ndarray  # N
     return_angle: np.ndarray  # deg, 180 = full recovery
     run_id: np.ndarray
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: its columns are arrays
 
     def __post_init__(self):
         for name, value in vars(self).items():

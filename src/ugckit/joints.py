@@ -26,14 +26,14 @@ warning there.
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 
 import numpy as np
 
 from . import gpr
 from .data import FamilyKind, JointDataset, JointFamily
 from .errors import InputError, OutOfValidatedRangeError
-from .units import _ANY, checked, floats
+from .units import _ANY, _Record, checked, floats
 
 VALIDATED_ANGLE_RANGE = (30.0, 150.0)  # deg
 TESTED_THICKNESS_RANGE = (0.4, 1.6)  # mm
@@ -62,8 +62,7 @@ BUILTIN_NOISE_STD = {
 }
 
 
-@dataclass(frozen=True)
-class JointEnvelope:
+class JointEnvelope(_Record):
     """Static deformation limits for one joint geometry (angles in deg).
 
     max_observed_force is None where no peak was recorded on the bench. Each
@@ -135,8 +134,7 @@ def envelope_table_as_json() -> dict:
     return {"version": ENVELOPE_TABLE_VERSION, "envelopes": rows}
 
 
-@dataclass(frozen=True)
-class JointFamilyModel:
+class JointFamilyModel(_Record):
     """Calibrated predictors for one joint family.
 
     force_model inputs are [angle] (deg) or [angle, thickness] (deg, mm) for

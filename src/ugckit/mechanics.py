@@ -30,7 +30,7 @@ r in meters.
 
 import functools
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from typing import get_args, get_type_hints
 
 from . import joints, units
@@ -41,7 +41,7 @@ from .errors import (
     MissingThicknessError,
     OutOfValidatedRangeError,
 )
-from .units import _ANY, _POSITIVE, _RATIO, _at_least, checked
+from .units import _ANY, _POSITIVE, _RATIO, _Record, _at_least, checked
 
 DEFAULT_SAFETY_FACTOR = 1.5
 SPINDLE_GRID_MM = 0.1  # manufacturable spindle radius resolution
@@ -88,8 +88,7 @@ def _check_attributes(obj) -> None:
             object.__setattr__(obj, name, checked(f"{name}={value!r}", value, rule, kind))
 
 
-@dataclass(frozen=True)
-class ActuatorSpec:
+class ActuatorSpec(_Record):
     """Central motor: rated torque (N*m), spindle radius (mm), and how much
     torque overshoot the drive electronics tolerate (>= 1)."""
 
@@ -108,8 +107,7 @@ def _spread_problem(joints_per_ring=None, n_sections=None, **_) -> str | None:
     return "joints_per_ring: must be divisible by n_sections"
 
 
-@dataclass(frozen=True)
-class RingDesignSpec:
+class RingDesignSpec(_Record):
     """Geometry and targets for one ring module.
 
     joints_per_ring counts every joint across all ring layers (a two-layer
@@ -189,8 +187,11 @@ def fold_depth(half_section_arc: float, bend_angle_deg: float) -> float:
     return (half_section_arc / 2.0) * math.sin(units.deg_to_rad(bend_angle_deg))
 
 
-@dataclass(frozen=True)
-class MotorRequirements:
+class MotorRequirements(_Record):
+    """A ring's load on its motor (motor_requirements): total cable force,
+    minimum spindle radius, torque at the configured spindle radius, and
+    whether that torque overdrives the motor."""
+
     total_force: float  # N
     min_spindle_radius: float  # mm, inf when unloaded
     torque_at_spindle: float  # N*m at the configured radius
@@ -261,8 +262,7 @@ def recommended_spindle_radius(min_radius_mm: float, safety_factor: float) -> fl
     return _ceil_to_grid(_ceil_to_grid(min_radius_mm) * safety_factor)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(_Record):
     """Every intermediate of one design run; numbers are mm, deg, N, N*m."""
 
     outer_radius: float = field(metadata={"unit": "mm"})

@@ -10,8 +10,13 @@ the averaging bin, ring geometry and joint-model queries. A bool, a string
 or bytes is refused there, though float() reads each. floats states it for
 every array input, entry by entry; both test the type with is_number.
 finite_float reads CSV cells and CLI flags, which are text.
+
+_Record is the base of every frozen record of the toolkit (model, spec,
+report and archive records): dataclass fields with the methods of
+@dataclass(frozen=True), defined once here in place of generated per class.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -104,3 +109,65 @@ def floats(label: str, value) -> np.ndarray:
         raise ValueError(f"{label}: expected float") from None
     except OverflowError:
         raise ValueError(f"{label}: must be a finite number") from None
+
+
+class _Record:
+    """Base of the frozen records. A subclass's annotations are its
+    dataclass fields, so dataclasses.fields and replace and field(default=,
+    metadata=) work; __init__, ==, hash and repr act as those of
+    @dataclass(frozen=True), over every field, and assigning or deleting an
+    attribute raises FrozenInstanceError. dataclass is applied only for its
+    field bookkeeping: the methods it would generate and exec cost about
+    1 ms of import per class. __post_init__ may store a field with
+    object.__setattr__."""
+
+    def __init_subclass__(cls):
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        cls._fields = tuple(f.name for f in fields)
+        cls._defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        state = vars(self)  # filled in field order, which vars(self) keeps
+        state.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                state[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if kwargs:  # a name given twice, or no field's
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in state else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"

@@ -1366,6 +1366,33 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
+# Counts the code dataclasses generates while ugckit.cli imports: each method
+# it writes for a class is one exec in its module (_create_fn up to 3.12).
+GENERATED_CODE_PROBE = """
+import dataclasses, sys
+generated = []
+def counted_exec(*args):
+    generated.append(args[0])
+    return exec(*args)
+dataclasses.exec = counted_exec
+import ugckit, ugckit.cli
+print(len(generated))
+print(*sorted(name for name in sys.modules if name.startswith("ugckit.")))
+"""
+
+
+def test_import_generates_no_dataclass_code():
+    # every record derives from units._Record, which defines the methods
+    # @dataclass(frozen=True) would generate and exec at each ugc call's import
+    result = _run_cli("-c", GENERATED_CODE_PROBE)
+    assert result.returncode == 0, result.stderr
+    count, modules = result.stdout.splitlines()
+    assert count == "0"
+    # bench/run.py --trace 1 and CI's oracle steps wrap these modules' functions
+    for module in ("data", "gpr", "joints", "archive", "mechanics"):
+        assert f"ugckit.{module}" in modules.split()
+
+
 # Runs one `builtin` call through a process entry in a fresh interpreter and
 # prints, for each gc.freeze call and for main's parse_args, whether the heap
 # was already frozen, then the exit code.

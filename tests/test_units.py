@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -153,6 +154,7 @@ ARRAY_BOUNDARIES = {
     "Xq": lambda e, *_: gpr.predict_many(gpr.fit(ANGLES, TARGETS, HYPER, 0.1), _with(ANGLES, e)),
     "xa": lambda e, *_: gpr.kernel_matrix(_with(ANGLES, e), ANGLES, HYPER),
     "xb": lambda e, *_: gpr.kernel_matrix(ANGLES, _with(ANGLES, e), HYPER),
+    "X (basis)": lambda e, *_: gpr.basis_matrix(_with(ANGLES, e)),
     "field beta": lambda e, *fixtures: _archived_beta(_with([0.0] * 3, e), *fixtures),
     "x": lambda e, *_: joints.loo_rmse_poly(_with(ANGLES, e), TARGETS, 1),
     "y (poly)": lambda e, *_: joints.loo_rmse_poly(ANGLES, _with(TARGETS, e), 1),
@@ -181,6 +183,19 @@ def test_every_array_boundary_refuses_a_bad_entry_naming_the_field(
     assert str(err.value) == f"{boundary.split(' (')[0]}: {problem}"
 
 
+# the array boundaries that refuse a NaN or infinite entry, in the words of
+# the typed-number rule
+FINITE_BOUNDARIES = ["deformation_angle", "X", "y", "beta", "Xq", "xa", "xb", "X (basis)"]
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("boundary", FINITE_BOUNDARIES)
+def test_array_boundaries_refuse_a_non_finite_entry_naming_the_field(boundary, entry):
+    with pytest.raises(ValueError) as err:
+        ARRAY_BOUNDARIES[boundary](entry)
+    assert str(err.value) == f"{boundary.split(' (')[0]}: must be a finite number"
+
+
 def test_floats_takes_a_number_array_without_a_copy():
     values = np.array(ANGLES)
     assert units.floats("v", values) is values
@@ -189,3 +204,132 @@ def test_floats_takes_a_number_array_without_a_copy():
     assert units.floats("v", [1, np.float32(0.5), math.nan])[1] == 0.5
     with pytest.raises(ValueError, match="^v: expected float$"):
         units.floats("v", np.array([True, False]))
+
+
+# -- the frozen records (units._Record) ------------------------------------------
+
+
+def _record_values():
+    """Each record class's field values in field order, one field's other
+    valid value (field, value), and one field's value that __post_init__
+    refuses (field, value, exception), None for a record without checks."""
+    model = gpr.fit(ANGLES, TARGETS, HYPER, 0.1)
+    actuator = mechanics.ActuatorSpec(0.08, 3.0, 1.0)
+    spec = mechanics.RingDesignSpec(100.0, 5, 40, 0.85, actuator,
+                                    JointFamily(FamilyKind.SQUARE_SYM), 2, 1.05, 1.0)
+    report = mechanics.design_module(spec, SQ_MODEL)
+    column = ["square_sym"], [math.nan], [90.0], ["forward"], [1.0], [170.0], ["r1"]
+    rows = {
+        gpr.KernelHyperParams: ((2.0, (20.0,)), ("signal_variance", 3.0),
+                                ("signal_variance", -1.0, ValueError)),
+        gpr.KernelSpectrum: ((np.zeros((1, 1)), (1.0,), np.ones(1), np.ones((1, 1)), 0.0, None),
+                             ("tail", 0.5), ("lam", [1.0], AttributeError)),
+        gpr.FittedGP: (tuple(vars(model).values()), ("noise_variance", 0.2),
+                       ("beta", [0.0] * 3, AttributeError)),
+        gpr.GridSpec: (((1.0,), ((10.0,),), (0.1,)), ("signal_variances", (2.0,)),
+                       ("noise_variances", (-1.0,), ValueError)),
+        JointFamily: ((FamilyKind.CURVE, 0.8), ("thickness", 1.2), ("thickness", True, ValueError)),
+        JointDataset: (column, ("run_id", ["r2"]), ("force", ["1.0"], ValueError)),
+        joints.JointEnvelope: ((140.0, None, 2.9, 90.0), ("max_observed_force", 3.0),
+                               ("return_decay_onset", 150.0, ValueError)),
+        joints.JointFamilyModel: ((FamilyKind.SQUARE_SYM, model, None, None, None),
+                                  ("force_loo_rmse", 0.5), ("kind", FamilyKind.CURVE, ValueError)),
+        archive.ArchiveInfo: (("curve", "m1"), ("model_id", "m2"), None),
+        mechanics.ActuatorSpec: ((0.08, 3.0, 1.0), ("spindle_radius", 4.0),
+                                 ("rated_torque", -1.0, ValueError)),
+        mechanics.RingDesignSpec: (tuple(vars(spec).values()), ("target_ratio", 0.9),
+                                   ("joints_per_ring", 41, ValueError)),
+        mechanics.MotorRequirements: ((42.0, 1.9, 0.126, True), ("overdrive", False), None),
+        mechanics.DesignReport: (tuple(vars(report).values()), ("flags", ()), None),
+    }
+    return {cls.__name__: (cls, *row) for cls, row in rows.items()}
+
+
+RECORDS = [
+    "KernelHyperParams", "KernelSpectrum", "FittedGP", "GridSpec", "JointFamily", "JointDataset",
+    "JointEnvelope", "JointFamilyModel", "ArchiveInfo", "ActuatorSpec", "RingDesignSpec",
+    "MotorRequirements", "DesignReport",
+]
+
+# repr text of @dataclass(frozen=True), which the records had before units._Record
+PINNED_REPRS = {
+    "KernelHyperParams": "KernelHyperParams(signal_variance=2.0, length_scales=(20.0,))",
+    "JointFamily": "JointFamily(kind=<FamilyKind.CURVE: 'curve'>, thickness=0.8)",
+    "ArchiveInfo": "ArchiveInfo(family='curve', model_id='m1')",
+    "GridSpec": "GridSpec(signal_variances=(1.0,), length_scale_grids=((10.0,),), "
+                "noise_variances=(0.1,))",
+    "MotorRequirements": "MotorRequirements(total_force=42.0, min_spindle_radius=1.9, "
+                         "torque_at_spindle=0.126, overdrive=True)",
+}
+
+
+def _outcome(call):
+    """call()'s value, or the type of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - compared with the twin's
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_keeps_the_frozen_dataclass_contract(name):
+    cls, values, (other, other_value), bad = _record_values()[name]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert len(names) == len(values)
+    record = cls(*values)
+    stored = tuple(getattr(record, n) for n in names)
+    assert list(vars(record)) == names
+    assert repr(cls(**dict(zip(names, values)))) == repr(record)  # keywords bind as positions
+
+    # frozen: no field (nor any other attribute) assigned or deleted
+    for attribute in (names[0], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, attribute, values[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, names[0])
+    assert getattr(record, names[0]) is stored[0]
+
+    # ==, hash and repr as the methods @dataclass(frozen=True) generates give
+    # them, on a twin built with it from the same stored values
+    twin_cls = dataclasses.make_dataclass(cls.__name__, list(zip(names, [object] * len(names))),
+                                          frozen=True, eq=cls is not JointDataset)
+    twin = twin_cls(*stored)
+    copy, changed = dataclasses.replace(record), dataclasses.replace(record, **{other: other_value})
+    twin_copy = twin_cls(*(getattr(copy, n) for n in names))
+    twin_changed = twin_cls(*(getattr(changed, n) for n in names))
+    assert repr(record) == repr(twin) == PINNED_REPRS.get(name, repr(twin))
+    for ours, theirs in [
+        (lambda: record == copy, lambda: twin == twin_copy),
+        (lambda: record == changed, lambda: twin == twin_changed),
+        (lambda: record != copy, lambda: twin != twin_copy),
+        (lambda: record == stored, lambda: twin == stored),
+        (lambda: hash(record) == hash(copy), lambda: hash(twin) == hash(twin_copy)),
+    ]:
+        assert _outcome(ours) == _outcome(theirs)
+    if cls is JointDataset:  # by identity, as with eq=False
+        assert record == record and record != copy and hash(record) == object.__hash__(record)
+    elif _outcome(lambda: hash(twin)) is not TypeError:
+        assert hash(record) == hash(twin)
+
+    # replace builds what the constructor builds from the changed values
+    assert repr(changed) == repr(cls(**dict(zip(names, values)) | {other: other_value}))
+    assert repr(changed) != repr(record)
+
+    # __post_init__ runs on positional and keyword construction alike
+    if bad is not None:
+        field, value, error = bad
+        position = names.index(field)
+        with pytest.raises(error):
+            cls(*values[:position], value, *values[position + 1:])
+        with pytest.raises(error):
+            cls(**dict(zip(names, values)) | {field: value})
+
+    # a missing, repeated or unknown argument
+    with pytest.raises(TypeError, match=f"missing .*'{names[0]}'"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=r"positional arguments but \d+ were given"):
+        cls(*values, None)
