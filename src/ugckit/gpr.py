@@ -17,8 +17,10 @@ eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel
 variance) a model keeps d = sf2 lam + noise, so every solve against
 A = K + noise*I = (F F')^-1 is a matrix product with one whitening factor F
 built on W = V diag(d)^-1/2 (a dense-inverse formulation exists only as an
-independent oracle in the test suite). _whiten is the one path to F'M and
-_gls the one GLS solver on it, for fits and for leave-one-out residuals in
+independent oracle in the test suite). The spectrum's whitener is the one
+path to F'M, F Z, A^-1 r, diag(A^-1) and a query's |F'k|^2, each written
+once per form of the spectrum, so no caller branches on the form. _gls is
+the one GLS solver on F'M, for fits and for leave-one-out residuals in
 closed form rather than from n refits (loo_residuals, the toolkit's one LOO
 routine: it applies F to the rank + 1 columns of _gls's residual and basis
 Q and forms no n x n matrix, and with no model, F = I, it scores the
@@ -26,22 +28,31 @@ polynomial baseline of joints too). Predictions run in blocks of query rows,
 with one unit-signal cross-kernel per block for every target on the same
 rows and length scales (predict_targets; predict_many is its one-model
 call): each target scales it by its signal variance for its means, and the
-first target alone gets variances, from one product per block with W, or
-with V on the low-rank form.
+first target alone gets variances.
 
-The spectrum takes one of three forms. The dense and Kronecker forms keep
-all n eigenpairs, and F = W. The low-rank form keeps r < n (Harbrecht,
-Peters and Schneider 2012, On the low-rank approximation by the pivoted
-Cholesky decomposition; Halko, Martinsson and Tropp 2011, Finding Structure
-with Randomness): pivoted Cholesky K1 ~ L L', which reads K1's unit
-diagonal and its pivot rows only, so that no n x n matrix is formed,
-pivoting on the largest residual diagonal (the lowest index on a tie),
-stops once the residual's
-trace, kept as KernelSpectrum.tail, is at most n eps times the first pivot
-column's squared norm (a lower bound on lam_max); the thin SVD of L then
-gives V (n x r) and lam. The trace bounds |K1 - L L'|_2 up to the rounding
-of its running update, about n r eps: the order of the stopping tolerance
-itself and of the dense eigh's own error. Off the range of V, A = noise*I:
+The spectrum takes one of three forms. The dense form keeps all n
+eigenpairs as V. The Kronecker form, on 2-D rows that are exactly the
+product of their distinct angles and thicknesses, each pair once (averaged
+bench data measured on a full grid), keeps all n from one small eigh per
+axis (Saatci 2012, Scalable Inference for Structured Gaussian Process
+Models, ch. 5; Wilson, Gilboa, Nehorai and Cunningham 2014, Fast Kernel
+Learning for Multidimensional Pattern Extrapolation), holding the axis
+factors and no n x n V: no n x n matrix is formed on a product grid, in a
+fit, a load, tuning, LOO scores or a prediction. Its beta, alpha, means and
+variances differ in their last bits from those of an expanded V (the
+variances, sf2 - |F'k|^2, by about 1e-14 sf2); the dense and low-rank
+arithmetic is that of V itself. F = W on both. The low-rank form keeps
+r < n (Harbrecht, Peters and Schneider 2012, On the low-rank approximation
+by the pivoted Cholesky decomposition; Halko, Martinsson and Tropp 2011,
+Finding Structure with Randomness): pivoted Cholesky K1 ~ L L', which reads
+K1's unit diagonal and its pivot rows only, so that no n x n matrix is
+formed, pivoting on the largest residual diagonal (the lowest index on a
+tie), stops once the residual's trace, kept as KernelSpectrum.tail, is at
+most n eps times the first pivot column's squared norm (a lower bound on
+lam_max); the thin SVD of L then gives V (n x r) and lam. The trace bounds
+|K1 - L L'|_2 up to the rounding of its running update, about n r eps: the
+order of the stopping tolerance itself and of the dense eigh's own error.
+Off the range of V, A = noise*I:
 
     A^-1 = V diag(1/d) V' + (I - V V')/noise,   F = [W | (I - V V')/sqrt(noise)],
 
@@ -51,12 +62,11 @@ variance, from the explicit complement, not as a difference of squares;
 The low-rank form is tried on 1-D rows from LOW_RANK_MIN_ROWS (256) up, the
 crossover measured on them, and given up past a rank of n/2, where a failed
 attempt has cost about as much as the K1 and dense eigh it falls back to,
-which are formed only then. A model takes
-it only where sf2 * tail <= LOW_RANK_DELTA (1e-9) * noise: zero noise, a
-noise too small for the certificate, and a rank past the cap all take the
-dense eigh, and so do 1-D rows below the crossover, 2-D rows (ragged grids
-and repeated rows, whose crossover is not measured) and product grids,
-whose arithmetic the low-rank form leaves as it is, bit for bit.
+which are formed only then. A model takes it only where sf2 * tail <=
+LOW_RANK_DELTA (1e-9) * noise: zero noise, a noise too small for the
+certificate, and a rank past the cap all take the dense eigh, and so do
+1-D rows below the crossover and 2-D rows that are not a product grid
+(ragged grids and repeated rows, whose crossover is not measured).
 
 K1 depends only on the training rows and the length scales, so there is one
 spectrum per distinct (rows, length scales), shared by the targets and archive
@@ -65,32 +75,17 @@ covariance share one factorization). The sharing is explicit: every model
 keeps a read-only reference to the KernelSpectrum it was built from
 (FittedGP.spectrum), and fit(..., spectrum=s) reuses s only when its rows
 and length scales are bit-identical to X and hyper.length_scales, and builds
-its own otherwise. tune_hyperparams(X, targets) scores every (y,
-GridSpec) target in one loop over the length-scale tuples their grids share:
-per tuple it rotates [H | y_1 | y_2 ...] into K1's eigenbasis once, and
-scores all of a target's (signal variance, noise) candidates at once: one
-stacked QR of their whitened [H | y], whose triangular factor alone gives
-each GLS residual's norm (_qr_residual), and one likelihood per row. Nothing
-is cached between calls. A GridSpec refuses an axis that is not a sequence,
-an empty one or a value fit() would refuse when it is built, so the search
+its own otherwise. Fits, loads and tuning's picks go through the same
+spectra, so a saved model reloads bit for bit whatever its form.
+tune_hyperparams(X, targets) scores every (y, GridSpec) target in one loop
+over the length-scale tuples their grids share: per tuple it rotates [H |
+y_1 | y_2 ...] into K1's eigenbasis once (KernelSpectrum.rotate), and scores
+all of a target's (signal variance, noise) candidates at once: one stacked
+QR of their whitened [H | y], whose triangular factor alone gives each GLS
+residual's norm (_qr_residual), and one likelihood per row. Nothing is
+cached between calls. A GridSpec refuses an axis that is not a sequence, an
+empty one or a value fit() would refuse when it is built, so the search
 itself checks no candidate.
-
-The kernel is a product over its axes, so on 2-D rows that are exactly the
-product of their distinct angles and thicknesses, each pair once (averaged
-bench data measured on a full grid), K1 is a row permutation of the
-Kronecker product of the two one-axis kernels, and _kernel_eigh builds the
-spectrum from one small eigh per axis (Saatci 2012, Scalable Inference for
-Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
-Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
-Extrapolation). All other rows (1-D, a ragged grid, repeated rows) take the
-low-rank spectrum where it is tried and certified, and the dense n x n eigh
-otherwise. Fits, loads and tuning's picks all go through _kernel_eigh, so a
-saved model reloads bit for bit whatever its form. Tuning on a product grid
-builds no n x n matrix while it scores: one eigh per distinct (axis, length
-scale), kept in a memo local to the call, and the rotation kron(V_a, V_t)' M
-as V_a' X V_t per column; only the picked length scales get a full
-spectrum, from the same per-axis factors. Tuning on other rows scores on
-the dense eigh, and builds its picks as fit() builds them.
 
 Every model fit() and tune_hyperparams() return is immutable, so it can be
 shared freely across threads. Grid search in tune_hyperparams breaks ties
@@ -241,31 +236,48 @@ def _repeats(rows: np.ndarray) -> bool:
 class KernelSpectrum(_Record):
     """K1 = V diag(lam) V', the unit-signal kernel on the rows x at
     length_scales (see _kernel_eigh). Its arrays are read-only, so models of
-    several targets on the same rows share one.
+    several targets on the same rows share one. Callers apply V only through
+    rotate and whitener, each written once per form.
 
-    The dense form keeps all n eigenpairs. The low-rank form (truncated)
+    The dense form keeps all n eigenpairs as V. The low-rank form (truncated)
     keeps r < n (_low_rank): K1 - V diag(lam) V' is positive semidefinite
     with trace tail, which bounds its 2-norm up to rounding, and the rest of
     R^n counts as eigenvalue 0. A dense spectrum may carry the low-rank one
     on the same rows as low_rank: a model whose noise fails the low-rank
     form's check takes the dense one (_fitted), and another target fitted
-    on it still takes the low-rank one where its own noise passes."""
+    on it still takes the low-rank one where its own noise passes. The
+    Kronecker form keeps all n eigenpairs but no n x n V (V is None): kron
+    holds the axis factors, lam's sort order and each row's index into the
+    kron order, V = kron(V_a, V_t)[index][:, order]."""
 
     x: np.ndarray  # (n, d)
     length_scales: tuple[float, ...]
     lam: np.ndarray  # (r,)
-    V: np.ndarray  # (n, r)
+    V: np.ndarray | None  # (n, r); None on the Kronecker form
     tail: float = 0.0
     low_rank: "KernelSpectrum | None" = None
+    kron: tuple | None = None  # (V_a, V_t, order, index) on the Kronecker form
 
     def __post_init__(self):
-        for name in ("x", "lam", "V"):
-            getattr(self, name).setflags(write=False)
+        for array in (self.x, self.lam, *(self.kron or (self.V,))):
+            array.setflags(write=False)
 
     @property
     def truncated(self) -> bool:
         """Whether this is the low-rank form: fewer eigenpairs than rows."""
         return self.lam.size < self.x.shape[0]
+
+    def rotate(self, M: np.ndarray) -> np.ndarray:
+        """V'M for the n rows of M, a vector or a matrix."""
+        if self.kron is None:
+            return self.V.T @ M
+        V_a, V_t, order, index = self.kron
+        return _kron_rotate(V_a, V_t, M, index, order)
+
+    def whitener(self, d: np.ndarray, noise_variance: float):
+        """F, F F' = A^-1, of A = sf2 K1 + noise*I with the spectrum d on
+        the range of V."""
+        return (_Whitener if self.kron is None else _KronWhitener)(self, d, noise_variance)
 
     def matches(self, X: np.ndarray, length_scales) -> bool:
         """Whether this is K1's spectrum on X at length_scales: the rows and
@@ -294,21 +306,18 @@ def _axis_eigh(values: np.ndarray, length_scale: float):
     return np.linalg.eigh(kernel_matrix(values, values, KernelHyperParams(1.0, (length_scale,))))
 
 
-def _kron_eigenvalues(lam_a: np.ndarray, lam_t: np.ndarray):
-    """kron(lam_a, lam_t) sorted ascending (stable) as eigh sorts, and the
-    sort order."""
-    lam = np.kron(lam_a, lam_t)
-    order = np.argsort(lam, kind="stable")
-    return lam[order], order
-
-
-def _kron_rotate(V_a: np.ndarray, V_t: np.ndarray, Mk: np.ndarray) -> np.ndarray:
-    """kron(V_a, V_t)' M for the columns of M in kron order, held as Mk of
-    shape (na, nt, m): V_a' X V_t for each column X, in O(m (na^2 nt +
-    na nt^2)) without forming the kron."""
-    na, nt, m = Mk.shape
-    Z = (V_a.T @ Mk.reshape(na, nt * m)).reshape(na, nt, m)
-    return (V_t.T @ Z).reshape(na * nt, m)
+def _kron_rotate(A: np.ndarray, B: np.ndarray, M: np.ndarray, into, out) -> np.ndarray:
+    """kron(A, B)' Mk read at the positions out, where Mk holds the rows of M
+    (a vector or a matrix) at the positions into: A' X B for each column X
+    of Mk as an na x nt matrix, in O(m (na^2 nt + na nt^2)) for m columns,
+    without forming the kron. With V = kron(V_a, V_t)[index][:, order]:
+    V'M = _kron_rotate(V_a, V_t, M, index, order), and V Z is its transpose,
+    _kron_rotate(V_a', V_t', Z, order, index)."""
+    na, nt = A.shape[0], B.shape[0]
+    Mk = np.empty(M.shape)
+    Mk[into] = M
+    Z = (A.T @ Mk.reshape(na, -1)).reshape(na, nt, -1)
+    return (B.T @ Z).reshape(M.shape)[out]
 
 
 class _KernelRows:
@@ -392,7 +401,27 @@ def _dense(rows: np.ndarray, length_scales, K1=None, low_rank=None) -> KernelSpe
     return KernelSpectrum(rows, tuple(length_scales), lam, V, low_rank=low_rank)
 
 
-def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectrum:
+def _full_spectrum(rows: np.ndarray, length_scales: tuple, grid, memo=None):
+    """K1's spectrum with all n eigenpairs, and the K1 it formed: the
+    Kronecker form where grid = _product_grid(rows) is not None, from one
+    eigh per axis (kept in memo by (axis, length scale)), with no K1; the
+    dense n x n eigh otherwise."""
+    if grid is None:
+        K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, length_scales))
+        return _dense(rows, length_scales, K1), K1
+    axes, index = grid
+    memo = {} if memo is None else memo
+    for key in enumerate(length_scales):
+        if key not in memo:
+            memo[key] = _axis_eigh(axes[key[0]], key[1])
+    (lam_a, V_a), (lam_t, V_t) = (memo[key] for key in enumerate(length_scales))
+    lam = np.kron(lam_a, lam_t)
+    order = np.argsort(lam, kind="stable")  # ascending, as eigh sorts
+    kron = (V_a, V_t, order, index)
+    return KernelSpectrum(rows, length_scales, lam[order], None, kron=kron), None
+
+
+def _kernel_eigh(rows: np.ndarray, length_scales) -> KernelSpectrum:
     """Eigendecomposition K1 = V diag(lam) V' of the unit-signal kernel on
     rows, which the spectrum keeps (the caller's own copy): the one
     factorization behind fit, archive loads and tuning's picks, one per
@@ -406,25 +435,15 @@ def _kernel_eigh(rows: np.ndarray, length_scales, factors=None) -> KernelSpectru
     for Structured Gaussian Process Models, ch. 5; Wilson, Gilboa, Nehorai and
     Cunningham 2014, Fast Kernel Learning for Multidimensional Pattern
     Extrapolation). Its spectrum then comes from an na x na and an nt x nt
-    eigh: lam = kron(lam_a, lam_t) and V = P kron(V_a, V_t), sorted ascending
-    (stable) as eigh sorts. Every other set of rows (1-D, a ragged grid, a
-    repeated row) takes the low-rank spectrum where _low_rank gives one (1-D
-    rows only, from K1's pivot rows), and the dense n x n eigh otherwise,
-    the only case that forms the n x n K1.
-
-    factors: the two per-axis eighs (_axis_eigh) of a product grid at
-    length_scales, when the caller already holds them (tuning's memo)."""
+    eigh: lam = kron(lam_a, lam_t), sorted ascending (stable) as eigh sorts,
+    and V = P kron(V_a, V_t) in that column order, kept as its factors,
+    never as an n x n V. Every other set of rows (1-D, a ragged grid, a
+    repeated row) takes the low-rank spectrum where _low_rank gives one
+    (1-D rows only, from K1's pivot rows), and the dense n x n eigh
+    otherwise, the only case that forms the n x n K1."""
     length_scales = tuple(length_scales)
-    grid = _product_grid(rows)
-    if grid is None:
-        return _low_rank(rows, length_scales) or _dense(rows, length_scales)
-    axes, index = grid
-    if factors is None:
-        factors = [_axis_eigh(v, l) for v, l in zip(axes, length_scales)]
-    (lam_a, V_a), (lam_t, V_t) = factors
-    lam, order = _kron_eigenvalues(lam_a, lam_t)
-    V = np.kron(V_a, V_t)[np.ix_(index, order)]
-    return KernelSpectrum(rows, length_scales, lam, V)
+    return (_low_rank(rows, length_scales)
+            or _full_spectrum(rows, length_scales, _product_grid(rows))[0])
 
 
 def _kept(s: np.ndarray, shape) -> np.ndarray:
@@ -438,9 +457,9 @@ def _kept(s: np.ndarray, shape) -> np.ndarray:
 
 def _gls(Hw: np.ndarray, yw: np.ndarray):
     """Minimum-norm argmin_b (y - H b)' A^-1 (y - H b) from Hw = F'H (m x p)
-    and yw = F'y (_whiten), for fits and leave-one-out residuals; also the
-    whitened residual z = yw - Hw b = (I - Q Q') yw and Q, the left singular
-    vectors of Hw that _kept keeps."""
+    and yw = F'y (KernelSpectrum.whitener), for fits and leave-one-out
+    residuals; also the whitened residual z = yw - Hw b = (I - Q Q') yw and
+    Q, the left singular vectors of Hw that _kept keeps."""
     U, s, Vt = np.linalg.svd(Hw, full_matrices=False)
     keep = _kept(s, Hw.shape)
     U *= keep
@@ -523,17 +542,109 @@ def _training_data(X, y, dim: int):
     return Xm, yv
 
 
-def _whiten(spectrum: KernelSpectrum, W: np.ndarray, noise_variance: float, M):
-    """F'M for the whitening factor F, F F' = A^-1, of a model on spectrum
-    with A's spectrum d on the range of V and W = V diag(d)^-1/2. F'M is
-    W'M for the dense and Kronecker forms; the low-rank form, whose A is
-    noise*I off the range of V, adds the explicit complement (M - V V'M) /
-    sqrt(noise) below it."""
-    WtM = W.T @ M
-    if not spectrum.truncated:
-        return WtM
-    V = spectrum.V
-    return np.concatenate([WtM, (M - V @ (V.T @ M)) / math.sqrt(noise_variance)])
+class _Whitener:
+    """F, F F' = A^-1, on the dense and low-rank forms, with W = V
+    diag(d)^-1/2 formed once: F = W, and on the low-rank form, where A is
+    noise*I off the range of V, F = [W | (I - V V')/sqrt(noise)] with the
+    complement M - V V'M explicit."""
+
+    def __init__(self, spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float):
+        self.V, self.noise, self.truncated = spectrum.V, noise_variance, spectrum.truncated
+        self.root_d = np.sqrt(d)
+        self.W = self.V / self.root_d
+        self.tails = None  # the complement's block-sized array, reused
+
+    def _complement(self, M):
+        return M - self.V @ (self.V.T @ M)
+
+    def whiten(self, M):
+        """F'M."""
+        WtM = self.W.T @ M
+        if not self.truncated:
+            return WtM
+        return np.concatenate([WtM, self._complement(M) / math.sqrt(self.noise)])
+
+    def solve(self, r):
+        """A^-1 r = F F'r."""
+        x = self.W @ (self.W.T @ r)
+        if self.truncated:
+            x += self._complement(r) / self.noise
+        return x
+
+    def spread(self, Z):
+        """F Z, for Z with one row per column of F."""
+        x = self.W @ Z[: self.W.shape[1]]
+        if self.truncated:
+            x += self._complement(Z[self.W.shape[1] :]) / math.sqrt(self.noise)
+        return x
+
+    def diag(self):
+        """diag(A^-1)."""
+        x = np.einsum("ij,ij->i", self.W, self.W)
+        if self.truncated:
+            x += (1.0 - np.einsum("ij,ij->i", self.V, self.V)) / self.noise
+        return x
+
+    def variances(self, k_star, sf2: float):
+        """sf2 - |F'k|^2 for each row k of k_star, from one product: k_* W,
+        or on the low-rank form k_* V, which gives both W'k = (V'k) d^-1/2
+        and the complement k - V V'k."""
+        if not self.truncated:
+            v = k_star @ self.W
+            return sf2 - np.einsum("ij,ij->i", v, v)
+        if self.tails is None:  # the first block is the largest
+            self.tails = np.empty_like(k_star)
+        v = k_star @ self.V
+        tail = np.matmul(v, self.V.T, out=self.tails[: k_star.shape[0]])
+        np.subtract(k_star, tail, out=tail)
+        v /= self.root_d
+        x = sf2 - np.einsum("ij,ij->i", v, v)
+        x -= np.einsum("ij,ij->i", tail, tail) / self.noise
+        return x
+
+
+class _KronWhitener:
+    """F = W = V diag(d)^-1/2 on the Kronecker form, applied through the
+    axis factors (_kron_rotate) and never formed; diag(A^-1) = (V o V) d^-1
+    is (V_a o V_a) D (V_t o V_t)' with D holding d^-1 in kron order."""
+
+    _CHUNK = 64  # query rows per rotation in variances; bounds its arrays
+
+    def __init__(self, spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float):
+        self.spectrum, self.d, self.root_d = spectrum, d, np.sqrt(d)
+        self.V_a, self.V_t, self.order, self.index = spectrum.kron
+
+    def _apply(self, Z, A, B):
+        """kron(A, B) Z with the rows of Z in lam's order, read in the rows'
+        order: V Z for A, B = V_a, V_t."""
+        return _kron_rotate(A.T, B.T, Z, self.order, self.index)
+
+    def whiten(self, M):
+        """F'M."""
+        VtM = self.spectrum.rotate(M)
+        return VtM / (self.root_d if M.ndim == 1 else self.root_d[:, None])
+
+    def solve(self, r):
+        """A^-1 r = V d^-1 V'r."""
+        return self._apply(self.spectrum.rotate(r) / self.d, self.V_a, self.V_t)
+
+    def spread(self, Z):
+        """F Z."""
+        return self._apply(Z / self.root_d[:, None], self.V_a, self.V_t)
+
+    def diag(self):
+        """diag(A^-1)."""
+        return self._apply(1.0 / self.d, self.V_a * self.V_a, self.V_t * self.V_t)
+
+    def variances(self, k_star, sf2: float):
+        """sf2 - |F'k|^2 for each row k of k_star, from V'k_*' (rotate) a few
+        rows at a time."""
+        x = np.empty(k_star.shape[0])
+        for start in range(0, k_star.shape[0], self._CHUNK):
+            rows = slice(start, start + self._CHUNK)
+            v = self.whiten(k_star[rows].T)
+            x[rows] = sf2 - np.einsum("ij,ij->j", v, v)
+        return x
 
 
 def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
@@ -541,7 +652,7 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     """The model on checked targets yv at the rows of spectrum, K1 = V
     diag(lam) V': A = hyper.signal_variance K1 + noise*I has the spectrum
     d = _shifted_spectrum(sf2 lam, noise) on the range of V, which the model
-    keeps, and A^-1 = F F' (_whiten) with W = V diag(d)^-1/2.
+    keeps, and A^-1 = F F' (KernelSpectrum.whitener) with W = V diag(d)^-1/2.
 
     A low-rank spectrum serves only a positive noise with sf2 * tail <=
     LOW_RANK_DELTA * noise; otherwise the model takes the dense spectrum on
@@ -557,12 +668,11 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
     d, _ = _shifted_spectrum(hyper.signal_variance * spectrum.lam, noise_variance)
     if d.min() <= 0:
         raise NotPositiveDefiniteError("kernel matrix not positive definite even with jitter")
-    V = spectrum.V
-    W = V / np.sqrt(d)
+    F = spectrum.whitener(d, noise_variance)
     H = basis_matrix(spectrum.x)
 
     if beta is None:
-        beta_vec, _, _ = _gls(*(_whiten(spectrum, W, noise_variance, M) for M in (H, yv)))
+        beta_vec, _, _ = _gls(F.whiten(H), F.whiten(yv))
     else:
         beta_vec = floats("beta", beta).ravel()
         if beta_vec.shape[0] != H.shape[1]:
@@ -571,10 +681,7 @@ def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: Kerne
             raise ValueError("beta: must be a finite number")
 
     # alpha = F F' r from beta alone, so a reload with beta held fixed is bit-identical
-    r = yv - H @ beta_vec
-    alpha = W @ (W.T @ r)
-    if spectrum.truncated:
-        alpha += (r - V @ (V.T @ r)) / noise_variance
+    alpha = F.solve(yv - H @ beta_vec)
     return FittedGP(beta=beta_vec, noise_variance=float(noise_variance), hyper=hyper,
                     train_y=yv.copy(), d=d, alpha=alpha, spectrum=spectrum)
 
@@ -626,7 +733,8 @@ def loo_residuals(
     thickness) gives what the refits' minimum-norm GLS gives. From the one
     _gls(F'H, F'y), P y = F z with z = (I - Q Q') F'y and diag(P) =
     diag(A^-1) - rowsum((F Q)^2), so F, the model's whitening factor
-    (_whiten), meets rank + 1 columns only and no n x n matrix is formed.
+    (KernelSpectrum.whitener), meets rank + 1 columns only and no n x n
+    matrix is formed.
 
     The one leave-one-out routine: a fitted GP passes basis_matrix(train_x),
     train_y and itself (beta re-estimated in every fold, also for a model
@@ -642,14 +750,9 @@ def loo_residuals(
         _, z, Q = _gls(H, y)
         FzQ, diag_inv = np.column_stack([z, Q]), np.ones(n)
     else:
-        spectrum, noise, r = model.spectrum, model.noise_variance, model.d.size
-        V, W = spectrum.V, spectrum.V / np.sqrt(model.d)
-        _, z, Q = _gls(*(_whiten(spectrum, W, noise, M) for M in (H, y)))
-        zQ = np.column_stack([z, Q])
-        FzQ, diag_inv = W @ zQ[:r], np.einsum("ij,ij->i", W, W)
-        if spectrum.truncated:  # the complement rows of F'
-            FzQ += (zQ[r:] - V @ (V.T @ zQ[r:])) / math.sqrt(noise)
-            diag_inv += (1.0 - np.einsum("ij,ij->i", V, V)) / noise
+        F = model.spectrum.whitener(model.d, model.noise_variance)
+        _, z, Q = _gls(F.whiten(H), F.whiten(y))
+        FzQ, diag_inv = F.spread(np.column_stack([z, Q])), F.diag()
     FQ = FzQ[:, 1:]
     diag_p = diag_inv - np.einsum("ij,ij->i", FQ, FQ)
     # diag(A^-1) bounds diag(P); a ratio at rounding level is a zero
@@ -690,10 +793,11 @@ def predict_targets(models, Xq, with_variances: bool = True):
     cross-kernel K1_* per block for all the models, scaled by each model's
     signal variance to its k_* = sf2 K1_* (the bits kernel_matrix gives at
     sf2). Both mean products run row by row, so each model's means equal
-    those of a lone predict_many. The first model's variances come from one
-    matrix product per block: k_* W with W = V diag(d)^-1/2 on the dense and
-    Kronecker forms, and on the low-rank form k_* V, which gives both
-    W'k_* = (V'k_*) d^-1/2 and the complement k_* - V V'k_*. Raises
+    those of a lone predict_many. The first model's variances, sf2 -
+    |F'k_*|^2, come from its whitener: k_* W per block on the dense form,
+    k_* V on the low-rank form, which gives both W'k_* = (V'k_*) d^-1/2 and
+    the complement k_* - V V'k_*, and V'k_*' through the axis factors on the
+    Kronecker form, in O(m (na^2 nt + na nt^2)) for m rows. Raises
     ValueError naming the first query point whose mean or variance is not
     finite, model by model in order, the first model's variances with its
     means.
@@ -710,15 +814,11 @@ def predict_targets(models, Xq, with_variances: bool = True):
     means = [np.empty(Q.shape[0]) for _ in models]
     variances = np.empty(Q.shape[0]) if with_variances else None
     unit = KernelHyperParams(1.0, length_scales)
-    sf2, V = first.hyper.signal_variance, first.spectrum.V
-    low_rank = first.spectrum.truncated
     if with_variances:
-        root_d = np.sqrt(first.d)
-        W = V if low_rank else V / root_d  # the low-rank form scales k_* V itself
-    # k_* and the complement reuse one block-sized array each: a fresh array
-    # of that size per block costs more than the arithmetic on it
+        F = first.spectrum.whitener(first.d, first.noise_variance)
+    # k_* and the low-rank complement reuse one block-sized array each: a
+    # fresh array of that size per block costs more than the arithmetic on it
     scaled = np.empty((min(Q.shape[0], _PREDICT_BLOCK), train_x.shape[0]))
-    tails = np.empty_like(scaled) if with_variances and low_rank else None
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -732,16 +832,9 @@ def predict_targets(models, Xq, with_variances: bool = True):
                 out[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
                     "ij,j->i", k_star, model.alpha
                 )
-                if i or not with_variances:
-                    continue
-                v = k_star @ W
-                if low_rank:  # k_* off the range of V, where A is noise*I
-                    tail = np.matmul(v, V.T, out=tails[: K1.shape[0]])
-                    np.subtract(k_star, tail, out=tail)
-                    v /= root_d
-                variances[rows] = sf2 - np.einsum("ij,ij->i", v, v)
-                if low_rank:
-                    variances[rows] -= np.einsum("ij,ij->i", tail, tail) / first.noise_variance
+                if i == 0 and with_variances:
+                    variances[rows] = F.variances(k_star, model.hyper.signal_variance)
+            del K1  # so that the next block's kernel is not built beside it
     if with_variances:
         np.maximum(variances, 0.0, out=variances)
     for i, out in enumerate(means):
@@ -810,15 +903,14 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     whose R alone gives r' A^-1 r of each pair's minimum-norm GLS
     (_qr_residual, ranked by _gls's rule), and one likelihood per row.
 
-    On rows that form a product grid (_product_grid), no n x n matrix is
-    built while scoring: each distinct (axis, length scale) gets one eigh,
-    held in a memo for this call only, and V'[H | Y] comes through the
-    factors (_kron_rotate) in kron order, then sorted as _kernel_eigh sorts.
-    Other rows score on the dense eigh of K1 per tuple (_dense). Each pick is
-    built as fit() builds it there (_kernel_eigh), bit for bit: on a product
-    grid from the same factors, and on other rows from the K1 it was scored
-    on, low-rank where _low_rank gives a spectrum and the scored dense one
-    otherwise. A one-target call runs the same loop.
+    V'[H | Y] comes from the spectrum's rotate on every form. On a product
+    grid (_product_grid) that is the Kronecker form, so no n x n matrix is
+    built: each distinct (axis, length scale) gets one eigh, held in a memo
+    for this call only. Other rows score on the dense eigh of K1 per tuple.
+    Each pick is the model fit() builds there, bit for bit: on the spectrum
+    it was scored on, or on other rows on the low-rank spectrum of the K1 it
+    was scored on where _low_rank gives one. A one-target call runs the same
+    loop.
 
     Ties keep the earlier candidate in the cartesian product of the axes
     (signal variance, length scales, noise variance), so repeated runs
@@ -840,20 +932,7 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     ys = [yv for _, yv in data]
     M = np.column_stack([basis_matrix(rows), *ys])  # [H | y_1 | y_2 ...]
     p = M.shape[1] - len(ys)
-    grid = _product_grid(rows)
-    if grid is not None:
-        axes, index = grid
-        Mk = np.empty_like(M)
-        Mk[index] = M  # the rows in kron order
-        Mk = Mk.reshape(axes[0].size, axes[1].size, M.shape[1])
-        memo = {}  # (axis, length scale) -> that axis's eigh
-
-        def factors(ls):
-            for key in enumerate(ls):
-                if key not in memo:
-                    memo[key] = _axis_eigh(axes[key[0]], key[1])
-            return [memo[key] for key in enumerate(ls)]
-
+    grid, memo = _product_grid(rows), {}  # memo: (axis, length scale) -> its eigh
     # each target's (i, k) candidates in scan order, with their signal and
     # noise variances; zero noise is skipped on repeated rows
     repeats = any(0.0 in search.noise_variances for _, search in targets) and _repeats(rows)
@@ -865,15 +944,8 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
     # length-scale tuples outermost, so only each target's best is held
     best = [((math.inf,), None)] * len(targets)
     for j, ls in enumerate(itertools.product(*grids)):
-        if grid is None:
-            K1 = kernel_matrix(rows, rows, KernelHyperParams(1.0, ls))
-            spectrum = _dense(rows, ls, K1)
-            lam, rotated = spectrum.lam, spectrum.V.T @ M
-        else:
-            K1 = spectrum = None  # materialized for the picks only
-            (lam_a, V_a), (lam_t, V_t) = factors(ls)
-            lam, order = _kron_eigenvalues(lam_a, lam_t)
-            rotated = _kron_rotate(V_a, V_t, Mk)[order]
+        spectrum, K1 = _full_spectrum(rows, ls, grid, memo)
+        lam, rotated = spectrum.lam, spectrum.rotate(M)
         for t, (ik, sf2, noise) in enumerate(scans):
             d, _ = _shifted_spectrum(sf2[:, None] * lam, noise[:, None])
             usable = np.flatnonzero(d.min(axis=-1) > 0)
@@ -886,16 +958,14 @@ def tune_hyperparams(X, targets) -> tuple[FittedGP, ...]:
                 # the scan-order index breaks ties; a NaN score never compares below
                 key = (-score, ik[c][0], j, ik[c][1])
                 if key < best[t][0]:
-                    best[t] = (key, (ls, spectrum, K1))
+                    best[t] = (key, (spectrum, K1))
     if any(pick is None for _, pick in best):
         raise NotPositiveDefiniteError("no grid candidate produced a factorizable kernel")
     models, spectra = [], {}
-    for yv, ((_, i, _, k), (ls, spectrum, K1)), (_, search) in zip(ys, best, targets):
+    for yv, ((_, i, _, k), (spectrum, K1)), (_, search) in zip(ys, best, targets):
+        ls = spectrum.length_scales
         if ls not in spectra:  # as _kernel_eigh builds it
-            if spectrum is None:
-                spectra[ls] = _kernel_eigh(rows, ls, factors(ls))
-            else:
-                spectra[ls] = _low_rank(rows, ls, K1) or spectrum
+            spectra[ls] = _low_rank(rows, ls, K1) or spectrum
         spectrum = spectra[ls]
         hyper = KernelHyperParams(search.signal_variances[i], ls)
         models.append(_fitted(yv, hyper, search.noise_variances[k], spectrum))

@@ -382,10 +382,15 @@ def loo_rmse_poly(x, y, degree: int) -> float | None:
     None when a fold has fewer than degree + 1 rows (checked before any
     matrix is built), all angles are equal, the Vandermonde matrix has rank
     below its column count, some fold leaves the polynomial undetermined, or
-    the RMSE is past the float range.
+    the RMSE is past the float range. A NaN or inf entry raises ValueError
+    naming x or y, and a y without one entry per row of x InputError.
     """
-    X = gpr._as_points(x, "x")
-    y = floats("y", y)
+    X = gpr._finite_points(x, "x")
+    y = floats("y", y).ravel()
+    if y.shape[0] != X.shape[0]:
+        raise InputError(f"x has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y: must be a finite number")
     _, group, counts = np.unique(X[:, 1:], axis=0, return_inverse=True, return_counts=True)
     if min(counts, default=0) - 1 < degree + 1:
         return None

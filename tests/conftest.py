@@ -421,6 +421,16 @@ def kernel_shapes(monkeypatch):
     return shapes
 
 
+def spectrum_V(spectrum: gpr.KernelSpectrum) -> np.ndarray:
+    """The spectrum's V as an array: its own on the dense and low-rank
+    forms, and on the Kronecker form, which keeps no n x n V, expanded here
+    from its axis factors, sort order and row index."""
+    if spectrum.kron is None:
+        return spectrum.V
+    V_a, V_t, order, index = spectrum.kron
+    return np.kron(V_a, V_t)[np.ix_(index, order)]
+
+
 def assert_same_model(got: gpr.FittedGP, want: gpr.FittedGP) -> None:
     """got equals want bit for bit in every fitted value."""
     assert (got.hyper, got.noise_variance) == (want.hyper, want.noise_variance)

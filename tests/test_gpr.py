@@ -24,6 +24,7 @@ from conftest import (
     oracle_lml,
     random_gp_instance,
     refit_loo_residuals_gp,
+    spectrum_V,
 )
 
 
@@ -224,6 +225,11 @@ class TestFitPredict:
         assert m.spectrum.truncated == (form == "low_rank")
         held = sum(v.nbytes for v in vars(m).values() if isinstance(v, np.ndarray))
         assert held <= 4 * len(X) * 8
+        if form == "kronecker":  # the axis factors, sort order and row index, no n x n V
+            assert m.spectrum.V is None
+            arrays = [v for v in vars(m.spectrum).values() if isinstance(v, np.ndarray)]
+            arrays += list(m.spectrum.kron)
+            assert max(a.size for a in arrays) < len(X) ** 2
 
     def test_matches_oracle_fixed_and_gls_beta(self):
         rng = np.random.default_rng(123)
@@ -490,8 +496,9 @@ class TestKroneckerSpectrum:
         s = gpr._kernel_eigh(X, (20.0, 0.4))
         assert eigh_calls == [(9, 9), (4, 4)]
         K = gpr.kernel_matrix(X, X, hp(1.0, (20.0, 0.4)))
-        assert _rel_gap((s.V * s.lam) @ s.V.T, K) <= 1e-13
-        assert _rel_gap(s.V.T @ s.V, np.eye(len(X))) <= 1e-13
+        V = spectrum_V(s)
+        assert _rel_gap((V * s.lam) @ V.T, K) <= 1e-13
+        assert _rel_gap(V.T @ V, np.eye(len(X))) <= 1e-13
         assert np.all(np.diff(s.lam) >= 0)  # ascending, as eigh returns it
 
     def test_fit_matches_the_dense_inverse_oracle(self):
@@ -506,6 +513,62 @@ class TestKroneckerSpectrum:
         for q, mean, var in zip(queries, *gpr.predict_many(model, queries)):
             omean, ovar = opredict(q)
             assert abs(mean - omean) < 1e-10 and abs(var - ovar) < 1e-10
+
+    @pytest.mark.parametrize("rows, ls", [
+        ("shuffled", (20.0, 0.4)), ("bench", (40.0, 0.8)), ("bench", (20.0, 0.8))])
+    def test_operations_equal_those_of_the_expanded_V(self, rows, ls):
+        # V'M, V Z (through F Z and A^-1 r), diag(A^-1) and |F'k_*|^2 against
+        # the n x n V, expanded here; the bench rows are the benchmark's
+        # averaged curve grid, 81 angles x 4 thicknesses, and its seed-1 picks
+        if rows == "shuffled":
+            X, _ = _shuffled_grid()
+        else:
+            X = np.array([[a, t] for a in np.linspace(30.0, 150.0, 81)
+                          for t in (0.4, 0.8, 1.2, 1.6)])
+        s = gpr._kernel_eigh(X, ls)
+        V_a, V_t, order, index = s.kron
+        V = np.kron(V_a, V_t)[np.ix_(index, order)]
+        sf2, noise = 1.7, 0.017
+        d, _ = gpr._shifted_spectrum(sf2 * s.lam, noise)
+        root_d = np.sqrt(d)
+        rng = np.random.default_rng(2)
+        M, Z, r = (rng.normal(size=shape) for shape in ((len(X), 6), (len(X), 4), len(X)))
+        F = s.whitener(d, noise)
+        assert _rel_gap(s.rotate(M), V.T @ M) <= 1e-13
+        assert _rel_gap(s.rotate(r), V.T @ r) <= 1e-13
+        assert _rel_gap(F.whiten(M), (V / root_d).T @ M) <= 1e-13
+        assert _rel_gap(F.spread(Z), V @ (Z / root_d[:, None])) <= 1e-13
+        assert _rel_gap(F.solve(r), V @ ((V.T @ r) / d)) <= 1e-13
+        assert _rel_gap(F.diag(), np.einsum("ij,ij->i", V, V / d)) <= 1e-13
+        queries = rng.uniform(X.min(axis=0), X.max(axis=0), (150, 2))
+        k_star = gpr.kernel_matrix(queries, X, hp(sf2, ls))
+        v = k_star @ (V / root_d)
+        explained = sf2 - F.variances(k_star, sf2)  # |F'k_*|^2
+        assert _rel_gap(explained, np.einsum("ij,ij->i", v, v)) <= 1e-13
+
+    def test_tuned_fit_loo_and_predict_allocate_less_than_one_n_by_n_array(self):
+        # n = 1000, 250 angles x 4 thicknesses: a tuned pair, both targets'
+        # LOO residuals, and a 1,201-point prediction with variances
+        rng = np.random.default_rng(10)
+        X = np.array([[a, t] for a in np.linspace(30.0, 150.0, 250)
+                      for t in (0.4, 0.8, 1.2, 1.6)])
+        force = 0.02 * X[:, 0] + 4.0 * X[:, 1] ** 2 + rng.normal(0.0, 0.08, len(X))
+        back = 180.0 - 0.3 * X[:, 0] * X[:, 1] + rng.normal(0.0, 1.0, len(X))
+        targets = [(y, joints._default_tuning_grid(FamilyKind.CURVE, float(np.var(y))))
+                   for y in (force, back)]
+        queries = np.column_stack([np.linspace(30.0, 150.0, 1201), np.full(1201, 0.8)])
+        H = gpr.basis_matrix(X)
+        tracemalloc.start()
+        try:
+            models = gpr.tune_hyperparams(X, targets)
+            for model in models:
+                gpr.loo_residuals(H, model.train_y, model)
+            gpr.predict_many(models[0], queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(m.spectrum.kron is not None for m in models)
+        assert peak < 1000 * 1000 * np.dtype(float).itemsize
 
     @pytest.mark.parametrize("rows", ["ragged", "repeated_pair", "repeated_runs", "one_dim"])
     def test_other_rows_take_one_dense_eigh(self, eigh_calls, curve_dataset, rows):

@@ -16,6 +16,7 @@ from conftest import (
     gp_loo_rmse,
     refit_loo_residuals_gp,
     refit_loo_rmse_poly,
+    spectrum_V,
     square_bench_csv,
     square_return_true,
 )
@@ -355,6 +356,18 @@ class TestPolyBaseline:
         x = np.linspace(10.0, 170.0, 20)
         assert joints.loo_rmse_poly(x, 0.01 * x, 300) is None
 
+    @pytest.mark.parametrize("x, y", [
+        ([10.0, 20.0, 30.0, 40.0], [1.0, 0.0, 2.0]),
+        ([10.0, 20.0, 30.0], [1.0, 0.0, 2.0, 3.0]),
+        ([[10.0, 0.4], [20.0, 0.4], [30.0, 0.4]], [1.0, 0.0]),
+    ], ids=["short-y", "long-y", "rows"])
+    def test_loo_refuses_a_y_without_one_entry_per_row(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^x has {len(x)} rows but y has {len(y)} entries$"
+            with pytest.raises(InputError, match=message):
+                joints.loo_rmse_poly(x, y, 1)
+
     @pytest.mark.parametrize(
         "x, degree",
         [([90.0] * 10, 2), ([30.0, 60.0, 90.0] * 4, 5)],
@@ -573,7 +586,7 @@ def _unshared_predict(model: gpr.FittedGP, X):
     from k_* W with W = V d^-1/2 and, on the low-rank form, the complement
     from a second product k_* V."""
     Q = np.asarray(X, dtype=float).reshape(len(X), -1)
-    V = model.spectrum.V
+    V = spectrum_V(model.spectrum)
     W = V / np.sqrt(model.d)
     means, variances = [], []
     for start in range(0, len(Q), 256):
@@ -593,14 +606,17 @@ def _unshared_predict(model: gpr.FittedGP, X):
 def _assert_unshared_answers(model, thetas, thickness, got):
     """got, joints.predict_many's answer, against _unshared_predict: the
     force means and return angles bit for bit, and the stds to 1e-12
-    relative (on the low-rank form, against a lone gpr.predict_many, whose
-    |W'k_*|^2 comes from k_* V)."""
+    relative (on the low-rank and Kronecker forms, against a lone
+    gpr.predict_many, whose |F'k_*|^2 comes from k_* V or from V'k_*'
+    through the axis factors, and to 1e-10 against _unshared_predict)."""
     means, stds, returns, _ = got
     X = np.asarray(thetas, dtype=float)[:, None]
     if thickness is not None:
         X = np.column_stack([X, np.full(len(X), thickness)])
     want_means, want_var = _unshared_predict(model.force_model, X)
-    if model.force_model.spectrum.truncated:
+    spectrum = model.force_model.spectrum
+    if spectrum.truncated or spectrum.kron is not None:
+        np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-10, atol=0.0)
         want_var = gpr.predict_many(model.force_model, X)[1]
     assert np.array_equal(means, want_means)
     np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-12, atol=0.0)

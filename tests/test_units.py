@@ -185,7 +185,9 @@ def test_every_array_boundary_refuses_a_bad_entry_naming_the_field(
 
 # the array boundaries that refuse a NaN or infinite entry, in the words of
 # the typed-number rule
-FINITE_BOUNDARIES = ["deformation_angle", "X", "y", "beta", "Xq", "xa", "xb", "X (basis)"]
+FINITE_BOUNDARIES = [
+    "deformation_angle", "X", "y", "beta", "Xq", "xa", "xb", "X (basis)", "x", "y (poly)",
+]
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
@@ -222,8 +224,8 @@ def _record_values():
     rows = {
         gpr.KernelHyperParams: ((2.0, (20.0,)), ("signal_variance", 3.0),
                                 ("signal_variance", -1.0, ValueError)),
-        gpr.KernelSpectrum: ((np.zeros((1, 1)), (1.0,), np.ones(1), np.ones((1, 1)), 0.0, None),
-                             ("tail", 0.5), ("lam", [1.0], AttributeError)),
+        gpr.KernelSpectrum: ((np.zeros((1, 1)), (1.0,), np.ones(1), np.ones((1, 1)), 0.0, None,
+                              None), ("tail", 0.5), ("lam", [1.0], AttributeError)),
         gpr.FittedGP: (tuple(vars(model).values()), ("noise_variance", 0.2),
                        ("beta", [0.0] * 3, AttributeError)),
         gpr.GridSpec: (((1.0,), ((10.0,),), (0.1,)), ("signal_variances", (2.0,)),
