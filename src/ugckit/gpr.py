@@ -92,6 +92,7 @@ shared freely across threads. Grid search in tune_hyperparams breaks ties
 toward the earlier candidate in a fixed order, so the result is reproducible.
 """
 
+import functools
 import itertools
 import math
 
@@ -306,18 +307,24 @@ def _axis_eigh(values: np.ndarray, length_scale: float):
     return np.linalg.eigh(kernel_matrix(values, values, KernelHyperParams(1.0, (length_scale,))))
 
 
-def _kron_rotate(A: np.ndarray, B: np.ndarray, M: np.ndarray, into, out) -> np.ndarray:
-    """kron(A, B)' Mk read at the positions out, where Mk holds the rows of M
-    (a vector or a matrix) at the positions into: A' X B for each column X
-    of Mk as an na x nt matrix, in O(m (na^2 nt + na nt^2)) for m columns,
-    without forming the kron. With V = kron(V_a, V_t)[index][:, order]:
-    V'M = _kron_rotate(V_a, V_t, M, index, order), and V Z is its transpose,
-    _kron_rotate(V_a', V_t', Z, order, index)."""
+def _kron_rotate(A: np.ndarray, B: np.ndarray, M: np.ndarray, into, out, work=None) -> np.ndarray:
+    """kron(A, B)' Mk read at the positions out (all of it, in kron order,
+    for out None), where Mk holds the rows of M (a vector or a matrix) at
+    the positions into: A' X B for each column X of Mk as an na x nt matrix,
+    in O(m (na^2 nt + na nt^2)) for m columns, without forming the kron.
+    With V = kron(V_a, V_t)[index][:, order]: V'M = _kron_rotate(V_a, V_t,
+    M, index, order), and V Z is its transpose, _kron_rotate(V_a', V_t', Z,
+    order, index).
+
+    work: two arrays of M's size that hold Mk and A' Mk in place of fresh
+    ones. M is read before either is written, so it may be a view of the
+    second; with out None the answer is a view of the first."""
     na, nt = A.shape[0], B.shape[0]
-    Mk = np.empty(M.shape)
+    Mk, AMk = (np.empty(M.shape), None) if work is None else (w.reshape(M.shape) for w in work)
     Mk[into] = M
-    Z = (A.T @ Mk.reshape(na, -1)).reshape(na, nt, -1)
-    return (B.T @ Z).reshape(M.shape)[out]
+    AMk = np.matmul(A.T, Mk.reshape(na, -1), out=None if AMk is None else AMk.reshape(na, -1))
+    R = np.matmul(B.T, AMk.reshape(na, nt, -1), out=Mk.reshape(na, nt, -1)).reshape(M.shape)
+    return R if out is None else R[out]
 
 
 class _KernelRows:
@@ -544,15 +551,17 @@ def _training_data(X, y, dim: int):
 
 class _Whitener:
     """F, F F' = A^-1, on the dense and low-rank forms, with W = V
-    diag(d)^-1/2 formed once: F = W, and on the low-rank form, where A is
-    noise*I off the range of V, F = [W | (I - V V')/sqrt(noise)] with the
-    complement M - V V'M explicit."""
+    diag(d)^-1/2 formed at first use: F = W, and on the low-rank form, where
+    A is noise*I off the range of V, F = [W | (I - V V')/sqrt(noise)] with
+    the complement M - V V'M explicit."""
 
     def __init__(self, spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float):
         self.V, self.noise, self.truncated = spectrum.V, noise_variance, spectrum.truncated
         self.root_d = np.sqrt(d)
-        self.W = self.V / self.root_d
-        self.tails = None  # the complement's block-sized array, reused
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        return self.V / self.root_d
 
     def _complement(self, M):
         return M - self.V @ (self.V.T @ M)
@@ -585,17 +594,16 @@ class _Whitener:
             x += (1.0 - np.einsum("ij,ij->i", self.V, self.V)) / self.noise
         return x
 
-    def variances(self, k_star, sf2: float):
-        """sf2 - |F'k|^2 for each row k of k_star, from one product: k_* W,
-        or on the low-rank form k_* V, which gives both W'k = (V'k) d^-1/2
-        and the complement k - V V'k."""
+    def variances(self, k_star, sf2: float, scratch):
+        """sf2 - |F'k|^2 for each row k of k_star, from one product held in
+        scratch, an array of k_star's shape: k_* W, or on the low-rank form
+        k_* V, which gives both W'k = (V'k) d^-1/2 and the complement
+        k - V V'k in scratch."""
         if not self.truncated:
-            v = k_star @ self.W
+            v = np.matmul(k_star, self.W, out=scratch)
             return sf2 - np.einsum("ij,ij->i", v, v)
-        if self.tails is None:  # the first block is the largest
-            self.tails = np.empty_like(k_star)
         v = k_star @ self.V
-        tail = np.matmul(v, self.V.T, out=self.tails[: k_star.shape[0]])
+        tail = np.matmul(v, self.V.T, out=scratch)
         np.subtract(k_star, tail, out=tail)
         v /= self.root_d
         x = sf2 - np.einsum("ij,ij->i", v, v)
@@ -607,8 +615,6 @@ class _KronWhitener:
     """F = W = V diag(d)^-1/2 on the Kronecker form, applied through the
     axis factors (_kron_rotate) and never formed; diag(A^-1) = (V o V) d^-1
     is (V_a o V_a) D (V_t o V_t)' with D holding d^-1 in kron order."""
-
-    _CHUNK = 64  # query rows per rotation in variances; bounds its arrays
 
     def __init__(self, spectrum: KernelSpectrum, d: np.ndarray, noise_variance: float):
         self.spectrum, self.d, self.root_d = spectrum, d, np.sqrt(d)
@@ -636,15 +642,14 @@ class _KronWhitener:
         """diag(A^-1)."""
         return self._apply(1.0 / self.d, self.V_a * self.V_a, self.V_t * self.V_t)
 
-    def variances(self, k_star, sf2: float):
-        """sf2 - |F'k|^2 for each row k of k_star, from V'k_*' (rotate) a few
-        rows at a time."""
-        x = np.empty(k_star.shape[0])
-        for start in range(0, k_star.shape[0], self._CHUNK):
-            rows = slice(start, start + self._CHUNK)
-            v = self.whiten(k_star[rows].T)
-            x[rows] = sf2 - np.einsum("ij,ij->j", v, v)
-        return x
+    def variances(self, k_star, sf2: float, scratch):
+        """sf2 - |F'k|^2 = sf2 - k'V d^-1 V'k for each row k of k_star, from
+        V'k_*' in kron order (_kron_rotate), held in scratch and k_star,
+        which it overwrites."""
+        inv_d = np.empty(self.d.size)
+        inv_d[self.order] = 1.0 / self.d
+        v = _kron_rotate(self.V_a, self.V_t, k_star.T, self.index, None, (scratch, k_star))
+        return sf2 - inv_d @ np.square(v, out=v)
 
 
 def _fitted(yv, hyper: KernelHyperParams, noise_variance: float, spectrum: KernelSpectrum,
@@ -797,7 +802,8 @@ def predict_targets(models, Xq, with_variances: bool = True):
     |F'k_*|^2, come from its whitener: k_* W per block on the dense form,
     k_* V on the low-rank form, which gives both W'k_* = (V'k_*) d^-1/2 and
     the complement k_* - V V'k_*, and V'k_*' through the axis factors on the
-    Kronecker form, in O(m (na^2 nt + na nt^2)) for m rows. Raises
+    Kronecker form, in O(m (na^2 nt + na nt^2)) for m rows; each works in
+    the block's spent K1, and the Kronecker form in k_* too. Raises
     ValueError naming the first query point whose mean or variance is not
     finite, model by model in order, the first model's variances with its
     means.
@@ -816,8 +822,8 @@ def predict_targets(models, Xq, with_variances: bool = True):
     unit = KernelHyperParams(1.0, length_scales)
     if with_variances:
         F = first.spectrum.whitener(first.d, first.noise_variance)
-    # k_* and the low-rank complement reuse one block-sized array each: a
-    # fresh array of that size per block costs more than the arithmetic on it
+    # k_* reuses one block-sized array: a fresh array of that size per block
+    # costs more than the arithmetic on it
     scaled = np.empty((min(Q.shape[0], _PREDICT_BLOCK), train_x.shape[0]))
     # far from the data the arithmetic may overflow; the finite check below
     # names the point, so numpy's own warnings would only add noise
@@ -827,13 +833,14 @@ def predict_targets(models, Xq, with_variances: bool = True):
             K1 = kernel_matrix(Q[rows], train_x, unit)
             H = basis_matrix(Q[rows])
             k_star = scaled[: K1.shape[0]]
-            for i, (model, out) in enumerate(zip(models, means)):
+            # the first model last, so that k_star ends as its own
+            for model, out in reversed(list(zip(models, means))):
                 np.multiply(model.hyper.signal_variance, K1, out=k_star)
                 out[rows] = np.einsum("ij,j->i", H, model.beta) + np.einsum(
                     "ij,j->i", k_star, model.alpha
                 )
-                if i == 0 and with_variances:
-                    variances[rows] = F.variances(k_star, model.hyper.signal_variance)
+            if with_variances:  # K1 is spent: the whitener's scratch
+                variances[rows] = F.variances(k_star, first.hyper.signal_variance, K1)
             del K1  # so that the next block's kernel is not built beside it
     if with_variances:
         np.maximum(variances, 0.0, out=variances)

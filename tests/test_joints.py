@@ -603,27 +603,55 @@ def _unshared_predict(model: gpr.FittedGP, X):
     return np.concatenate(means), np.maximum(np.concatenate(variances), 0.0)
 
 
+def _extended_variances(model: gpr.FittedGP, X):
+    """sf2 - |W'k_*|^2 of a Kronecker-form model in x87 extended precision
+    (a 64-bit significand), from the float64 k_*, d and axis factors with V
+    expanded here: the value that both the expanded product k_* W and the
+    rotation through the axis factors round."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended-precision long double")
+    V_a, V_t, order, index = model.spectrum.kron
+    ext = np.longdouble
+    V = np.kron(V_a.astype(ext), V_t.astype(ext))[np.ix_(index, order)]
+    k_star = gpr.kernel_matrix(X, model.train_x, model.hyper).astype(ext)
+    v = k_star @ (V / np.sqrt(model.d.astype(ext)))
+    return (model.hyper.signal_variance - np.einsum("ij,ij->i", v, v)).astype(float)
+
+
 def _assert_unshared_answers(model, thetas, thickness, got):
     """got, joints.predict_many's answer, against _unshared_predict: the
     force means and return angles bit for bit, and the stds to 1e-12
-    relative (on the low-rank and Kronecker forms, against a lone
-    gpr.predict_many, whose |F'k_*|^2 comes from k_* V or from V'k_*'
-    through the axis factors, and to 1e-10 against _unshared_predict)."""
+    relative (on the low-rank form, against a lone gpr.predict_many, whose
+    |W'k_*|^2 comes from k_* V).
+
+    On the Kronecker form the stds come from V'k_*' through the axis
+    factors, which rounds the cancelling difference sf2 - |W'k_*|^2 apart
+    from _unshared_predict's k_* W: where the variance falls to 1e-4 sf2 no
+    float64 route is within 1e-12 relative of the exact value, k_* W
+    included. Both are held instead to its extended-precision value
+    (_extended_variances) within 24 eps sf2; on the benchmark's tuned curve
+    pairs of seeds 1-5 the rotation measures at most 10 eps sf2 and k_* W
+    at most 13.2."""
     means, stds, returns, _ = got
     X = np.asarray(thetas, dtype=float)[:, None]
     if thickness is not None:
         X = np.column_stack([X, np.full(len(X), thickness)])
     want_means, want_var = _unshared_predict(model.force_model, X)
-    spectrum = model.force_model.spectrum
-    if spectrum.truncated or spectrum.kron is not None:
-        np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-10, atol=0.0)
-        want_var = gpr.predict_many(model.force_model, X)[1]
     assert np.array_equal(means, want_means)
-    np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-12, atol=0.0)
     bent = X[:, 0] != 0.0
     back = np.clip(_unshared_predict(model.return_model, X[bent])[0], 0.0, 180.0).tolist()
     assert [r for r, b in zip(returns, bent) if b] == back
     assert [r for r, b in zip(returns, bent) if not b] == [180.0] * int((~bent).sum())
+    spectrum = model.force_model.spectrum
+    if spectrum.kron is None:
+        if spectrum.truncated:
+            want_var = gpr.predict_many(model.force_model, X)[1]
+        np.testing.assert_allclose(stds, np.sqrt(want_var), rtol=1e-12, atol=0.0)
+    else:
+        exact = np.maximum(_extended_variances(model.force_model, X), 0.0)
+        bound = 24 * np.finfo(float).eps * model.force_model.hyper.signal_variance
+        assert np.abs(np.square(stds) - exact).max() <= bound
+        assert np.abs(want_var - exact).max() <= bound
 
 
 @pytest.fixture(scope="module")
